@@ -13,7 +13,9 @@ combined indexing is
     Tᵃᵇ = −T₁ᵃᵇ,  T^{n₁+α,n₁+β} = T₂^{αβ},  T^{a,n₁+β} = U^{aβ},
 
 extended antisymmetrically.  Factor order is significant; swapping the
-factors lands the flip on the other signature.
+factors lands the flip on the other signature.  The five bracket families
+T₁·T₁, T₂·T₂, T₁·U, U·T₂ and U·U are index blocks of the one bracket table
+of these combined generators.
 
 The resulting representation is a full (Dirac) spinor representation when
 either factor has even generator count, and a single half-spinor (Weyl)
@@ -47,7 +49,7 @@ from .linalg import (
     max_abs,
     tensor_antilinear,
 )
-from .liealg import SoRepresentation, bracket_residual
+from .liealg import SoRepresentation, bracket_residual_table
 from .report import Report
 
 
@@ -111,20 +113,15 @@ class ProductGenerators:
     combined: SoRepresentation
 
 
-def _quadratics(gamma1, gamma2):
+def _product_generators(gamma1, gamma2, eta1, eta2) -> ProductGenerators:
+    """Quadratic monomials of two gamma families and their combined indexing."""
+    n1, n2 = len(gamma1), len(gamma2)
     t1 = {(a, b): frozen(0.5 * (gamma1[a] @ gamma1[b]))
-          for a in range(len(gamma1)) for b in range(a + 1, len(gamma1))}
+          for a in range(n1) for b in range(a + 1, n1)}
     t2 = {(a, b): frozen(0.5 * (gamma2[a] @ gamma2[b]))
-          for a in range(len(gamma2)) for b in range(a + 1, len(gamma2))}
+          for a in range(n2) for b in range(a + 1, n2)}
     u = {(a, b): frozen(0.5 * (gamma1[a] @ gamma2[b]))
-         for a in range(len(gamma1)) for b in range(len(gamma2))}
-    return t1, t2, u
-
-
-def product_so_generators(ca: CommutingAction) -> ProductGenerators:
-    """Combined generators for the metric (−η₁)⊕η₂."""
-    t1, t2, u = _quadratics(ca.gamma1, ca.gamma2)
-    n1 = ca.n1
+         for a in range(n1) for b in range(n2)}
     gens = {}
     for (a, b), m in t1.items():
         gens[(a, b)] = frozen(-m)
@@ -132,9 +129,27 @@ def product_so_generators(ca: CommutingAction) -> ProductGenerators:
         gens[(a, n1 + b)] = m
     for (a, b), m in t2.items():
         gens[(n1 + a, n1 + b)] = m
-    eta = combined_metric(ca.mod1.eta, ca.mod2.eta)
-    combined = SoRepresentation(eta=eta, dim=ca.dim, generators=gens)
+    dim = gamma1[0].shape[0] if n1 else (gamma2[0].shape[0] if n2 else 1)
+    combined = SoRepresentation(eta=combined_metric(eta1, eta2), dim=dim, generators=gens)
     return ProductGenerators(t1=t1, t2=t2, u=u, combined=combined)
+
+
+def product_so_generators(ca: CommutingAction) -> ProductGenerators:
+    """Combined generators for the metric (−η₁)⊕η₂."""
+    return _product_generators(ca.gamma1, ca.gamma2, ca.mod1.eta, ca.mod2.eta)
+
+
+#: the five bracket families as (row, column) blocks of the combined table; a
+#: pair's block counts its indices in the second factor: 0 T₁, 1 U, 2 T₂
+_FAMILIES = {"t1-t1": (0, 0), "t2-t2": (2, 2), "t1-u": (0, 1),
+             "u-t2": (1, 2), "u-u": (1, 1)}
+
+
+def _family_residuals(table: np.ndarray, pairs, n1: int) -> dict:
+    """Worst entry of each family block of a combined bracket residual table."""
+    block = np.array([(a >= n1) + (b >= n1) for a, b in pairs], dtype=int)
+    return {key: max_abs(table[np.ix_(block == row, block == col)])
+            for key, (row, col) in _FAMILIES.items()}
 
 
 def bracket_family_residuals(gamma1, gamma2, eta1, eta2) -> dict:
@@ -147,84 +162,20 @@ def bracket_family_residuals(gamma1, gamma2, eta1, eta2) -> dict:
     (diagonal generators count as zero), which hold for commuting families
     and fail for anticommuting ones.
     """
-    eta1 = np.asarray(eta1, dtype=int)
-    eta2 = np.asarray(eta2, dtype=int)
-    n1, n2 = len(gamma1), len(gamma2)
-    dim = gamma1[0].shape[0] if n1 else (gamma2[0].shape[0] if n2 else 1)
-    t1, t2, u = _quadratics(gamma1, gamma2)
-    zero = np.zeros((dim, dim), dtype=complex)
-
-    def t1_at(a, b):
-        if a == b:
-            return zero
-        return t1[(a, b)] if a < b else -t1[(b, a)]
-
-    def t2_at(a, b):
-        if a == b:
-            return zero
-        return t2[(a, b)] if a < b else -t2[(b, a)]
-
-    res = {"t1-t1": 0.0, "t2-t2": 0.0, "t1-u": 0.0, "u-t2": 0.0, "u-u": 0.0}
-    for (a, b), tab in t1.items():
-        for (c, d), tcd in t1.items():
-            rhs = zero
-            if b == c:
-                rhs = rhs + eta1[b] * t1_at(a, d)
-            if a == c:
-                rhs = rhs - eta1[a] * t1_at(b, d)
-            if b == d:
-                rhs = rhs + eta1[b] * t1_at(c, a)
-            if a == d:
-                rhs = rhs - eta1[a] * t1_at(c, b)
-            res["t1-t1"] = max(res["t1-t1"], max_abs(commutator(tab, tcd) - rhs))
-    for (a, b), tab in t2.items():
-        for (c, d), tcd in t2.items():
-            rhs = zero
-            if b == c:
-                rhs = rhs + eta2[b] * t2_at(a, d)
-            if a == c:
-                rhs = rhs - eta2[a] * t2_at(b, d)
-            if b == d:
-                rhs = rhs + eta2[b] * t2_at(c, a)
-            if a == d:
-                rhs = rhs - eta2[a] * t2_at(c, b)
-            res["t2-t2"] = max(res["t2-t2"], max_abs(commutator(tab, tcd) - rhs))
-    for (a, b), tab in t1.items():
-        for (c, d), ucd in u.items():
-            rhs = zero
-            if b == c:
-                rhs = rhs + eta1[b] * u[(a, d)]
-            if a == c:
-                rhs = rhs - eta1[a] * u[(b, d)]
-            res["t1-u"] = max(res["t1-u"], max_abs(commutator(tab, ucd) - rhs))
-    for (a, b), uab in u.items():
-        for (c, d), tcd in t2.items():
-            rhs = zero
-            if b == c:
-                rhs = rhs + eta2[b] * u[(a, d)]
-            if b == d:
-                rhs = rhs - eta2[b] * u[(a, c)]
-            res["u-t2"] = max(res["u-t2"], max_abs(commutator(uab, tcd) - rhs))
-    for (a, b), uab in u.items():
-        for (c, d), ucd in u.items():
-            rhs = zero
-            if a == c:
-                rhs = rhs + eta1[a] * t2_at(b, d)
-            if b == d:
-                rhs = rhs - eta2[b] * t1_at(c, a)
-            res["u-u"] = max(res["u-u"], max_abs(commutator(uab, ucd) - rhs))
-    return res
+    combined = _product_generators(gamma1, gamma2, eta1, eta2).combined
+    return _family_residuals(bracket_residual_table(combined), combined.pairs(),
+                             len(gamma1))
 
 
 def verify_bracket_table(ca: CommutingAction, tol: float = DEFAULT_TOL) -> Report:
     """Check the five bracket families of the combined generators."""
-    fams = bracket_family_residuals(ca.gamma1, ca.gamma2, ca.mod1.eta, ca.mod2.eta)
-    comm = commutation_residual(ca)
     combined = product_so_generators(ca).combined
-    total = bracket_residual(combined)
-    worst = max([comm, total, *fams.values()])
-    name = (f"bracket-families({ca.mod1.signature.p},{ca.mod1.signature.q})x"
-            f"({ca.mod2.signature.p},{ca.mod2.signature.q})")
+    table = bracket_residual_table(combined)
+    fams = _family_residuals(table, combined.pairs(), ca.n1)
+    comm = commutation_residual(ca)
+    total = max_abs(table)
+    worst = max(comm, total)
+    name = f"bracket-families{_pair_label(ca)}"
     details = [{"family": key, "residual": val} for key, val in sorted(fams.items())]
     details.append({"family": "gamma-commutation", "residual": comm})
     details.append({"family": "combined-bracket", "residual": total})
@@ -258,12 +209,10 @@ def equivalence_even(ca: CommutingAction, tol: float = DEFAULT_TOL) -> Report:
     v = kron((eye(ca.mod1.dim) + 1j * ca.mod1.chirality) / math.sqrt(2), id2)
     vh = v.conj().T
     combined = product_so_generators(ca).combined
-    n = ca.n1 + ca.n2
     worst = 0.0
-    for a in range(n):
-        for b in range(a + 1, n):
-            s_ab = 0.5 * (ref[a] @ ref[b])
-            worst = max(worst, max_abs(v @ s_ab @ vh - combined.t(a, b)))
+    for (a, b), g in combined.generators.items():
+        s_ab = 0.5 * (ref[a] @ ref[b])
+        worst = max(worst, max_abs(v @ s_ab @ vh - g))
     p_res = 0.0
     if (ca.n1 + ca.n2) % 2 == 0:
         prod = tensor_product_element(ca)
@@ -303,14 +252,12 @@ def equivalence_odd_odd(ca: CommutingAction, tol: float = DEFAULT_TOL) -> Report
 
     d = ca.dim
     combined = product_so_generators(ca).combined
-    n = ca.n1 + ca.n2
     worst = 0.0
-    for a in range(n):
-        for b in range(a + 1, n):
-            quad = 0.5 * (doubled[a] @ doubled[b])
-            off_block = max(max_abs(quad[:d, d:]), max_abs(quad[d:, :d]))
-            restricted = quad[:d, :d]
-            worst = max(worst, off_block, max_abs(restricted - combined.t(a, b)))
+    for (a, b), g in combined.generators.items():
+        quad = 0.5 * (doubled[a] @ doubled[b])
+        off_block = max(max_abs(quad[:d, d:]), max_abs(quad[d:, :d]))
+        restricted = quad[:d, :d]
+        worst = max(worst, off_block, max_abs(restricted - g))
 
     prod = tensor_product_element(ca)
     scalar = complex(prod[0, 0])

@@ -69,14 +69,17 @@ def so_generators(m: CliffordModule) -> SoRepresentation:
     return SoRepresentation(eta=np.asarray(m.eta, dtype=int), dim=m.dim, generators=gens)
 
 
-def bracket_residual(rep: SoRepresentation) -> float:
-    """Worst max-abs deviation of any bracket from the structure relation."""
+def bracket_residual_table(rep: SoRepresentation) -> np.ndarray:
+    """Max-abs deviation of each bracket [Tᵃᵇ, Tᶜᵈ] from the structure relation.
+
+    Rows and columns are both indexed by ``rep.pairs()``.
+    """
     eta = rep.eta
     pairs = rep.pairs()
-    worst = 0.0
-    for a, b in pairs:
+    table = np.zeros((len(pairs), len(pairs)))
+    for i, (a, b) in enumerate(pairs):
         tab = rep.t(a, b)
-        for c, d in pairs:
+        for j, (c, d) in enumerate(pairs):
             rhs = np.zeros((rep.dim, rep.dim), dtype=complex)
             if b == c:
                 rhs = rhs + eta[b] * rep.t(a, d)
@@ -86,8 +89,13 @@ def bracket_residual(rep: SoRepresentation) -> float:
                 rhs = rhs + eta[b] * rep.t(c, a)
             if a == d:
                 rhs = rhs - eta[a] * rep.t(c, b)
-            worst = max(worst, max_abs(commutator(tab, rep.t(c, d)) - rhs))
-    return worst
+            table[i, j] = max_abs(commutator(tab, rep.t(c, d)) - rhs)
+    return table
+
+
+def bracket_residual(rep: SoRepresentation) -> float:
+    """Worst max-abs deviation of any bracket from the structure relation."""
+    return max_abs(bracket_residual_table(rep))
 
 
 def flipped_representation(rep: SoRepresentation) -> SoRepresentation:
@@ -220,7 +228,7 @@ def expected_structure(s: int) -> StructureExpectation:
     return StructureExpectation(s=s, has_j=s not in (2, 6), has_p=s % 2 == 0)
 
 
-def chirality_exchange_residual(m: CliffordModule) -> float:
+def product_eigenspace_exchange_residual(m: CliffordModule) -> float:
     """For s ∈ {2, 6}: J swaps the ±i eigenspaces of the product element.
 
     Checked as the operator identity J·π⁺ = π⁻·J with π^{±} the

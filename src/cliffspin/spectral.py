@@ -30,7 +30,7 @@ import numpy as np
 
 from .clifford import CliffordModule, SignTriple, hatted_real_structure, sign_triple
 from .commuting import CommutingAction, build_commuting, product_so_generators
-from .liealg import bracket_residual
+from .liealg import bracket_residual, so_generators
 from .linalg import (
     DEFAULT_TOL,
     AntilinearOp,
@@ -58,25 +58,14 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def even_monomial_basis(m: CliffordModule) -> list:
-    """Ordered products of gammas over even-size index subsets.
+def monomial_basis(m: CliffordModule, parity: int) -> list:
+    """Ordered products of gammas over index subsets of size ≡ parity (mod 2).
 
-    Real linear combinations of these span the even real subalgebra of the
-    module's Clifford algebra.
+    For parity 0, real linear combinations of these span the even real
+    subalgebra of the module's Clifford algebra.
     """
     basis = []
-    for size in range(0, m.n + 1, 2):
-        for subset in itertools.combinations(range(m.n), size):
-            mat = eye(m.dim)
-            for a in subset:
-                mat = mat @ m.gammas[a]
-            basis.append(frozen(mat))
-    return basis
-
-
-def odd_monomial_basis(m: CliffordModule) -> list:
-    basis = []
-    for size in range(1, m.n + 1, 2):
+    for size in range(parity, m.n + 1, 2):
         for subset in itertools.combinations(range(m.n), size):
             mat = eye(m.dim)
             for a in subset:
@@ -207,8 +196,8 @@ def build_pati_salam(variant: str = "hatted_second",
         pi_plus=frozen(kron(eye(ca.mod1.dim), pi2p)),
         pi_minus=frozen(kron(eye(ca.mod1.dim), pi2m)),
         sign_triple=measured,
-        even_basis1=tuple(even_monomial_basis(ca.mod1)),
-        even_basis2=tuple(even_monomial_basis(ca.mod2)),
+        even_basis1=tuple(monomial_basis(ca.mod1, 0)),
+        even_basis2=tuple(monomial_basis(ca.mod2, 0)),
     )
 
 
@@ -284,11 +273,6 @@ def ko_dimension(triple: PatiSalamTriple, dirac: DiracData,
     return measure_ko_signs(triple.J, triple.chirality, dirac.matrix, tol)
 
 
-def _factor_quadratics(m: CliffordModule) -> dict:
-    return {(a, b): 0.5 * (m.gammas[a] @ m.gammas[b])
-            for a in range(m.n) for b in range(a + 1, m.n)}
-
-
 def sample_gauge_element(triple: PatiSalamTriple, rng, scale: float = 1.0) -> GaugeElement:
     """u = (exp Σθ·T₁, exp Σφ·T₂) with coefficients uniform in [−scale, scale].
 
@@ -300,7 +284,7 @@ def sample_gauge_element(triple: PatiSalamTriple, rng, scale: float = 1.0) -> Ga
     rng = _as_rng(rng)
     u_parts = []
     for mod in (triple.action.mod1, triple.action.mod2):
-        quads = _factor_quadratics(mod)
+        quads = so_generators(mod).generators
         gen = sum(rng.uniform(-scale, scale) * t for t in quads.values())
         u_parts.append(expm(gen))
     return GaugeElement(u1=u_parts[0], u2=u_parts[1])
@@ -317,6 +301,14 @@ def gauge_element_residuals(triple: PatiSalamTriple, u: GaugeElement) -> dict:
     return res
 
 
+def _adjoint_image(triple: PatiSalamTriple, u: GaugeElement):
+    """l(u)·r(u*) with its residual against u₁⊗u₂ and |det(l(u)) − 1|."""
+    a = u.as_algebra_element()
+    lu = triple.left_action(a)
+    adj = lu @ triple.right_action(a.star())
+    return adj, max_abs(adj - kron(u.u1, u.u2)), abs(np.linalg.det(lu) - 1.0)
+
+
 def adjoint_gauge_action(triple: PatiSalamTriple, u: GaugeElement,
                          tol: float = DEFAULT_TOL, det_tol: float = DET_TOL) -> np.ndarray:
     """The adjoint image l(u)·r(u*), checked against u₁⊗u₂ and unimodularity.
@@ -325,14 +317,9 @@ def adjoint_gauge_action(triple: PatiSalamTriple, u: GaugeElement,
     |det(l(u)) − 1| exceeds ``det_tol``; these are identities of the
     construction, not sampling noise.
     """
-    a = u.as_algebra_element()
-    lu = triple.left_action(a)
-    adj = lu @ triple.right_action(a.star())
-    expected = kron(u.u1, u.u2)
-    resid = max_abs(adj - expected)
+    adj, resid, det_err = _adjoint_image(triple, u)
     if resid > tol:
         raise ValueError(f"adjoint action does not factorize: residual {resid:g}")
-    det_err = abs(np.linalg.det(lu) - 1.0)
     if det_err > det_tol:
         raise ValueError(f"left action is not unimodular: |det-1| = {det_err:g}")
     return adj
@@ -347,11 +334,9 @@ def verify_gauge_action(triple: PatiSalamTriple, samples: int = 50, rng=0,
     for _ in range(samples):
         u = sample_gauge_element(triple, rng, scale)
         inv_worst = max(inv_worst, *gauge_element_residuals(triple, u).values())
-        a = u.as_algebra_element()
-        lu = triple.left_action(a)
-        adj = lu @ triple.right_action(a.star())
-        worst = max(worst, max_abs(adj - kron(u.u1, u.u2)))
-        det_worst = max(det_worst, abs(np.linalg.det(lu) - 1.0))
+        _, resid, det_err = _adjoint_image(triple, u)
+        worst = max(worst, resid)
+        det_worst = max(det_worst, det_err)
     passed = worst < tol and det_worst < det_tol and inv_worst < tol
     return Report(
         name=f"gauge-action({triple.variant})",
@@ -420,8 +405,8 @@ def spin10_action(ca: CommutingAction, rng=0, tol: float = DEFAULT_TOL,
     combined = pg.combined
     bracket_res = bracket_residual(combined)
     triple = build_pati_salam(variant, action=ca)
-    quads1 = _factor_quadratics(ca.mod1)
-    quads2 = _factor_quadratics(ca.mod2)
+    quads1 = so_generators(ca.mod1).generators
+    quads2 = so_generators(ca.mod2).generators
     n1 = ca.n1
     id1, id2 = eye(ca.mod1.dim), eye(ca.mod2.dim)
 

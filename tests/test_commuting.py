@@ -23,7 +23,7 @@ from cliffspin.commuting import (
     three_action_closure_defect,
     verify_bracket_table,
 )
-from cliffspin.liealg import SoRepresentation, bracket_residual
+from cliffspin.liealg import SoRepresentation, bracket_residual, bracket_residual_table
 from cliffspin.linalg import expm, eye, kron, max_abs
 
 
@@ -94,6 +94,28 @@ def test_anticommuting_split_fails_mixed_family():
     ca = build_commuting((0, 3), (0, 1))
     good = bracket_family_residuals(ca.gamma1, ca.gamma2, ca.mod1.eta, ca.mod2.eta)
     assert max(good.values()) < 1e-12
+
+
+@pytest.mark.parametrize("pair", [((0, 3), (0, 3)), ((4, 0), (0, 6))])
+def test_negated_factor_metric_fails_its_blocks(pair):
+    # negating one factor's metric breaks exactly the families whose
+    # structure relation carries that metric
+    ca = build_commuting(*pair)
+    eta1, eta2 = np.asarray(ca.mod1.eta), np.asarray(ca.mod2.eta)
+    fams = bracket_family_residuals(ca.gamma1, ca.gamma2, -eta1, eta2)
+    assert min(fams["t1-t1"], fams["t1-u"], fams["u-u"]) >= 0.5
+    assert fams["t2-t2"] == 0.0 and fams["u-t2"] == 0.0
+    fams = bracket_family_residuals(ca.gamma1, ca.gamma2, eta1, -eta2)
+    assert min(fams["t2-t2"], fams["u-t2"], fams["u-u"]) >= 0.5
+    assert fams["t1-t1"] == 0.0 and fams["t1-u"] == 0.0
+
+
+def test_bracket_residual_table_shape_and_maximum():
+    combined = product_so_generators(build_commuting((2, 0), (0, 3))).combined
+    table = bracket_residual_table(combined)
+    n = len(combined.pairs())
+    assert table.shape == (n, n)
+    assert table.max() == bracket_residual(combined)
 
 
 def test_factor_swap():

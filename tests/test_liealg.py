@@ -10,11 +10,11 @@ from cliffspin.liealg import (
     SoRepresentation,
     bracket_residual,
     casimir_element,
-    chirality_exchange_residual,
     expected_structure,
     find_intertwiner,
     flipped_representation,
     intertwiner_residual,
+    product_eigenspace_exchange_residual,
     so_generators,
     structure_survival,
     weyl_pieces,
@@ -160,4 +160,4 @@ def test_j_exchanges_conjugate_halves(pq):
     # s in {2, 6}: J maps the +i eigenspace of the product element onto -i
     m = build_irrep(pq)
     assert m.s in (2, 6)
-    assert chirality_exchange_residual(m) < 1e-10
+    assert product_eigenspace_exchange_residual(m) < 1e-10

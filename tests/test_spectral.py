@@ -15,11 +15,10 @@ from cliffspin.spectral import (
     check_order_conditions,
     chirality_exchange_residual,
     dirac_invariant_residuals,
-    even_monomial_basis,
     gauge_element_residuals,
     higgs_transform,
     ko_dimension,
-    odd_monomial_basis,
+    monomial_basis,
     sample_gauge_element,
     spin10_action,
     verify_gauge_action,
@@ -149,7 +148,7 @@ def test_hermitian_odd_elements_are_gamma_spans():
     # real-coefficient odd elements: the Hermitian part is exactly the
     # degree-one piece, because degree-three monomials are anti-Hermitian
     mod1 = TRIPLES["plain"].action.mod1
-    odd = odd_monomial_basis(mod1)
+    odd = monomial_basis(mod1, 1)
     assert len(odd) == 8
     rng = np.random.default_rng(10)
     coeff = rng.standard_normal(8)
@@ -257,8 +256,8 @@ def test_equivariance_of_the_two_real_structures():
 
 def test_even_monomial_basis_counts():
     from cliffspin.clifford import build_irrep
-    assert len(even_monomial_basis(build_irrep((4, 0)))) == 8
-    assert len(even_monomial_basis(build_irrep((0, 6)))) == 32
+    assert len(monomial_basis(build_irrep((4, 0)), 0)) == 8
+    assert len(monomial_basis(build_irrep((0, 6)), 0)) == 32
 
 
 def test_wrong_variant_rejected():
