@@ -1,0 +1,63 @@
+"""Print sha256 fingerprints of cliffspin's deterministic outputs.
+
+    python3 scripts/fingerprints.py
+
+Run from the root of a source checkout; the package is imported from
+``src/`` of the checkout the script sits in.  Running the script on two
+checkouts on the same machine shows whether a change keeps the output
+byte-identical.  One line per output, ``<sha256>  <exit code>  <label>``:
+
+* the JSON output of four CLI invocations, run in-process;
+* one hash over ``module_to_json`` of every module in the benchmark's
+  ``signature_sweep`` list (``bench/workloads.SWEEP``), in list order.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+from cliffspin import cli, clifford  # noqa: E402
+from cliffspin.serialize import module_to_json  # noqa: E402
+from workloads import SWEEP  # noqa: E402
+
+COMMANDS = (
+    ["all", "--seed", "7"],
+    ["verify", "signs", "--max-n", "8"],
+    ["verify", "brackets", "--max-n", "8"],
+    ["commuting", "--sig1", "4,0", "--sig2", "0,6"],
+)
+
+
+def cli_fingerprint(argv: list) -> tuple[str, int]:
+    """sha256 of the JSON that ``cliffspin ARGV --format json`` prints, and
+    its exit code."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run([*argv, "--format", "json"])
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(), code
+
+
+def sweep_fingerprint() -> str:
+    """One sha256 over the exported JSON of every ``SWEEP`` module."""
+    digest = hashlib.sha256()
+    for p, q, branch in SWEEP:
+        digest.update(module_to_json(clifford.build_irrep((p, q), branch)).encode("utf-8"))
+    return digest.hexdigest()
+
+
+def main() -> None:
+    for argv in COMMANDS:
+        sha, code = cli_fingerprint(argv)
+        print(f"{sha}  {code}  {' '.join(argv)}", flush=True)
+    print(f"{sweep_fingerprint()}  -  module_to_json of bench/workloads.SWEEP")
+
+
+if __name__ == "__main__":
+    main()

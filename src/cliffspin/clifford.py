@@ -30,11 +30,13 @@ from .linalg import (
     DEFAULT_TOL,
     AntilinearOp,
     anticommutator,
+    antilinear_constraints,
     eye,
     frozen,
     kron,
     kron_all,
     max_abs,
+    nullity,
     solve_antilinear_commutant,
     unitarity_residual,
 )
@@ -255,29 +257,25 @@ def hermiticity_residual(m: CliffordModule) -> float:
 def measure_sign_triple(m: CliffordModule, tol: float = DEFAULT_TOL):
     """Measure (ε, ε′, ε″) of the module's real structure directly.
 
-    ε′ is found by attempting the antilinear solve with each sign pattern:
-    for even n both signs admit solutions (J and Ĵ) and the real structure
-    is the commuting one; for odd n exactly one pattern has a solution.
-    Returns the measured triple together with the solved J.
+    ε′ is found by testing which sign patterns admit a one-dimensional
+    antilinear solution space (from singular values only): for even n both
+    signs do (J and Ĵ) and the real structure is the commuting one; for odd
+    n exactly one pattern does.  The full solve then runs once, for the
+    measured ε′.  Returns the measured triple together with the solved J.
     """
-    solutions = {}
-    for sign in (1, -1):
-        try:
-            solutions[sign] = solve_antilinear_commutant(
-                m.gammas, [sign] * m.n, dim=m.dim)
-        except ValueError:
-            pass
-    if not solutions:
+    solvable = [sign for sign in (1, -1)
+                if nullity(antilinear_constraints(m.gammas, [sign] * m.n, m.dim)) == 1]
+    if not solvable:
         raise ValueError("no antilinear structure found for either sign pattern")
     if m.n % 2 == 0:
-        if 1 not in solutions:
+        if 1 not in solvable:
             raise ValueError("even-dimensional module without a commuting real structure")
         eps_prime = 1
     else:
-        if len(solutions) != 1:
+        if len(solvable) != 1:
             raise ValueError("odd module admits both sign patterns; construction is inconsistent")
-        eps_prime = next(iter(solutions))
-    j = solutions[eps_prime]
+        eps_prime = solvable[0]
+    j = solve_antilinear_commutant(m.gammas, [eps_prime] * m.n, dim=m.dim)
     eps = j.square_sign(tol)
     eps_dd = j.commutation_sign(m.chirality, tol) if m.s % 2 == 0 else None
     return SignTriple(eps, eps_prime, eps_dd), j

@@ -14,7 +14,6 @@ Indices are 0-based throughout.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,11 +23,13 @@ from .clifford import CliffordModule, sign_triple
 from .linalg import (
     DEFAULT_TOL,
     NULL_RTOL,
+    check_kronecker_dim,
     commutator,
     eye,
     frozen,
     max_abs,
     null_space,
+    nullity,
     phase_normalize,
 )
 
@@ -108,34 +109,38 @@ def flipped_representation(rep: SoRepresentation) -> SoRepresentation:
     return SoRepresentation(eta=-np.asarray(rep.eta), dim=rep.dim, generators=gens)
 
 
-def _permutation_sign(perm) -> int:
-    perm = list(perm)
-    sign = 1
-    for i in range(len(perm)):
-        while perm[i] != i:
-            j = perm[i]
-            perm[i], perm[j] = perm[j], perm[i]
-            sign = -sign
-    return sign
-
-
 def casimir_element(rep: SoRepresentation) -> np.ndarray:
     """Levi-Civita contraction of generator products.
 
-    Evaluates (2^{n/2}/n!)·ε_{a₁…aₙ}·T^{a₁a₂}…T^{a_{n-1}aₙ} by summing over
-    every permutation with its sign.  For the quadratic monomials of an
-    irreducible module this equals the ordered gamma product.
+    Evaluates (2^{n/2}/n!)·ε_{a₁…aₙ}·T^{a₁a₂}…T^{a_{n-1}aₙ} by recursion
+    over the still-unused index set S, memoized on S:
+
+        F(∅) = 1,   F(S) = Σ_{a≠b∈S} sign(a,b;S)·Tᵃᵇ·F(S∖{a,b}),
+
+    where sign(a,b;S) is the sign of moving a, then b, to the front of S.
+    The ordered pairs (a,b) and (b,a) give equal terms, so each unordered
+    pair is taken once and doubled.  This is the full signed sum over all
+    n! index orders for any matrices (no commutation is assumed), in
+    O(2ⁿ·n²) products.  For the quadratic monomials of an irreducible
+    module it equals the ordered gamma product.
     """
     n = rep.n
     if n % 2 != 0:
         raise ValueError("the Casimir contraction requires an even index count")
-    total = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for perm in itertools.permutations(range(n)):
-        term = eye(rep.dim)
-        for k in range(0, n, 2):
-            term = term @ rep.t(perm[k], perm[k + 1])
-        total = total + _permutation_sign(perm) * term
-    return (2 ** (n // 2) / math.factorial(n)) * total
+    memo = {(): eye(rep.dim)}
+
+    def contract(rest: tuple) -> np.ndarray:
+        if rest not in memo:
+            total = np.zeros((rep.dim, rep.dim), dtype=complex)
+            for i, a in enumerate(rest):
+                for j in range(i + 1, len(rest)):
+                    sign = (-1) ** (i + j - 1)
+                    others = rest[:i] + rest[i + 1:j] + rest[j + 1:]
+                    total = total + sign * (rep.t(a, rest[j]) @ contract(others))
+            memo[rest] = 2 * total
+        return memo[rest]
+
+    return (2 ** (n // 2) / math.factorial(n)) * contract(tuple(range(n)))
 
 
 def weyl_projectors(m: CliffordModule):
@@ -180,17 +185,22 @@ def find_intertwiner(rep_a: SoRepresentation, rep_b: SoRepresentation,
     The solution space is found by a stacked null-space solve; a candidate
     counts as invertible when its smallest singular value is at least
     ``rtol`` times the largest.  Returns None when the space contains no
-    invertible element.
+    invertible element; an empty space is detected from the singular
+    values alone, before any basis is computed.  Raises ValueError above
+    ``linalg.MAX_KRONECKER_DIM``.
     """
     if rep_a.dim != rep_b.dim:
         raise ValueError("representation dimension mismatch")
     if rep_a.n != rep_b.n or not np.array_equal(rep_a.eta, rep_b.eta):
         raise ValueError("representations must share one metric")
     dim = rep_a.dim
+    check_kronecker_dim(dim)
     ident = eye(dim)
     blocks = [np.kron(ident, rep_a.t(a, b).T) - np.kron(rep_b.t(a, b), ident)
               for a, b in rep_a.pairs()]
     stacked = np.vstack(blocks) if blocks else np.zeros((0, dim * dim), dtype=complex)
+    if nullity(stacked, NULL_RTOL) == 0:
+        return None
     basis = null_space(stacked, NULL_RTOL)
     candidates = [basis[:, j] for j in range(basis.shape[1])]
     if basis.shape[1] > 1:

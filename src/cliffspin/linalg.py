@@ -8,6 +8,7 @@ factor major (row-major blocks) everywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,12 @@ DEFAULT_TOL = 1e-10
 
 #: relative singular-value threshold below which directions count as null
 NULL_RTOL = 1e-9
+
+#: largest matrix dimension d for the dense d²-unknown Kronecker solves
+#: (antilinear commutant, intertwiner search): d = 32 (n = 10) builds a
+#: constraint matrix of about 170 MB and a full SVD factor of about 1.7 GB;
+#: d = 64 (n = 12) would need tens of GB
+MAX_KRONECKER_DIM = 32
 
 
 def as_matrix(a) -> np.ndarray:
@@ -96,21 +103,54 @@ def polar_unitary(a, rtol: float = NULL_RTOL) -> np.ndarray:
     return w @ vh
 
 
+def _constraint_matrix(a):
+    """The input as a complex matrix, and whether it constrains nothing
+    (no rows, or identically zero)."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim != 2:
+        raise ValueError("null_space expects a matrix")
+    return m, m.shape[0] == 0 or max_abs(m) == 0.0
+
+
+def _rank(s: np.ndarray, rtol: float) -> int:
+    """Count of singular values above ``rtol`` times the largest."""
+    return int(np.sum(s > rtol * s[0]))
+
+
 def null_space(a, rtol: float = NULL_RTOL) -> np.ndarray:
     """Orthonormal basis (as columns) of the null space of a matrix.
 
     Singular values below ``rtol`` times the largest count as zero.  A
     constraint matrix with no rows (or identically zero) has full null space.
     """
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2:
-        raise ValueError("null_space expects a matrix")
-    rows, cols = m.shape
-    if rows == 0 or max_abs(m) == 0.0:
-        return np.eye(cols, dtype=complex)
+    m, empty = _constraint_matrix(a)
+    if empty:
+        return np.eye(m.shape[1], dtype=complex)
     u, s, vh = np.linalg.svd(m, full_matrices=True)
-    rank = int(np.sum(s > rtol * s[0]))
-    return vh[rank:].conj().T
+    return vh[_rank(s, rtol):].conj().T
+
+
+def nullity(a, rtol: float = NULL_RTOL) -> int:
+    """Dimension of the null space, ``null_space(a, rtol).shape[1]``.
+
+    Uses the same rank rule as :func:`null_space` but computes singular
+    values only, so a test for an empty or one-dimensional solution space
+    never allocates the square factor U.
+    """
+    m, empty = _constraint_matrix(a)
+    if empty:
+        return m.shape[1]
+    return m.shape[1] - _rank(np.linalg.svd(m, compute_uv=False), rtol)
+
+
+def check_kronecker_dim(dim: int) -> None:
+    """Refuse a dense Kronecker solve over dim×dim matrices above
+    ``MAX_KRONECKER_DIM``, before any constraint matrix is allocated."""
+    if dim > MAX_KRONECKER_DIM:
+        raise ValueError(
+            f"matrix dimension {dim} is above the dense Kronecker solve limit "
+            f"{MAX_KRONECKER_DIM}: the {dim * dim}-unknown constraint system "
+            f"does not fit in memory")
 
 
 def phase_normalize(v, rtol: float = NULL_RTOL) -> np.ndarray:
@@ -198,16 +238,12 @@ def tensor_antilinear(a: AntilinearOp, b: AntilinearOp) -> AntilinearOp:
     return AntilinearOp(kron(a.matrix, b.matrix))
 
 
-def solve_antilinear_commutant(gammas, signs, dim: int | None = None,
-                               rtol: float = NULL_RTOL) -> AntilinearOp:
-    """Unitary K with K·conj(g) = sign·g·K for every (g, sign) pair.
+def antilinear_constraints(gammas, signs, dim: int | None = None) -> np.ndarray:
+    """Stacked linear system whose null space holds the row-major K with
+    K·conj(g) = sign·g·K for every (g, sign) pair.
 
-    For an irreducible generator set the solution space is one complex
-    dimension; the representative is chosen deterministically by phase
-    normalizing the null-space vector and taking the unitary polar factor.
-
-    Raises ValueError when the solution space is empty (wrong sign pattern)
-    or has dimension above one (reducible input).
+    ``dim`` is needed only when the generator list is empty.  Raises
+    ValueError above ``MAX_KRONECKER_DIM``.
     """
     gammas = [as_matrix(g) for g in gammas]
     signs = list(signs)
@@ -217,10 +253,27 @@ def solve_antilinear_commutant(gammas, signs, dim: int | None = None,
         dim = gammas[0].shape[0]
     elif dim is None:
         raise ValueError("dim is required when the generator list is empty")
+    check_kronecker_dim(dim)
     ident = eye(dim)
     blocks = [np.kron(ident, np.conj(g).T) - sign * np.kron(g, ident)
               for g, sign in zip(gammas, signs)]
-    stacked = np.vstack(blocks) if blocks else np.zeros((0, dim * dim), dtype=complex)
+    return np.vstack(blocks) if blocks else np.zeros((0, dim * dim), dtype=complex)
+
+
+def solve_antilinear_commutant(gammas, signs, dim: int | None = None,
+                               rtol: float = NULL_RTOL) -> AntilinearOp:
+    """Unitary K with K·conj(g) = sign·g·K for every (g, sign) pair.
+
+    For an irreducible generator set the solution space is one complex
+    dimension; the representative is chosen deterministically by phase
+    normalizing the null-space vector and taking the unitary polar factor.
+
+    Raises ValueError when the solution space is empty (wrong sign pattern)
+    or has dimension above one (reducible input), and above
+    ``MAX_KRONECKER_DIM``.
+    """
+    stacked = antilinear_constraints(gammas, signs, dim)
+    dim = math.isqrt(stacked.shape[1])
     basis = null_space(stacked, rtol)
     n_sol = basis.shape[1]
     if n_sol == 0:

@@ -309,19 +309,31 @@ def _adjoint_image(triple: PatiSalamTriple, u: GaugeElement):
     return adj, max_abs(adj - kron(u.u1, u.u2)), abs(np.linalg.det(lu) - 1.0)
 
 
+def _adjoint_failure(resid: float, det_err: float, tol: float,
+                     det_tol: float) -> Optional[str]:
+    """Why an adjoint image breaks the factorization or unimodularity
+    bound, or None when it keeps both."""
+    if resid > tol:
+        return f"adjoint action does not factorize: residual {resid:g}"
+    if det_err > det_tol:
+        return f"left action is not unimodular: |det-1| = {det_err:g}"
+    return None
+
+
 def adjoint_gauge_action(triple: PatiSalamTriple, u: GaugeElement,
                          tol: float = DEFAULT_TOL, det_tol: float = DET_TOL) -> np.ndarray:
     """The adjoint image l(u)·r(u*), checked against u₁⊗u₂ and unimodularity.
 
     Raises ValueError when the factorization residual exceeds ``tol`` or
     |det(l(u)) − 1| exceeds ``det_tol``; these are identities of the
-    construction, not sampling noise.
+    construction, not sampling noise.  The report-producing checks
+    (:func:`higgs_transform`, :func:`spin10_action`) turn the same failure
+    into a failed report instead.
     """
     adj, resid, det_err = _adjoint_image(triple, u)
-    if resid > tol:
-        raise ValueError(f"adjoint action does not factorize: residual {resid:g}")
-    if det_err > det_tol:
-        raise ValueError(f"left action is not unimodular: |det-1| = {det_err:g}")
+    failure = _adjoint_failure(resid, det_err, tol, det_tol)
+    if failure:
+        raise ValueError(failure)
     return adj
 
 
@@ -354,9 +366,12 @@ def higgs_transform(triple: PatiSalamTriple, dirac: DiracData, u: GaugeElement,
 
     g·D·g† must equal (u₁·(Σdₐγ₁ᵃ)·u₁†)⊗1, i.e. only the first factor
     rotates the coefficient vector; its Euclidean length is preserved.
-    The transformed coefficients are recovered by trace pairing.
+    The transformed coefficients are recovered by trace pairing.  The report
+    fails, with the reason under ``adjoint_failure``, when g breaks the
+    factorization bound ``tol`` or the unimodularity bound ``DET_TOL``.
     """
-    g = adjoint_gauge_action(triple, u, tol)
+    g, factor_resid, det_err = _adjoint_image(triple, u)
+    failure = _adjoint_failure(factor_resid, det_err, tol, DET_TOL)
     transported = g @ dirac.matrix @ dagger(g)
     d_small = sum(dirac.d[a] * triple.action.mod1.gammas[a] for a in range(4))
     expected = kron(u.u1 @ d_small @ dagger(u.u1), eye(triple.dim2))
@@ -367,14 +382,17 @@ def higgs_transform(triple: PatiSalamTriple, dirac: DiracData, u: GaugeElement,
         for a in range(4)])
     norm_err = abs(np.linalg.norm(d_new) - np.linalg.norm(dirac.d))
     worst = max(resid, norm_err)
+    details = {"d": [float(x) for x in dirac.d],
+               "d_transformed": [float(x) for x in d_new],
+               "covariance": resid, "norm_change": norm_err}
+    if failure:
+        details["adjoint_failure"] = failure
     return Report(
         name=f"higgs-covariance({triple.variant})",
-        passed=worst < tol,
+        passed=worst < tol and failure is None,
         max_residual=worst,
         tolerance=tol,
-        details=[{"d": [float(x) for x in dirac.d],
-                  "d_transformed": [float(x) for x in d_new],
-                  "covariance": resid, "norm_change": norm_err}],
+        details=[details],
     )
 
 
@@ -398,7 +416,10 @@ def spin10_action(ca: CommutingAction, rng=0, tol: float = DEFAULT_TOL,
     combined indexing negates the first-factor monomials, so the matching
     angle flips sign); likewise for the second-factor block; the mixed
     generators are not symmetries of the algebra action (their commutator
-    with a generic left action stays well away from zero).
+    with a generic left action stays well away from zero).  The report
+    fails, with the reason under ``adjoint_failure``, when an adjoint image
+    breaks the factorization bound ``tol`` or the unimodularity bound
+    ``DET_TOL``.
     """
     rng = _as_rng(rng)
     pg = product_so_generators(ca)
@@ -411,29 +432,40 @@ def spin10_action(ca: CommutingAction, rng=0, tol: float = DEFAULT_TOL,
     id1, id2 = eye(ca.mod1.dim), eye(ca.mod2.dim)
 
     theta = 0.7
+    failure = None
+
+    def block_match(big, u):
+        nonlocal failure
+        adj, resid, det_err = _adjoint_image(triple, u)
+        failure = failure or _adjoint_failure(resid, det_err, tol, DET_TOL)
+        return max_abs(big - adj)
+
     match1 = 0.0
     for (a, b) in quads1:
         big = expm(theta * combined.t(a, b))
         u = GaugeElement(u1=expm(-theta * quads1[(a, b)]), u2=id2)
-        match1 = max(match1, max_abs(big - adjoint_gauge_action(triple, u, tol)))
+        match1 = max(match1, block_match(big, u))
     match2 = 0.0
     for (a, b) in quads2:
         big = expm(theta * combined.t(n1 + a, n1 + b))
         u = GaugeElement(u1=id1, u2=expm(theta * quads2[(a, b)]))
-        match2 = max(match2, max_abs(big - adjoint_gauge_action(triple, u, tol)))
+        match2 = max(match2, block_match(big, u))
 
     a_generic = triple.random_algebra_element(rng)
     la = triple.left_action(a_generic)
     mixed_min = min(max_abs(commutator(m, la)) for m in pg.u.values())
 
     worst = max(bracket_res, match1, match2)
-    passed = worst < tol and mixed_min > 0.01
+    passed = worst < tol and mixed_min > 0.01 and failure is None
+    details = {"brackets": bracket_res, "factor1_block_match": match1,
+               "factor2_block_match": match2,
+               "mixed_generator_min_commutator": mixed_min}
+    if failure:
+        details["adjoint_failure"] = failure
     return Report(
         name="spin10-extension",
         passed=passed,
         max_residual=worst,
         tolerance=tol,
-        details=[{"brackets": bracket_res, "factor1_block_match": match1,
-                  "factor2_block_match": match2,
-                  "mixed_generator_min_commutator": mixed_min}],
+        details=[details],
     )

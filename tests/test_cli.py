@@ -131,6 +131,24 @@ class TestCliContract:
         assert rows["ko-signs(hatted_second)"]["details"][0]["table_row"] == 6
         assert rows["ko-signs(hatted_second)"]["details"][0]["default"] is True
 
+    def test_broken_adjoint_bound_is_a_failed_report(self, capsys):
+        code = run(["pati-salam", "--tol", "1e-18", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        rows = {c["check"]: c for c in doc["checks"]}
+        assert doc["all_passed"] is False
+        assert rows["higgs-covariance(hatted_second)"]["passed"] is False
+        assert "adjoint_failure" in rows["spin10-extension"]["details"][0]
+
+    def test_oversized_irrep_is_refused(self, capsys):
+        code = run(["irrep", "--p", "0", "--q", "12"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "dimension 64" in captured.err and "limit 32" in captured.err
+
     def test_seeded_commuting_runs_are_identical(self, capsys):
         args = ["commuting", "--sig1", "2,0", "--sig2", "0,1",
                 "--seed", "3", "--format", "json"]

@@ -4,6 +4,9 @@ Expected matrices below are hand-derived from the Pauli algebra
 (s1 s2 = i s3 and cyclic); sign-table rows are checked by independent
 measurement (attempting both antilinear sign patterns)."""
 
+import dataclasses
+import time
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,7 @@ from cliffspin.clifford import (
     sign_triple,
     verify_module_signs,
 )
-from cliffspin.linalg import eye, max_abs
+from cliffspin.linalg import AntilinearOp, eye, kron, max_abs
 
 S1 = np.array([[0, 1], [1, 0]], dtype=complex)
 S2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -150,6 +153,43 @@ def test_measured_signs_match_table_small():
     for pq, expected in rows.items():
         measured, _ = measure_sign_triple(build_irrep(pq))
         assert tuple(measured) == expected, pq
+
+
+@pytest.mark.parametrize("pq", [(0, 2), (1, 3), (0, 3), (2, 5), (3, 5)])
+def test_measurement_ignores_a_faulty_stored_j(pq):
+    # the triple is measured from the gammas, so a broken stored J leaves
+    # the row unchanged while the module residuals flag it
+    m = build_irrep(pq)
+    rng = np.random.default_rng(sum(pq))
+    noise = rng.standard_normal((m.dim, m.dim)) + 1j * rng.standard_normal((m.dim, m.dim))
+    perturbed, _ = np.linalg.qr(m.J.matrix + 1e-3 * noise)
+    faulty = [AntilinearOp(perturbed)]
+    if m.Jhat is not None:
+        faulty.append(m.Jhat)  # the wrong variant: Ĵ anticommutes with every gamma
+    for j in faulty:
+        broken = dataclasses.replace(m, J=j)
+        measured, solved = measure_sign_triple(broken)
+        assert measured == sign_triple(m.s)
+        assert np.array_equal(solved.matrix, m.J.matrix)
+        assert module_residuals(broken)["j_gamma"] > 1e-4
+
+
+def test_reducible_gammas_have_no_measured_structure():
+    # doubled (0,3) gammas: the commuting pattern has a 4-dimensional
+    # solution space, the other none, so neither pattern is solvable
+    m = build_irrep((0, 3))
+    doubled = dataclasses.replace(
+        m, gammas=tuple(kron(eye(2), g) for g in m.gammas),
+        P=kron(eye(2), m.P), chirality=kron(eye(2), m.chirality))
+    with pytest.raises(ValueError, match="no antilinear structure found for either sign pattern"):
+        measure_sign_triple(doubled)
+
+
+def test_n_12_is_refused_quickly():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="dimension 64.*limit 32"):
+        build_irrep((0, 12))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_verify_module_signs_report():

@@ -2,10 +2,13 @@
 Casimir against the direct gamma product, the chirality split, and
 intertwiner-based equivalence tests."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from cliffspin.clifford import build_irrep
+from cliffspin.clifford import build_irrep, gamma_chain, product_of
 from cliffspin.liealg import (
     SoRepresentation,
     bracket_residual,
@@ -23,6 +26,33 @@ from cliffspin.liealg import (
 from cliffspin.linalg import commutator, eye, frozen, max_abs
 
 S3 = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def casimir_by_permutations(rep):
+    """Reference Casimir: the signed sum over all n! index orders."""
+    n = rep.n
+    total = np.zeros((rep.dim, rep.dim), dtype=complex)
+    for perm in itertools.permutations(range(n)):
+        order, sign = list(perm), 1
+        for i in range(n):
+            while order[i] != i:
+                j = order[i]
+                order[i], order[j] = order[j], order[i]
+                sign = -sign
+        term = eye(rep.dim)
+        for k in range(0, n, 2):
+            term = term @ rep.t(perm[k], perm[k + 1])
+        total = total + sign * term
+    return (2 ** (n // 2) / math.factorial(n)) * total
+
+
+def gamma_representation(pq):
+    """Quadratic monomials straight from the gamma chain (no J solve)."""
+    gammas = gamma_chain(pq)
+    gens = {(a, b): frozen(0.5 * (gammas[a] @ gammas[b]))
+            for a in range(len(gammas)) for b in range(a + 1, len(gammas))}
+    eta = np.array([1] * pq[0] + [-1] * pq[1])
+    return SoRepresentation(eta=eta, dim=gammas[0].shape[0], generators=gens), gammas
 
 
 def test_empty_generator_set():
@@ -81,6 +111,29 @@ class TestCasimir:
         with pytest.raises(ValueError):
             casimir_element(so_generators(build_irrep((0, 3))))
 
+    @pytest.mark.parametrize("pq", [(0, 0), (0, 2), (1, 1), (2, 0), (0, 4), (2, 2),
+                                    (1, 3), (0, 6), (3, 3), (1, 5), (0, 8), (3, 5)])
+    def test_bit_equal_to_permutation_sum(self, pq):
+        rep = so_generators(build_irrep(pq))
+        assert np.array_equal(casimir_element(rep), casimir_by_permutations(rep))
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_sign_bookkeeping_without_clifford_relations(self, n):
+        # random generators neither commute nor close: only the signed sum
+        # over index orders is shared with the reference
+        rng = np.random.default_rng(n)
+        gens = {(a, b): rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+                for a in range(n) for b in range(a + 1, n)}
+        rep = SoRepresentation(eta=np.ones(n, dtype=int), dim=3, generators=gens)
+        reference = casimir_by_permutations(rep)
+        assert max_abs(reference) > 1.0
+        assert max_abs(casimir_element(rep) - reference) < 1e-12
+
+    @pytest.mark.parametrize("pq", [(0, 10), (4, 6)])
+    def test_ten_index(self, pq):
+        rep, gammas = gamma_representation(pq)
+        assert max_abs(casimir_element(rep) - product_of(gammas)) < 1e-10
+
 
 class TestWeylSplit:
     def test_rank_one_projectors(self):
@@ -128,10 +181,28 @@ class TestIntertwiner:
         assert svals[-1] > 1e-6 * svals[0]
         assert intertwiner_residual(w, rep_a, rep_b) < 1e-10
 
-    @pytest.mark.parametrize("pq", [(0, 2), (4, 0)])
+    @pytest.mark.parametrize("pq", [(0, 4), (2, 2), (0, 6)])
+    def test_conjugate_by_random_unitary_is_equivalent(self, pq):
+        rep_a = so_generators(build_irrep(pq))
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal((rep_a.dim,) * 2) + 1j * rng.standard_normal((rep_a.dim,) * 2)
+        v, _ = np.linalg.qr(z)
+        gens = {key: frozen(v @ g @ v.conj().T) for key, g in rep_a.generators.items()}
+        rep_b = SoRepresentation(eta=rep_a.eta, dim=rep_a.dim, generators=gens)
+        w = find_intertwiner(rep_a, rep_b)
+        assert w is not None
+        assert intertwiner_residual(w, rep_a, rep_b) < 1e-10
+
+    @pytest.mark.parametrize("pq", [(0, 2), (4, 0), (2, 2), (0, 6), (3, 3)])
     def test_weyl_pieces_are_inequivalent(self, pq):
         plus, minus = weyl_pieces(build_irrep(pq))
         assert find_intertwiner(plus, minus) is None
+
+    def test_refused_above_the_kronecker_limit(self):
+        big = SoRepresentation(eta=np.ones(2, dtype=int), dim=64,
+                               generators={(0, 1): eye(64)})
+        with pytest.raises(ValueError, match="dimension 64.*limit 32"):
+            find_intertwiner(big, big)
 
     def test_dimension_mismatch_rejected(self):
         rep_a = so_generators(build_irrep((0, 2)))

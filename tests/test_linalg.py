@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 
 from cliffspin.linalg import (
+    MAX_KRONECKER_DIM,
     AntilinearOp,
+    antilinear_constraints,
+    check_kronecker_dim,
     expm,
     eye,
     kron,
     max_abs,
     null_space,
+    nullity,
     phase_normalize,
     polar_unitary,
     solve_antilinear_commutant,
@@ -222,3 +226,36 @@ def test_null_space_of_empty_constraints():
 def test_phase_normalize_leading_entry():
     v = phase_normalize(np.array([0.0, -2j, 1.0]))
     assert abs(v[1].imag) < 1e-15 and v[1].real > 0
+
+
+class TestNullity:
+    def test_empty_and_zero_constraints(self):
+        for a in (np.zeros((0, 3), dtype=complex), np.zeros((5, 3), dtype=complex)):
+            assert nullity(a) == null_space(a).shape[1] == 3
+
+    @pytest.mark.parametrize("shape, rank", [((6, 4), 2), ((3, 5), 3), ((8, 8), 7),
+                                             ((10, 6), 6), ((4, 4), 1)])
+    def test_matches_null_space_on_rank_deficient_input(self, shape, rank):
+        rng = np.random.default_rng(sum(shape) + rank)
+        left = rng.standard_normal((shape[0], rank)) + 1j * rng.standard_normal((shape[0], rank))
+        right = rng.standard_normal((rank, shape[1])) + 1j * rng.standard_normal((rank, shape[1]))
+        a = left @ right
+        assert nullity(a) == null_space(a).shape[1] == shape[1] - rank
+
+    def test_solver_constraints_have_one_solution(self):
+        gammas = [1j * S1, 1j * S2, 1j * S3]
+        assert nullity(antilinear_constraints(gammas, [1, 1, 1])) == 1
+        assert nullity(antilinear_constraints(gammas, [-1, -1, -1])) == 0
+
+
+class TestKroneckerLimit:
+    def test_limit_admits_n_10(self):
+        assert MAX_KRONECKER_DIM == 32
+        check_kronecker_dim(32)
+
+    def test_solver_refuses_above_the_limit(self):
+        gammas = [np.eye(64, dtype=complex)]
+        with pytest.raises(ValueError, match="dimension 64.*limit 32"):
+            solve_antilinear_commutant(gammas, [1])
+        with pytest.raises(ValueError, match="dimension 64"):
+            antilinear_constraints([], [], dim=64)

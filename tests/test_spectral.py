@@ -233,6 +233,25 @@ def test_spin10_extension():
     assert detail["mixed_generator_min_commutator"] > 0.01
 
 
+def test_broken_adjoint_bound_fails_the_reports(triple):
+    # a tolerance below rounding breaks the factorization bound: the
+    # checks report FAIL with the reason instead of raising
+    u = sample_gauge_element(triple, np.random.default_rng(13))
+    report = higgs_transform(triple, triple.dirac_operator([1.0, 0.0, 0.0, 0.0]), u, tol=1e-18)
+    assert not report.passed
+    assert report.details[0]["adjoint_failure"].startswith("adjoint action does not factorize")
+    with pytest.raises(ValueError, match="does not factorize"):
+        adjoint_gauge_action(triple, u, tol=1e-18)
+    passing = higgs_transform(triple, triple.dirac_operator([1.0, 0.0, 0.0, 0.0]), u)
+    assert passing.passed and "adjoint_failure" not in passing.details[0]
+
+
+def test_spin10_reports_a_broken_adjoint_bound():
+    report = spin10_action(TRIPLES["hatted_second"].action, rng=0, tol=1e-18)
+    assert not report.passed
+    assert "adjoint_failure" in report.details[0]
+
+
 def test_spin10_requires_the_right_signatures():
     from cliffspin.commuting import build_commuting
     with pytest.raises(ValueError):
