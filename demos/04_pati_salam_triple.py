@@ -61,6 +61,6 @@ print(report.summary_line())
 print()
 
 print("=== The gauge symmetry sits inside 45 combined generators ===")
-print(spin10_action(triple.action, rng=rng).summary_line())
+print(spin10_action(triple, rng=rng).summary_line())
 print("(mixed-block generators move the algebra action: they are charged,")
 print(" not gauge directions; the two factor blocks reproduce the adjoint action)")

@@ -52,6 +52,11 @@ from .linalg import (
 from .liealg import SoRepresentation, bracket_residual_table
 from .report import Report
 
+#: largest product dimension D accepted by :func:`three_action_closure_defect`;
+#: at D = 512 its quadratics alone take 0.64 GB, and its real basis and the
+#: pseudo-inverse about 0.65 GB each
+MAX_THREE_ACTION_DIM = 256
+
 
 @dataclass(frozen=True)
 class CommutingAction:
@@ -350,11 +355,19 @@ def three_action_closure_defect(sig_a, sig_b, sig_c) -> float:
     product; every pairwise commutator is projected (real least squares)
     onto the real span of the identity and the quadratics, and the largest
     max-abs projection residual is returned.  A strictly positive defect
-    shows the quadratics do not span a Lie algebra.
+    shows the quadratics do not span a Lie algebra.  Raises ValueError,
+    before any module is built, when the product dimension is above
+    ``MAX_THREE_ACTION_DIM``.
     """
     sigs = [as_signature(s) for s in (sig_a, sig_b, sig_c)]
     if any(sig.n == 0 for sig in sigs):
         raise ValueError("each factor needs at least one generator")
+    product_dim = math.prod(2 ** (sig.n // 2) for sig in sigs)
+    if product_dim > MAX_THREE_ACTION_DIM:
+        raise ValueError(
+            f"product dimension {product_dim} is above the three-action limit "
+            f"{MAX_THREE_ACTION_DIM}: the dense projection onto its quadratics "
+            f"would need gigabytes of memory")
     mods = [build_irrep(sig) for sig in sigs]
     dims = [m.dim for m in mods]
     lifted = [

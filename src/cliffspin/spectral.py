@@ -30,7 +30,7 @@ import numpy as np
 
 from .clifford import CliffordModule, SignTriple, hatted_real_structure, sign_triple
 from .commuting import CommutingAction, build_commuting, product_so_generators
-from .liealg import bracket_residual, so_generators
+from .liealg import bracket_residual, so_generators, weyl_projectors
 from .linalg import (
     DEFAULT_TOL,
     AntilinearOp,
@@ -109,14 +109,18 @@ class DiracData:
 
 @dataclass(frozen=True)
 class PatiSalamTriple:
-    """The assembled spectral triple data for one real-structure variant."""
+    """The assembled spectral triple data for one real-structure variant.
+
+    ``pi2_plus`` and ``pi2_minus`` are the chirality projections π₂^± of the
+    second factor, on C⁸; the left and right actions lift them to C⁴⊗C⁸.
+    """
 
     variant: str
     action: CommutingAction
     J: AntilinearOp
     chirality: np.ndarray
-    pi_plus: np.ndarray
-    pi_minus: np.ndarray
+    pi2_plus: np.ndarray
+    pi2_minus: np.ndarray
     sign_triple: SignTriple
     even_basis1: tuple
     even_basis2: tuple
@@ -133,21 +137,17 @@ class PatiSalamTriple:
     def dim2(self) -> int:
         return self.action.mod2.dim
 
-    def _pi2(self, sign: int) -> np.ndarray:
-        chir2 = self.action.mod2.chirality
-        return 0.5 * (eye(self.dim2) + sign * chir2)
-
     def left_action(self, a: AlgebraElement) -> np.ndarray:
-        return (kron(a.a1, self._pi2(+1))
-                + kron(eye(self.dim1), np.asarray(a.a2, dtype=complex) @ self._pi2(-1)))
+        return (kron(a.a1, self.pi2_plus)
+                + kron(eye(self.dim1), np.asarray(a.a2, dtype=complex) @ self.pi2_minus))
 
     def right_action(self, a: AlgebraElement) -> np.ndarray:
         return self.J.conjugate_matrix(self.left_action(a.star()))
 
     def right_action_closed_form(self, a: AlgebraElement) -> np.ndarray:
         """Expected block form of the right action, for direct comparison."""
-        return (kron(dagger(a.a1), self._pi2(-1))
-                + kron(eye(self.dim1), dagger(a.a2) @ self._pi2(+1)))
+        return (kron(dagger(a.a1), self.pi2_minus)
+                + kron(eye(self.dim1), dagger(a.a2) @ self.pi2_plus))
 
     def identity_element(self) -> AlgebraElement:
         return AlgebraElement(eye(self.dim1), eye(self.dim2))
@@ -165,8 +165,7 @@ class PatiSalamTriple:
         d = np.asarray(d, dtype=float)
         if d.shape != (4,):
             raise ValueError("the Dirac coefficient vector has four real entries")
-        mat = sum(d[a] * kron(self.action.mod1.gammas[a], eye(self.dim2))
-                  for a in range(4))
+        mat = sum(d[a] * self.action.gamma1[a] for a in range(4))
         return DiracData(d=frozen(d).real, matrix=frozen(mat))
 
 
@@ -184,32 +183,28 @@ def build_pati_salam(variant: str = "hatted_second",
     else:
         j = tensor_antilinear(ca.mod1.J, hatted_real_structure(ca.mod2))
     chir = kron(ca.mod1.chirality, ca.mod2.chirality)
-    pi2p = 0.5 * (eye(ca.mod2.dim) + ca.mod2.chirality)
-    pi2m = 0.5 * (eye(ca.mod2.dim) - ca.mod2.chirality)
-    reference_d = kron(ca.mod1.gammas[0], eye(ca.mod2.dim))
-    measured, _ = measure_ko_signs(j, chir, reference_d)
+    pi2p, pi2m = weyl_projectors(ca.mod2)
+    measured, _ = measure_ko_signs(j, chir, ca.gamma1[0])
     return PatiSalamTriple(
         variant=variant,
         action=ca,
         J=j,
         chirality=frozen(chir),
-        pi_plus=frozen(kron(eye(ca.mod1.dim), pi2p)),
-        pi_minus=frozen(kron(eye(ca.mod1.dim), pi2m)),
+        pi2_plus=frozen(pi2p),
+        pi2_minus=frozen(pi2m),
         sign_triple=measured,
         even_basis1=tuple(monomial_basis(ca.mod1, 0)),
         even_basis2=tuple(monomial_basis(ca.mod2, 0)),
     )
 
 
-def right_action(triple: PatiSalamTriple, a: AlgebraElement) -> np.ndarray:
-    """r(a) = J·l(a*)·J⁻¹."""
-    return triple.right_action(a)
-
-
 def chirality_exchange_residual(triple: PatiSalamTriple) -> float:
-    """Residual of J·π⁺ = π⁻·J for the lifted second-factor projections."""
+    """Residual of J·π⁺ = π⁻·J, with π^± = 1⊗π₂^± the second-factor
+    chirality projections lifted to C⁴⊗C⁸."""
     k = triple.J.matrix
-    return max_abs(k @ np.conj(triple.pi_plus) - triple.pi_minus @ k)
+    id1 = eye(triple.dim1)
+    return max_abs(k @ np.conj(kron(id1, triple.pi2_plus))
+                   - kron(id1, triple.pi2_minus) @ k)
 
 
 def check_order_conditions(triple: PatiSalamTriple, dirac: DiracData,
@@ -377,8 +372,7 @@ def higgs_transform(triple: PatiSalamTriple, dirac: DiracData, u: GaugeElement,
     expected = kron(u.u1 @ d_small @ dagger(u.u1), eye(triple.dim2))
     resid = max_abs(transported - expected)
     d_new = np.array([
-        (np.trace(transported @ kron(triple.action.mod1.gammas[a], eye(triple.dim2)))
-         / triple.dim).real
+        (np.trace(transported @ triple.action.gamma1[a]) / triple.dim).real
         for a in range(4)])
     norm_err = abs(np.linalg.norm(d_new) - np.linalg.norm(dirac.d))
     worst = max(resid, norm_err)
@@ -406,10 +400,12 @@ def dirac_invariant_residuals(triple: PatiSalamTriple, dirac: DiracData) -> dict
     }
 
 
-def spin10_action(ca: CommutingAction, rng=0, tol: float = DEFAULT_TOL,
-                  variant: str = "hatted_second") -> Report:
-    """The 45 combined generators extend the gauge action to the full
-    orthogonal algebra.
+def spin10_action(triple: PatiSalamTriple, rng=0, tol: float = DEFAULT_TOL) -> Report:
+    """The 45 combined generators of the triple's (4,0)×(0,6) action extend
+    its gauge action to the full orthogonal algebra.
+
+    The check runs on the given triple, of either variant; the signatures
+    were checked when :func:`build_pati_salam` assembled it.
 
     Checks: the combined brackets close; exponentials of the first-factor
     block reproduce adjoint gauge images with trivial second factor (the
@@ -422,10 +418,10 @@ def spin10_action(ca: CommutingAction, rng=0, tol: float = DEFAULT_TOL,
     ``DET_TOL``.
     """
     rng = _as_rng(rng)
+    ca = triple.action
     pg = product_so_generators(ca)
     combined = pg.combined
     bracket_res = bracket_residual(combined)
-    triple = build_pati_salam(variant, action=ca)
     quads1 = so_generators(ca.mod1).generators
     quads2 = so_generators(ca.mod2).generators
     n1 = ca.n1

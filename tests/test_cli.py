@@ -1,11 +1,15 @@
 """CLI contract: subcommands, exit codes, JSON schema, export round trip
 and byte-level determinism of seeded runs."""
 
+import dataclasses
 import json
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from cliffspin import cli, clifford, commuting, spectral
 from cliffspin.cli import run
 from cliffspin.clifford import build_irrep
 from cliffspin.serialize import (
@@ -149,9 +153,55 @@ class TestCliContract:
         assert captured.out == ""
         assert "dimension 64" in captured.err and "limit 32" in captured.err
 
+    def test_oversized_three_actions_are_refused(self, capsys):
+        start = time.perf_counter()
+        code = run(["three-actions", "--sig1", "0,6", "--sig2", "0,6",
+                    "--sig3", "0,6"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "dimension 512" in captured.err and "limit 256" in captured.err
+        assert elapsed < 1.0
+
+    def test_pati_salam_suite_builds_the_commuting_action_once(self):
+        with mock.patch.object(commuting, "build_irrep",
+                               wraps=commuting.build_irrep) as build:
+            reports = cli.pati_salam_suite(7, 100, 1e-10)
+        assert build.call_count == 2
+        assert all(r.passed for r in reports)
+
     def test_seeded_commuting_runs_are_identical(self, capsys):
         args = ["commuting", "--sig1", "2,0", "--sig2", "0,1",
                 "--seed", "3", "--format", "json"]
         _, first = run_capture(capsys, args)
         _, second = run_capture(capsys, args)
         assert first == second
+
+
+class TestFaultInjection:
+    """A corrupted structure map must turn a CLI report into FAIL, exit 1."""
+
+    def test_hatted_module_structure_fails_the_sign_table(self, capsys):
+        def hatted_irrep(*args, **kwargs):
+            m = build_irrep(*args, **kwargs)
+            return dataclasses.replace(m, J=m.Jhat) if m.Jhat is not None else m
+
+        with mock.patch.object(clifford, "build_irrep", hatted_irrep):
+            code, out = run_capture(capsys, ["verify", "signs", "--max-n", "2",
+                                             "--format", "json"])
+        assert code == 1
+        (report,) = json.loads(out)["checks"]
+        assert report["check"] == "sign-table(max_n=2)"
+        assert report["passed"] is False
+
+    def test_plain_structure_for_the_hatted_variant_fails_its_ko_signs(self, capsys):
+        with mock.patch.object(spectral, "hatted_real_structure", lambda m: m.J):
+            code = run(["pati-salam", "--samples", "5", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        rows = {c["check"]: c for c in json.loads(captured.out)["checks"]}
+        hatted = rows["ko-signs(hatted_second)"]
+        assert hatted["passed"] is False
+        assert hatted["details"][0]["table_row"] == 2

@@ -5,6 +5,7 @@ maps, and non-closure for three families."""
 import numpy as np
 import pytest
 
+from cliffspin import commuting
 from cliffspin.clifford import build_irrep, hatted_real_structure
 from cliffspin.commuting import (
     bracket_family_residuals,
@@ -255,6 +256,14 @@ class TestThreeActions:
     def test_empty_factor_rejected(self):
         with pytest.raises(ValueError):
             three_action_closure_defect((0, 0), (0, 1), (0, 1))
+
+    def test_oversized_product_refused_before_any_module(self, monkeypatch):
+        # (0,6)^3 acts on 8*8*8 = 512 dimensions; the limit is 256
+        def no_build(*args, **kwargs):
+            raise AssertionError("a module was built before the size check")
+        monkeypatch.setattr(commuting, "build_irrep", no_build)
+        with pytest.raises(ValueError, match="dimension 512 .* limit 256"):
+            three_action_closure_defect((0, 6), (0, 6), (0, 6))
 
     def test_two_families_do_close(self):
         # sanity control: with only two commuting families every commutator

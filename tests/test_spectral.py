@@ -227,10 +227,16 @@ class TestHiggs:
 
 
 def test_spin10_extension():
-    report = spin10_action(TRIPLES["hatted_second"].action, rng=0)
+    report = spin10_action(TRIPLES["hatted_second"], rng=0)
     assert report.passed, report.details
     detail = report.details[0]
     assert detail["mixed_generator_min_commutator"] > 0.01
+
+
+def test_spin10_extension_runs_on_the_given_triple(triple):
+    report = spin10_action(triple, rng=0)
+    assert report.passed, report.details
+    assert report.max_residual < 1e-13
 
 
 def test_broken_adjoint_bound_fails_the_reports(triple):
@@ -247,7 +253,7 @@ def test_broken_adjoint_bound_fails_the_reports(triple):
 
 
 def test_spin10_reports_a_broken_adjoint_bound():
-    report = spin10_action(TRIPLES["hatted_second"].action, rng=0, tol=1e-18)
+    report = spin10_action(TRIPLES["hatted_second"], rng=0, tol=1e-18)
     assert not report.passed
     assert "adjoint_failure" in report.details[0]
 
@@ -255,7 +261,7 @@ def test_spin10_reports_a_broken_adjoint_bound():
 def test_spin10_requires_the_right_signatures():
     from cliffspin.commuting import build_commuting
     with pytest.raises(ValueError):
-        spin10_action(build_commuting((2, 0), (0, 1)), rng=0)
+        build_pati_salam(action=build_commuting((2, 0), (0, 1)))
 
 
 def test_equivariance_of_the_two_real_structures():
