@@ -1,7 +1,9 @@
 """Tour of Clifford module construction and structure maps.
 
 Builds a handful of modules, prints their gamma matrices, and measures the
-sign table (epsilon, epsilon', epsilon'') directly from antilinear solves.
+sign table (epsilon, epsilon', epsilon'') from the modules: epsilon' from
+which antilinear sign pattern has a solution, the rest from the closed-form
+real structure.
 """
 
 import numpy as np

@@ -45,7 +45,6 @@ def signs_suite(max_n: int, tol: float) -> list:
 
 
 def brackets_suite(max_n: int, tol: float) -> list:
-    reports = []
     worst = flip_worst = 0.0
     details = []
     for n in range(max_n + 1):
@@ -57,30 +56,33 @@ def brackets_suite(max_n: int, tol: float) -> list:
             worst = max(worst, res)
             flip_worst = max(flip_worst, flip)
             details.append({"p": p, "q": n - p, "bracket": res, "sign_flip": flip})
-    reports.append(Report(
+    brackets = Report(
         name=f"so-brackets(max_n={max_n})",
         passed=max(worst, flip_worst) < tol,
         max_residual=max(worst, flip_worst),
         tolerance=tol,
         details=details,
-    ))
-    casimir_details = []
-    casimir_worst = 0.0
-    for sig in ((0, 2), (4, 0), (0, 6)):
-        if sum(sig) > max(max_n, 6):
-            continue
+    )
+    return [brackets, casimir_report(max_n)]
+
+
+def casimir_report(max_n: int) -> Report:
+    """The Casimir identity at (0,2), (4,0), (0,6) and at (0,n) for every
+    even n from 8 up to ``max_n``."""
+    details = []
+    worst = 0.0
+    for sig in ((0, 2), (4, 0), (0, 6)) + tuple((0, n) for n in range(8, max_n + 1, 2)):
         m = clifford.build_irrep(sig)
         res = max_abs(liealg.casimir_element(liealg.so_generators(m)) - m.P)
-        casimir_worst = max(casimir_worst, res)
-        casimir_details.append({"p": sig[0], "q": sig[1], "residual": res})
-    reports.append(Report(
+        worst = max(worst, res)
+        details.append({"p": sig[0], "q": sig[1], "residual": res})
+    return Report(
         name="casimir-product",
-        passed=casimir_worst < 1e-10,
-        max_residual=casimir_worst,
+        passed=worst < 1e-10,
+        max_residual=worst,
         tolerance=1e-10,
-        details=casimir_details,
-    ))
-    return reports
+        details=details,
+    )
 
 
 def commuting_suite(sig1, sig2, branch1: int, branch2: int, tol: float) -> list:

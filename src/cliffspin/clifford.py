@@ -31,13 +31,14 @@ from .linalg import (
     AntilinearOp,
     anticommutator,
     antilinear_constraints,
+    check_kronecker_dim,
     eye,
     frozen,
     kron,
     kron_all,
     max_abs,
     nullity,
-    solve_antilinear_commutant,
+    phase_normalize,
     unitarity_residual,
 )
 from .report import Report
@@ -182,8 +183,9 @@ def build_irrep(sig, branch: int = 1) -> CliffordModule:
     """Construct the irreducible unitary module of dimension 2^⌊n/2⌋.
 
     Deterministic: identical inputs give bit-identical gamma matrices, and
-    the real structure is the canonical representative of the (unique up to
-    phase) antilinear solution.
+    the real structure is the closed-form, phase-normalized representative
+    of the (unique up to phase) antilinear solution.  No linear system is
+    solved, so there is no size limit here.
     """
     sig = as_signature(sig)
     gammas = gamma_chain(sig, branch)
@@ -203,10 +205,34 @@ def build_irrep(sig, branch: int = 1) -> CliffordModule:
     )
 
 
+def closed_form_real_structure(gammas, eps_prime: int, dim: int) -> AntilinearOp:
+    """J with K·conj(γᵃ) = ε′γᵃK, by charge conjugation (Van Proeyen,
+    *Tools for supersymmetry*, hep-th/9910030).
+
+    For gammas that are each purely real or purely imaginary, K is the
+    ordered product of the k real ones (ε′ = (−1)^(k−1)) or of the l
+    imaginary ones (ε′ = (−1)^l); the empty product is the identity.  The
+    candidate with the wanted ε′ is phase-normalized so that its first
+    nonzero entry (row-major) is +1; with entries in {0, ±1, ±i} it is
+    exactly unitary, so no SVD or polar step is needed.  Raises ValueError
+    when no candidate satisfies the relation on every gamma.
+    """
+    gammas = [np.asarray(g, dtype=complex) for g in gammas]
+    real = [g for g in gammas if not g.imag.any()]
+    imag = [g for g in gammas if not g.real.any()]
+    for factors, sign in ((real, (-1) ** (len(real) - 1)), (imag, (-1) ** len(imag))):
+        if sign != eps_prime:
+            continue
+        j = AntilinearOp(phase_normalize(product_of(factors, dim)).reshape(dim, dim))
+        if all(j.commutation_residual(g, eps_prime) < DEFAULT_TOL for g in gammas):
+            return j
+    raise ValueError(f"no closed-form real structure with eps' = {eps_prime}: "
+                     "the gammas are not each purely real or purely imaginary")
+
+
 def real_structure_from_gammas(gammas, s: int, dim: int) -> AntilinearOp:
-    """Solve for J with Jγᵃ = ε′γᵃJ, ε′ taken from the sign table."""
-    eps_prime = sign_triple(s).eps_prime
-    return solve_antilinear_commutant(gammas, [eps_prime] * len(gammas), dim=dim)
+    """The closed-form J with Jγᵃ = ε′γᵃJ, ε′ taken from the sign table."""
+    return closed_form_real_structure(gammas, sign_triple(s).eps_prime, dim)
 
 
 def product_element(m: CliffordModule) -> np.ndarray:
@@ -220,7 +246,8 @@ def chirality_op(m: CliffordModule) -> np.ndarray:
 
 
 def real_structure(m: CliffordModule) -> AntilinearOp:
-    """Recompute the real structure by the antilinear commutant solve."""
+    """Recompute the real structure in closed form (see
+    :func:`closed_form_real_structure`)."""
     return real_structure_from_gammas(m.gammas, m.s, m.dim)
 
 
@@ -258,10 +285,14 @@ def measure_sign_triple(m: CliffordModule, tol: float = DEFAULT_TOL):
     """Measure (ε, ε′, ε″) of the module's real structure directly.
 
     ε′ is found by testing which sign patterns admit a one-dimensional
-    antilinear solution space (from singular values only): for even n both
-    signs do (J and Ĵ) and the real structure is the commuting one; for odd
-    n exactly one pattern does.  The full solve then runs once, for the
-    measured ε′.  Returns the measured triple together with the solved J.
+    antilinear solution space (from singular values only, independent of
+    the sign table): for even n both signs do (J and Ĵ) and the real
+    structure is the commuting one; for odd n exactly one pattern does.  J
+    for the measured ε′ is then taken in closed form
+    (:func:`closed_form_real_structure`), from which ε and ε″ are read.
+    Returns the measured triple together with that J.  Raises ValueError
+    above ``linalg.MAX_KRONECKER_DIM`` (the existence test is a dense
+    Kronecker system) and when the closed form does not fit the gammas.
     """
     solvable = [sign for sign in (1, -1)
                 if nullity(antilinear_constraints(m.gammas, [sign] * m.n, m.dim)) == 1]
@@ -275,7 +306,7 @@ def measure_sign_triple(m: CliffordModule, tol: float = DEFAULT_TOL):
         if len(solvable) != 1:
             raise ValueError("odd module admits both sign patterns; construction is inconsistent")
         eps_prime = solvable[0]
-    j = solve_antilinear_commutant(m.gammas, [eps_prime] * m.n, dim=m.dim)
+    j = closed_form_real_structure(m.gammas, eps_prime, m.dim)
     eps = j.square_sign(tol)
     eps_dd = j.commutation_sign(m.chirality, tol) if m.s % 2 == 0 else None
     return SignTriple(eps, eps_prime, eps_dd), j
@@ -312,10 +343,13 @@ def verify_module_signs(max_n: int, tol: float = DEFAULT_TOL):
 
     Both branches are checked when n is odd.  Returns a Report whose
     details carry the per-signature measured and expected rows; failures
-    are reported, never raised.
+    are reported, never raised.  Raises ValueError when max_n < 1 and,
+    before any module is built, when the measurement's Kronecker system for
+    the largest module is above ``linalg.MAX_KRONECKER_DIM``.
     """
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
+    check_kronecker_dim(2 ** (max_n // 2))
     details = []
     worst = 0.0
     all_ok = True

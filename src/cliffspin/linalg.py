@@ -122,11 +122,14 @@ def null_space(a, rtol: float = NULL_RTOL) -> np.ndarray:
 
     Singular values below ``rtol`` times the largest count as zero.  A
     constraint matrix with no rows (or identically zero) has full null space.
+    A tall or square matrix takes the thin SVD, whose ``vh`` is already
+    square, so the rows×rows factor U is never allocated; a wide one needs
+    the full ``vh`` for the directions beyond its row count.
     """
     m, empty = _constraint_matrix(a)
     if empty:
         return np.eye(m.shape[1], dtype=complex)
-    u, s, vh = np.linalg.svd(m, full_matrices=True)
+    u, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     return vh[_rank(s, rtol):].conj().T
 
 

@@ -153,6 +153,32 @@ class TestCliContract:
         assert captured.out == ""
         assert "dimension 64" in captured.err and "limit 32" in captured.err
 
+    def test_n_12_irrep_exports_as_json(self, capsys):
+        # construction is closed-form; only the text form measures the signs
+        code, out = run_capture(capsys, ["irrep", "--p", "0", "--q", "12",
+                                         "--format", "json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["dim"] == 64 and len(doc["gammas"]) == 12
+
+    def test_oversized_sign_table_is_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        code = run(["verify", "signs", "--max-n", "12"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert elapsed < 1.0
+        assert captured.out == ""
+        assert "dimension 64" in captured.err and "limit 32" in captured.err
+
+    def test_casimir_is_checked_at_every_even_n(self):
+        report = cli.casimir_report(10)
+        assert report.passed
+        assert [(d["p"], d["q"]) for d in report.details] == [
+            (0, 2), (4, 0), (0, 6), (0, 8), (0, 10)]
+        assert len(cli.casimir_report(9).details) == 4
+        assert len(cli.casimir_report(5).details) == 3
+
     def test_oversized_three_actions_are_refused(self, capsys):
         start = time.perf_counter()
         code = run(["three-actions", "--sig1", "0,6", "--sig2", "0,6",

@@ -5,15 +5,21 @@ Expected matrices below are hand-derived from the Pauli algebra
 measurement (attempting both antilinear sign patterns)."""
 
 import dataclasses
+import json
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cliffspin import clifford
 from cliffspin.clifford import (
     Signature,
     build_irrep,
     chirality_op,
+    closed_form_real_structure,
     hatted_real_structure,
     measure_sign_triple,
     module_residuals,
@@ -22,7 +28,8 @@ from cliffspin.clifford import (
     sign_triple,
     verify_module_signs,
 )
-from cliffspin.linalg import AntilinearOp, eye, kron, max_abs
+from cliffspin.linalg import AntilinearOp, eye, kron, max_abs, solve_antilinear_commutant
+from cliffspin.serialize import module_from_dict, module_to_json
 
 S1 = np.array([[0, 1], [1, 0]], dtype=complex)
 S2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -185,11 +192,83 @@ def test_reducible_gammas_have_no_measured_structure():
         measure_sign_triple(doubled)
 
 
-def test_n_12_is_refused_quickly():
+def test_n_12_builds_quickly_but_is_not_measured():
+    # the closed-form J needs no Kronecker system; the sign measurement does
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="dimension 64.*limit 32"):
-        build_irrep((0, 12))
+    m = build_irrep((0, 12))
     assert time.perf_counter() - start < 1.0
+    assert m.dim == 64
+    assert all(value == 0.0 for value in module_residuals(m).values())
+    with pytest.raises(ValueError, match="dimension 64.*limit 32"):
+        measure_sign_triple(m)
+
+
+def random_unitary(dim, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, _ = np.linalg.qr(z)
+    return q
+
+
+class TestClosedFormRealStructure:
+    CROSS_CHECK = [(p, n - p, branch) for n in range(8) for p in range(n + 1)
+                   for branch in ((1,) if n % 2 == 0 else (1, -1))] + [(0, 8, 1), (3, 5, 1)]
+
+    @pytest.mark.parametrize("p, q, branch", CROSS_CHECK)
+    def test_agrees_with_the_commutant_solver(self, p, q, branch):
+        m = build_irrep((p, q), branch)
+        eps_prime = sign_triple(m.s).eps_prime
+        solved = solve_antilinear_commutant(m.gammas, [eps_prime] * m.n, dim=m.dim)
+        assert max_abs(solved.matrix - m.J.matrix) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10).flatmap(
+        lambda n: st.tuples(st.integers(0, n), st.just(n), st.sampled_from((1, -1)))))
+    def test_exact_entries_residuals_signs_and_round_trip(self, pnb):
+        p, n, branch = pnb
+        if n % 2 == 0:
+            branch = 1
+        m = build_irrep((p, n - p), branch)
+        entries = m.J.matrix.ravel()
+        allowed = np.array([0, 1, -1, 1j, -1j])
+        assert np.all(np.any(entries[:, None] == allowed[None, :], axis=1))
+        assert all(value == 0.0 for value in module_residuals(m).values())
+        if n <= 8:  # the measurement's Kronecker SVD takes seconds at n = 10
+            assert measure_sign_triple(m)[0] == sign_triple(m.s)
+        text = module_to_json(m)
+        assert module_to_json(module_from_dict(json.loads(text))) == text
+
+    @pytest.mark.parametrize("pq", [(0, 3), (2, 2), (1, 4)])
+    def test_conjugated_gammas_are_refused(self, pq):
+        m = build_irrep(pq)
+        u = random_unitary(m.dim, sum(pq))
+        conjugated = [u @ g @ u.conj().T for g in m.gammas]
+        eps_prime = sign_triple(m.s).eps_prime
+        with pytest.raises(ValueError, match="no closed-form real structure"):
+            closed_form_real_structure(conjugated, eps_prime, m.dim)
+
+    def test_conjugated_module_is_a_failed_sign_row(self):
+        def conjugated_irrep(sig, branch=1):
+            m = build_irrep(sig, branch)
+            if m.dim == 1:
+                return m
+            u = random_unitary(m.dim, m.n)
+            return dataclasses.replace(
+                m, gammas=tuple(u @ g @ u.conj().T for g in m.gammas),
+                P=u @ m.P @ u.conj().T, chirality=u @ m.chirality @ u.conj().T)
+
+        with mock.patch.object(clifford, "build_irrep", conjugated_irrep):
+            report = verify_module_signs(2)
+        assert not report.passed
+        failed = [d for d in report.details if not d["passed"]]
+        assert {(d["p"], d["q"]) for d in failed} == {(2, 0), (1, 1), (0, 2)}
+        assert all(d["measured"] is None for d in failed)
+
+    def test_empty_gamma_list_gives_the_identity_for_either_sign(self):
+        # no gamma constrains K, so both empty products qualify
+        for eps_prime in (1, -1):
+            j = closed_form_real_structure([], eps_prime, 2)
+            assert np.array_equal(j.matrix, eye(2))
 
 
 def test_verify_module_signs_report():

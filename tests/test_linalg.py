@@ -2,6 +2,8 @@
 factors and the antilinear commutant solver, checked against independent
 oracles (entry-wise expansion, truncated series, basis enumeration)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,34 @@ def test_phase_normalize_leading_entry():
     assert abs(v[1].imag) < 1e-15 and v[1].real > 0
 
 
+def rank_deficient(shape, rank, seed):
+    rng = np.random.default_rng(seed)
+    left = rng.standard_normal((shape[0], rank)) + 1j * rng.standard_normal((shape[0], rank))
+    right = rng.standard_normal((rank, shape[1])) + 1j * rng.standard_normal((rank, shape[1]))
+    return left @ right
+
+
+class TestNullSpaceSvd:
+    @pytest.mark.parametrize("shape, rank", [((40, 6), 4), ((12, 12), 9), ((30, 9), 1)])
+    def test_tall_input_takes_the_thin_svd(self, shape, rank):
+        a = rank_deficient(shape, rank, sum(shape))
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            basis = null_space(a)
+        assert svd.call_args.kwargs["full_matrices"] is False
+        _, s, vh = np.linalg.svd(a, full_matrices=True)
+        full = vh[int(np.sum(s > 1e-9 * s[0])):].conj().T
+        assert basis.shape == full.shape == (shape[1], shape[1] - rank)
+        assert max_abs(basis @ basis.conj().T - full @ full.conj().T) < 1e-12
+
+    @pytest.mark.parametrize("shape, rank", [((3, 8), 3), ((2, 5), 1)])
+    def test_wide_input_returns_the_full_null_space(self, shape, rank):
+        a = rank_deficient(shape, rank, sum(shape))
+        basis = null_space(a)
+        assert basis.shape == (shape[1], shape[1] - rank)
+        assert max_abs(a @ basis) < 1e-12
+        assert max_abs(basis.conj().T @ basis - eye(shape[1] - rank)) < 1e-12
+
+
 class TestNullity:
     def test_empty_and_zero_constraints(self):
         for a in (np.zeros((0, 3), dtype=complex), np.zeros((5, 3), dtype=complex)):
@@ -236,10 +266,7 @@ class TestNullity:
     @pytest.mark.parametrize("shape, rank", [((6, 4), 2), ((3, 5), 3), ((8, 8), 7),
                                              ((10, 6), 6), ((4, 4), 1)])
     def test_matches_null_space_on_rank_deficient_input(self, shape, rank):
-        rng = np.random.default_rng(sum(shape) + rank)
-        left = rng.standard_normal((shape[0], rank)) + 1j * rng.standard_normal((shape[0], rank))
-        right = rng.standard_normal((rank, shape[1])) + 1j * rng.standard_normal((rank, shape[1]))
-        a = left @ right
+        a = rank_deficient(shape, rank, sum(shape) + rank)
         assert nullity(a) == null_space(a).shape[1] == shape[1] - rank
 
     def test_solver_constraints_have_one_solution(self):
