@@ -1,8 +1,8 @@
 """Command-line front end: verification suites and module export.
 
 Exit codes: 0 when every check passes, 1 when some check fails, 2 for
-usage or I/O errors.  Identical invocations with identical ``--seed``
-produce byte-identical output.
+usage or I/O errors.  Identical invocations produce byte-identical output;
+only the sampled ``pati-salam`` and ``all`` take ``--seed`` and ``--samples``.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ def signs_suite(max_n: int, tol: float) -> list:
 
 
 def brackets_suite(max_n: int, tol: float) -> list:
+    clifford.check_module_dim(max_n)
     worst = flip_worst = 0.0
     details = []
     for n in range(max_n + 1):
@@ -196,13 +197,9 @@ def _emit(text: str, out_path) -> None:
 def _render(reports: list, args, command: str) -> tuple[str, bool]:
     all_passed = all(r.passed for r in reports)
     if args.format == "json":
-        doc = {
-            "command": command,
-            "seed": args.seed,
-            "tol": args.tol,
-            "all_passed": all_passed,
-            "checks": [r.to_dict() for r in reports],
-        }
+        seed = {"seed": args.seed} if "seed" in args else {}
+        doc = {"command": command, **seed, "tol": args.tol, "all_passed": all_passed,
+               "checks": [r.to_dict() for r in reports]}
         return json.dumps(doc, indent=2) + "\n", all_passed
     lines = [r.summary_line() for r in reports]
     lines.append(f"{'ALL CHECKS PASSED' if all_passed else 'SOME CHECKS FAILED'} "
@@ -210,15 +207,15 @@ def _render(reports: list, args, command: str) -> tuple[str, bool]:
     return "\n".join(lines) + "\n", all_passed
 
 
-def _add_shared(parser: argparse.ArgumentParser) -> None:
+def _add_shared(parser: argparse.ArgumentParser, seeded: bool = False) -> None:
     parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="residual tolerance (default 1e-10)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized checks (default 0)")
-    parser.add_argument("--samples", type=int, default=100,
-                        help="order-condition sample count of pati-salam and all "
-                             "(default 100); the gauge check always draws 50 "
-                             "samples and the Higgs check 10")
+    if seeded:
+        parser.add_argument("--seed", type=int, default=0,
+                            help="seed for randomized checks (default 0)")
+        parser.add_argument("--samples", type=int, default=100,
+                            help="order-condition samples (default 100); the gauge "
+                                 "check always draws 50 and the Higgs check 10")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--out", default=None, help="write output to a file")
 
@@ -259,10 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p_three)
 
     p_ps = sub.add_parser("pati-salam", help="spectral-triple suite, both variants")
-    _add_shared(p_ps)
+    _add_shared(p_ps, seeded=True)
 
     p_all = sub.add_parser("all", help="every bundled suite")
-    _add_shared(p_all)
+    _add_shared(p_all, seeded=True)
     return parser
 
 

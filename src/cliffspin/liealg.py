@@ -22,14 +22,11 @@ import numpy as np
 from .clifford import CliffordModule, sign_triple
 from .linalg import (
     DEFAULT_TOL,
-    NULL_RTOL,
-    check_kronecker_dim,
     commutator,
     eye,
+    fixed_space,
     frozen,
     max_abs,
-    null_space,
-    nullity,
     phase_normalize,
 )
 
@@ -182,38 +179,30 @@ def find_intertwiner(rep_a: SoRepresentation, rep_b: SoRepresentation,
                      rtol: float = 1e-6):
     """Invertible W with W·T_a = T_b·W for every generator, or None.
 
-    The solution space is found by a stacked null-space solve; a candidate
-    counts as invertible when its smallest singular value is at least
-    ``rtol`` times the largest.  Returns None when the space contains no
-    invertible element; an empty space is detected from the singular
-    values alone, before any basis is computed.  Raises ValueError above
-    ``linalg.MAX_KRONECKER_DIM``.
+    W is a generic element of the fixed space (:func:`linalg.fixed_space`)
+    of W ↦ (2T_b⁰ᵃ)·W·(2T_a⁰ᵃ)⁻¹, a = 1…n−1, which holds every intertwiner,
+    so None is a sound verdict; for quadratic gamma monomials these maps
+    generate every 2Tᵃᵇ up to shared scalars.  W counts as invertible when
+    its smallest singular value is at least ``rtol`` times the largest.
+    Raises ValueError when a 2T⁰ᵃ does not square to a nonzero scalar and
+    when W fails :func:`intertwiner_residual` on some generator.
     """
     if rep_a.dim != rep_b.dim:
         raise ValueError("representation dimension mismatch")
     if rep_a.n != rep_b.n or not np.array_equal(rep_a.eta, rep_b.eta):
         raise ValueError("representations must share one metric")
-    dim = rep_a.dim
-    check_kronecker_dim(dim)
-    ident = eye(dim)
-    blocks = [np.kron(ident, rep_a.t(a, b).T) - np.kron(rep_b.t(a, b), ident)
-              for a, b in rep_a.pairs()]
-    stacked = np.vstack(blocks) if blocks else np.zeros((0, dim * dim), dtype=complex)
-    if nullity(stacked, NULL_RTOL) == 0:
+    basis = fixed_space([(2 * rep_b.t(0, a), np.linalg.inv(2 * rep_a.t(0, a)))
+                         for a in range(1, rep_a.n)], rep_a.dim)
+    if basis.shape[1] == 0:
         return None
-    basis = null_space(stacked, NULL_RTOL)
-    candidates = [basis[:, j] for j in range(basis.shape[1])]
-    if basis.shape[1] > 1:
-        rng = np.random.default_rng(0)
-        for _ in range(4):
-            coeff = rng.standard_normal(basis.shape[1])
-            candidates.append(basis @ coeff)
-    for vec in candidates:
-        w = phase_normalize(vec).reshape(dim, dim)
-        svals = np.linalg.svd(w, compute_uv=False)
-        if svals[0] > 0 and svals[-1] >= rtol * svals[0]:
-            return w
-    return None
+    w = phase_normalize(basis.sum(axis=1)).reshape(rep_a.dim, rep_a.dim)
+    svals = np.linalg.svd(w, compute_uv=False)
+    if svals[-1] < rtol * svals[0]:
+        return None
+    residual = intertwiner_residual(w, rep_a, rep_b)
+    if residual > DEFAULT_TOL:
+        raise ValueError(f"intertwiner of the 2T^0a fails a generator: residual {residual:.6g}")
+    return w
 
 
 def intertwiner_residual(w, rep_a: SoRepresentation, rep_b: SoRepresentation) -> float:

@@ -20,10 +20,12 @@ DEFAULT_TOL = 1e-10
 #: relative singular-value threshold below which directions count as null
 NULL_RTOL = 1e-9
 
-#: largest matrix dimension d for the dense d²-unknown Kronecker solves
-#: (antilinear commutant, intertwiner search): d = 32 (n = 10) builds a
-#: constraint matrix of about 170 MB and a full SVD factor of about 1.7 GB;
-#: d = 64 (n = 12) would need tens of GB
+#: seeded random probes that :func:`fixed_space` projects
+FIXED_SPACE_PROBES = 3
+
+#: largest matrix dimension d for the dense d²-unknown Kronecker reference
+#: solve (antilinear commutant): d = 32 (n = 10) builds a constraint matrix
+#: of about 170 MB; d = 64 (n = 12) would need several GB
 MAX_KRONECKER_DIM = 32
 
 
@@ -103,47 +105,55 @@ def polar_unitary(a, rtol: float = NULL_RTOL) -> np.ndarray:
     return w @ vh
 
 
-def _constraint_matrix(a):
-    """The input as a complex matrix, and whether it constrains nothing
-    (no rows, or identically zero)."""
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2:
-        raise ValueError("null_space expects a matrix")
-    return m, m.shape[0] == 0 or max_abs(m) == 0.0
-
-
-def _rank(s: np.ndarray, rtol: float) -> int:
-    """Count of singular values above ``rtol`` times the largest."""
-    return int(np.sum(s > rtol * s[0]))
-
-
 def null_space(a, rtol: float = NULL_RTOL) -> np.ndarray:
     """Orthonormal basis (as columns) of the null space of a matrix.
 
-    Singular values below ``rtol`` times the largest count as zero.  A
-    constraint matrix with no rows (or identically zero) has full null space.
-    A tall or square matrix takes the thin SVD, whose ``vh`` is already
-    square, so the rows×rows factor U is never allocated; a wide one needs
-    the full ``vh`` for the directions beyond its row count.
+    Singular values below ``rtol`` times the largest count as zero; no rows
+    (or a zero matrix) give the full space.  A tall or square matrix takes
+    the thin SVD, so no rows×rows factor is allocated; a wide one needs the
+    full ``vh`` for the directions beyond its row count.
     """
-    m, empty = _constraint_matrix(a)
-    if empty:
+    m = np.asarray(a, dtype=complex)
+    if m.ndim != 2:
+        raise ValueError("null_space expects a matrix")
+    if m.shape[0] == 0 or max_abs(m) == 0.0:
         return np.eye(m.shape[1], dtype=complex)
     u, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
-    return vh[_rank(s, rtol):].conj().T
+    return vh[int(np.sum(s > rtol * s[0])):].conj().T
 
 
-def nullity(a, rtol: float = NULL_RTOL) -> int:
-    """Dimension of the null space, ``null_space(a, rtol).shape[1]``.
+def fixed_space(maps, dim: int) -> np.ndarray:
+    """Orthonormal basis (columns: row-major flattened X) of the dim×dim X
+    with L·X·R = X for every (L, R) in ``maps``; no dim²-unknown system.
 
-    Uses the same rank rule as :func:`null_space` but computes singular
-    values only, so a test for an empty or one-dimensional solution space
-    never allocates the square factor U.
+    Each map Mᵢ: X ↦ Lᵢ·X·Rᵢ must be an involution (L² = c·1, R² = c⁻¹·1) and
+    every two must commute (LᵢLⱼ = σLⱼLᵢ, RⱼRᵢ = σRᵢRⱼ, one σ); both are
+    checked first, to ``DEFAULT_TOL``, else ValueError.  The projector
+    Πᵢ(1 + Mᵢ)/2 is applied to ``FIXED_SPACE_PROBES`` seeded probes (a
+    randomized range finder, arXiv:0909.4061) and the images are ranked
+    against the probe norm, so an empty space gives no column and a space
+    of ``FIXED_SPACE_PROBES`` dimensions or more gives that many.
     """
-    m, empty = _constraint_matrix(a)
-    if empty:
-        return m.shape[1]
-    return m.shape[1] - _rank(np.linalg.svd(m, compute_uv=False), rtol)
+    maps = [(as_matrix(left), as_matrix(right)) for left, right in maps]
+    ident = eye(dim)
+    for i, (left, right) in enumerate(maps):
+        c = np.trace(left @ left) / dim
+        if c == 0 or max(max_abs(left @ left - c * ident),
+                         max_abs(right @ right - ident / c)) > DEFAULT_TOL:
+            raise ValueError(f"fixed_space: map {i} is not an involution")
+        for j, (left_j, right_j) in enumerate(maps[:i]):
+            if not any(max_abs(left @ left_j - sigma * left_j @ left) <= DEFAULT_TOL
+                       and max_abs(right_j @ right - sigma * right @ right_j) <= DEFAULT_TOL
+                       for sigma in (1, -1)):
+                raise ValueError(f"fixed_space: maps {j} and {i} do not commute")
+    rng = np.random.default_rng(0)
+    shape = (FIXED_SPACE_PROBES, dim, dim)
+    images = probes = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for left, right in maps:
+        images = 0.5 * (images + left @ images @ right)
+    u, s, _ = np.linalg.svd(images.reshape(FIXED_SPACE_PROBES, dim * dim).T,
+                            full_matrices=False)
+    return u[:, :int(np.sum(s > NULL_RTOL * np.linalg.norm(probes)))]
 
 
 def check_kronecker_dim(dim: int) -> None:

@@ -147,11 +147,19 @@ class TestCliContract:
         assert "adjoint_failure" in rows["spin10-extension"]["details"][0]
 
     def test_oversized_irrep_is_refused(self, capsys):
-        code = run(["irrep", "--p", "0", "--q", "12"])
+        # (0,12) is measured in full; (0,30) is refused before any gamma exists
+        code, out = run_capture(capsys, ["irrep", "--p", "0", "--q", "12"])
+        assert code == 0
+        assert out == "module (0,12) branch 1: dim 64, s = 4, signs (-1, 1, 1)\n"
+        start = time.perf_counter()
+        with mock.patch.object(clifford, "gamma_chain", side_effect=AssertionError("built")):
+            code = run(["irrep", "--p", "0", "--q", "30"])
+        elapsed = time.perf_counter() - start
         captured = capsys.readouterr()
         assert code == 2
+        assert elapsed < 1.0
         assert captured.out == ""
-        assert "dimension 64" in captured.err and "limit 32" in captured.err
+        assert "dimension 2^15" in captured.err and "limit 128" in captured.err
 
     def test_n_12_irrep_exports_as_json(self, capsys):
         # construction is closed-form; only the text form measures the signs
@@ -162,14 +170,17 @@ class TestCliContract:
         assert doc["dim"] == 64 and len(doc["gammas"]) == 12
 
     def test_oversized_sign_table_is_refused_at_once(self, capsys):
-        start = time.perf_counter()
-        code = run(["verify", "signs", "--max-n", "12"])
-        elapsed = time.perf_counter() - start
-        captured = capsys.readouterr()
-        assert code == 2
-        assert elapsed < 1.0
-        assert captured.out == ""
-        assert "dimension 64" in captured.err and "limit 32" in captured.err
+        for suite in ("signs", "brackets"):
+            start = time.perf_counter()
+            with mock.patch.object(clifford, "build_irrep",
+                                   side_effect=AssertionError("built")):
+                code = run(["verify", suite, "--max-n", "30"])
+            elapsed = time.perf_counter() - start
+            captured = capsys.readouterr()
+            assert code == 2
+            assert elapsed < 1.0
+            assert captured.out == ""
+            assert "dimension 2^15" in captured.err and "limit 128" in captured.err
 
     def test_casimir_is_checked_at_every_even_n(self):
         report = cli.casimir_report(10)
@@ -198,11 +209,32 @@ class TestCliContract:
         assert all(r.passed for r in reports)
 
     def test_seeded_commuting_runs_are_identical(self, capsys):
-        args = ["commuting", "--sig1", "2,0", "--sig2", "0,1",
-                "--seed", "3", "--format", "json"]
-        _, first = run_capture(capsys, args)
-        _, second = run_capture(capsys, args)
+        args = ["commuting", "--sig1", "2,0", "--sig2", "0,1", "--format", "json"]
+        first_code, first = run_capture(capsys, args)
+        second_code, second = run_capture(capsys, args)
+        assert first_code == second_code == 0
+        assert json.loads(first)["all_passed"] is True
         assert first == second
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "signs", "--max-n", "1"], ["verify", "brackets", "--max-n", "1"],
+        ["irrep", "--p", "0", "--q", "1"], ["commuting", "--sig1", "2,0", "--sig2", "0,1"],
+        ["three-actions", "--sig1", "2,0", "--sig2", "2,0", "--sig3", "2,0"]])
+    def test_only_sampled_suites_take_seed_and_samples(self, capsys, argv):
+        for flag in ("--seed", "--samples"):
+            assert run([*argv, flag, "3"]) == 2
+            assert capsys.readouterr().out == ""
+        if argv[0] != "irrep":
+            code, out = run_capture(capsys, [*argv, "--format", "json"])
+            assert code == 0
+            assert "seed" not in json.loads(out)
+
+    def test_sampled_suites_report_their_seed(self, capsys):
+        code, out = run_capture(capsys, ["pati-salam", "--seed", "4", "--samples", "3",
+                                         "--format", "json"])
+        assert code == 0
+        assert list(json.loads(out))[:2] == ["command", "seed"]
+        assert json.loads(out)["seed"] == 4
 
 
 class TestFaultInjection:

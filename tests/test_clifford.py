@@ -28,7 +28,16 @@ from cliffspin.clifford import (
     sign_triple,
     verify_module_signs,
 )
-from cliffspin.linalg import AntilinearOp, eye, kron, max_abs, solve_antilinear_commutant
+from cliffspin.linalg import (
+    AntilinearOp,
+    antilinear_constraints,
+    eye,
+    fixed_space,
+    kron,
+    max_abs,
+    null_space,
+    solve_antilinear_commutant,
+)
 from cliffspin.serialize import module_from_dict, module_to_json
 
 S1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -192,15 +201,51 @@ def test_reducible_gammas_have_no_measured_structure():
         measure_sign_triple(doubled)
 
 
-def test_n_12_builds_quickly_but_is_not_measured():
-    # the closed-form J needs no Kronecker system; the sign measurement does
+@pytest.mark.parametrize("pq, row", [((0, 12), (-1, 1, 1)), ((5, 7), (-1, 1, -1))],
+                         ids=["0-12", "5-7"])
+def test_n_12_modules_are_built_and_measured(pq, row):
+    # neither the closed-form J nor the fixed-space measurement forms a
+    # Kronecker system
     start = time.perf_counter()
-    m = build_irrep((0, 12))
+    m = build_irrep(pq)
+    measured, _ = measure_sign_triple(m)
     assert time.perf_counter() - start < 1.0
     assert m.dim == 64
     assert all(value == 0.0 for value in module_residuals(m).values())
-    with pytest.raises(ValueError, match="dimension 64.*limit 32"):
-        measure_sign_triple(m)
+    assert tuple(measured) == row == sign_triple(m.s)
+
+
+def test_oversized_modules_are_refused_before_anything_is_built():
+    assert clifford.MAX_MODULE_DIM == 128
+    with mock.patch.object(clifford, "gamma_chain", side_effect=AssertionError("built")):
+        with pytest.raises(ValueError, match=r"dimension 2\^15 .*limit 128"):
+            build_irrep((0, 30))
+        with pytest.raises(ValueError, match=r"dimension 2\^8 .*limit 128"):
+            build_irrep((16, 0))
+        with pytest.raises(ValueError, match=r"dimension 2\^500000000 "):
+            build_irrep((0, 10 ** 9))
+    with mock.patch.object(clifford, "build_irrep", side_effect=AssertionError("built")):
+        with pytest.raises(ValueError, match=r"dimension 2\^15 .*limit 128"):
+            verify_module_signs(30)
+    assert build_irrep((0, 15)).dim == 128
+
+
+def test_perturbed_gammas_are_a_failed_sign_row():
+    # gammas that are no longer involutions fail the fixed-space precondition
+    def perturbed_irrep(sig, branch=1):
+        m = build_irrep(sig, branch)
+        rng = np.random.default_rng(m.n)
+        noise = [1e-3 * rng.standard_normal((m.dim, m.dim)) for _ in m.gammas]
+        return dataclasses.replace(m, gammas=tuple(g + e for g, e in zip(m.gammas, noise)))
+
+    with mock.patch.object(clifford, "build_irrep", perturbed_irrep):
+        report = verify_module_signs(3)
+    assert not report.passed
+    failed = [d for d in report.details if not d["passed"]]
+    assert {(d["p"], d["q"]) for d in failed} == {
+        (p, n - p) for n in range(1, 4) for p in range(n + 1)}
+    assert all(d["measured"] is None for d in failed)
+    assert all(d["passed"] for d in report.details if d["p"] + d["q"] == 0)
 
 
 def random_unitary(dim, seed):
@@ -233,8 +278,7 @@ class TestClosedFormRealStructure:
         allowed = np.array([0, 1, -1, 1j, -1j])
         assert np.all(np.any(entries[:, None] == allowed[None, :], axis=1))
         assert all(value == 0.0 for value in module_residuals(m).values())
-        if n <= 8:  # the measurement's Kronecker SVD takes seconds at n = 10
-            assert measure_sign_triple(m)[0] == sign_triple(m.s)
+        assert measure_sign_triple(m)[0] == sign_triple(m.s)
         text = module_to_json(m)
         assert module_to_json(module_from_dict(json.loads(text))) == text
 
@@ -269,6 +313,19 @@ class TestClosedFormRealStructure:
         for eps_prime in (1, -1):
             j = closed_form_real_structure([], eps_prime, 2)
             assert np.array_equal(j.matrix, eye(2))
+
+
+class TestFixedSpaceReference:
+    """The fixed space the sign measurement ranks against the dense
+    Kronecker null space it replaced, for both sign patterns."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("p, q, branch", TestClosedFormRealStructure.CROSS_CHECK)
+    def test_dimension_matches_the_dense_null_space(self, p, q, branch, sign):
+        m = build_irrep((p, q), branch)
+        maps = [(sign * np.linalg.inv(g), np.conj(g)) for g in m.gammas]
+        dense = null_space(antilinear_constraints(m.gammas, [sign] * m.n, m.dim))
+        assert fixed_space(maps, m.dim).shape[1] == dense.shape[1]
 
 
 def test_verify_module_signs_report():

@@ -23,7 +23,7 @@ from cliffspin.liealg import (
     weyl_pieces,
     weyl_projectors,
 )
-from cliffspin.linalg import commutator, eye, frozen, max_abs
+from cliffspin.linalg import commutator, eye, frozen, max_abs, null_space
 
 S3 = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -164,6 +164,21 @@ class TestWeylSplit:
                 assert bracket_residual(piece) < 1e-12
 
 
+def dense_intertwiner_exists(rep_a, rep_b):
+    """Reference verdict: the dense Kronecker system for W·T_a = T_b·W has
+    an invertible solution (a random element of its null space)."""
+    ident = eye(rep_a.dim)
+    blocks = [np.kron(ident, rep_a.t(a, b).T) - np.kron(rep_b.t(a, b), ident)
+              for a, b in rep_a.pairs()]
+    basis = null_space(np.vstack(blocks) if blocks else np.zeros((0, rep_a.dim ** 2)))
+    if basis.shape[1] == 0:
+        return False
+    w = (basis @ np.random.default_rng(0).standard_normal(basis.shape[1])).reshape(
+        rep_a.dim, rep_a.dim)
+    svals = np.linalg.svd(w, compute_uv=False)
+    return bool(svals[-1] >= 1e-6 * svals[0])
+
+
 class TestIntertwiner:
     def test_self_equivalence(self):
         rep = so_generators(build_irrep((0, 3)))
@@ -198,11 +213,39 @@ class TestIntertwiner:
         plus, minus = weyl_pieces(build_irrep(pq))
         assert find_intertwiner(plus, minus) is None
 
-    def test_refused_above_the_kronecker_limit(self):
-        big = SoRepresentation(eta=np.ones(2, dtype=int), dim=64,
-                               generators={(0, 1): eye(64)})
-        with pytest.raises(ValueError, match="dimension 64.*limit 32"):
-            find_intertwiner(big, big)
+    def test_n_12_half_spinors_are_inequivalent(self):
+        plus, minus = weyl_pieces(build_irrep((0, 12)))
+        assert plus.dim == minus.dim == 32
+        assert find_intertwiner(plus, minus) is None
+
+    @pytest.mark.parametrize("pq", [(p, n - p) for n in range(1, 9) for p in range(n + 1)])
+    def test_verdict_matches_the_dense_solve(self, pq):
+        m = build_irrep(pq)
+        if m.n % 2 == 0:
+            rep_a, rep_b = weyl_pieces(m)
+        else:
+            rep_a, rep_b = so_generators(m), so_generators(build_irrep(pq, -1))
+        w = find_intertwiner(rep_a, rep_b)
+        assert (w is not None) == dense_intertwiner_exists(rep_a, rep_b) == (m.n % 2 == 1)
+        if w is not None:
+            assert intertwiner_residual(w, rep_a, rep_b) < 1e-10
+
+    def test_generators_that_do_not_square_to_scalars_are_refused(self):
+        rng = np.random.default_rng(3)
+        gens = {(a, b): frozen(rng.standard_normal((4, 4)))
+                for a in range(3) for b in range(a + 1, 3)}
+        rep = SoRepresentation(eta=np.ones(3, dtype=int), dim=4, generators=gens)
+        with pytest.raises(ValueError, match="not an involution"):
+            find_intertwiner(rep, rep)
+
+    def test_a_generator_outside_the_searched_maps_is_refused(self):
+        # the 2T^0a agree, so their fixed space holds W = 1, which fails T^12
+        rep_a = so_generators(build_irrep((0, 3)))
+        gens = dict(rep_a.generators)
+        gens[(1, 2)] = frozen(-gens[(1, 2)])
+        rep_b = SoRepresentation(eta=rep_a.eta, dim=rep_a.dim, generators=gens)
+        with pytest.raises(ValueError, match="fails a generator"):
+            find_intertwiner(rep_a, rep_b)
 
     def test_dimension_mismatch_rejected(self):
         rep_a = so_generators(build_irrep((0, 2)))

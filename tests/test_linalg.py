@@ -8,16 +8,17 @@ import numpy as np
 import pytest
 
 from cliffspin.linalg import (
+    FIXED_SPACE_PROBES,
     MAX_KRONECKER_DIM,
     AntilinearOp,
     antilinear_constraints,
     check_kronecker_dim,
     expm,
     eye,
+    fixed_space,
     kron,
     max_abs,
     null_space,
-    nullity,
     phase_normalize,
     polar_unitary,
     solve_antilinear_commutant,
@@ -259,20 +260,73 @@ class TestNullSpaceSvd:
 
 
 class TestNullity:
+    """The null-space dimension follows the rank rule of ``null_space``."""
+
     def test_empty_and_zero_constraints(self):
         for a in (np.zeros((0, 3), dtype=complex), np.zeros((5, 3), dtype=complex)):
-            assert nullity(a) == null_space(a).shape[1] == 3
+            assert null_space(a).shape[1] == 3
 
     @pytest.mark.parametrize("shape, rank", [((6, 4), 2), ((3, 5), 3), ((8, 8), 7),
                                              ((10, 6), 6), ((4, 4), 1)])
     def test_matches_null_space_on_rank_deficient_input(self, shape, rank):
         a = rank_deficient(shape, rank, sum(shape) + rank)
-        assert nullity(a) == null_space(a).shape[1] == shape[1] - rank
+        basis = null_space(a)
+        assert basis.shape[1] == shape[1] - rank
+        assert max_abs(a @ basis) < 1e-10 * max_abs(a)
 
     def test_solver_constraints_have_one_solution(self):
         gammas = [1j * S1, 1j * S2, 1j * S3]
-        assert nullity(antilinear_constraints(gammas, [1, 1, 1])) == 1
-        assert nullity(antilinear_constraints(gammas, [-1, -1, -1])) == 0
+        assert null_space(antilinear_constraints(gammas, [1, 1, 1])).shape[1] == 1
+        assert null_space(antilinear_constraints(gammas, [-1, -1, -1])).shape[1] == 0
+
+
+class TestFixedSpace:
+    def test_basis_is_orthonormal_and_fixed(self):
+        # K·conj(g) = g·K for the (0,3) gammas: one solution, K ∝ S2
+        gammas = [1j * S1, 1j * S2, 1j * S3]
+        basis = fixed_space([(np.linalg.inv(g), np.conj(g)) for g in gammas], 2)
+        assert basis.shape == (4, 1)
+        k = basis[:, 0].reshape(2, 2)
+        assert abs(np.vdot(basis[:, 0], basis[:, 0]) - 1) < 1e-12
+        assert all(max_abs(k @ np.conj(g) - g @ k) < 1e-12 for g in gammas)
+        assert max_abs(k - k[0, 1] / (-1j) * S2) < 1e-12
+
+    def test_empty_fixed_space_has_no_column(self):
+        assert fixed_space([(-eye(3), eye(3))], 3).shape == (9, 0)
+
+    def test_rounding_noise_is_ranked_against_the_probes(self):
+        # conjugated gammas make the images of an empty space rounding noise,
+        # not exact zeros; that noise must not count as a direction
+        rng = np.random.default_rng(2)
+        u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        gammas = [u @ (1j * g) @ u.conj().T for g in (S1, S2, S3)]
+        for sign, count in ((1, 1), (-1, 0)):
+            maps = [(sign * np.linalg.inv(g), np.conj(g)) for g in gammas]
+            assert fixed_space(maps, 2).shape == (4, count)
+
+    def test_large_fixed_space_reads_the_probe_count(self):
+        assert fixed_space([], 4).shape == (16, FIXED_SPACE_PROBES)
+        assert fixed_space([], 1).shape == (1, 1)
+
+    def test_projector_agrees_with_the_dense_null_space(self):
+        # two commuting involutions X ↦ L·X·R on 2×2 matrices
+        maps = [(S3, S3), (S1, S1)]
+        stacked = np.vstack([np.kron(left, right.T) - np.eye(4) for left, right in maps])
+        dense = null_space(stacked)
+        basis = fixed_space(maps, 2)
+        assert basis.shape == dense.shape == (4, 1)
+        assert max_abs(basis @ basis.conj().T - dense @ dense.conj().T) < 1e-12
+
+    @pytest.mark.parametrize("maps, message", [
+        ([(2 * eye(2), eye(2))], "map 0 is not an involution"),
+        ([(S1, 2 * S1)], "map 0 is not an involution"),
+        ([(S1 + S3, S1)], "map 0 is not an involution"),
+        ([(S1, S1), (S3, S1)], "maps 0 and 1 do not commute"),
+        ([(S1, S1), (S1 + 0.5 * S3, S1)], "is not an involution"),
+    ])
+    def test_preconditions_are_checked_first(self, maps, message):
+        with pytest.raises(ValueError, match=message):
+            fixed_space(maps, 2)
 
 
 class TestKroneckerLimit:
