@@ -7,7 +7,7 @@ Run from the root of a source checkout; the package is imported from
 checkouts on the same machine shows whether a change keeps the output
 byte-identical.  One line per output, ``<sha256>  <exit code>  <label>``:
 
-* the JSON output of four CLI invocations, run in-process;
+* the JSON output of five CLI invocations, run in-process;
 * one hash over ``module_to_json`` of every module in the benchmark's
   ``signature_sweep`` list (``bench/workloads.SWEEP``), in list order.
 """
@@ -31,6 +31,7 @@ COMMANDS = (
     ["all", "--seed", "7"],
     ["verify", "signs", "--max-n", "8"],
     ["verify", "brackets", "--max-n", "8"],
+    ["verify", "brackets", "--max-n", "10"],
     ["commuting", "--sig1", "4,0", "--sig2", "0,6"],
 )
 

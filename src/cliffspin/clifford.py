@@ -350,7 +350,8 @@ def verify_module_signs(max_n: int, tol: float = DEFAULT_TOL):
 
     Both branches are checked when n is odd.  Returns a Report whose
     details carry the per-signature measured and expected rows; failures
-    are reported, never raised (perturbed gammas give a failed row).
+    are reported, never raised (perturbed gammas give a failed row).  A row
+    whose measurement raised carries the ValueError text under ``error``.
     Raises ValueError when max_n < 1 and, before any module is built, when
     the largest module is above ``MAX_MODULE_DIM``.
     """
@@ -368,10 +369,11 @@ def verify_module_signs(max_n: int, tol: float = DEFAULT_TOL):
                 expected = sign_triple(sig.s)
                 res = module_residuals(m)
                 row_max = max(res.values())
+                failure = {}
                 try:
                     measured, _ = measure_sign_triple(m, tol)
-                except ValueError:
-                    measured = None
+                except ValueError as exc:
+                    measured, failure = None, {"error": str(exc)}
                 ok = measured == expected and row_max < tol
                 all_ok = all_ok and ok
                 worst = max(worst, row_max)
@@ -381,6 +383,7 @@ def verify_module_signs(max_n: int, tol: float = DEFAULT_TOL):
                     "expected": list(expected),
                     "max_residual": row_max,
                     "passed": ok,
+                    **failure,
                 })
     return Report(
         name=f"sign-table(max_n={max_n})",

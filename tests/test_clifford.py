@@ -245,7 +245,13 @@ def test_perturbed_gammas_are_a_failed_sign_row():
     assert {(d["p"], d["q"]) for d in failed} == {
         (p, n - p) for n in range(1, 4) for p in range(n + 1)}
     assert all(d["measured"] is None for d in failed)
+    # a 1×1 gamma is still an involution map, so (1,0) fails one step later,
+    # at the closed-form J, which is no longer unitary
+    for d in failed:
+        reason = "not unitary" if (d["p"], d["q"]) == (1, 0) else "fixed_space"
+        assert reason in d["error"], d
     assert all(d["passed"] for d in report.details if d["p"] + d["q"] == 0)
+    assert all("error" not in d for d in report.details if d["passed"])
 
 
 def random_unitary(dim, seed):

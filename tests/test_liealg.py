@@ -2,16 +2,27 @@
 Casimir against the direct gamma product, the chirality split, and
 intertwiner-based equivalence tests."""
 
+import importlib.util
 import itertools
 import math
+import time
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cliffspin import liealg
 from cliffspin.clifford import build_irrep, gamma_chain, product_of
+from cliffspin.commuting import _product_generators, build_commuting, product_so_generators
 from cliffspin.liealg import (
     SoRepresentation,
+    _dense_bracket_table,
     bracket_residual,
+    bracket_residual_table,
     casimir_element,
     expected_structure,
     find_intertwiner,
@@ -56,9 +67,13 @@ def gamma_representation(pq):
 
 
 def test_empty_generator_set():
-    rep = so_generators(build_irrep((0, 0)))
-    assert rep.generators == {}
-    assert bracket_residual(rep) == 0.0
+    for pq in [(0, 0), (1, 0), (0, 1)]:
+        rep = so_generators(build_irrep(pq))
+        assert rep.generators == {}
+        table = bracket_residual_table(rep)
+        assert table.shape == (0, 0)
+        assert np.array_equal(table, _dense_bracket_table(rep))
+        assert bracket_residual(rep) == 0.0
 
 
 def test_single_generator_value():
@@ -87,6 +102,165 @@ def test_single_sign_flip_breaks_brackets():
     gens[(0, 1)] = frozen(-gens[(0, 1)])
     broken = SoRepresentation(eta=rep.eta, dim=rep.dim, generators=gens)
     assert bracket_residual(broken) >= 0.5
+
+
+def load_sweep():
+    """The benchmark's ``signature_sweep`` list, ``bench/workloads.SWEEP``."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SWEEP
+
+
+def random_unitary(dim, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return np.linalg.qr(z)[0]
+
+
+def spied_table(rep):
+    """The bracket table, and whether the dense loop computed it."""
+    with mock.patch.object(liealg, "_dense_bracket_table",
+                           wraps=liealg._dense_bracket_table) as spy:
+        table = bracket_residual_table(rep)
+    return table, spy.called
+
+
+def kernel_table(rep):
+    table, dense = spied_table(rep)
+    assert not dense
+    return table
+
+
+class TestPhasedPermutationKernel:
+    SWEEP = load_sweep()
+
+    @pytest.mark.parametrize("p, q, branch", SWEEP)
+    def test_sweep_bit_equal_to_dense(self, p, q, branch):
+        rep = so_generators(build_irrep((p, q), branch))
+        for r in (rep, flipped_representation(rep)):
+            assert np.array_equal(kernel_table(r), _dense_bracket_table(r))
+
+    @pytest.mark.parametrize("p, q, branch", SWEEP)
+    def test_negated_metric_bit_equal_to_dense(self, p, q, branch):
+        rep = so_generators(build_irrep((p, q), branch))
+        for r in (rep, flipped_representation(rep)):
+            wrong = SoRepresentation(eta=-np.asarray(r.eta), dim=r.dim,
+                                     generators=r.generators)
+            table = kernel_table(wrong)
+            assert np.array_equal(table, _dense_bracket_table(wrong))
+            if r.n >= 3:
+                assert table.max() == 1.0
+
+    @pytest.mark.parametrize("pair", [((4, 0), (0, 6)), ((0, 3), (0, 3))])
+    def test_product_generators_bit_equal_to_dense(self, pair):
+        combined = product_so_generators(build_commuting(*pair)).combined
+        table = kernel_table(combined)
+        assert np.array_equal(table, _dense_bracket_table(combined))
+        assert table.max() == 0.0
+
+    def test_anticommuting_split_bit_equal_to_dense(self):
+        m = build_irrep((0, 4))
+        combined = _product_generators(list(m.gammas[:3]), list(m.gammas[3:]),
+                                       [-1, -1, -1], [-1]).combined
+        table = kernel_table(combined)
+        assert np.array_equal(table, _dense_bracket_table(combined))
+        assert table.max() >= 0.5
+
+    @pytest.mark.parametrize("pq", [(0, 3), (2, 1), (0, 4), (3, 2), (1, 5), (4, 4)])
+    def test_exchanged_generators_bit_equal_to_dense(self, pq):
+        # T⁰¹ and T⁰² swapped: still phased permutations, but the structure
+        # term now lands on other columns than the commutator
+        rep = so_generators(build_irrep(pq))
+        gens = dict(rep.generators)
+        gens[(0, 1)], gens[(0, 2)] = gens[(0, 2)], gens[(0, 1)]
+        swapped = SoRepresentation(eta=rep.eta, dim=rep.dim, generators=gens)
+        table = kernel_table(swapped)
+        assert np.array_equal(table, _dense_bracket_table(swapped))
+        assert table.max() >= 0.5
+
+    @pytest.mark.parametrize("seed, dim", [(seed, dim) for seed in range(4) for dim in (3, 6)])
+    def test_random_phased_permutations_bit_equal_to_dense(self, seed, dim):
+        # permutations that are not Pauli strings put TᵢTⱼ, TⱼTᵢ and the
+        # structure term on different columns of a row; power-of-two
+        # magnitudes keep every product and sum exact
+        rng = np.random.default_rng(seed)
+        n = 4
+        gens = {}
+        for a in range(n):
+            for b in range(a + 1, n):
+                g = np.zeros((dim, dim), dtype=complex)
+                g[np.arange(dim), rng.permutation(dim)] = (
+                    2.0 ** rng.integers(-3, 4, dim) * rng.choice([1, -1, 1j, -1j], dim))
+                gens[(a, b)] = frozen(g)
+        rep = SoRepresentation(eta=rng.choice([1, -1], n), dim=dim, generators=gens)
+        table = kernel_table(rep)
+        assert np.array_equal(table, _dense_bracket_table(rep))
+        assert table.max() > 0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10).flatmap(
+        lambda n: st.tuples(st.integers(0, n), st.just(n), st.sampled_from((1, -1)))))
+    def test_bit_equal_to_dense_over_signatures(self, pnb):
+        p, n, branch = pnb
+        rep = so_generators(build_irrep((p, n - p), 1 if n % 2 == 0 else branch))
+        assert np.array_equal(kernel_table(rep), _dense_bracket_table(rep))
+
+    @pytest.mark.parametrize("pq", [(0, 3), (2, 2), (1, 4)])
+    def test_noisy_gammas_take_the_dense_loop(self, pq):
+        m = build_irrep(pq)
+        rng = np.random.default_rng(m.n)
+        noisy = [g + 1e-3 * rng.standard_normal(g.shape) for g in m.gammas]
+        rep = SoRepresentation(eta=np.asarray(m.eta), dim=m.dim, generators={
+            (a, b): frozen(0.5 * (noisy[a] @ noisy[b]))
+            for a in range(m.n) for b in range(a + 1, m.n)})
+        table, dense = spied_table(rep)
+        assert dense
+        assert np.array_equal(table, _dense_bracket_table(rep))
+        assert 0.0 < table.max() < 0.1
+
+    @pytest.mark.parametrize("pq", [(0, 3), (2, 2), (1, 4)])
+    def test_conjugated_generators_take_the_dense_loop(self, pq):
+        rep = so_generators(build_irrep(pq))
+        u = random_unitary(rep.dim, sum(pq))
+        conjugated = SoRepresentation(eta=rep.eta, dim=rep.dim, generators={
+            key: frozen(u @ g @ u.conj().T) for key, g in rep.generators.items()})
+        table, dense = spied_table(conjugated)
+        assert dense
+        assert np.array_equal(table, _dense_bracket_table(conjugated))
+        assert table.max() < 1e-12
+
+    def test_entry_off_the_permutation_support_takes_the_dense_loop(self):
+        rep = so_generators(build_irrep((0, 4)))
+        gens = dict(rep.generators)
+        g = np.array(gens[(0, 1)])
+        row = 0
+        off = next(c for c in range(rep.dim) if g[row, c] == 0)
+        g[row, off] = 1e-300
+        gens[(0, 1)] = frozen(g)
+        tiny = SoRepresentation(eta=rep.eta, dim=rep.dim, generators=gens)
+        table, dense = spied_table(tiny)
+        assert dense
+        assert np.array_equal(table, _dense_bracket_table(tiny))
+        assert table.max() < 1e-299
+
+    @pytest.mark.parametrize("pq", [(0, 14), (7, 7)])
+    def test_large_tables_are_exact_and_small(self, pq):
+        # 91×91 tables at d = 128, far past the dense loop's practical reach
+        rep = so_generators(build_irrep(pq))
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            table = kernel_table(rep)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (91, 91)
+        assert np.all(table == 0.0)
+        assert peak < 8 * 2 ** 20
+        assert elapsed < 5.0
 
 
 class TestCasimir:
@@ -199,9 +373,7 @@ class TestIntertwiner:
     @pytest.mark.parametrize("pq", [(0, 4), (2, 2), (0, 6)])
     def test_conjugate_by_random_unitary_is_equivalent(self, pq):
         rep_a = so_generators(build_irrep(pq))
-        rng = np.random.default_rng(5)
-        z = rng.standard_normal((rep_a.dim,) * 2) + 1j * rng.standard_normal((rep_a.dim,) * 2)
-        v, _ = np.linalg.qr(z)
+        v = random_unitary(rep_a.dim, 5)
         gens = {key: frozen(v @ g @ v.conj().T) for key, g in rep_a.generators.items()}
         rep_b = SoRepresentation(eta=rep_a.eta, dim=rep_a.dim, generators=gens)
         w = find_intertwiner(rep_a, rep_b)
