@@ -7,7 +7,9 @@ Run from the root of a source checkout; the package is imported from
 checkouts on the same machine shows whether a change keeps the output
 byte-identical.  One line per output, ``<sha256>  <exit code>  <label>``:
 
-* the JSON output of five CLI invocations, run in-process;
+* the JSON output of seven CLI invocations, run in-process: among them
+  ``pati-salam`` with 300 samples and ``three-actions``, which pin the
+  sampled spectral loops and the three-action defect outside ``all``;
 * one hash over ``module_to_json`` of every module in the benchmark's
   ``signature_sweep`` list (``bench/workloads.SWEEP``), in list order.
 """
@@ -33,6 +35,8 @@ COMMANDS = (
     ["verify", "brackets", "--max-n", "8"],
     ["verify", "brackets", "--max-n", "10"],
     ["commuting", "--sig1", "4,0", "--sig2", "0,6"],
+    ["pati-salam", "--seed", "11", "--samples", "300"],
+    ["three-actions", "--sig1", "0,3", "--sig2", "0,3", "--sig3", "0,3"],
 )
 
 

@@ -30,6 +30,7 @@ from .linalg import (
     DEFAULT_TOL,
     AntilinearOp,
     anticommutator,
+    check_commuting_involutions,
     eye,
     fixed_space,
     frozen,
@@ -296,13 +297,17 @@ def measure_sign_triple(m: CliffordModule, tol: float = DEFAULT_TOL):
     even n both signs do (J and Ĵ) and the real structure is the commuting
     one; for odd n exactly one does.  J for the measured ε′ is then taken in
     closed form (:func:`closed_form_real_structure`), and ε and ε″ are read
-    off it; returns the triple and that J.  Raises ValueError for gammas that
-    are not anticommuting involutions, admit the wrong signs or miss the
-    closed form.
+    off it; returns the triple and that J.  The sign s changes neither the
+    involution nor the commutation precondition of the fixed space, so
+    :func:`linalg.check_commuting_involutions` runs once for both signs.
+    Raises ValueError for gammas that are not anticommuting involutions,
+    admit the wrong signs or miss the closed form.
     """
-    pairs = [(np.linalg.inv(g), np.conj(g)) for g in m.gammas]
+    pairs = check_commuting_involutions(
+        [(np.linalg.inv(g), np.conj(g)) for g in m.gammas], m.dim)
     solvable = [sign for sign in (1, -1)
-                if fixed_space([(sign * inv, conj) for inv, conj in pairs], m.dim).shape[1] == 1]
+                if fixed_space([(sign * inv, conj) for inv, conj in pairs], m.dim,
+                               checked=True).shape[1] == 1]
     if not solvable:
         raise ValueError("no antilinear structure found for either sign pattern")
     if m.n % 2 == 0:

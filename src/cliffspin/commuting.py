@@ -46,6 +46,7 @@ from .linalg import (
     eye,
     frozen,
     kron,
+    linear_combination,
     max_abs,
     tensor_antilinear,
 )
@@ -386,7 +387,8 @@ def three_action_closure_defect(sig_a, sig_b, sig_c) -> float:
                 for gb in lifted[j]:
                     quadratics.append(0.5 * (ga @ gb))
     dim = dims[0] * dims[1] * dims[2]
-    span = [eye(dim)] + quadratics
+    span = np.stack([eye(dim)] + quadratics)
+    quadratics = span[1:]
 
     def realvec(mat):
         flat = np.asarray(mat, dtype=complex).ravel()
@@ -399,7 +401,7 @@ def three_action_closure_defect(sig_a, sig_b, sig_c) -> float:
         for j in range(i + 1, len(quadratics)):
             comm = commutator(quadratics[i], quadratics[j])
             coeff = pinv @ realvec(comm)
-            recon = sum(c * m for c, m in zip(coeff, span))
+            recon = linear_combination(coeff, span)
             defect = max(defect, max_abs(comm - recon))
     return defect
 

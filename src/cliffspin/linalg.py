@@ -23,6 +23,12 @@ NULL_RTOL = 1e-9
 #: seeded random probes that :func:`fixed_space` projects
 FIXED_SPACE_PROBES = 3
 
+#: matrix entries per stacked product of :func:`check_commuting_involutions`:
+#: the maps, and the (i, j) pairs of maps, are checked in blocks of at most
+#: this many entries in all (one map or pair at least), so the check's memory
+#: does not grow with the number of maps
+PRECONDITION_BLOCK_ENTRIES = 1 << 15
+
 #: largest matrix dimension d for the dense d²-unknown Kronecker reference
 #: solve (antilinear commutant): d = 32 (n = 10) builds a constraint matrix
 #: of about 170 MB; d = 64 (n = 12) would need several GB
@@ -52,11 +58,20 @@ def eye(dim: int) -> np.ndarray:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product, first factor major:
+    """Kronecker product of two matrices, first factor major:
 
     out[i*db + k, j*db + l] = a[i, j] * b[k, l]
+
+    One broadcast multiply forms the same products as ``np.kron``, so the
+    result is bit-identical to it, without its per-call overhead.  Raises
+    ValueError unless both inputs are 2-D.
     """
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError(f"kron expects two matrices, got shapes {a.shape} and {b.shape}")
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def kron_all(mats) -> np.ndarray:
@@ -65,6 +80,21 @@ def kron_all(mats) -> np.ndarray:
     for m in mats:
         out = kron(out, m)
     return out
+
+
+def linear_combination(coeffs, mats) -> np.ndarray:
+    """Σᵢ coeffs[i]·mats[i] over a stack (or sequence) of equal-shape matrices.
+
+    The terms are added in index order starting from 0, as Python's
+    ``sum(c * m for c, m in zip(coeffs, mats))`` adds them, so the result is
+    bit-identical to that sum, signs of zeros included; an empty
+    combination is the zero matrix of the stack's shape.
+    """
+    coeffs = np.asarray(coeffs)
+    stack = np.asarray(mats, dtype=complex)
+    if coeffs.shape != stack.shape[:1] or stack.ndim != 3:
+        raise ValueError(f"{coeffs.shape} coefficients for a stack of shape {stack.shape}")
+    return np.add.reduce(coeffs[:, None, None] * stack, axis=0, initial=0)
 
 
 def commutator(a, b) -> np.ndarray:
@@ -122,30 +152,74 @@ def null_space(a, rtol: float = NULL_RTOL) -> np.ndarray:
     return vh[int(np.sum(s > rtol * s[0])):].conj().T
 
 
-def fixed_space(maps, dim: int) -> np.ndarray:
+def _first_failure(bad) -> int:
+    """Index of the first True entry of a boolean vector, or its length."""
+    return int(np.argmax(bad)) if bad.any() else len(bad)
+
+
+def check_commuting_involutions(maps, dim: int) -> list:
+    """The precondition of :func:`fixed_space`: every map Mᵢ: X ↦ Lᵢ·X·Rᵢ is
+    an involution (L² = c·1, R² = c⁻¹·1) and every two commute (LᵢLⱼ =
+    σLⱼLᵢ, RⱼRᵢ = σRᵢRⱼ, one σ ∈ {±1}), each to ``DEFAULT_TOL``.
+
+    Returns the maps as pairs of complex matrices.  Raises ValueError for the
+    first failure in the order map i, then its pairs (j, i) with j < i
+    ascending.  Both conditions are read off stacked products over blocks of
+    at most ``PRECONDITION_BLOCK_ENTRIES`` entries; a sign on any Lᵢ changes
+    neither, so maps that differ only by such signs need one check.
+    """
+    maps = [(as_matrix(left), as_matrix(right)) for left, right in maps]
+    block = max(1, PRECONDITION_BLOCK_ENTRIES // (dim * dim))
+    ident = eye(dim)
+
+    def stacked(side, index):
+        return np.stack([maps[k][side] for k in index])
+
+    bad_maps = [np.zeros(0, dtype=bool)]
+    for start in range(0, len(maps), block):
+        index = range(start, min(start + block, len(maps)))
+        lefts, rights = stacked(0, index), stacked(1, index)
+        lsq, rsq = lefts @ lefts, rights @ rights
+        c = np.trace(lsq, axis1=1, axis2=2) / dim
+        scale = np.where(c == 0, 1, c)[:, None, None]
+        resid = np.maximum(np.abs(lsq - scale * ident).max(axis=(1, 2)),
+                           np.abs(rsq - ident / scale).max(axis=(1, 2)))
+        bad_maps.append((c == 0) | ~(resid <= DEFAULT_TOL))
+    first_bad_map = _first_failure(np.concatenate(bad_maps))
+    rows, cols = np.tril_indices(first_bad_map, -1)
+    for start in range(0, len(rows), block):
+        i, j = rows[start:start + block], cols[start:start + block]
+        li, lj, ri, rj = stacked(0, i), stacked(0, j), stacked(1, i), stacked(1, j)
+        left_ij, left_ji = li @ lj, lj @ li
+        right_ji, right_ij = rj @ ri, ri @ rj
+        commutes = np.zeros(len(i), dtype=bool)
+        for sigma in (1, -1):
+            resid = np.maximum(np.abs(left_ij - sigma * left_ji).max(axis=(1, 2)),
+                               np.abs(right_ji - sigma * right_ij).max(axis=(1, 2)))
+            commutes |= resid <= DEFAULT_TOL
+        k = _first_failure(~commutes)
+        if k < len(i):
+            raise ValueError(f"fixed_space: maps {j[k]} and {i[k]} do not commute")
+    if first_bad_map < len(maps):
+        raise ValueError(f"fixed_space: map {first_bad_map} is not an involution")
+    return maps
+
+
+def fixed_space(maps, dim: int, checked: bool = False) -> np.ndarray:
     """Orthonormal basis (columns: row-major flattened X) of the dim×dim X
     with L·X·R = X for every (L, R) in ``maps``; no dim²-unknown system.
 
-    Each map Mᵢ: X ↦ Lᵢ·X·Rᵢ must be an involution (L² = c·1, R² = c⁻¹·1) and
-    every two must commute (LᵢLⱼ = σLⱼLᵢ, RⱼRᵢ = σRᵢRⱼ, one σ); both are
-    checked first, to ``DEFAULT_TOL``, else ValueError.  The projector
-    Πᵢ(1 + Mᵢ)/2 is applied to ``FIXED_SPACE_PROBES`` seeded probes (a
-    randomized range finder, arXiv:0909.4061) and the images are ranked
-    against the probe norm, so an empty space gives no column and a space
-    of ``FIXED_SPACE_PROBES`` dimensions or more gives that many.
+    The maps must be commuting involutions: :func:`check_commuting_involutions`
+    runs first and raises ValueError otherwise, unless ``checked`` says the
+    caller has already run it on these maps or on maps that differ from
+    them only by signs of the Lᵢ.  The projector Πᵢ(1 + Mᵢ)/2 is applied to
+    ``FIXED_SPACE_PROBES`` seeded probes (a randomized range finder,
+    arXiv:0909.4061) and the images are ranked against the probe norm, so
+    an empty space gives no column and a space of ``FIXED_SPACE_PROBES``
+    dimensions or more gives that many.
     """
-    maps = [(as_matrix(left), as_matrix(right)) for left, right in maps]
-    ident = eye(dim)
-    for i, (left, right) in enumerate(maps):
-        c = np.trace(left @ left) / dim
-        if c == 0 or max(max_abs(left @ left - c * ident),
-                         max_abs(right @ right - ident / c)) > DEFAULT_TOL:
-            raise ValueError(f"fixed_space: map {i} is not an involution")
-        for j, (left_j, right_j) in enumerate(maps[:i]):
-            if not any(max_abs(left @ left_j - sigma * left_j @ left) <= DEFAULT_TOL
-                       and max_abs(right_j @ right - sigma * right @ right_j) <= DEFAULT_TOL
-                       for sigma in (1, -1)):
-                raise ValueError(f"fixed_space: maps {j} and {i} do not commute")
+    if not checked:
+        maps = check_commuting_involutions(maps, dim)
     rng = np.random.default_rng(0)
     shape = (FIXED_SPACE_PROBES, dim, dim)
     images = probes = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

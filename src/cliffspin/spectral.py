@@ -40,6 +40,7 @@ from .linalg import (
     expm,
     frozen,
     kron,
+    linear_combination,
     max_abs,
     tensor_antilinear,
     unitarity_residual,
@@ -56,6 +57,11 @@ def _as_rng(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     return np.random.default_rng(rng)
+
+
+def _stacked(mats) -> np.ndarray:
+    """Read-only stack of equal-shape matrices, for :func:`linear_combination`."""
+    return frozen(np.stack(list(mats)))
 
 
 def monomial_basis(m: CliffordModule, parity: int) -> list:
@@ -113,6 +119,9 @@ class PatiSalamTriple:
 
     ``pi2_plus`` and ``pi2_minus`` are the chirality projections π₂^± of the
     second factor, on C⁸; the left and right actions lift them to C⁴⊗C⁸.
+    ``even_basis1`` and ``even_basis2`` stack the even monomial bases of the
+    two factors, and ``quadratics1`` and ``quadratics2`` their quadratic
+    monomials in ``so_generators`` order, each built once per triple.
     """
 
     variant: str
@@ -122,8 +131,10 @@ class PatiSalamTriple:
     pi2_plus: np.ndarray
     pi2_minus: np.ndarray
     sign_triple: SignTriple
-    even_basis1: tuple
-    even_basis2: tuple
+    even_basis1: np.ndarray
+    even_basis2: np.ndarray
+    quadratics1: np.ndarray
+    quadratics2: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -157,15 +168,14 @@ class PatiSalamTriple:
         rng = _as_rng(rng)
         c1 = rng.standard_normal(len(self.even_basis1))
         c2 = rng.standard_normal(len(self.even_basis2))
-        a1 = sum(c * b for c, b in zip(c1, self.even_basis1))
-        a2 = sum(c * b for c, b in zip(c2, self.even_basis2))
-        return AlgebraElement(a1, a2)
+        return AlgebraElement(linear_combination(c1, self.even_basis1),
+                              linear_combination(c2, self.even_basis2))
 
     def dirac_operator(self, d) -> DiracData:
         d = np.asarray(d, dtype=float)
         if d.shape != (4,):
             raise ValueError("the Dirac coefficient vector has four real entries")
-        mat = sum(d[a] * self.action.gamma1[a] for a in range(4))
+        mat = linear_combination(d, self.action.gamma1)
         return DiracData(d=frozen(d).real, matrix=frozen(mat))
 
 
@@ -193,8 +203,10 @@ def build_pati_salam(variant: str = "hatted_second",
         pi2_plus=frozen(pi2p),
         pi2_minus=frozen(pi2m),
         sign_triple=measured,
-        even_basis1=tuple(monomial_basis(ca.mod1, 0)),
-        even_basis2=tuple(monomial_basis(ca.mod2, 0)),
+        even_basis1=_stacked(monomial_basis(ca.mod1, 0)),
+        even_basis2=_stacked(monomial_basis(ca.mod2, 0)),
+        quadratics1=_stacked(so_generators(ca.mod1).generators.values()),
+        quadratics2=_stacked(so_generators(ca.mod2).generators.values()),
     )
 
 
@@ -271,18 +283,18 @@ def ko_dimension(triple: PatiSalamTriple, dirac: DiracData,
 def sample_gauge_element(triple: PatiSalamTriple, rng, scale: float = 1.0) -> GaugeElement:
     """u = (exp Σθ·T₁, exp Σφ·T₂) with coefficients uniform in [−scale, scale].
 
-    The quadratic monomials are anti-Hermitian for both factors, so the
-    exponentials are unitary, even and real-subalgebra members.
+    The quadratic monomials are the triple's stacked ``quadratics1`` and
+    ``quadratics2``; all θ are drawn in one call, then all φ, which gives
+    the same numbers as one scalar draw per monomial.  The monomials are
+    anti-Hermitian for both factors, so the exponentials are unitary, even
+    and real-subalgebra members.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
     rng = _as_rng(rng)
-    u_parts = []
-    for mod in (triple.action.mod1, triple.action.mod2):
-        quads = so_generators(mod).generators
-        gen = sum(rng.uniform(-scale, scale) * t for t in quads.values())
-        u_parts.append(expm(gen))
-    return GaugeElement(u1=u_parts[0], u2=u_parts[1])
+    u1, u2 = (expm(linear_combination(rng.uniform(-scale, scale, size=len(quads)), quads))
+              for quads in (triple.quadratics1, triple.quadratics2))
+    return GaugeElement(u1=u1, u2=u2)
 
 
 def gauge_element_residuals(triple: PatiSalamTriple, u: GaugeElement) -> dict:
@@ -368,7 +380,7 @@ def higgs_transform(triple: PatiSalamTriple, dirac: DiracData, u: GaugeElement,
     g, factor_resid, det_err = _adjoint_image(triple, u)
     failure = _adjoint_failure(factor_resid, det_err, tol, DET_TOL)
     transported = g @ dirac.matrix @ dagger(g)
-    d_small = sum(dirac.d[a] * triple.action.mod1.gammas[a] for a in range(4))
+    d_small = linear_combination(dirac.d, triple.action.mod1.gammas)
     expected = kron(u.u1 @ d_small @ dagger(u.u1), eye(triple.dim2))
     resid = max_abs(transported - expected)
     d_new = np.array([

@@ -7,6 +7,7 @@ measurement (attempting both antilinear sign patterns)."""
 import dataclasses
 import json
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffspin import clifford
+from cliffspin import clifford, linalg
 from cliffspin.clifford import (
     Signature,
     build_irrep,
@@ -213,6 +214,32 @@ def test_n_12_modules_are_built_and_measured(pq, row):
     assert m.dim == 64
     assert all(value == 0.0 for value in module_residuals(m).values())
     assert tuple(measured) == row == sign_triple(m.s)
+
+
+@pytest.mark.parametrize("pq", [(0, 3), (2, 2), (3, 4)])
+def test_one_precondition_per_sign_measurement(pq):
+    # the sign s changes neither the involution nor the commutation check,
+    # so both sign patterns share one
+    m = build_irrep(pq)
+    spy = mock.Mock(wraps=linalg.check_commuting_involutions)
+    with mock.patch.object(clifford, "check_commuting_involutions", spy), \
+            mock.patch.object(linalg, "check_commuting_involutions", spy):
+        measured, _ = measure_sign_triple(m)
+    assert spy.call_count == 1
+    assert tuple(measured) == sign_triple(m.s)
+
+
+def test_sign_measurement_memory_at_n_15():
+    # the blocked pairwise precondition keeps no all-pairs temporary: the
+    # fifteen d = 128 gammas give 105 pairs of 128×128 products
+    m = build_irrep((7, 8))
+    tracemalloc.start()
+    try:
+        measure_sign_triple(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6
 
 
 def test_oversized_modules_are_refused_before_anything_is_built():

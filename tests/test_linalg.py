@@ -8,15 +8,19 @@ import numpy as np
 import pytest
 
 from cliffspin.linalg import (
+    DEFAULT_TOL,
     FIXED_SPACE_PROBES,
     MAX_KRONECKER_DIM,
+    PRECONDITION_BLOCK_ENTRIES,
     AntilinearOp,
     antilinear_constraints,
+    check_commuting_involutions,
     check_kronecker_dim,
     expm,
     eye,
     fixed_space,
     kron,
+    linear_combination,
     max_abs,
     null_space,
     phase_normalize,
@@ -89,6 +93,71 @@ class TestKron:
         rng = np.random.default_rng(13)
         a, b, c = (random_complex(rng, 2) for _ in range(3))
         assert max_abs(kron(kron(a, b), c) - kron(a, kron(b, c))) < 1e-12
+
+    def test_bit_identical_to_numpy_on_non_square_input(self):
+        rng = np.random.default_rng(14)
+        for shape_a, shape_b in (((2, 3), (4, 1)), ((1, 5), (3, 2)), ((3, 3), (2, 4))):
+            a = rng.standard_normal(shape_a) + 1j * rng.standard_normal(shape_a)
+            b = 1e8 * rng.standard_normal(shape_b) + 1e-8j * rng.standard_normal(shape_b)
+            assert kron(a, b).tobytes() == np.kron(a, b).tobytes()
+
+    def test_bit_identical_to_numpy_on_signed_zeros_and_non_finite_entries(self):
+        a = np.array([[-0.0, complex(0.0, -0.0)], [np.inf, complex(1.0, np.nan)]])
+        b = np.array([[complex(-0.0, 2.0), -1.0], [complex(np.inf, -np.inf), 0.0]])
+        with np.errstate(invalid="ignore"):
+            assert kron(a, b).tobytes() == np.kron(a, b).tobytes()
+            assert kron(b, a).tobytes() == np.kron(b, a).tobytes()
+
+    def test_bit_identical_to_numpy_on_1x1_input(self):
+        a, b = np.array([[-0.0 + 2j]]), S2
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert kron(x, y).tobytes() == np.kron(x, y).tobytes()
+
+    @pytest.mark.parametrize("a, b", [
+        (np.ones(2), S1), (S1, np.ones(2)), (np.ones((2, 2, 2)), S1), (1.0, S1)])
+    def test_non_matrix_input_raises(self, a, b):
+        with pytest.raises(ValueError, match="two matrices"):
+            kron(a, b)
+
+
+class TestLinearCombination:
+    @staticmethod
+    def python_sum(coeffs, mats):
+        return sum(c * m for c, m in zip(coeffs, mats))
+
+    def test_bit_identical_to_the_python_sum_where_order_matters(self):
+        rng = np.random.default_rng(21)
+        scales = 10.0 ** rng.integers(-12, 12, size=32)
+        coeffs = rng.standard_normal(32) * scales
+        mats = np.stack([random_complex(rng, 4) * s for s in scales[::-1]])
+        expected = self.python_sum(coeffs, mats)
+        # the terms cancel to different roundings in another order
+        assert expected.tobytes() != self.python_sum(coeffs[::-1], mats[::-1]).tobytes()
+        assert linear_combination(coeffs, mats).tobytes() == expected.tobytes()
+        assert linear_combination(coeffs, list(mats)).tobytes() == expected.tobytes()
+
+    def test_bit_identical_for_real_and_complex_coefficients(self):
+        rng = np.random.default_rng(22)
+        mats = np.stack([random_complex(rng, 3) for _ in range(8)])
+        for coeffs in (rng.standard_normal(8),
+                       rng.standard_normal(8) + 1j * rng.standard_normal(8)):
+            assert (linear_combination(coeffs, mats).tobytes()
+                    == self.python_sum(coeffs, mats).tobytes())
+
+    def test_bit_identical_on_signed_zeros(self):
+        mats = np.array([[[-0.0, complex(-0.0, -0.0)], [1.0, -0.0]],
+                         [[-0.0, -0.0], [-1.0, complex(-0.0, 1.0)]]])
+        for coeffs in ([1.0, 1.0], [-0.0, 2.0], [-1.0, -1.0]):
+            assert (linear_combination(np.array(coeffs), mats).tobytes()
+                    == self.python_sum(coeffs, mats).tobytes())
+
+    def test_empty_combination_is_zero(self):
+        out = linear_combination(np.zeros(0), np.zeros((0, 2, 2)))
+        assert out.shape == (2, 2) and not out.any()
+
+    def test_one_coefficient_per_matrix(self):
+        with pytest.raises(ValueError, match="coefficients"):
+            linear_combination(np.ones(3), np.stack([S1, S2]))
 
 
 class TestExpm:
@@ -327,6 +396,83 @@ class TestFixedSpace:
     def test_preconditions_are_checked_first(self, maps, message):
         with pytest.raises(ValueError, match=message):
             fixed_space(maps, 2)
+
+
+def loop_precondition_failure(maps, dim):
+    """The pairwise loop the batched precondition replaced: the message of
+    the first failure, map i before its pairs (j, i), or None."""
+    ident = eye(dim)
+    for i, (left, right) in enumerate(maps):
+        c = np.trace(left @ left) / dim
+        if c == 0 or max(max_abs(left @ left - c * ident),
+                         max_abs(right @ right - ident / c)) > DEFAULT_TOL:
+            return f"fixed_space: map {i} is not an involution"
+        for j, (left_j, right_j) in enumerate(maps[:i]):
+            if not any(max_abs(left @ left_j - sigma * left_j @ left) <= DEFAULT_TOL
+                       and max_abs(right_j @ right - sigma * right @ right_j) <= DEFAULT_TOL
+                       for sigma in (1, -1)):
+                return f"fixed_space: maps {j} and {i} do not commute"
+    return None
+
+
+class TestCommutingInvolutions:
+    # the (0,3) gammas as maps K ↦ γ⁻¹·K·conj(γ): commuting involutions
+    GOOD = [(np.linalg.inv(1j * s), np.conj(1j * s)) for s in (S1, S2, S3)]
+
+    def test_returns_the_maps_as_matrices(self):
+        maps = check_commuting_involutions([([[1]], [[1]]), (-eye(1), eye(1))], 1)
+        assert [m.shape for pair in maps for m in pair] == [(1, 1)] * 4
+        assert check_commuting_involutions([], 3) == []
+
+    def test_lowest_non_commuting_pair_is_named(self):
+        # map 3 fails against map 1 and map 4 against map 0: the report
+        # names (1, 3), the lowest pair in the order i, then j < i
+        maps = [(S1, S1), (S3, S3), (S1, S1), (S1, eye(2)), (S3, eye(2))]
+        assert loop_precondition_failure(maps, 2) == "fixed_space: maps 1 and 3 do not commute"
+        with pytest.raises(ValueError, match="^fixed_space: maps 1 and 3 do not commute$"):
+            check_commuting_involutions(maps, 2)
+
+    def test_involution_failure_after_earlier_pairs(self):
+        # pair (0, 1) fails before map 2 is checked, and map 2 fails before
+        # its own pairs
+        maps = [(S1, S1), (S3, S1), (2 * S1, S1)]
+        with pytest.raises(ValueError, match="maps 0 and 1 do not commute"):
+            check_commuting_involutions(maps, 2)
+        maps = [(S1, S1), (S1, S1), (S1 + S3, S1), (S3, S1)]
+        with pytest.raises(ValueError, match="map 2 is not an involution"):
+            check_commuting_involutions(maps, 2)
+
+    def test_nan_is_not_an_involution(self):
+        with pytest.raises(ValueError, match="map 0 is not an involution"):
+            check_commuting_involutions([(S1, np.full((2, 2), np.nan))], 2)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_loop_across_blocks(self, seed):
+        # d = 64 puts PRECONDITION_BLOCK_ENTRIES // d² pairs in a block, so
+        # a dozen maps span many blocks; faults land at random maps from 5 on,
+        # whose pairs lie past the first block
+        rng = np.random.default_rng(seed)
+        dim = 64
+        assert PRECONDITION_BLOCK_ENTRIES // (dim * dim) < 10
+        diag = [np.diag(rng.choice([-1.0, 1.0], size=dim)).astype(complex) for _ in range(12)]
+        maps = [(d, d) for d in diag]
+        swap = np.eye(dim, dtype=complex)[np.arange(dim) ^ 1]
+        for k in rng.choice(np.arange(5, 12), size=rng.integers(1, 4), replace=False):
+            maps[k] = (swap, swap) if rng.random() < 0.7 else (2 * diag[k], diag[k])
+        expected = loop_precondition_failure(maps, dim)
+        if expected is None:
+            assert len(check_commuting_involutions(maps, dim)) == 12
+        else:
+            with pytest.raises(ValueError, match=f"^{expected}$"):
+                check_commuting_involutions(maps, dim)
+
+    def test_checked_maps_skip_the_precondition(self):
+        maps = check_commuting_involutions(self.GOOD, 2)
+        with mock.patch("cliffspin.linalg.check_commuting_involutions",
+                        side_effect=AssertionError("checked twice")):
+            for sign, count in ((1, 1), (-1, 0)):
+                signed = [(sign * left, right) for left, right in maps]
+                assert fixed_space(signed, 2, checked=True).shape == (4, count)
 
 
 class TestKroneckerLimit:

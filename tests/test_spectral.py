@@ -3,9 +3,13 @@ conditions, measured sign rows for both real-structure variants, gauge
 action with unimodularity, Dirac covariance, and the extension of the
 gauge symmetry to the full 45-generator algebra."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from cliffspin import liealg, spectral
+from cliffspin.liealg import so_generators
 from cliffspin.linalg import commutator, dagger, expm, eye, kron, max_abs
 from cliffspin.spectral import (
     AlgebraElement,
@@ -197,6 +201,27 @@ class TestGauge:
     def test_scale_must_be_positive(self, triple):
         with pytest.raises(ValueError):
             sample_gauge_element(triple, 0, scale=0.0)
+
+    def test_vectorized_draws_equal_scalar_draws(self, triple):
+        # one uniform draw per monomial and a Python sum, factor by factor:
+        # the sampler's batched draws and stacked combination give the same bits
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        for scale in (1.0, 0.25):
+            u = sample_gauge_element(triple, rng, scale)
+            ref = [expm(sum(ref_rng.uniform(-scale, scale) * t
+                            for t in so_generators(mod).generators.values()))
+                   for mod in (triple.action.mod1, triple.action.mod2)]
+            assert u.u1.tobytes() == ref[0].tobytes()
+            assert u.u2.tobytes() == ref[1].tobytes()
+        assert rng.random() == ref_rng.random()
+
+    def test_quadratic_monomials_are_built_once_per_triple(self):
+        spy = mock.Mock(wraps=liealg.so_generators)
+        with mock.patch.object(liealg, "so_generators", spy), \
+                mock.patch.object(spectral, "so_generators", spy):
+            triple = build_pati_salam("hatted_second", action=TRIPLES["plain"].action)
+            assert verify_gauge_action(triple, 50, rng=0).passed
+        assert spy.call_count <= 2
 
 
 class TestHiggs:
