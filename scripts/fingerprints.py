@@ -7,9 +7,10 @@ Run from the root of a source checkout; the package is imported from
 checkouts on the same machine shows whether a change keeps the output
 byte-identical.  One line per output, ``<sha256>  <exit code>  <label>``:
 
-* the JSON output of seven CLI invocations, run in-process: among them
-  ``pati-salam`` with 300 samples and ``three-actions``, which pin the
-  sampled spectral loops and the three-action defect outside ``all``;
+* the JSON output of eight CLI invocations, run in-process: among them
+  ``pati-salam`` with 300 samples and with 17 (two full sample blocks and
+  a partial one) and ``three-actions``, which pin the sampled spectral
+  loops and the three-action defect outside ``all``;
 * one hash over ``module_to_json`` of every module in the benchmark's
   ``signature_sweep`` list (``bench/workloads.SWEEP``), in list order.
 """
@@ -36,6 +37,7 @@ COMMANDS = (
     ["verify", "brackets", "--max-n", "10"],
     ["commuting", "--sig1", "4,0", "--sig2", "0,6"],
     ["pati-salam", "--seed", "11", "--samples", "300"],
+    ["pati-salam", "--seed", "3", "--samples", "17"],
     ["three-actions", "--sig1", "0,3", "--sig2", "0,3", "--sig3", "0,3"],
 )
 

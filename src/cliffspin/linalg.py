@@ -29,6 +29,12 @@ FIXED_SPACE_PROBES = 3
 #: does not grow with the number of maps
 PRECONDITION_BLOCK_ENTRIES = 1 << 15
 
+#: matrix entries per stacked product of the sampled loops of ``spectral``
+#: and the per-generator loops of ``commuting``: samples or generators are
+#: stacked in blocks of at most this many entries per d×d matrix (one item
+#: at least), 8 at d = 32, so their memory does not grow with the count
+STACK_BLOCK_ENTRIES = 1 << 13
+
 #: largest matrix dimension d for the dense d²-unknown Kronecker reference
 #: solve (antilinear commutant): d = 32 (n = 10) builds a constraint matrix
 #: of about 170 MB; d = 64 (n = 12) would need several GB
@@ -45,12 +51,42 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def as_matrices(a) -> np.ndarray:
+    """Coerce the input to a square complex matrix or a stack (…, d, d) of them."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim == 0:
+        m = m.reshape(1, 1)
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"expected square matrices, got shape {m.shape}")
+    return m
+
+
+def stack_blocks(count: int, dim: int) -> list:
+    """Slices that cut ``count`` stacked dim×dim matrices into blocks of at
+    most ``STACK_BLOCK_ENTRIES`` entries per matrix (one matrix at least)."""
+    size = max(1, STACK_BLOCK_ENTRIES // (dim * dim))
+    return [slice(start, min(start + size, count)) for start in range(0, count, size)]
+
+
 def max_abs(a) -> float:
     """Max-absolute-entry norm; zero for empty input."""
     arr = np.asarray(a)
     if arr.size == 0:
         return 0.0
     return float(np.max(np.abs(arr)))
+
+
+def max_abs_each(a):
+    """:func:`max_abs` of each matrix of a stack (…, d, d), by the same exact
+    maximum; a float for one matrix."""
+    each = np.abs(np.asarray(a)).max(axis=(-2, -1))
+    return float(each) if each.ndim == 0 else each
+
+
+def fold_max(worst: float, values) -> float:
+    """max(worst, v₀, v₁, …) over an array of residuals in index order, as a
+    loop of ``worst = max(worst, v)`` folds them: a NaN never wins."""
+    return max([worst, *np.ravel(values).tolist()])
 
 
 def eye(dim: int) -> np.ndarray:
@@ -74,6 +110,17 @@ def kron(a, b) -> np.ndarray:
         a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
+def stacked_kron(a, b) -> np.ndarray:
+    """:func:`kron` over the last two axes, with the leading (stack) axes of
+    the two inputs broadcast; each matrix of the result is bit-identical to
+    :func:`kron` of the matching matrices."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(
+        lead + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
+
+
 def kron_all(mats) -> np.ndarray:
     """Kronecker chain of a (possibly empty) sequence; empty gives [[1]]."""
     out = eye(1)
@@ -88,13 +135,15 @@ def linear_combination(coeffs, mats) -> np.ndarray:
     The terms are added in index order starting from 0, as Python's
     ``sum(c * m for c, m in zip(coeffs, mats))`` adds them, so the result is
     bit-identical to that sum, signs of zeros included; an empty
-    combination is the zero matrix of the stack's shape.
+    combination is the zero matrix of the stack's shape.  Coefficients of
+    shape (…, N) give one combination per leading index, each bit-identical
+    to the combination of its own N coefficients.
     """
     coeffs = np.asarray(coeffs)
     stack = np.asarray(mats, dtype=complex)
-    if coeffs.shape != stack.shape[:1] or stack.ndim != 3:
+    if coeffs.shape[-1:] != stack.shape[:1] or stack.ndim != 3:
         raise ValueError(f"{coeffs.shape} coefficients for a stack of shape {stack.shape}")
-    return np.add.reduce(coeffs[:, None, None] * stack, axis=0, initial=0)
+    return np.add.reduce(coeffs[..., None, None] * stack, axis=-3, initial=0)
 
 
 def commutator(a, b) -> np.ndarray:
@@ -106,7 +155,8 @@ def anticommutator(a, b) -> np.ndarray:
 
 
 def dagger(a) -> np.ndarray:
-    return np.asarray(a).conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(np.asarray(a).conj(), -1, -2)
 
 
 def unitarity_residual(u) -> float:
@@ -115,8 +165,11 @@ def unitarity_residual(u) -> float:
 
 
 def expm(a) -> np.ndarray:
-    """Matrix exponential (Pade approximant with scaling and squaring)."""
-    m = as_matrix(a)
+    """Matrix exponential (Pade approximant with scaling and squaring) of a
+    matrix or of each matrix of a stack (…, d, d); scipy runs the same
+    algorithm slice by slice, so each slice is bit-identical to its own
+    exponential.  Raises ValueError when any entry is not finite."""
+    m = as_matrices(a)
     if not np.all(np.isfinite(m)):
         raise ValueError("expm: input has non-finite entries")
     return scipy.linalg.expm(m)
@@ -302,15 +355,22 @@ class AntilinearOp:
         return AntilinearOp(self.matrix @ np.conj(as_matrix(m)))
 
     def conjugate_matrix(self, m) -> np.ndarray:
-        """Matrix of the linear map J·M·J⁻¹ (K unitary): K·conj(M)·K†."""
+        """Matrix of the linear map J·M·J⁻¹ (K unitary): K·conj(M)·K†, for a
+        matrix or each matrix of a stack (…, d, d)."""
         k = self.matrix
-        return k @ np.conj(as_matrix(m)) @ k.conj().T
+        return k @ np.conj(as_matrices(m)) @ k.conj().T
 
     def commutation_residual(self, m, phase: complex = 1) -> float:
         """max-abs of K·conj(M) − phase·M·K."""
         k = self.matrix
         m = np.asarray(m, dtype=complex)
         return max_abs(k @ np.conj(m) - phase * (m @ k))
+
+    def commutation_residual_each(self, m, phase: complex = 1):
+        """:meth:`commutation_residual` of each matrix of a stack (…, d, d)."""
+        k = self.matrix
+        m = np.asarray(m, dtype=complex)
+        return max_abs_each(k @ np.conj(m) - phase * (m @ k))
 
     def commutation_sign(self, m, tol: float = DEFAULT_TOL):
         """λ ∈ {+1, −1} with K·conj(M) = λ·M·K, or None if neither fits."""

@@ -13,6 +13,12 @@ action is the real-structure conjugate r(a) = J·l(a*)·J⁻¹, the Dirac
 operators are D = Σ dₐ·γ₁ᵃ⊗1 with real coefficients, and the gauge group
 is sampled by exponentiating the quadratic monomials of the two factors.
 
+The sampled checks run their samples, and the Spin(10) check its
+generators, as stacks of at most ``linalg.STACK_BLOCK_ENTRIES`` entries per
+matrix: the actions, exponentials and residuals below accept a leading
+stack axis, and every stacked product is bit-identical to the one-matrix
+product of each slice, so the reports equal those of a loop over samples.
+
 Two real-structure variants are implemented, differing in the second
 factor: ``plain`` (J₁⊗J₂, measured signs (−1, +1, −1), the s = 2 row of
 the sign table) and ``hatted_second`` (J₁⊗Ĵ₂, measured signs (+1, +1, −1),
@@ -38,12 +44,15 @@ from .linalg import (
     dagger,
     eye,
     expm,
+    fold_max,
     frozen,
     kron,
     linear_combination,
     max_abs,
+    max_abs_each,
+    stack_blocks,
+    stacked_kron,
     tensor_antilinear,
-    unitarity_residual,
 )
 from .report import Report
 
@@ -64,6 +73,14 @@ def _stacked(mats) -> np.ndarray:
     return frozen(np.stack(list(mats)))
 
 
+def _scalar_abs(z):
+    """|z| of a complex scalar, or of each entry of a 1-D array, by the
+    scalar abs; ``np.abs`` of an array can differ from it in the last bit."""
+    if np.ndim(z) == 0:
+        return abs(z)
+    return np.array([abs(x) for x in z])
+
+
 def monomial_basis(m: CliffordModule, parity: int) -> list:
     """Ordered products of gammas over index subsets of size ≡ parity (mod 2).
 
@@ -82,7 +99,8 @@ def monomial_basis(m: CliffordModule, parity: int) -> list:
 
 @dataclass(frozen=True)
 class AlgebraElement:
-    """A pair (a₁, a₂) of even real-subalgebra members of the two factors."""
+    """A pair (a₁, a₂) of even real-subalgebra members of the two factors;
+    either may be a stack (B, d, d) of B members."""
 
     a1: np.ndarray
     a2: np.ndarray
@@ -93,7 +111,8 @@ class AlgebraElement:
 
 @dataclass(frozen=True)
 class GaugeElement:
-    """Unitaries (u₁, u₂) from exponentiated quadratic monomials."""
+    """Unitaries (u₁, u₂) from exponentiated quadratic monomials; either may
+    be a stack (B, d, d) of B unitaries."""
 
     u1: np.ndarray
     u2: np.ndarray
@@ -149,10 +168,13 @@ class PatiSalamTriple:
         return self.action.mod2.dim
 
     def left_action(self, a: AlgebraElement) -> np.ndarray:
-        return (kron(a.a1, self.pi2_plus)
-                + kron(eye(self.dim1), np.asarray(a.a2, dtype=complex) @ self.pi2_minus))
+        """l(a) = a₁⊗π₂⁺ + 1⊗a₂π₂⁻; a stacked element gives a stack (B, D, D)."""
+        return (stacked_kron(a.a1, self.pi2_plus)
+                + stacked_kron(eye(self.dim1),
+                               np.asarray(a.a2, dtype=complex) @ self.pi2_minus))
 
     def right_action(self, a: AlgebraElement) -> np.ndarray:
+        """r(a) = J·l(a*)·J⁻¹; a stacked element gives a stack (B, D, D)."""
         return self.J.conjugate_matrix(self.left_action(a.star()))
 
     def right_action_closed_form(self, a: AlgebraElement) -> np.ndarray:
@@ -226,19 +248,29 @@ def check_order_conditions(triple: PatiSalamTriple, dirac: DiracData,
 
     zeroth:  [l(a), r(b)] = 0
     first:   [[D, l(a)], r(b)] = 0
+
+    The samples run in blocks of :func:`linalg.stack_blocks`.  Each block
+    draws all its coefficients in one call, sample by sample a then b, each
+    first-factor then second-factor coefficients: the numbers that
+    :meth:`PatiSalamTriple.random_algebra_element` draws for a then b, one
+    sample after the other.  The commutators are stacked products, so the
+    report equals that of a loop over samples, bit for bit.
     """
     if samples < 1:
         raise ValueError("at least one sample is required")
     rng = _as_rng(rng)
     d = dirac.matrix
+    l1 = len(triple.even_basis1)
+    width = l1 + len(triple.even_basis2)
     worst0 = worst1 = 0.0
-    for _ in range(samples):
-        a = triple.random_algebra_element(rng)
-        b = triple.random_algebra_element(rng)
-        la = triple.left_action(a)
-        rb = triple.right_action(b)
-        worst0 = max(worst0, max_abs(commutator(la, rb)))
-        worst1 = max(worst1, max_abs(commutator(commutator(d, la), rb)))
+    for block in stack_blocks(samples, triple.dim):
+        coeffs = rng.standard_normal((block.stop - block.start, 2, width))
+        a1 = linear_combination(coeffs[..., :l1], triple.even_basis1)
+        a2 = linear_combination(coeffs[..., l1:], triple.even_basis2)
+        la = triple.left_action(AlgebraElement(a1[:, 0], a2[:, 0]))
+        rb = triple.right_action(AlgebraElement(a1[:, 1], a2[:, 1]))
+        worst0 = fold_max(worst0, max_abs_each(commutator(la, rb)))
+        worst1 = fold_max(worst1, max_abs_each(commutator(commutator(d, la), rb)))
     worst = max(worst0, worst1)
     return Report(
         name=f"order-conditions({triple.variant})",
@@ -280,40 +312,57 @@ def ko_dimension(triple: PatiSalamTriple, dirac: DiracData,
     return measure_ko_signs(triple.J, triple.chirality, dirac.matrix, tol)
 
 
+def _gauge_elements(triple: PatiSalamTriple, rng: np.random.Generator,
+                    scale: float, count: int) -> GaugeElement:
+    """A stack of ``count`` gauge elements from one draw: per element all θ,
+    then all φ, the numbers of one scalar draw per monomial."""
+    k1 = len(triple.quadratics1)
+    angles = rng.uniform(-scale, scale, size=(count, k1 + len(triple.quadratics2)))
+    return GaugeElement(u1=expm(linear_combination(angles[:, :k1], triple.quadratics1)),
+                        u2=expm(linear_combination(angles[:, k1:], triple.quadratics2)))
+
+
 def sample_gauge_element(triple: PatiSalamTriple, rng, scale: float = 1.0) -> GaugeElement:
     """u = (exp Σθ·T₁, exp Σφ·T₂) with coefficients uniform in [−scale, scale].
 
     The quadratic monomials are the triple's stacked ``quadratics1`` and
-    ``quadratics2``; all θ are drawn in one call, then all φ, which gives
+    ``quadratics2``; all θ, then all φ, are drawn in one call, which gives
     the same numbers as one scalar draw per monomial.  The monomials are
     anti-Hermitian for both factors, so the exponentials are unitary, even
     and real-subalgebra members.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
-    rng = _as_rng(rng)
-    u1, u2 = (expm(linear_combination(rng.uniform(-scale, scale, size=len(quads)), quads))
-              for quads in (triple.quadratics1, triple.quadratics2))
-    return GaugeElement(u1=u1, u2=u2)
+    u = _gauge_elements(triple, _as_rng(rng), scale, 1)
+    return GaugeElement(u1=u.u1[0], u2=u.u2[0])
 
 
 def gauge_element_residuals(triple: PatiSalamTriple, u: GaugeElement) -> dict:
-    """Invariant residuals of a gauge element: unitarity, evenness, reality."""
+    """Invariant residuals of a gauge element: unitarity, evenness, reality.
+
+    For a stacked element each value is an array with one residual per
+    element of the stack.
+    """
     res = {}
     for tag, mat, mod in (("u1", u.u1, triple.action.mod1),
                           ("u2", u.u2, triple.action.mod2)):
-        res[f"{tag}_unitary"] = unitarity_residual(mat)
-        res[f"{tag}_even"] = max_abs(commutator(mat, mod.chirality))
-        res[f"{tag}_real"] = mod.J.commutation_residual(mat, 1)
+        res[f"{tag}_unitary"] = max_abs_each(mat @ dagger(mat) - eye(mod.dim))
+        res[f"{tag}_even"] = max_abs_each(commutator(mat, mod.chirality))
+        res[f"{tag}_real"] = mod.J.commutation_residual_each(mat, 1)
     return res
 
 
 def _adjoint_image(triple: PatiSalamTriple, u: GaugeElement):
-    """l(u)·r(u*) with its residual against u₁⊗u₂ and |det(l(u)) − 1|."""
-    a = u.as_algebra_element()
-    lu = triple.left_action(a)
-    adj = lu @ triple.right_action(a.star())
-    return adj, max_abs(adj - kron(u.u1, u.u2)), abs(np.linalg.det(lu) - 1.0)
+    """l(u)·r(u*) with its residual against u₁⊗u₂ and |det(l(u)) − 1|; for a
+    stacked element, the stack of images and arrays of residuals.
+
+    r(u*) = J·l(u)·J⁻¹ is conjugated from l(u) itself: the entries of u**
+    are those of u, so l(u**) would repeat l(u) bit for bit.
+    """
+    lu = triple.left_action(u.as_algebra_element())
+    adj = lu @ triple.J.conjugate_matrix(lu)
+    return (adj, max_abs_each(adj - stacked_kron(u.u1, u.u2)),
+            _scalar_abs(np.linalg.det(lu) - 1.0))
 
 
 def _adjoint_failure(resid: float, det_err: float, tol: float,
@@ -347,15 +396,27 @@ def adjoint_gauge_action(triple: PatiSalamTriple, u: GaugeElement,
 def verify_gauge_action(triple: PatiSalamTriple, samples: int = 50, rng=0,
                         scale: float = 1.0, tol: float = DEFAULT_TOL,
                         det_tol: float = DET_TOL) -> Report:
-    """Sampled factorization and unimodularity of the adjoint gauge action."""
+    """Sampled factorization and unimodularity of the adjoint gauge action.
+
+    The samples run in blocks of :func:`linalg.stack_blocks`, each drawn in
+    one call and exponentiated as one stack per factor; the draws, and the
+    report bit for bit, equal those of one :func:`sample_gauge_element`
+    call per sample.  Raises ValueError unless ``samples`` ≥ 1 and
+    ``scale`` > 0.
+    """
+    if samples < 1:
+        raise ValueError("at least one sample is required")
+    if scale <= 0:
+        raise ValueError("scale must be positive")
     rng = _as_rng(rng)
     worst = det_worst = inv_worst = 0.0
-    for _ in range(samples):
-        u = sample_gauge_element(triple, rng, scale)
-        inv_worst = max(inv_worst, *gauge_element_residuals(triple, u).values())
+    for block in stack_blocks(samples, triple.dim):
+        u = _gauge_elements(triple, rng, scale, block.stop - block.start)
+        for values in gauge_element_residuals(triple, u).values():
+            inv_worst = fold_max(inv_worst, values)
         _, resid, det_err = _adjoint_image(triple, u)
-        worst = max(worst, resid)
-        det_worst = max(det_worst, det_err)
+        worst = fold_max(worst, resid)
+        det_worst = fold_max(det_worst, det_err)
     passed = worst < tol and det_worst < det_tol and inv_worst < tol
     return Report(
         name=f"gauge-action({triple.variant})",
@@ -434,34 +495,38 @@ def spin10_action(triple: PatiSalamTriple, rng=0, tol: float = DEFAULT_TOL) -> R
     pg = product_so_generators(ca)
     combined = pg.combined
     bracket_res = bracket_residual(combined)
-    quads1 = so_generators(ca.mod1).generators
-    quads2 = so_generators(ca.mod2).generators
     n1 = ca.n1
     id1, id2 = eye(ca.mod1.dim), eye(ca.mod2.dim)
 
     theta = 0.7
     failure = None
 
-    def block_match(big, u):
+    def factor_match(indices, angle, quads, first):
+        """Worst |exp(θ·Tᴬᴮ) − l(u)·r(u*)| over one factor's monomials (A, B
+        from ``indices``), u from exp(angle·quads) on the first or second
+        factor, in stacked blocks; records the first adjoint failure in
+        monomial order."""
         nonlocal failure
-        adj, resid, det_err = _adjoint_image(triple, u)
-        failure = failure or _adjoint_failure(resid, det_err, tol, DET_TOL)
-        return max_abs(big - adj)
+        keys = list(itertools.combinations(indices, 2))
+        worst = 0.0
+        for block in stack_blocks(len(keys), triple.dim):
+            big = expm(theta * np.stack([combined.t(a, b) for a, b in keys[block]]))
+            u = expm(angle * quads[block])
+            adj, resid, det_err = _adjoint_image(
+                triple, GaugeElement(u1=u, u2=id2) if first else GaugeElement(u1=id1, u2=u))
+            for r, e in zip(resid, det_err):
+                failure = failure or _adjoint_failure(r, e, tol, DET_TOL)
+            worst = fold_max(worst, max_abs_each(big - adj))
+        return worst
 
-    match1 = 0.0
-    for (a, b) in quads1:
-        big = expm(theta * combined.t(a, b))
-        u = GaugeElement(u1=expm(-theta * quads1[(a, b)]), u2=id2)
-        match1 = max(match1, block_match(big, u))
-    match2 = 0.0
-    for (a, b) in quads2:
-        big = expm(theta * combined.t(n1 + a, n1 + b))
-        u = GaugeElement(u1=id1, u2=expm(theta * quads2[(a, b)]))
-        match2 = max(match2, block_match(big, u))
+    match1 = factor_match(range(n1), -theta, triple.quadratics1, True)
+    match2 = factor_match(range(n1, n1 + ca.n2), theta, triple.quadratics2, False)
 
     a_generic = triple.random_algebra_element(rng)
     la = triple.left_action(a_generic)
-    mixed_min = min(max_abs(commutator(m, la)) for m in pg.u.values())
+    mixed = list(pg.u.values())
+    mixed_min = min(v for block in stack_blocks(len(mixed), triple.dim)
+                    for v in max_abs_each(commutator(np.stack(mixed[block]), la)).tolist())
 
     worst = max(bracket_res, match1, match2)
     passed = worst < tol and mixed_min > 0.01 and failure is None

@@ -2,10 +2,14 @@
 signs, the even and odd-odd spinor identifications, the tensor structure
 maps, and non-closure for three families."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from cliffspin import commuting
+from cliffspin.cli import DEFAULT_PAIRS
 from cliffspin.clifford import build_irrep, hatted_real_structure
 from cliffspin.commuting import (
     bracket_family_residuals,
@@ -25,7 +29,7 @@ from cliffspin.commuting import (
     verify_bracket_table,
 )
 from cliffspin.liealg import SoRepresentation, bracket_residual, bracket_residual_table
-from cliffspin.linalg import expm, eye, kron, max_abs
+from cliffspin.linalg import commutator, expm, eye, kron, max_abs
 
 
 def test_scalar_pair():
@@ -292,3 +296,84 @@ class TestThreeActions:
 
 def test_combined_metric_helper():
     assert list(combined_metric([1, -1], [-1])) == [-1, 1, -1]
+
+
+# The per-generator loops that the stacked checks replaced, kept as their
+# references: the stacked residuals must equal them bit for bit.
+
+def reference_commutation_residual(ca):
+    worst = 0.0
+    for g1 in ca.gamma1:
+        for g2 in ca.gamma2:
+            worst = max(worst, max_abs(commutator(g1, g2)))
+    return worst
+
+
+def reference_conjugated_generators(ca):
+    id2 = eye(ca.mod2.dim)
+    chir1 = kron(ca.mod1.chirality, id2)
+    ref = [1j * g for g in ca.gamma1] + [chir1 @ g for g in ca.gamma2]
+    v = kron((eye(ca.mod1.dim) + 1j * ca.mod1.chirality) / math.sqrt(2), id2)
+    vh = v.conj().T
+    worst = 0.0
+    for (a, b), g in product_so_generators(ca).combined.generators.items():
+        worst = max(worst, max_abs(v @ (0.5 * (ref[a] @ ref[b])) @ vh - g))
+    return worst
+
+
+def reference_restricted_generators(ca):
+    flip = np.array([[0, 1], [-1, 0]], dtype=complex)
+    swap = np.array([[0, 1], [1, 0]], dtype=complex)
+    doubled = [kron(flip, g) for g in ca.gamma1] + [kron(swap, g) for g in ca.gamma2]
+    d = ca.dim
+    worst = 0.0
+    for (a, b), g in product_so_generators(ca).combined.generators.items():
+        quad = 0.5 * (doubled[a] @ doubled[b])
+        off_block = max(max_abs(quad[:d, d:]), max_abs(quad[d:, :d]))
+        worst = max(worst, off_block, max_abs(quad[:d, :d] - g))
+    return worst
+
+
+def reference_real_structure_commutation(ca, j):
+    return max((j.commutation_residual(g, 1)
+                for g in product_so_generators(ca).combined.generators.values()),
+               default=0.0)
+
+
+def perturbed(ca, seed, size=1e-9):
+    """The action with every lifted gamma moved by noise of the given size,
+    so that the residuals are not all exactly zero."""
+    rng = np.random.default_rng(seed)
+
+    def noisy(gammas):
+        return tuple(g + size * (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+                     for g in gammas)
+
+    return dataclasses.replace(ca, gamma1=noisy(ca.gamma1), gamma2=noisy(ca.gamma2))
+
+
+SMALL_SIGNATURES = [(p, n - p) for n in range(5) for p in range(n + 1)]
+
+
+@pytest.mark.parametrize("pair", list(DEFAULT_PAIRS) + [
+    (sig1, sig2) for sig1 in SMALL_SIGNATURES for sig2 in SMALL_SIGNATURES])
+def test_stacked_generator_checks_equal_the_loops(pair):
+    exact = build_commuting(*pair)
+    if exact.n1 % 2 and exact.n2 % 2 == 0:
+        exact = swap_factors(exact)  # the even path, as the commuting suite takes it
+    noisy = perturbed(exact, sum(pair[0]) * 16 + sum(pair[1]))
+    for ca in (exact, noisy):
+        assert commutation_residual(ca) == reference_commutation_residual(ca)
+        if ca.n1 % 2 == 0:
+            assert equivalence_even(ca).details[1] == {
+                "item": "conjugated-generators", "residual": reference_conjugated_generators(ca)}
+        else:
+            assert equivalence_odd_odd(ca).details[1] == {
+                "item": "restricted-generators", "residual": reference_restricted_generators(ca)}
+        j = tensor_real_structure(ca)
+        if j is not None:
+            assert (real_structure_commutation(ca, j)
+                    == reference_real_structure_commutation(ca, j))
+    if exact.dim > 1 and exact.n1 and exact.n2:
+        # the noise makes the compared residuals nonzero
+        assert commutation_residual(noisy) > 0.0

@@ -12,20 +12,26 @@ from cliffspin.linalg import (
     FIXED_SPACE_PROBES,
     MAX_KRONECKER_DIM,
     PRECONDITION_BLOCK_ENTRIES,
+    STACK_BLOCK_ENTRIES,
     AntilinearOp,
     antilinear_constraints,
     check_commuting_involutions,
     check_kronecker_dim,
+    dagger,
     expm,
     eye,
     fixed_space,
+    fold_max,
     kron,
     linear_combination,
     max_abs,
+    max_abs_each,
     null_space,
     phase_normalize,
     polar_unitary,
     solve_antilinear_commutant,
+    stack_blocks,
+    stacked_kron,
     tensor_antilinear,
 )
 
@@ -190,6 +196,103 @@ class TestExpm:
         bad = np.array([[np.inf, 0], [0, 0]], dtype=complex)
         with pytest.raises(ValueError):
             expm(bad)
+
+
+class TestStacks:
+    """Stacked forms (…, d, d): each slice is bit-identical to the one-matrix
+    operation, which keeps its own arithmetic."""
+
+    def test_stacked_kron_broadcasts_and_equals_kron(self):
+        rng = np.random.default_rng(31)
+        a = np.stack([random_complex(rng, 3) for _ in range(4)])
+        b = np.stack([random_complex(rng, 2) for _ in range(4)])
+        fixed = random_complex(rng, 2)
+        assert stacked_kron(a[0], b[0]).tobytes() == kron(a[0], b[0]).tobytes()
+        both, left, right = stacked_kron(a, b), stacked_kron(a, fixed), stacked_kron(fixed, a)
+        assert both.shape == left.shape == (4, 6, 6) and right.shape == (4, 6, 6)
+        for k in range(4):
+            assert both[k].tobytes() == kron(a[k], b[k]).tobytes()
+            assert left[k].tobytes() == kron(a[k], fixed).tobytes()
+            assert right[k].tobytes() == kron(fixed, a[k]).tobytes()
+
+    def test_stacked_coefficients_give_each_combination(self):
+        rng = np.random.default_rng(32)
+        mats = np.stack([random_complex(rng, 3) for _ in range(6)])
+        coeffs = rng.standard_normal((5, 2, 6)) * 10.0 ** rng.integers(-8, 8, size=(5, 2, 6))
+        out = linear_combination(coeffs[..., 1:5], mats[1:5])
+        assert out.shape == (5, 2, 3, 3)
+        for i in range(5):
+            for j in range(2):
+                expected = sum(c * m for c, m in zip(coeffs[i, j, 1:5], mats[1:5]))
+                assert out[i, j].tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="coefficients"):
+            linear_combination(coeffs, mats[:5])
+
+    def test_stacked_expm_equals_each_slice(self):
+        rng = np.random.default_rng(33)
+        for dim in (1, 2, 4, 8, 32):
+            stack = np.stack([0.4 * k * random_complex(rng, dim) for k in range(5)])
+            out = expm(stack)
+            for k in range(5):
+                assert out[k].tobytes() == expm(stack[k]).tobytes()
+        deep = np.stack([random_complex(rng, 3) for _ in range(6)]).reshape(2, 3, 3, 3)
+        assert expm(deep)[1, 2].tobytes() == expm(deep[1, 2]).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_stacked_expm_rejects_a_non_finite_entry_anywhere(self, bad):
+        stack = np.zeros((9, 4, 4), dtype=complex)
+        stack[7, 3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            expm(stack)
+
+    def test_expm_refuses_non_square_input(self):
+        with pytest.raises(ValueError, match="square"):
+            expm(np.zeros((2, 3, 4)))
+
+    def test_dagger_transposes_each_matrix(self):
+        rng = np.random.default_rng(34)
+        stack = np.stack([random_complex(rng, 3) for _ in range(4)])
+        for k in range(4):
+            assert dagger(stack)[k].tobytes() == stack[k].conj().T.tobytes()
+
+    def test_antilinear_maps_act_on_each_matrix(self):
+        rng = np.random.default_rng(35)
+        j = tensor_antilinear(AntilinearOp(S2), AntilinearOp(eye(2)))
+        stack = np.stack([random_complex(rng, 4) for _ in range(3)])
+        conjugated = j.conjugate_matrix(stack)
+        residuals = j.commutation_residual_each(stack, -1)
+        for k in range(3):
+            assert conjugated[k].tobytes() == j.conjugate_matrix(stack[k]).tobytes()
+            assert residuals[k] == j.commutation_residual(stack[k], -1)
+
+    def test_max_abs_each(self):
+        stack = np.zeros((3, 2, 2), dtype=complex)
+        stack[0, 1, 0] = 3 - 4j
+        stack[2, 0, 1] = np.nan
+        each = max_abs_each(stack)
+        assert each[:2].tolist() == [5.0, 0.0] and np.isnan(each[2])
+        assert max_abs_each(stack[0]) == max_abs(stack[0]) == 5.0
+        assert isinstance(max_abs_each(stack[0]), float)
+
+    def test_fold_max_folds_like_the_loop(self):
+        values = np.array([0.5, np.nan, 2.0, 1.0])
+        worst = 0.0
+        for v in values:
+            worst = max(worst, float(v))
+        assert fold_max(0.0, values) == worst == 2.0
+        assert fold_max(3.0, values) == 3.0
+        assert fold_max(0.0, np.array([np.nan])) == 0.0
+        assert fold_max(0.5, np.zeros(0)) == 0.5
+
+    @pytest.mark.parametrize("count, dim", [(0, 32), (1, 32), (8, 32), (9, 32), (300, 32),
+                                            (45, 16), (5, 128), (7, 1)])
+    def test_stack_blocks_cover_the_count_in_bounded_blocks(self, count, dim):
+        blocks = stack_blocks(count, dim)
+        assert [i for block in blocks for i in range(count)[block]] == list(range(count))
+        for block in blocks:
+            size = block.stop - block.start
+            assert size >= 1 and (size == 1 or size * dim * dim <= STACK_BLOCK_ENTRIES)
+        assert stack_blocks(20, 32)[0] == slice(0, 8)
 
 
 class TestPolar:

@@ -3,15 +3,32 @@ conditions, measured sign rows for both real-structure variants, gauge
 action with unimodularity, Dirac covariance, and the extension of the
 gauge symmetry to the full 45-generator algebra."""
 
+import dataclasses
+import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from cliffspin import liealg, spectral
-from cliffspin.liealg import so_generators
-from cliffspin.linalg import commutator, dagger, expm, eye, kron, max_abs
+from cliffspin.commuting import product_so_generators
+from cliffspin.liealg import bracket_residual, so_generators
+from cliffspin.linalg import (
+    DEFAULT_TOL,
+    STACK_BLOCK_ENTRIES,
+    commutator,
+    dagger,
+    expm,
+    eye,
+    kron,
+    linear_combination,
+    max_abs,
+    unitarity_residual,
+)
+from cliffspin.report import Report
 from cliffspin.spectral import (
+    DET_TOL,
     AlgebraElement,
     GaugeElement,
     adjoint_gauge_action,
@@ -202,6 +219,13 @@ class TestGauge:
         with pytest.raises(ValueError):
             sample_gauge_element(triple, 0, scale=0.0)
 
+    @pytest.mark.parametrize("samples, scale", [(0, 1.0), (-3, 1.0), (50, 0.0), (50, -1.0),
+                                                (0, -1.0)])
+    def test_verify_needs_samples_and_a_positive_scale(self, triple, samples, scale):
+        # zero samples, or a non-positive scale, used to report PASS
+        with pytest.raises(ValueError):
+            verify_gauge_action(triple, samples, rng=0, scale=scale)
+
     def test_vectorized_draws_equal_scalar_draws(self, triple):
         # one uniform draw per monomial and a Python sum, factor by factor:
         # the sampler's batched draws and stacked combination give the same bits
@@ -313,3 +337,199 @@ def test_even_monomial_basis_counts():
 def test_wrong_variant_rejected():
     with pytest.raises(ValueError):
         build_pati_salam("other")
+
+
+# The per-sample and per-generator loops that the stacked checks replaced,
+# kept as their references: every stacked report must equal them bit for bit.
+
+def reference_order_conditions(triple, dirac, samples, rng, tol=DEFAULT_TOL):
+    d = dirac.matrix
+    worst0 = worst1 = 0.0
+    for _ in range(samples):
+        a = triple.random_algebra_element(rng)
+        b = triple.random_algebra_element(rng)
+        la = triple.left_action(a)
+        rb = triple.right_action(b)
+        worst0 = max(worst0, max_abs(commutator(la, rb)))
+        worst1 = max(worst1, max_abs(commutator(commutator(d, la), rb)))
+    worst = max(worst0, worst1)
+    return Report(name=f"order-conditions({triple.variant})", passed=worst < tol,
+                  max_residual=worst, tolerance=tol,
+                  details=[{"samples": samples, "zeroth_order": worst0, "first_order": worst1}])
+
+
+def reference_gauge_element(triple, rng, scale):
+    u1, u2 = (expm(linear_combination(rng.uniform(-scale, scale, size=len(quads)), quads))
+              for quads in (triple.quadratics1, triple.quadratics2))
+    return GaugeElement(u1, u2)
+
+
+def reference_adjoint_image(triple, u):
+    a = u.as_algebra_element()
+    lu = triple.left_action(a)
+    adj = lu @ triple.right_action(a.star())
+    return adj, max_abs(adj - kron(u.u1, u.u2)), abs(np.linalg.det(lu) - 1.0)
+
+
+def reference_gauge_action(triple, samples, rng, scale=1.0, tol=DEFAULT_TOL):
+    worst = det_worst = inv_worst = 0.0
+    for _ in range(samples):
+        u = reference_gauge_element(triple, rng, scale)
+        for mat, mod in ((u.u1, triple.action.mod1), (u.u2, triple.action.mod2)):
+            inv_worst = max(inv_worst, unitarity_residual(mat),
+                            max_abs(commutator(mat, mod.chirality)),
+                            mod.J.commutation_residual(mat, 1))
+        _, resid, det_err = reference_adjoint_image(triple, u)
+        worst = max(worst, resid)
+        det_worst = max(det_worst, det_err)
+    passed = worst < tol and det_worst < DET_TOL and inv_worst < tol
+    return Report(name=f"gauge-action({triple.variant})", passed=passed,
+                  max_residual=max(worst, inv_worst), tolerance=tol,
+                  details=[{"samples": samples, "factorization": worst,
+                            "unimodularity": det_worst, "element_invariants": inv_worst}])
+
+
+def reference_spin10_parts(triple, rng, tol):
+    """(match1, match2, mixed_min, first adjoint failure) of the generator loops."""
+    ca = triple.action
+    pg = product_so_generators(ca)
+    quads1, quads2 = so_generators(ca.mod1).generators, so_generators(ca.mod2).generators
+    failure = None
+    match1 = match2 = 0.0
+    for (a, b) in quads1:
+        big = expm(0.7 * pg.combined.t(a, b))
+        u = GaugeElement(expm(-0.7 * quads1[(a, b)]), eye(ca.mod2.dim))
+        adj, resid, det_err = reference_adjoint_image(triple, u)
+        failure = failure or spectral._adjoint_failure(resid, det_err, tol, DET_TOL)
+        match1 = max(match1, max_abs(big - adj))
+    for (a, b) in quads2:
+        big = expm(0.7 * pg.combined.t(ca.n1 + a, ca.n1 + b))
+        u = GaugeElement(eye(ca.mod1.dim), expm(0.7 * quads2[(a, b)]))
+        adj, resid, det_err = reference_adjoint_image(triple, u)
+        failure = failure or spectral._adjoint_failure(resid, det_err, tol, DET_TOL)
+        match2 = max(match2, max_abs(big - adj))
+    la = triple.left_action(triple.random_algebra_element(rng))
+    mixed_min = min(max_abs(commutator(m, la)) for m in pg.u.values())
+    return match1, match2, mixed_min, failure
+
+
+def perturbed_projections(triple, seed, size=1e-9):
+    """The triple with noise of the given size on π₂^±, so that the order
+    conditions no longer hold exactly."""
+    rng = np.random.default_rng(seed)
+    noise = lambda m: m + size * (rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape))
+    return dataclasses.replace(triple, pi2_plus=noise(triple.pi2_plus),
+                               pi2_minus=noise(triple.pi2_minus))
+
+
+def same_report(report, reference) -> bool:
+    """Equal reports, floats compared by their printed digits."""
+    return json.dumps(report.to_dict()) == json.dumps(reference.to_dict())
+
+
+SAMPLE_COUNTS = (1, 7, 8, 9, 17, 300)
+
+
+class TestStackedLoopsEqualTheReferences:
+    def test_block_is_eight_samples_of_the_triple(self):
+        assert STACK_BLOCK_ENTRIES // TRIPLES["plain"].dim ** 2 == 8
+
+    @pytest.mark.parametrize("seed", [0, 5, 42])
+    @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
+    def test_order_conditions(self, triple, samples, seed):
+        # the exact triple has residuals of exactly 0.0; perturbed projections
+        # make every sample's residuals distinct and nonzero
+        for checked in (triple, perturbed_projections(triple, seed)):
+            dirac = checked.dirac_operator([0.3, -1.0, 0.5, 2.0])
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            report = check_order_conditions(checked, dirac, samples, rng)
+            reference = reference_order_conditions(checked, dirac, samples, ref_rng)
+            assert same_report(report, reference)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert 0.0 < reference.details[0]["zeroth_order"] < 1e-6
+        assert 0.0 < reference.details[0]["first_order"] < 1e-6
+
+    @pytest.mark.parametrize("seed", [0, 5, 42])
+    @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
+    def test_gauge_action(self, triple, samples, seed):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        report = verify_gauge_action(triple, samples, rng)
+        assert same_report(report, reference_gauge_action(triple, samples, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_gauge_action_at_another_scale_and_tolerance(self, triple):
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        report = verify_gauge_action(triple, 11, rng, scale=0.25, tol=1e-18)
+        reference = reference_gauge_action(triple, 11, ref_rng, scale=0.25, tol=1e-18)
+        assert not report.passed and same_report(report, reference)
+
+    def test_sampled_gauge_element_is_the_reference_element(self, triple):
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        u = sample_gauge_element(triple, rng, 0.5)
+        ref = reference_gauge_element(triple, ref_rng, 0.5)
+        assert u.u1.tobytes() == ref.u1.tobytes() and u.u2.tobytes() == ref.u2.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_stacked_actions_equal_each_slice(self, triple):
+        rng = np.random.default_rng(14)
+        elements = [triple.random_algebra_element(rng) for _ in range(5)]
+        stacked = AlgebraElement(np.stack([e.a1 for e in elements]),
+                                 np.stack([e.a2 for e in elements]))
+        for action in (triple.left_action, triple.right_action):
+            stack = action(stacked)
+            assert stack.shape == (5, 32, 32)
+            for k, element in enumerate(elements):
+                assert stack[k].tobytes() == action(element).tobytes()
+
+    def test_stacked_gauge_residuals_equal_each_element(self, triple):
+        rng = np.random.default_rng(15)
+        us = [sample_gauge_element(triple, rng) for _ in range(4)]
+        stacked = GaugeElement(np.stack([u.u1 for u in us]), np.stack([u.u2 for u in us]))
+        residuals = gauge_element_residuals(triple, stacked)
+        adj, resid, det_err = spectral._adjoint_image(triple, stacked)
+        for k, u in enumerate(us):
+            assert {key: val[k] for key, val in residuals.items()} == \
+                gauge_element_residuals(triple, u)
+            ref_adj, ref_resid, ref_det = reference_adjoint_image(triple, u)
+            assert adj[k].tobytes() == ref_adj.tobytes()
+            assert (resid[k], det_err[k]) == (ref_resid, ref_det)
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-18])
+    def test_spin10_generator_blocks(self, triple, tol):
+        report = spin10_action(triple, rng=9, tol=tol)
+        match1, match2, mixed_min, failure = reference_spin10_parts(
+            triple, np.random.default_rng(9), tol)
+        detail = report.details[0]
+        assert detail["brackets"] == bracket_residual(product_so_generators(triple.action).combined)
+        assert (detail["factor1_block_match"], detail["factor2_block_match"],
+                detail["mixed_generator_min_commutator"]) == (match1, match2, mixed_min)
+        assert detail.get("adjoint_failure") == failure
+        assert (failure is None) == (tol == DEFAULT_TOL)
+
+    def test_spin10_reports_the_first_adjoint_failure_in_monomial_order(self, triple):
+        seen = []
+
+        def failing(resid, det_err, tol, det_tol):
+            seen.append((resid, det_err))
+            return f"failure {len(seen)}"
+
+        with mock.patch.object(spectral, "_adjoint_failure", failing):
+            report = spin10_action(triple, rng=0)
+        assert report.details[0]["adjoint_failure"] == "failure 1" and len(seen) == 1
+        first = GaugeElement(expm(-0.7 * so_generators(triple.action.mod1).generators[(0, 1)]),
+                             eye(8))
+        assert seen[0] == reference_adjoint_image(triple, first)[1:]
+
+    @pytest.mark.parametrize("check", ["order", "gauge"])
+    def test_memory_stays_bounded_at_300_samples(self, triple, check):
+        dirac = triple.dirac_operator([1.0, 0.0, 0.0, 0.0])
+        run = {"order": lambda: check_order_conditions(triple, dirac, 300, 0),
+               "gauge": lambda: verify_gauge_action(triple, 300, 0)}[check]
+        run()
+        tracemalloc.start()
+        try:
+            assert run().passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6
