@@ -54,7 +54,7 @@ from .linalg import (
     kron,
     linear_combination,
     max_abs,
-    max_abs_each,
+    stack_at,
     stack_blocks,
     tensor_antilinear,
 )
@@ -104,19 +104,14 @@ def build_commuting(sig1, sig2, branch1: int = 1, branch2: int = 1) -> Commuting
     return CommutingAction(mod1=mod1, mod2=mod2, gamma1=gamma1, gamma2=gamma2)
 
 
-def _stack(mats, index) -> np.ndarray:
-    """The matrices ``mats[i]`` for i in ``index``, as one stack."""
-    return np.stack([mats[i] for i in index])
-
-
 def commutation_residual(ca: CommutingAction) -> float:
     """max-abs of [Γ₁ᵃ, Γ₂^α] over all index pairs (must vanish)."""
     pairs = [(a, b) for a in range(ca.n1) for b in range(ca.n2)]
     worst = 0.0
     for block in stack_blocks(len(pairs), ca.dim):
         first, second = zip(*pairs[block])
-        worst = fold_max(worst, max_abs_each(
-            commutator(_stack(ca.gamma1, first), _stack(ca.gamma2, second))))
+        worst = fold_max(worst, max_abs(
+            commutator(stack_at(ca.gamma1, first), stack_at(ca.gamma2, second))))
     return worst
 
 
@@ -234,8 +229,8 @@ def equivalence_even(ca: CommutingAction, tol: float = DEFAULT_TOL) -> Report:
     worst = 0.0
     for block in stack_blocks(len(keys), ca.dim):
         first, second = zip(*keys[block])
-        s_ab = 0.5 * (_stack(ref, first) @ _stack(ref, second))
-        worst = fold_max(worst, max_abs_each(v @ s_ab @ vh - np.stack(values[block])))
+        s_ab = 0.5 * (stack_at(ref, first) @ stack_at(ref, second))
+        worst = fold_max(worst, max_abs(v @ s_ab @ vh - np.stack(values[block])))
     p_res = 0.0
     if (ca.n1 + ca.n2) % 2 == 0:
         prod = tensor_product_element(ca)
@@ -279,10 +274,10 @@ def equivalence_odd_odd(ca: CommutingAction, tol: float = DEFAULT_TOL) -> Report
     worst = 0.0
     for block in stack_blocks(len(keys), 2 * d):
         first, second = zip(*keys[block])
-        quad = 0.5 * (_stack(doubled, first) @ _stack(doubled, second))
+        quad = 0.5 * (stack_at(doubled, first) @ stack_at(doubled, second))
         for upper, lower, restricted in zip(
-                max_abs_each(quad[:, :d, d:]).tolist(), max_abs_each(quad[:, d:, :d]).tolist(),
-                max_abs_each(quad[:, :d, :d] - np.stack(values[block])).tolist()):
+                max_abs(quad[:, :d, d:]).tolist(), max_abs(quad[:, d:, :d]).tolist(),
+                max_abs(quad[:, :d, :d] - np.stack(values[block])).tolist()):
             worst = max(worst, max(upper, lower), restricted)
 
     prod = tensor_product_element(ca)
@@ -365,7 +360,7 @@ def real_structure_commutation(ca: CommutingAction, j: AntilinearOp) -> float:
     """Worst residual of K·conj(Tᴬᴮ) = Tᴬᴮ·K over the combined generators."""
     gens = list(product_so_generators(ca).combined.generators.values())
     resid = [r for block in stack_blocks(len(gens), ca.dim)
-             for r in j.commutation_residual_each(np.stack(gens[block]), 1).tolist()]
+             for r in j.commutation_residual(np.stack(gens[block]), 1).tolist()]
     return max(resid, default=0.0)
 
 

@@ -41,16 +41,6 @@ STACK_BLOCK_ENTRIES = 1 << 13
 MAX_KRONECKER_DIM = 32
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce the input to a square complex matrix."""
-    m = np.asarray(a, dtype=complex)
-    if m.ndim == 0:
-        m = m.reshape(1, 1)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
 def as_matrices(a) -> np.ndarray:
     """Coerce the input to a square complex matrix or a stack (…, d, d) of them."""
     m = np.asarray(a, dtype=complex)
@@ -61,26 +51,36 @@ def as_matrices(a) -> np.ndarray:
     return m
 
 
-def stack_blocks(count: int, dim: int) -> list:
+def as_matrix(a) -> np.ndarray:
+    """Coerce the input to one square complex matrix."""
+    m = as_matrices(a)
+    if m.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
+def stack_blocks(count: int, dim: int, entries: int = STACK_BLOCK_ENTRIES) -> list:
     """Slices that cut ``count`` stacked dim×dim matrices into blocks of at
-    most ``STACK_BLOCK_ENTRIES`` entries per matrix (one matrix at least)."""
-    size = max(1, STACK_BLOCK_ENTRIES // (dim * dim))
+    most ``entries`` entries in all (one matrix at least)."""
+    size = max(1, entries // (dim * dim))
     return [slice(start, min(start + size, count)) for start in range(0, count, size)]
 
 
-def max_abs(a) -> float:
-    """Max-absolute-entry norm; zero for empty input."""
+def stack_at(mats, index) -> np.ndarray:
+    """The matrices ``mats[i]`` for i in ``index``, as one stack."""
+    return np.stack([mats[i] for i in index])
+
+
+def max_abs(a):
+    """Max-absolute-entry norm: a float for an array of at most two axes
+    (zero when empty), and for a stack (…, d, d) an array of the norm of
+    each matrix, by the same exact maximum."""
     arr = np.asarray(a)
+    if arr.ndim > 2:
+        return np.abs(arr).max(axis=(-2, -1))
     if arr.size == 0:
         return 0.0
     return float(np.max(np.abs(arr)))
-
-
-def max_abs_each(a):
-    """:func:`max_abs` of each matrix of a stack (…, d, d), by the same exact
-    maximum; a float for one matrix."""
-    each = np.abs(np.asarray(a)).max(axis=(-2, -1))
-    return float(each) if each.ndim == 0 else each
 
 
 def fold_max(worst: float, values) -> float:
@@ -93,32 +93,30 @@ def eye(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices, first factor major:
+def stacked_kron(a, b) -> np.ndarray:
+    """Kronecker product over the last two axes, first factor major:
 
-    out[i*db + k, j*db + l] = a[i, j] * b[k, l]
+    out[…, i*db + k, j*db + l] = a[…, i, j] * b[…, k, l]
 
-    One broadcast multiply forms the same products as ``np.kron``, so the
-    result is bit-identical to it, without its per-call overhead.  Raises
-    ValueError unless both inputs are 2-D.
+    with the leading (stack) axes of the two inputs broadcast.  One
+    broadcast multiply forms the same products as ``np.kron``, so each
+    matrix of the result is bit-identical to it, without its per-call
+    overhead.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"kron expects two matrices, got shapes {a.shape} and {b.shape}")
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    *lead, ra, rb, ca, cb = out.shape
+    return out.reshape(*lead, ra * rb, ca * cb)
 
 
-def stacked_kron(a, b) -> np.ndarray:
-    """:func:`kron` over the last two axes, with the leading (stack) axes of
-    the two inputs broadcast; each matrix of the result is bit-identical to
-    :func:`kron` of the matching matrices."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(
-        lead + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
+def kron(a, b) -> np.ndarray:
+    """:func:`stacked_kron` of two matrices; raises ValueError unless both
+    inputs are 2-D."""
+    if np.ndim(a) != 2 or np.ndim(b) != 2:
+        raise ValueError(f"kron expects two matrices, got shapes "
+                         f"{np.shape(a)} and {np.shape(b)}")
+    return stacked_kron(a, b)
 
 
 def kron_all(mats) -> np.ndarray:
@@ -159,9 +157,11 @@ def dagger(a) -> np.ndarray:
     return np.swapaxes(np.asarray(a).conj(), -1, -2)
 
 
-def unitarity_residual(u) -> float:
-    m = as_matrix(u)
-    return max_abs(m @ m.conj().T - eye(m.shape[0]))
+def unitarity_residual(u):
+    """max-abs of U·U† − 1, for a matrix or (an array) for each matrix of a
+    stack (…, d, d)."""
+    m = as_matrices(u)
+    return max_abs(m @ dagger(m) - eye(m.shape[-1]))
 
 
 def expm(a) -> np.ndarray:
@@ -222,16 +222,13 @@ def check_commuting_involutions(maps, dim: int) -> list:
     neither, so maps that differ only by such signs need one check.
     """
     maps = [(as_matrix(left), as_matrix(right)) for left, right in maps]
-    block = max(1, PRECONDITION_BLOCK_ENTRIES // (dim * dim))
+    all_lefts = [left for left, _ in maps]
+    all_rights = [right for _, right in maps]
     ident = eye(dim)
 
-    def stacked(side, index):
-        return np.stack([maps[k][side] for k in index])
-
     bad_maps = [np.zeros(0, dtype=bool)]
-    for start in range(0, len(maps), block):
-        index = range(start, min(start + block, len(maps)))
-        lefts, rights = stacked(0, index), stacked(1, index)
+    for block in stack_blocks(len(maps), dim, PRECONDITION_BLOCK_ENTRIES):
+        lefts, rights = np.stack(all_lefts[block]), np.stack(all_rights[block])
         lsq, rsq = lefts @ lefts, rights @ rights
         c = np.trace(lsq, axis1=1, axis2=2) / dim
         scale = np.where(c == 0, 1, c)[:, None, None]
@@ -240,9 +237,10 @@ def check_commuting_involutions(maps, dim: int) -> list:
         bad_maps.append((c == 0) | ~(resid <= DEFAULT_TOL))
     first_bad_map = _first_failure(np.concatenate(bad_maps))
     rows, cols = np.tril_indices(first_bad_map, -1)
-    for start in range(0, len(rows), block):
-        i, j = rows[start:start + block], cols[start:start + block]
-        li, lj, ri, rj = stacked(0, i), stacked(0, j), stacked(1, i), stacked(1, j)
+    for block in stack_blocks(len(rows), dim, PRECONDITION_BLOCK_ENTRIES):
+        i, j = rows[block], cols[block]
+        li, lj = stack_at(all_lefts, i), stack_at(all_lefts, j)
+        ri, rj = stack_at(all_rights, i), stack_at(all_rights, j)
         left_ij, left_ji = li @ lj, lj @ li
         right_ji, right_ij = rj @ ri, ri @ rj
         commutes = np.zeros(len(i), dtype=bool)
@@ -360,17 +358,12 @@ class AntilinearOp:
         k = self.matrix
         return k @ np.conj(as_matrices(m)) @ k.conj().T
 
-    def commutation_residual(self, m, phase: complex = 1) -> float:
-        """max-abs of K·conj(M) − phase·M·K."""
+    def commutation_residual(self, m, phase: complex = 1):
+        """max-abs of K·conj(M) − phase·M·K, for a matrix or (an array) for
+        each matrix of a stack (…, d, d)."""
         k = self.matrix
         m = np.asarray(m, dtype=complex)
         return max_abs(k @ np.conj(m) - phase * (m @ k))
-
-    def commutation_residual_each(self, m, phase: complex = 1):
-        """:meth:`commutation_residual` of each matrix of a stack (…, d, d)."""
-        k = self.matrix
-        m = np.asarray(m, dtype=complex)
-        return max_abs_each(k @ np.conj(m) - phase * (m @ k))
 
     def commutation_sign(self, m, tol: float = DEFAULT_TOL):
         """λ ∈ {+1, −1} with K·conj(M) = λ·M·K, or None if neither fits."""

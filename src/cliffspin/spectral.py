@@ -49,10 +49,10 @@ from .linalg import (
     kron,
     linear_combination,
     max_abs,
-    max_abs_each,
     stack_blocks,
     stacked_kron,
     tensor_antilinear,
+    unitarity_residual,
 )
 from .report import Report
 
@@ -66,11 +66,6 @@ def _as_rng(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     return np.random.default_rng(rng)
-
-
-def _stacked(mats) -> np.ndarray:
-    """Read-only stack of equal-shape matrices, for :func:`linear_combination`."""
-    return frozen(np.stack(list(mats)))
 
 
 def _scalar_abs(z):
@@ -225,10 +220,10 @@ def build_pati_salam(variant: str = "hatted_second",
         pi2_plus=frozen(pi2p),
         pi2_minus=frozen(pi2m),
         sign_triple=measured,
-        even_basis1=_stacked(monomial_basis(ca.mod1, 0)),
-        even_basis2=_stacked(monomial_basis(ca.mod2, 0)),
-        quadratics1=_stacked(so_generators(ca.mod1).generators.values()),
-        quadratics2=_stacked(so_generators(ca.mod2).generators.values()),
+        even_basis1=frozen(monomial_basis(ca.mod1, 0)),
+        even_basis2=frozen(monomial_basis(ca.mod2, 0)),
+        quadratics1=frozen(list(so_generators(ca.mod1).generators.values())),
+        quadratics2=frozen(list(so_generators(ca.mod2).generators.values())),
     )
 
 
@@ -269,8 +264,8 @@ def check_order_conditions(triple: PatiSalamTriple, dirac: DiracData,
         a2 = linear_combination(coeffs[..., l1:], triple.even_basis2)
         la = triple.left_action(AlgebraElement(a1[:, 0], a2[:, 0]))
         rb = triple.right_action(AlgebraElement(a1[:, 1], a2[:, 1]))
-        worst0 = fold_max(worst0, max_abs_each(commutator(la, rb)))
-        worst1 = fold_max(worst1, max_abs_each(commutator(commutator(d, la), rb)))
+        worst0 = fold_max(worst0, max_abs(commutator(la, rb)))
+        worst1 = fold_max(worst1, max_abs(commutator(commutator(d, la), rb)))
     worst = max(worst0, worst1)
     return Report(
         name=f"order-conditions({triple.variant})",
@@ -346,9 +341,9 @@ def gauge_element_residuals(triple: PatiSalamTriple, u: GaugeElement) -> dict:
     res = {}
     for tag, mat, mod in (("u1", u.u1, triple.action.mod1),
                           ("u2", u.u2, triple.action.mod2)):
-        res[f"{tag}_unitary"] = max_abs_each(mat @ dagger(mat) - eye(mod.dim))
-        res[f"{tag}_even"] = max_abs_each(commutator(mat, mod.chirality))
-        res[f"{tag}_real"] = mod.J.commutation_residual_each(mat, 1)
+        res[f"{tag}_unitary"] = unitarity_residual(mat)
+        res[f"{tag}_even"] = max_abs(commutator(mat, mod.chirality))
+        res[f"{tag}_real"] = mod.J.commutation_residual(mat, 1)
     return res
 
 
@@ -361,7 +356,7 @@ def _adjoint_image(triple: PatiSalamTriple, u: GaugeElement):
     """
     lu = triple.left_action(u.as_algebra_element())
     adj = lu @ triple.J.conjugate_matrix(lu)
-    return (adj, max_abs_each(adj - stacked_kron(u.u1, u.u2)),
+    return (adj, max_abs(adj - stacked_kron(u.u1, u.u2)),
             _scalar_abs(np.linalg.det(lu) - 1.0))
 
 
@@ -501,32 +496,31 @@ def spin10_action(triple: PatiSalamTriple, rng=0, tol: float = DEFAULT_TOL) -> R
     theta = 0.7
     failure = None
 
-    def factor_match(indices, angle, quads, first):
+    def factor_match(indices, angle, quads, element):
         """Worst |exp(θ·Tᴬᴮ) − l(u)·r(u*)| over one factor's monomials (A, B
-        from ``indices``), u from exp(angle·quads) on the first or second
-        factor, in stacked blocks; records the first adjoint failure in
-        monomial order."""
+        from ``indices``), u = element(exp(angle·quads)), in stacked blocks;
+        records the first adjoint failure in monomial order."""
         nonlocal failure
         keys = list(itertools.combinations(indices, 2))
         worst = 0.0
         for block in stack_blocks(len(keys), triple.dim):
             big = expm(theta * np.stack([combined.t(a, b) for a, b in keys[block]]))
-            u = expm(angle * quads[block])
-            adj, resid, det_err = _adjoint_image(
-                triple, GaugeElement(u1=u, u2=id2) if first else GaugeElement(u1=id1, u2=u))
+            adj, resid, det_err = _adjoint_image(triple, element(expm(angle * quads[block])))
             for r, e in zip(resid, det_err):
                 failure = failure or _adjoint_failure(r, e, tol, DET_TOL)
-            worst = fold_max(worst, max_abs_each(big - adj))
+            worst = fold_max(worst, max_abs(big - adj))
         return worst
 
-    match1 = factor_match(range(n1), -theta, triple.quadratics1, True)
-    match2 = factor_match(range(n1, n1 + ca.n2), theta, triple.quadratics2, False)
+    match1 = factor_match(range(n1), -theta, triple.quadratics1,
+                          lambda u: GaugeElement(u1=u, u2=id2))
+    match2 = factor_match(range(n1, n1 + ca.n2), theta, triple.quadratics2,
+                          lambda u: GaugeElement(u1=id1, u2=u))
 
     a_generic = triple.random_algebra_element(rng)
     la = triple.left_action(a_generic)
     mixed = list(pg.u.values())
     mixed_min = min(v for block in stack_blocks(len(mixed), triple.dim)
-                    for v in max_abs_each(commutator(np.stack(mixed[block]), la)).tolist())
+                    for v in max_abs(commutator(np.stack(mixed[block]), la)).tolist())
 
     worst = max(bracket_res, match1, match2)
     passed = worst < tol and mixed_min > 0.01 and failure is None

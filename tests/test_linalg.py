@@ -25,14 +25,15 @@ from cliffspin.linalg import (
     kron,
     linear_combination,
     max_abs,
-    max_abs_each,
     null_space,
     phase_normalize,
     polar_unitary,
     solve_antilinear_commutant,
+    stack_at,
     stack_blocks,
     stacked_kron,
     tensor_antilinear,
+    unitarity_residual,
 )
 
 S1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -260,19 +261,35 @@ class TestStacks:
         j = tensor_antilinear(AntilinearOp(S2), AntilinearOp(eye(2)))
         stack = np.stack([random_complex(rng, 4) for _ in range(3)])
         conjugated = j.conjugate_matrix(stack)
-        residuals = j.commutation_residual_each(stack, -1)
+        residuals = j.commutation_residual(stack, -1)
         for k in range(3):
             assert conjugated[k].tobytes() == j.conjugate_matrix(stack[k]).tobytes()
             assert residuals[k] == j.commutation_residual(stack[k], -1)
 
-    def test_max_abs_each(self):
+    def test_max_abs_of_each_matrix(self):
         stack = np.zeros((3, 2, 2), dtype=complex)
         stack[0, 1, 0] = 3 - 4j
         stack[2, 0, 1] = np.nan
-        each = max_abs_each(stack)
+        each = max_abs(stack)
         assert each[:2].tolist() == [5.0, 0.0] and np.isnan(each[2])
-        assert max_abs_each(stack[0]) == max_abs(stack[0]) == 5.0
-        assert isinstance(max_abs_each(stack[0]), float)
+        assert max_abs(stack[0]) == 5.0 and isinstance(max_abs(stack[0]), float)
+        assert max_abs(stack.reshape(3, 1, 2, 2))[1, 0] == 0.0
+        assert max_abs(np.array([-2.0, 1.0])) == 2.0
+        assert max_abs(np.zeros((0, 3))) == 0.0
+
+    def test_unitarity_residual_of_each_matrix(self):
+        rng = np.random.default_rng(36)
+        stack = np.stack([expm(random_complex(rng, 3) - dagger(random_complex(rng, 3)))
+                          for _ in range(4)] + [2 * eye(3)])
+        each = unitarity_residual(stack)
+        assert each.shape == (5,) and each[4] == 3.0
+        for k in range(5):
+            assert each[k] == unitarity_residual(stack[k])
+
+    def test_stack_at_gathers_by_index(self):
+        mats = [k * eye(2) for k in range(5)]
+        assert stack_at(mats, [3, 0, 3]).tobytes() == np.stack(
+            [mats[3], mats[0], mats[3]]).tobytes()
 
     def test_fold_max_folds_like_the_loop(self):
         values = np.array([0.5, np.nan, 2.0, 1.0])
@@ -286,13 +303,15 @@ class TestStacks:
 
     @pytest.mark.parametrize("count, dim", [(0, 32), (1, 32), (8, 32), (9, 32), (300, 32),
                                             (45, 16), (5, 128), (7, 1)])
-    def test_stack_blocks_cover_the_count_in_bounded_blocks(self, count, dim):
-        blocks = stack_blocks(count, dim)
+    @pytest.mark.parametrize("entries", [STACK_BLOCK_ENTRIES, PRECONDITION_BLOCK_ENTRIES])
+    def test_stack_blocks_cover_the_count_in_bounded_blocks(self, count, dim, entries):
+        blocks = stack_blocks(count, dim, entries)
         assert [i for block in blocks for i in range(count)[block]] == list(range(count))
         for block in blocks:
             size = block.stop - block.start
-            assert size >= 1 and (size == 1 or size * dim * dim <= STACK_BLOCK_ENTRIES)
+            assert size >= 1 and (size == 1 or size * dim * dim <= entries)
         assert stack_blocks(20, 32)[0] == slice(0, 8)
+        assert stack_blocks(40, 32, PRECONDITION_BLOCK_ENTRIES)[0] == slice(0, 32)
 
 
 class TestPolar:
