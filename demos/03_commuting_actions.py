@@ -13,7 +13,6 @@ from cliffspin import (
     build_commuting,
     equivalence_even,
     equivalence_odd_odd,
-    product_so_generators,
     tensor_product_element,
     tensor_real_structure,
     three_action_closure_defect,
@@ -26,9 +25,8 @@ np.set_printoptions(precision=3, suppress=True, linewidth=100)
 print("=== (0,3) x (0,1): commuting families on C^2 ===")
 ca = build_commuting((0, 3), (0, 1))
 print("cross-family commutators:", commutation_residual(ca))
-pg = product_so_generators(ca)
-print("combined metric diag:", pg.combined.eta, " (so(3,1))")
-for (a, b), t in sorted(pg.combined.generators.items()):
+print("combined metric diag:", ca.generators.eta, " (so(3,1))")
+for (a, b), t in ca.generators.generators.items():
     print(f"T^{a}{b} =\n{t}")
 print(verify_bracket_table(ca).summary_line())
 print()
@@ -43,7 +41,7 @@ print()
 
 print("=== (4,0) x (0,6): the ten-dimensional case on C^32 ===")
 ca10 = build_commuting((4, 0), (0, 6))
-print("generator count:", len(product_so_generators(ca10).combined.generators))
+print("generator count:", len(ca10.generators.generators))
 print(verify_bracket_table(ca10).summary_line())
 print(equivalence_even(ca10).summary_line())
 j = tensor_real_structure(ca10)

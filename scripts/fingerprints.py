@@ -7,10 +7,12 @@ Run from the root of a source checkout; the package is imported from
 checkouts on the same machine shows whether a change keeps the output
 byte-identical.  One line per output, ``<sha256>  <exit code>  <label>``:
 
-* the JSON output of eight CLI invocations, run in-process: among them
+* the JSON output of nine CLI invocations, run in-process: among them
   ``pati-salam`` with 300 samples and with 17 (two full sample blocks and
-  a partial one) and ``three-actions``, which pin the sampled spectral
-  loops and the three-action defect outside ``all``;
+  a partial one), ``three-actions``, and ``commuting`` on (0,3) x (2,0),
+  whose odd first and even second factor send the suite through
+  ``swap_factors`` before the even identification; these pin paths that
+  ``all`` does not take;
 * one hash over ``module_to_json`` of every module in the benchmark's
   ``signature_sweep`` list (``bench/workloads.SWEEP``), in list order.
 """
@@ -36,6 +38,7 @@ COMMANDS = (
     ["verify", "brackets", "--max-n", "8"],
     ["verify", "brackets", "--max-n", "10"],
     ["commuting", "--sig1", "4,0", "--sig2", "0,6"],
+    ["commuting", "--sig1", "0,3", "--sig2", "2,0"],
     ["pati-salam", "--seed", "11", "--samples", "300"],
     ["pati-salam", "--seed", "3", "--samples", "17"],
     ["three-actions", "--sig1", "0,3", "--sig2", "0,3", "--sig3", "0,3"],

@@ -20,7 +20,6 @@ from .commuting import (
     build_commuting,
     equivalence_even,
     equivalence_odd_odd,
-    product_so_generators,
     tensor_hatted_real_structure,
     tensor_product_element,
     tensor_real_structure,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import zlib
 
@@ -40,11 +41,23 @@ def _parse_sig(text: str):
     return (p, q)
 
 
+def _parse_positive(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected a number (got {text!r})") from exc
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive (got {text!r})")
+    return value
+
+
 def signs_suite(max_n: int, tol: float) -> list:
     return [clifford.verify_module_signs(max_n, tol)]
 
 
 def brackets_suite(max_n: int, tol: float) -> list:
+    if max_n < 1:
+        raise ValueError("max_n must be at least 1")
     clifford.check_module_dim(max_n)
     worst = flip_worst = 0.0
     details = []
@@ -208,7 +221,7 @@ def _render(reports: list, args, command: str) -> tuple[str, bool]:
 
 
 def _add_shared(parser: argparse.ArgumentParser, seeded: bool = False) -> None:
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
+    parser.add_argument("--tol", type=_parse_positive, default=DEFAULT_TOL,
                         help="residual tolerance (default 1e-10)")
     if seeded:
         parser.add_argument("--seed", type=int, default=0,
@@ -252,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_three.add_argument("--sig1", type=_parse_sig, required=True)
     p_three.add_argument("--sig2", type=_parse_sig, required=True)
     p_three.add_argument("--sig3", type=_parse_sig, required=True)
-    p_three.add_argument("--min-defect", type=float, default=0.1, dest="min_defect")
+    p_three.add_argument("--min-defect", type=_parse_positive, default=0.1,
+                         dest="min_defect")
     _add_shared(p_three)
 
     p_ps = sub.add_parser("pati-salam", help="spectral-triple suite, both variants")

@@ -12,10 +12,13 @@ combined indexing is
 
     Tᵃᵇ = −T₁ᵃᵇ,  T^{n₁+α,n₁+β} = T₂^{αβ},  T^{a,n₁+β} = U^{aβ},
 
-extended antisymmetrically.  Factor order is significant; swapping the
-factors lands the flip on the other signature.  The five bracket families
-T₁·T₁, T₂·T₂, T₁·U, U·T₂ and U·U are index blocks of the one bracket table
-of these combined generators.
+extended antisymmetrically: the quadratic monomials of the concatenated
+family Γ₁ then Γ₂ with the first block negated.  Every
+:class:`CommutingAction` carries them as ``ca.generators``, built once from
+its gammas.  Factor order is significant; swapping the factors lands the
+flip on the other signature.  The five bracket families T₁·T₁, T₂·T₂, T₁·U,
+U·T₂ and U·U are index blocks of the one bracket table of these combined
+generators.
 
 The resulting representation is a full (Dirac) spinor representation when
 either factor has even generator count, and a single half-spinor (Weyl)
@@ -32,7 +35,7 @@ loop over generators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -58,7 +61,7 @@ from .linalg import (
     stack_blocks,
     tensor_antilinear,
 )
-from .liealg import SoRepresentation, bracket_residual_table
+from .liealg import SoRepresentation, bracket_residual_table, quadratic_monomials
 from .report import Report
 
 #: largest product dimension D accepted by :func:`three_action_closure_defect`;
@@ -67,14 +70,34 @@ from .report import Report
 MAX_THREE_ACTION_DIM = 256
 
 
+def combined_metric(eta1, eta2) -> np.ndarray:
+    return np.concatenate([-np.asarray(eta1, dtype=int), np.asarray(eta2, dtype=int)])
+
+
+def combined_generators(gamma1, gamma2, eta1, eta2) -> SoRepresentation:
+    """Combined generators for the metric (−η₁)⊕η₂: the quadratic monomials
+    of Γ₁ then Γ₂, with the T₁ block (b < n₁) negated."""
+    n1, gammas = len(gamma1), (*gamma1, *gamma2)
+    gens = {(a, b): frozen(-m) if b < n1 else m
+            for (a, b), m in quadratic_monomials(gammas).items()}
+    dim = gammas[0].shape[0] if gammas else 1
+    return SoRepresentation(eta=combined_metric(eta1, eta2), dim=dim, generators=gens)
+
+
 @dataclass(frozen=True)
 class CommutingAction:
-    """Two commuting gamma families acting on a tensor-product space."""
+    """Two commuting gamma families acting on a tensor-product space, with
+    the combined generators they form, built from the gammas."""
 
     mod1: CliffordModule
     mod2: CliffordModule
     gamma1: tuple
     gamma2: tuple
+    generators: SoRepresentation = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "generators", combined_generators(
+            self.gamma1, self.gamma2, self.mod1.eta, self.mod2.eta))
 
     @property
     def dim(self) -> int:
@@ -115,46 +138,6 @@ def commutation_residual(ca: CommutingAction) -> float:
     return worst
 
 
-def combined_metric(eta1, eta2) -> np.ndarray:
-    return np.concatenate([-np.asarray(eta1, dtype=int), np.asarray(eta2, dtype=int)])
-
-
-@dataclass(frozen=True)
-class ProductGenerators:
-    """Quadratic monomials of a commuting pair plus their combined indexing."""
-
-    t1: dict
-    t2: dict
-    u: dict
-    combined: SoRepresentation
-
-
-def _product_generators(gamma1, gamma2, eta1, eta2) -> ProductGenerators:
-    """Quadratic monomials of two gamma families and their combined indexing."""
-    n1, n2 = len(gamma1), len(gamma2)
-    t1 = {(a, b): frozen(0.5 * (gamma1[a] @ gamma1[b]))
-          for a in range(n1) for b in range(a + 1, n1)}
-    t2 = {(a, b): frozen(0.5 * (gamma2[a] @ gamma2[b]))
-          for a in range(n2) for b in range(a + 1, n2)}
-    u = {(a, b): frozen(0.5 * (gamma1[a] @ gamma2[b]))
-         for a in range(n1) for b in range(n2)}
-    gens = {}
-    for (a, b), m in t1.items():
-        gens[(a, b)] = frozen(-m)
-    for (a, b), m in u.items():
-        gens[(a, n1 + b)] = m
-    for (a, b), m in t2.items():
-        gens[(n1 + a, n1 + b)] = m
-    dim = gamma1[0].shape[0] if n1 else (gamma2[0].shape[0] if n2 else 1)
-    combined = SoRepresentation(eta=combined_metric(eta1, eta2), dim=dim, generators=gens)
-    return ProductGenerators(t1=t1, t2=t2, u=u, combined=combined)
-
-
-def product_so_generators(ca: CommutingAction) -> ProductGenerators:
-    """Combined generators for the metric (−η₁)⊕η₂."""
-    return _product_generators(ca.gamma1, ca.gamma2, ca.mod1.eta, ca.mod2.eta)
-
-
 #: the five bracket families as (row, column) blocks of the combined table; a
 #: pair's block counts its indices in the second factor: 0 T₁, 1 U, 2 T₂
 _FAMILIES = {"t1-t1": (0, 0), "t2-t2": (2, 2), "t1-u": (0, 1),
@@ -178,19 +161,18 @@ def bracket_family_residuals(gamma1, gamma2, eta1, eta2) -> dict:
     (diagonal generators count as zero), which hold for commuting families
     and fail for anticommuting ones.
     """
-    combined = _product_generators(gamma1, gamma2, eta1, eta2).combined
+    combined = combined_generators(gamma1, gamma2, eta1, eta2)
     return _family_residuals(bracket_residual_table(combined), combined.pairs(),
                              len(gamma1))
 
 
 def verify_bracket_table(ca: CommutingAction, tol: float = DEFAULT_TOL) -> Report:
     """Check the five bracket families of the combined generators."""
-    combined = product_so_generators(ca).combined
-    table = bracket_residual_table(combined)
-    fams = _family_residuals(table, combined.pairs(), ca.n1)
+    table = bracket_residual_table(ca.generators)
+    fams = _family_residuals(table, ca.generators.pairs(), ca.n1)
     comm = commutation_residual(ca)
     total = max_abs(table)
-    worst = max(comm, total)
+    worst = fold_max(comm, total)
     name = f"bracket-families{_pair_label(ca)}"
     details = [{"family": key, "residual": val} for key, val in sorted(fams.items())]
     details.append({"family": "gamma-commutation", "residual": comm})
@@ -224,13 +206,13 @@ def equivalence_even(ca: CommutingAction, tol: float = DEFAULT_TOL) -> Report:
 
     v = kron((eye(ca.mod1.dim) + 1j * ca.mod1.chirality) / math.sqrt(2), id2)
     vh = v.conj().T
-    gens = product_so_generators(ca).combined.generators
-    keys, values = list(gens), list(gens.values())
+    # the reference monomials come in the (a, b) order of the combined ones
+    ref_quads = list(quadratic_monomials(ref).values())
+    gens = list(ca.generators.generators.values())
     worst = 0.0
-    for block in stack_blocks(len(keys), ca.dim):
-        first, second = zip(*keys[block])
-        s_ab = 0.5 * (stack_at(ref, first) @ stack_at(ref, second))
-        worst = fold_max(worst, max_abs(v @ s_ab @ vh - np.stack(values[block])))
+    for block in stack_blocks(len(gens), ca.dim):
+        worst = fold_max(worst, max_abs(
+            v @ np.stack(ref_quads[block]) @ vh - np.stack(gens[block])))
     p_res = 0.0
     if (ca.n1 + ca.n2) % 2 == 0:
         prod = tensor_product_element(ca)
@@ -269,15 +251,14 @@ def equivalence_odd_odd(ca: CommutingAction, tol: float = DEFAULT_TOL) -> Report
     cliff_res = clifford_residual(doubled, ref_eta)
 
     d = ca.dim
-    gens = product_so_generators(ca).combined.generators
-    keys, values = list(gens), list(gens.values())
+    doubled_quads = list(quadratic_monomials(doubled).values())
+    gens = list(ca.generators.generators.values())
     worst = 0.0
-    for block in stack_blocks(len(keys), 2 * d):
-        first, second = zip(*keys[block])
-        quad = 0.5 * (stack_at(doubled, first) @ stack_at(doubled, second))
+    for block in stack_blocks(len(gens), 2 * d):
+        quad = np.stack(doubled_quads[block])
         for upper, lower, restricted in zip(
                 max_abs(quad[:, :d, d:]).tolist(), max_abs(quad[:, d:, :d]).tolist(),
-                max_abs(quad[:, :d, :d] - np.stack(values[block])).tolist()):
+                max_abs(quad[:, :d, :d] - np.stack(gens[block])).tolist()):
             worst = max(worst, max(upper, lower), restricted)
 
     prod = tensor_product_element(ca)
@@ -358,7 +339,7 @@ def tensor_hatted_real_structure(ca: CommutingAction) -> AntilinearOp:
 
 def real_structure_commutation(ca: CommutingAction, j: AntilinearOp) -> float:
     """Worst residual of K·conj(Tᴬᴮ) = Tᴬᴮ·K over the combined generators."""
-    gens = list(product_so_generators(ca).combined.generators.values())
+    gens = list(ca.generators.generators.values())
     resid = [r for block in stack_blocks(len(gens), ca.dim)
              for r in j.commutation_residual(np.stack(gens[block]), 1).tolist()]
     return max(resid, default=0.0)
@@ -432,11 +413,10 @@ def swap_factors(ca: CommutingAction) -> CommutingAction:
 
 __all__ = [
     "CommutingAction",
-    "ProductGenerators",
     "build_commuting",
     "commutation_residual",
     "combined_metric",
-    "product_so_generators",
+    "combined_generators",
     "bracket_family_residuals",
     "verify_bracket_table",
     "equivalence_even",

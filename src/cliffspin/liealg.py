@@ -58,13 +58,17 @@ class SoRepresentation:
         return -self.generators[(b, a)]
 
 
+def quadratic_monomials(gammas) -> dict:
+    """{(a, b): ½γᵃγᵇ} for a < b, read-only, in ascending (a, b) order."""
+    n = len(gammas)
+    return {(a, b): frozen(0.5 * (gammas[a] @ gammas[b]))
+            for a in range(n) for b in range(a + 1, n)}
+
+
 def so_generators(m: CliffordModule) -> SoRepresentation:
     """Quadratic monomials Tᵃᵇ = ½γᵃγᵇ of an irreducible module."""
-    gens = {}
-    for a in range(m.n):
-        for b in range(a + 1, m.n):
-            gens[(a, b)] = frozen(0.5 * (m.gammas[a] @ m.gammas[b]))
-    return SoRepresentation(eta=np.asarray(m.eta, dtype=int), dim=m.dim, generators=gens)
+    return SoRepresentation(eta=np.asarray(m.eta, dtype=int), dim=m.dim,
+                            generators=quadratic_monomials(m.gammas))
 
 
 #: gathered entries per temporary of the phased-permutation bracket kernel:

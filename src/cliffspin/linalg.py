@@ -84,9 +84,11 @@ def max_abs(a):
 
 
 def fold_max(worst: float, values) -> float:
-    """max(worst, v₀, v₁, …) over an array of residuals in index order, as a
-    loop of ``worst = max(worst, v)`` folds them: a NaN never wins."""
-    return max([worst, *np.ravel(values).tolist()])
+    """max(worst, v₀, v₁, …) over an array (or scalar) of residuals, as a
+    loop of ``worst = max(worst, v)`` folds them, except that a NaN anywhere
+    gives NaN, so a check on non-finite data cannot pass."""
+    folded = [worst, *np.ravel(values).tolist()]
+    return math.nan if any(map(math.isnan, folded)) else max(folded)
 
 
 def eye(dim: int) -> np.ndarray:

@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .clifford import CliffordModule, SignTriple, hatted_real_structure, sign_triple
-from .commuting import CommutingAction, build_commuting, product_so_generators
+from .commuting import CommutingAction, build_commuting
 from .liealg import bracket_residual, so_generators, weyl_projectors
 from .linalg import (
     DEFAULT_TOL,
@@ -266,7 +266,7 @@ def check_order_conditions(triple: PatiSalamTriple, dirac: DiracData,
         rb = triple.right_action(AlgebraElement(a1[:, 1], a2[:, 1]))
         worst0 = fold_max(worst0, max_abs(commutator(la, rb)))
         worst1 = fold_max(worst1, max_abs(commutator(commutator(d, la), rb)))
-    worst = max(worst0, worst1)
+    worst = fold_max(worst0, worst1)
     return Report(
         name=f"order-conditions({triple.variant})",
         passed=worst < tol,
@@ -487,8 +487,7 @@ def spin10_action(triple: PatiSalamTriple, rng=0, tol: float = DEFAULT_TOL) -> R
     """
     rng = _as_rng(rng)
     ca = triple.action
-    pg = product_so_generators(ca)
-    combined = pg.combined
+    combined = ca.generators
     bracket_res = bracket_residual(combined)
     n1 = ca.n1
     id1, id2 = eye(ca.mod1.dim), eye(ca.mod2.dim)
@@ -518,7 +517,7 @@ def spin10_action(triple: PatiSalamTriple, rng=0, tol: float = DEFAULT_TOL) -> R
 
     a_generic = triple.random_algebra_element(rng)
     la = triple.left_action(a_generic)
-    mixed = list(pg.u.values())
+    mixed = [g for (a, b), g in combined.generators.items() if a < n1 <= b]
     mixed_min = min(v for block in stack_blocks(len(mixed), triple.dim)
                     for v in max_abs(commutator(np.stack(mixed[block]), la)).tolist())
 

@@ -13,7 +13,6 @@ from cliffspin.commuting import (
     build_commuting,
     equivalence_even,
     equivalence_odd_odd,
-    product_so_generators,
     real_structure_commutation,
     real_structure_recipe,
     tensor_hatted_real_structure,
@@ -90,10 +89,9 @@ def test_criterion_04_bracket_families_with_negative_control():
     for pair in pairs:
         ca = build_commuting(*pair)
         ok = ok and verify_bracket_table(ca, tol=1e-12).passed
-        pg = product_so_generators(ca)
         unflipped = np.concatenate([ca.mod1.eta, ca.mod2.eta])
-        wrong = SoRepresentation(eta=unflipped, dim=pg.combined.dim,
-                                 generators=pg.combined.generators)
+        wrong = SoRepresentation(eta=unflipped, dim=ca.generators.dim,
+                                 generators=ca.generators.generators)
         ok = ok and bracket_residual(wrong) >= 0.5
     emit(4, "five bracket families pass; unflipped metric fails", ok)
 

@@ -109,6 +109,35 @@ class TestCliContract:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize("max_n", ["-1", "0"])
+    def test_brackets_below_one_generator_is_usage_error(self, capsys, max_n):
+        # used to exit 0 with two PASS reports over an empty table
+        assert run(["verify", "brackets", "--max-n", max_n]) == 2
+        assert "max_n must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "signs", "--max-n", "1", "--tol", "nan"],
+        ["verify", "brackets", "--max-n", "1", "--tol", "-1"],
+        ["irrep", "--p", "0", "--q", "2", "--tol", "nan"],
+        ["commuting", "--sig1", "0,3", "--sig2", "0,1", "--tol", "inf"],
+        ["pati-salam", "--tol", "0"],
+        ["three-actions", "--sig1", "2,0", "--sig2", "2,0", "--sig3", "2,0",
+         "--min-defect", "nan"],
+        ["three-actions", "--sig1", "2,0", "--sig2", "2,0", "--sig3", "2,0",
+         "--min-defect", "-0.5"],
+    ])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, argv):
+        assert run(argv) == 2
+        assert "must be finite and positive" in capsys.readouterr().err
+
+    def test_all_builds_the_combined_generators_once_per_action(self, capsys):
+        # one build per commuting action: four pairs and the Pati-Salam action
+        spy = mock.Mock(wraps=commuting.combined_generators)
+        with mock.patch.object(commuting, "combined_generators", spy):
+            assert run(["all", "--seed", "7", "--format", "json"]) == 0
+        capsys.readouterr()
+        assert spy.call_count == 5
+
     def test_malformed_flag_is_usage_error(self, capsys):
         assert run(["irrep", "--p", "zero", "--q", "1"]) == 2
         assert run(["commuting", "--sig1", "nope", "--sig2", "0,1"]) == 2

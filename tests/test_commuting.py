@@ -14,11 +14,11 @@ from cliffspin.clifford import build_irrep, hatted_real_structure
 from cliffspin.commuting import (
     bracket_family_residuals,
     build_commuting,
+    combined_generators,
     combined_metric,
     commutation_residual,
     equivalence_even,
     equivalence_odd_odd,
-    product_so_generators,
     real_structure_commutation,
     real_structure_recipe,
     swap_factors,
@@ -53,17 +53,16 @@ def test_commutation_and_own_relations():
 
 def test_combined_metric_examples():
     ca = build_commuting((0, 3), (0, 1))
-    pg = product_so_generators(ca)
-    assert list(pg.combined.eta) == [1, 1, 1, -1]
+    assert list(ca.generators.eta) == [1, 1, 1, -1]
     ca = build_commuting((4, 0), (0, 6))
-    assert list(product_so_generators(ca).combined.eta) == [-1] * 10
+    assert list(ca.generators.eta) == [-1] * 10
 
 
 def test_single_mixed_generator():
     ca = build_commuting((0, 1), (1, 0))
-    pg = product_so_generators(ca)
-    assert max_abs(pg.u[(0, 0)] - np.array([[0.5j]])) == 0.0
-    assert bracket_residual(pg.combined) == 0.0
+    # U⁰⁰ sits at the combined index (0, n₁ + 0)
+    assert max_abs(ca.generators.t(0, 1) - np.array([[0.5j]])) == 0.0
+    assert bracket_residual(ca.generators) == 0.0
 
 
 @pytest.mark.parametrize("pair", [
@@ -79,10 +78,9 @@ def test_bracket_table(pair):
 
 def test_wrong_metric_fails():
     ca = build_commuting((0, 3), (0, 1))
-    pg = product_so_generators(ca)
     wrong_eta = np.concatenate([ca.mod1.eta, ca.mod2.eta])
-    wrong = SoRepresentation(eta=wrong_eta, dim=pg.combined.dim,
-                             generators=pg.combined.generators)
+    wrong = SoRepresentation(eta=wrong_eta, dim=ca.generators.dim,
+                             generators=ca.generators.generators)
     assert bracket_residual(wrong) >= 0.5
 
 
@@ -116,17 +114,26 @@ def test_negated_factor_metric_fails_its_blocks(pair):
 
 
 def test_bracket_residual_table_shape_and_maximum():
-    combined = product_so_generators(build_commuting((2, 0), (0, 3))).combined
+    combined = build_commuting((2, 0), (0, 3)).generators
     table = bracket_residual_table(combined)
     n = len(combined.pairs())
     assert table.shape == (n, n)
     assert table.max() == bracket_residual(combined)
 
 
+def test_nan_gammas_fail_the_bracket_table():
+    # a NaN residual used to be dropped by every max fold: PASS with 0.0
+    ca = build_commuting((0, 3), (0, 1))
+    broken = dataclasses.replace(ca, gamma2=tuple(np.full_like(g, np.nan) for g in ca.gamma2))
+    report = verify_bracket_table(broken)
+    assert not report.passed
+    assert math.isnan(report.max_residual)
+
+
 def test_factor_swap():
     ca = build_commuting((0, 3), (0, 1))
     swapped = swap_factors(ca)
-    assert list(product_so_generators(swapped).combined.eta) == [1, -1, -1, -1]
+    assert list(swapped.generators.eta) == [1, -1, -1, -1]
     assert verify_bracket_table(swapped, tol=1e-12).passed
 
 
@@ -197,7 +204,7 @@ class TestTensorProductElement:
         for pair in [((0, 3), (0, 1)), ((2, 0), (2, 0))]:
             ca = build_commuting(*pair)
             prod = tensor_product_element(ca)
-            for g in product_so_generators(ca).combined.generators.values():
+            for g in ca.generators.generators.values():
                 assert max_abs(prod @ g - g @ prod) < 1e-12
 
     def test_odd_combined_signature_rejected(self):
@@ -274,8 +281,7 @@ class TestThreeActions:
         # of quadratics stays inside the span, so the same projection
         # machinery reports (essentially) zero defect
         ca = build_commuting((2, 0), (0, 3))
-        pg = product_so_generators(ca)
-        quads = list(pg.t1.values()) + list(pg.t2.values()) + list(pg.u.values())
+        quads = list(ca.generators.generators.values())
         span = [eye(ca.dim)] + quads
 
         def realvec(mat):
@@ -316,7 +322,7 @@ def reference_conjugated_generators(ca):
     v = kron((eye(ca.mod1.dim) + 1j * ca.mod1.chirality) / math.sqrt(2), id2)
     vh = v.conj().T
     worst = 0.0
-    for (a, b), g in product_so_generators(ca).combined.generators.items():
+    for (a, b), g in ca.generators.generators.items():
         worst = max(worst, max_abs(v @ (0.5 * (ref[a] @ ref[b])) @ vh - g))
     return worst
 
@@ -327,7 +333,7 @@ def reference_restricted_generators(ca):
     doubled = [kron(flip, g) for g in ca.gamma1] + [kron(swap, g) for g in ca.gamma2]
     d = ca.dim
     worst = 0.0
-    for (a, b), g in product_so_generators(ca).combined.generators.items():
+    for (a, b), g in ca.generators.generators.items():
         quad = 0.5 * (doubled[a] @ doubled[b])
         off_block = max(max_abs(quad[:d, d:]), max_abs(quad[d:, :d]))
         worst = max(worst, off_block, max_abs(quad[:d, :d] - g))
@@ -336,7 +342,7 @@ def reference_restricted_generators(ca):
 
 def reference_real_structure_commutation(ca, j):
     return max((j.commutation_residual(g, 1)
-                for g in product_so_generators(ca).combined.generators.values()),
+                for g in ca.generators.generators.values()),
                default=0.0)
 
 
@@ -350,6 +356,28 @@ def perturbed(ca, seed, size=1e-9):
                      for g in gammas)
 
     return dataclasses.replace(ca, gamma1=noisy(ca.gamma1), gamma2=noisy(ca.gamma2))
+
+
+@pytest.mark.parametrize("pair", [((0, 3), (0, 1)), ((4, 0), (0, 6)), ((0, 3), (2, 0))])
+def test_replaced_gammas_rebuild_the_generators(pair):
+    # the combined generators are derived from the gammas, never stale
+    ca = build_commuting(*pair)
+    noisy = perturbed(ca, 5)
+    fresh = combined_generators(noisy.gamma1, noisy.gamma2, ca.mod1.eta, ca.mod2.eta)
+    assert list(noisy.generators.generators) == list(fresh.generators) == ca.generators.pairs()
+    for key, g in fresh.generators.items():
+        assert noisy.generators.generators[key].tobytes() == g.tobytes()
+        assert not np.array_equal(g, ca.generators.generators[key])
+    assert np.array_equal(noisy.generators.eta, fresh.eta) and noisy.generators.dim == fresh.dim
+
+
+def test_combined_generators_negate_only_the_first_block():
+    ca = build_commuting((2, 1), (0, 2))
+    gammas = ca.gamma1 + ca.gamma2
+    for (a, b), g in ca.generators.generators.items():
+        sign = -1 if b < ca.n1 else 1
+        assert np.array_equal(g, sign * 0.5 * (gammas[a] @ gammas[b]))
+        assert not g.flags.writeable
 
 
 SMALL_SIGNATURES = [(p, n - p) for n in range(5) for p in range(n + 1)]

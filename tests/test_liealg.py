@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from cliffspin import liealg
 from cliffspin.clifford import build_irrep, gamma_chain, product_of
-from cliffspin.commuting import _product_generators, build_commuting, product_so_generators
+from cliffspin.commuting import build_commuting, combined_generators
 from cliffspin.liealg import (
     SoRepresentation,
     _dense_bracket_table,
@@ -29,6 +29,7 @@ from cliffspin.liealg import (
     flipped_representation,
     intertwiner_residual,
     product_eigenspace_exchange_residual,
+    quadratic_monomials,
     so_generators,
     structure_survival,
     weyl_pieces,
@@ -133,6 +134,17 @@ def kernel_table(rep):
     return table
 
 
+def test_quadratic_monomials_are_the_ascending_half_products():
+    m = build_irrep((1, 3))
+    quads = quadratic_monomials(m.gammas)
+    assert list(quads) == [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    for (a, b), t in quads.items():
+        assert np.array_equal(t, 0.5 * (m.gammas[a] @ m.gammas[b]))
+        assert not t.flags.writeable
+    assert so_generators(m).generators.keys() == quads.keys()
+    assert quadratic_monomials(m.gammas[:1]) == {}
+
+
 class TestPhasedPermutationKernel:
     SWEEP = load_sweep()
 
@@ -154,16 +166,16 @@ class TestPhasedPermutationKernel:
                 assert table.max() == 1.0
 
     @pytest.mark.parametrize("pair", [((4, 0), (0, 6)), ((0, 3), (0, 3))])
-    def test_product_generators_bit_equal_to_dense(self, pair):
-        combined = product_so_generators(build_commuting(*pair)).combined
+    def test_combined_generators_bit_equal_to_dense(self, pair):
+        combined = build_commuting(*pair).generators
         table = kernel_table(combined)
         assert np.array_equal(table, _dense_bracket_table(combined))
         assert table.max() == 0.0
 
     def test_anticommuting_split_bit_equal_to_dense(self):
         m = build_irrep((0, 4))
-        combined = _product_generators(list(m.gammas[:3]), list(m.gammas[3:]),
-                                       [-1, -1, -1], [-1]).combined
+        combined = combined_generators(list(m.gammas[:3]), list(m.gammas[3:]),
+                                       [-1, -1, -1], [-1])
         table = kernel_table(combined)
         assert np.array_equal(table, _dense_bracket_table(combined))
         assert table.max() >= 0.5

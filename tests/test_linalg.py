@@ -2,6 +2,7 @@
 factors and the antilinear commutant solver, checked against independent
 oracles (entry-wise expansion, truncated series, basis enumeration)."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -292,14 +293,21 @@ class TestStacks:
             [mats[3], mats[0], mats[3]]).tobytes()
 
     def test_fold_max_folds_like_the_loop(self):
-        values = np.array([0.5, np.nan, 2.0, 1.0])
+        values = np.array([0.5, 2.0, 1.0])
         worst = 0.0
         for v in values:
             worst = max(worst, float(v))
         assert fold_max(0.0, values) == worst == 2.0
         assert fold_max(3.0, values) == 3.0
-        assert fold_max(0.0, np.array([np.nan])) == 0.0
+        assert fold_max(1.5, 2.5) == 2.5
         assert fold_max(0.5, np.zeros(0)) == 0.5
+
+    def test_fold_max_propagates_nan(self):
+        # the loop would drop the NaN and let a non-finite residual pass
+        assert math.isnan(fold_max(0.0, np.array([0.5, np.nan, 2.0, 1.0])))
+        assert math.isnan(fold_max(3.0, np.array([np.nan])))
+        assert math.isnan(fold_max(np.nan, np.array([1.0])))
+        assert math.isnan(fold_max(np.nan, np.zeros(0)))
 
     @pytest.mark.parametrize("count, dim", [(0, 32), (1, 32), (8, 32), (9, 32), (300, 32),
                                             (45, 16), (5, 128), (7, 1)])

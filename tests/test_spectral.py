@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from cliffspin import liealg, spectral
-from cliffspin.commuting import product_so_generators
 from cliffspin.liealg import bracket_residual, so_generators
 from cliffspin.linalg import (
     DEFAULT_TOL,
@@ -316,16 +315,12 @@ def test_spin10_requires_the_right_signatures():
 def test_equivariance_of_the_two_real_structures():
     # the plain structure commutes with all 45 combined generators; the
     # hatted variant anticommutes with the 24 mixed ones instead
-    from cliffspin.commuting import product_so_generators
     plain, hatted = TRIPLES["plain"], TRIPLES["hatted_second"]
-    pg = product_so_generators(plain.action)
-    for g in pg.combined.generators.values():
+    n1 = plain.action.n1
+    for (a, b), g in plain.action.generators.generators.items():
         assert plain.J.commutation_residual(g, 1) < 1e-10
-    for block in (pg.t1, pg.t2):
-        for g in block.values():
-            assert hatted.J.commutation_residual(g, 1) < 1e-10
-    for g in pg.u.values():
-        assert hatted.J.commutation_residual(g, -1) < 1e-10
+        mixed = a < n1 <= b
+        assert hatted.J.commutation_residual(g, -1 if mixed else 1) < 1e-10
 
 
 def test_even_monomial_basis_counts():
@@ -392,24 +387,24 @@ def reference_gauge_action(triple, samples, rng, scale=1.0, tol=DEFAULT_TOL):
 def reference_spin10_parts(triple, rng, tol):
     """(match1, match2, mixed_min, first adjoint failure) of the generator loops."""
     ca = triple.action
-    pg = product_so_generators(ca)
     quads1, quads2 = so_generators(ca.mod1).generators, so_generators(ca.mod2).generators
     failure = None
     match1 = match2 = 0.0
     for (a, b) in quads1:
-        big = expm(0.7 * pg.combined.t(a, b))
+        big = expm(0.7 * ca.generators.t(a, b))
         u = GaugeElement(expm(-0.7 * quads1[(a, b)]), eye(ca.mod2.dim))
         adj, resid, det_err = reference_adjoint_image(triple, u)
         failure = failure or spectral._adjoint_failure(resid, det_err, tol, DET_TOL)
         match1 = max(match1, max_abs(big - adj))
     for (a, b) in quads2:
-        big = expm(0.7 * pg.combined.t(ca.n1 + a, ca.n1 + b))
+        big = expm(0.7 * ca.generators.t(ca.n1 + a, ca.n1 + b))
         u = GaugeElement(eye(ca.mod1.dim), expm(0.7 * quads2[(a, b)]))
         adj, resid, det_err = reference_adjoint_image(triple, u)
         failure = failure or spectral._adjoint_failure(resid, det_err, tol, DET_TOL)
         match2 = max(match2, max_abs(big - adj))
     la = triple.left_action(triple.random_algebra_element(rng))
-    mixed_min = min(max_abs(commutator(m, la)) for m in pg.u.values())
+    mixed_min = min(max_abs(commutator(ca.generators.t(a, ca.n1 + b), la))
+                    for a in range(ca.n1) for b in range(ca.n2))
     return match1, match2, mixed_min, failure
 
 
@@ -420,6 +415,17 @@ def perturbed_projections(triple, seed, size=1e-9):
     noise = lambda m: m + size * (rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape))
     return dataclasses.replace(triple, pi2_plus=noise(triple.pi2_plus),
                                pi2_minus=noise(triple.pi2_minus))
+
+
+def test_nan_projection_fails_the_order_conditions():
+    # a NaN residual used to be dropped by every max fold: PASS with 0.0
+    triple = TRIPLES["plain"]
+    broken = dataclasses.replace(triple, pi2_plus=np.full_like(triple.pi2_plus, np.nan))
+    report = check_order_conditions(broken, triple.dirac_operator([1.0, 0.0, 0.0, 0.0]),
+                                    samples=3, rng=0)
+    assert not report.passed
+    assert np.isnan(report.max_residual)
+    assert np.isnan(report.details[0]["zeroth_order"])
 
 
 def same_report(report, reference) -> bool:
@@ -500,7 +506,7 @@ class TestStackedLoopsEqualTheReferences:
         match1, match2, mixed_min, failure = reference_spin10_parts(
             triple, np.random.default_rng(9), tol)
         detail = report.details[0]
-        assert detail["brackets"] == bracket_residual(product_so_generators(triple.action).combined)
+        assert detail["brackets"] == bracket_residual(triple.action.generators)
         assert (detail["factor1_block_match"], detail["factor2_block_match"],
                 detail["mixed_generator_min_commutator"]) == (match1, match2, mixed_min)
         assert detail.get("adjoint_failure") == failure
