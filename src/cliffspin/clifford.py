@@ -33,6 +33,7 @@ from .linalg import (
     check_commuting_involutions,
     eye,
     fixed_space,
+    fold_max,
     frozen,
     kron,
     kron_all,
@@ -271,21 +272,18 @@ def clifford_residual(gammas, eta) -> float:
     if len(gammas) == 0:
         return 0.0
     dim = gammas[0].shape[0]
-    worst = 0.0
+    resid = []
     for a, ga in enumerate(gammas):
         for b, gb in enumerate(gammas):
             target = 2 * eta[a] * eye(dim) if a == b else np.zeros((dim, dim))
-            worst = max(worst, max_abs(anticommutator(ga, gb) - target))
-    return worst
+            resid.append(max_abs(anticommutator(ga, gb) - target))
+    return fold_max(0.0, resid)
 
 
 def hermiticity_residual(m: CliffordModule) -> float:
     """Gammas must be Hermitian up to index p and anti-Hermitian after."""
-    worst = 0.0
-    for a, g in enumerate(m.gammas):
-        sign = 1 if a < m.signature.p else -1
-        worst = max(worst, max_abs(g.conj().T - sign * g))
-    return worst
+    return fold_max(0.0, [max_abs(g.conj().T - (1 if a < m.signature.p else -1) * g)
+                          for a, g in enumerate(m.gammas)])
 
 
 def measure_sign_triple(m: CliffordModule, tol: float = DEFAULT_TOL):
@@ -328,7 +326,7 @@ def module_residuals(m: CliffordModule) -> dict:
     """Defining-relation residuals of a constructed module."""
     res = {
         "clifford": clifford_residual(m.gammas, m.eta),
-        "unitarity": max((unitarity_residual(g) for g in m.gammas), default=0.0),
+        "unitarity": fold_max(0.0, [unitarity_residual(g) for g in m.gammas]),
         "hermiticity_split": hermiticity_residual(m),
         "product_square": max_abs(
             m.P @ m.P - (-1.0) ** (m.s * (m.s + 1) // 2) * eye(m.dim)),
@@ -338,14 +336,14 @@ def module_residuals(m: CliffordModule) -> dict:
     }
     eps, eps_prime, eps_dd = sign_triple(m.s)
     res["j_square"] = max_abs(m.J.square() - eps * eye(m.dim))
-    res["j_gamma"] = max(
-        (m.J.commutation_residual(g, eps_prime) for g in m.gammas), default=0.0)
+    res["j_gamma"] = fold_max(
+        0.0, [m.J.commutation_residual(g, eps_prime) for g in m.gammas])
     if eps_dd is not None:
         res["j_chirality"] = m.J.commutation_residual(m.chirality, eps_dd)
     if m.Jhat is not None:
         res["jhat_square"] = max_abs(m.Jhat.square() - eps_dd * eps * eye(m.dim))
-        res["jhat_gamma"] = max(
-            (m.Jhat.commutation_residual(g, -1) for g in m.gammas), default=0.0)
+        res["jhat_gamma"] = fold_max(
+            0.0, [m.Jhat.commutation_residual(g, -1) for g in m.gammas])
         res["jhat_chirality"] = m.Jhat.commutation_residual(m.chirality, eps_dd)
     return res
 
@@ -373,7 +371,7 @@ def verify_module_signs(max_n: int, tol: float = DEFAULT_TOL):
                 m = build_irrep(sig, branch)
                 expected = sign_triple(sig.s)
                 res = module_residuals(m)
-                row_max = max(res.values())
+                row_max = fold_max(0.0, list(res.values()))
                 failure = {}
                 try:
                     measured, _ = measure_sign_triple(m, tol)
@@ -381,7 +379,7 @@ def verify_module_signs(max_n: int, tol: float = DEFAULT_TOL):
                     measured, failure = None, {"error": str(exc)}
                 ok = measured == expected and row_max < tol
                 all_ok = all_ok and ok
-                worst = max(worst, row_max)
+                worst = fold_max(worst, row_max)
                 details.append({
                     "p": sig.p, "q": sig.q, "branch": branch, "s": sig.s,
                     "measured": list(measured) if measured else None,

@@ -217,7 +217,7 @@ def equivalence_even(ca: CommutingAction, tol: float = DEFAULT_TOL) -> Report:
     if (ca.n1 + ca.n2) % 2 == 0:
         prod = tensor_product_element(ca)
         p_res = max_abs(v @ prod @ vh - prod)
-    overall = max(worst, p_res, cliff_res)
+    overall = fold_max(worst, (p_res, cliff_res))
     return Report(
         name=f"even-equivalence{_pair_label(ca)}",
         passed=overall < tol,
@@ -256,16 +256,14 @@ def equivalence_odd_odd(ca: CommutingAction, tol: float = DEFAULT_TOL) -> Report
     worst = 0.0
     for block in stack_blocks(len(gens), 2 * d):
         quad = np.stack(doubled_quads[block])
-        for upper, lower, restricted in zip(
-                max_abs(quad[:, :d, d:]).tolist(), max_abs(quad[:, d:, :d]).tolist(),
-                max_abs(quad[:, :d, :d] - np.stack(gens[block])).tolist()):
-            worst = max(worst, max(upper, lower), restricted)
+        worst = fold_max(worst, [max_abs(quad[:, :d, d:]), max_abs(quad[:, d:, :d]),
+                                 max_abs(quad[:, :d, :d] - np.stack(gens[block]))])
 
     prod = tensor_product_element(ca)
     scalar = complex(prod[0, 0])
     scalar_res = max_abs(prod - scalar * eye(d))
     unit_res = abs(abs(scalar) - 1.0)
-    overall = max(worst, cliff_res, scalar_res, unit_res)
+    overall = fold_max(worst, (cliff_res, scalar_res, unit_res))
     return Report(
         name=f"odd-odd-equivalence{_pair_label(ca)}",
         passed=overall < tol,
@@ -275,7 +273,7 @@ def equivalence_odd_odd(ca: CommutingAction, tol: float = DEFAULT_TOL) -> Report
             {"item": "doubled-clifford-relations", "residual": cliff_res},
             {"item": "restricted-generators", "residual": worst},
             {"item": "product-scalar", "re": scalar.real, "im": scalar.imag,
-             "residual": max(scalar_res, unit_res)},
+             "residual": fold_max(scalar_res, unit_res)},
         ],
     )
 
@@ -340,9 +338,10 @@ def tensor_hatted_real_structure(ca: CommutingAction) -> AntilinearOp:
 def real_structure_commutation(ca: CommutingAction, j: AntilinearOp) -> float:
     """Worst residual of K·conj(Tᴬᴮ) = Tᴬᴮ·K over the combined generators."""
     gens = list(ca.generators.generators.values())
-    resid = [r for block in stack_blocks(len(gens), ca.dim)
-             for r in j.commutation_residual(np.stack(gens[block]), 1).tolist()]
-    return max(resid, default=0.0)
+    worst = 0.0
+    for block in stack_blocks(len(gens), ca.dim):
+        worst = fold_max(worst, j.commutation_residual(np.stack(gens[block]), 1))
+    return worst
 
 
 def three_action_closure_defect(sig_a, sig_b, sig_c) -> float:

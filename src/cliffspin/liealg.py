@@ -25,6 +25,7 @@ from .linalg import (
     commutator,
     eye,
     fixed_space,
+    fold_max,
     frozen,
     max_abs,
     phase_normalize,
@@ -240,7 +241,12 @@ def casimir_element(rep: SoRepresentation) -> np.ndarray:
             memo[rest] = 2 * total
         return memo[rest]
 
-    return (2 ** (n // 2) / math.factorial(n)) * contract(tuple(range(n)))
+    try:
+        return (2 ** (n // 2) / math.factorial(n)) * contract(tuple(range(n)))
+    finally:
+        # the closure refers to itself, a cycle that would keep the memo of
+        # 2^(n-1) matrices alive until the cyclic collector ran
+        del contract
 
 
 def weyl_projectors(m: CliffordModule):
@@ -354,10 +360,8 @@ def structure_survival(m: CliffordModule, tol: float = DEFAULT_TOL) -> dict:
     For odd n the full module is already irreducible and J survives as is.
     """
     rep = so_generators(m)
-    p_comm = max((max_abs(commutator(m.P, g)) for g in rep.generators.values()),
-                 default=0.0)
-    j_comm = max((m.J.commutation_residual(g, 1) for g in rep.generators.values()),
-                 default=0.0)
+    p_comm = fold_max(0.0, [max_abs(commutator(m.P, g)) for g in rep.generators.values()])
+    j_comm = fold_max(0.0, [m.J.commutation_residual(g, 1) for g in rep.generators.values()])
     if m.n == 0:
         has_p = has_j = True
     elif m.n % 2 == 1:

@@ -3,7 +3,8 @@
 Everything operates on square numpy arrays of dtype complex128.  Matrix
 comparisons use the max-absolute-entry norm throughout the package, with a
 single overridable default tolerance.  The Kronecker convention is first
-factor major (row-major blocks) everywhere.
+factor major (row-major blocks) everywhere.  The module needs numpy only;
+:func:`expm`, the one SciPy call, imports ``scipy.linalg`` when it first runs.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 #: project-wide default tolerance for residual checks
 DEFAULT_TOL = 1e-10
@@ -170,7 +170,12 @@ def expm(a) -> np.ndarray:
     """Matrix exponential (Pade approximant with scaling and squaring) of a
     matrix or of each matrix of a stack (…, d, d); scipy runs the same
     algorithm slice by slice, so each slice is bit-identical to its own
-    exponential.  Raises ValueError when any entry is not finite."""
+    exponential.  Raises ValueError when any entry is not finite.
+
+    SciPy is imported at the first call: nothing else in the package needs
+    it, so the commands that never exponentiate do not load it."""
+    import scipy.linalg
+
     m = as_matrices(a)
     if not np.all(np.isfinite(m)):
         raise ValueError("expm: input has non-finite entries")

@@ -416,7 +416,7 @@ def verify_gauge_action(triple: PatiSalamTriple, samples: int = 50, rng=0,
     return Report(
         name=f"gauge-action({triple.variant})",
         passed=passed,
-        max_residual=max(worst, inv_worst),
+        max_residual=fold_max(worst, inv_worst),
         tolerance=tol,
         details=[{"samples": samples, "factorization": worst,
                   "unimodularity": det_worst, "element_invariants": inv_worst}],
@@ -443,7 +443,7 @@ def higgs_transform(triple: PatiSalamTriple, dirac: DiracData, u: GaugeElement,
         (np.trace(transported @ triple.action.gamma1[a]) / triple.dim).real
         for a in range(4)])
     norm_err = abs(np.linalg.norm(d_new) - np.linalg.norm(dirac.d))
-    worst = max(resid, norm_err)
+    worst = fold_max(resid, norm_err)
     details = {"d": [float(x) for x in dirac.d],
                "d_transformed": [float(x) for x in d_new],
                "covariance": resid, "norm_change": norm_err}
@@ -521,7 +521,7 @@ def spin10_action(triple: PatiSalamTriple, rng=0, tol: float = DEFAULT_TOL) -> R
     mixed_min = min(v for block in stack_blocks(len(mixed), triple.dim)
                     for v in max_abs(commutator(np.stack(mixed[block]), la)).tolist())
 
-    worst = max(bracket_res, match1, match2)
+    worst = fold_max(bracket_res, (match1, match2))
     passed = worst < tol and mixed_min > 0.01 and failure is None
     details = {"brackets": bracket_res, "factor1_block_match": match1,
                "factor2_block_match": match2,

@@ -3,13 +3,14 @@ and byte-level determinism of seeded runs."""
 
 import dataclasses
 import json
+import math
 import time
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from cliffspin import cli, clifford, commuting, spectral
+from cliffspin import cli, clifford, commuting, liealg, spectral
 from cliffspin.cli import run
 from cliffspin.clifford import build_irrep
 from cliffspin.serialize import (
@@ -292,3 +293,38 @@ class TestFaultInjection:
         hatted = rows["ko-signs(hatted_second)"]
         assert hatted["passed"] is False
         assert hatted["details"][0]["table_row"] == 2
+
+    def test_nan_flipped_brackets_fail_the_bracket_report(self):
+        def nan_flipped(rep):
+            return dataclasses.replace(rep, generators={
+                key: np.full_like(g, np.nan) for key, g in rep.generators.items()})
+
+        with mock.patch.object(liealg, "flipped_representation", nan_flipped):
+            brackets, _ = cli.brackets_suite(2, 1e-10)
+        assert not brackets.passed
+        assert math.isnan(brackets.max_residual)
+
+    def test_nan_casimir_fails_the_casimir_report(self):
+        with mock.patch.object(liealg, "casimir_element",
+                               lambda rep: np.full((rep.dim, rep.dim), np.nan)):
+            report = cli.casimir_report(2)
+        assert not report.passed
+        assert math.isnan(report.max_residual)
+
+    def test_nan_higgs_residual_is_the_higgs_report_residual(self):
+        # one failed Higgs sample with a NaN residual among finite ones
+        real = spectral.higgs_transform
+        calls = []
+
+        def one_nan(*args, **kwargs):
+            report = real(*args, **kwargs)
+            calls.append(report)
+            if len(calls) == 3:
+                return dataclasses.replace(report, passed=False, max_residual=math.nan)
+            return report
+
+        with mock.patch.object(spectral, "higgs_transform", one_nan):
+            reports = cli.pati_salam_suite(0, 1, 1e-10)
+        higgs = {r.name: r for r in reports}["higgs-covariance(plain)"]
+        assert not higgs.passed
+        assert math.isnan(higgs.max_residual)

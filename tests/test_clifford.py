@@ -379,3 +379,39 @@ def test_signature_validation():
     sig = Signature(1, 2)
     assert sig.n == 3 and sig.s == 1
     assert list(sig.metric) == [1, -1, -1]
+
+
+def nan_last_gamma(m):
+    """The module with its last gamma replaced by NaN entries, so a fold
+    that drops a NaN after a finite value shows it."""
+    return dataclasses.replace(
+        m, gammas=(*m.gammas[:-1], np.full_like(m.gammas[-1], np.nan)))
+
+
+class TestNanResiduals:
+    """A NaN residual fails the check; a max fold used to drop it."""
+
+    def test_clifford_residual(self):
+        gammas = build_irrep((0, 3)).gammas
+        assert np.isnan(clifford.clifford_residual(
+            (*gammas[:-1], np.full_like(gammas[-1], np.nan)), [-1, -1, -1]))
+
+    def test_hermiticity_residual(self):
+        assert np.isnan(clifford.hermiticity_residual(nan_last_gamma(build_irrep((1, 2)))))
+
+    def test_module_residuals(self):
+        res = module_residuals(nan_last_gamma(build_irrep((0, 4))))
+        for key in ("clifford", "unitarity", "hermiticity_split", "j_gamma", "jhat_gamma"):
+            assert np.isnan(res[key]), key
+
+    def test_verify_module_signs(self):
+        def with_nan_row(m):
+            return {**module_residuals(m), "injected": np.nan if m.n == 1 else 0.0}
+
+        with mock.patch.object(clifford, "module_residuals", with_nan_row):
+            report = verify_module_signs(2)
+        assert not report.passed
+        assert np.isnan(report.max_residual)
+        rows = {(d["p"], d["q"], d["branch"]): d for d in report.details}
+        assert not rows[(1, 0, 1)]["passed"] and np.isnan(rows[(1, 0, 1)]["max_residual"])
+        assert rows[(0, 2, 1)]["passed"]

@@ -405,3 +405,35 @@ def test_stacked_generator_checks_equal_the_loops(pair):
     if exact.dim > 1 and exact.n1 and exact.n2:
         # the noise makes the compared residuals nonzero
         assert commutation_residual(noisy) > 0.0
+
+
+class TestNanResiduals:
+    """A NaN residual fails the identification checks; a max fold used to
+    drop it and report PASS."""
+
+    def test_odd_odd_equivalence(self):
+        ca = build_commuting((0, 3), (0, 1))
+        broken = dataclasses.replace(
+            ca, gamma2=tuple(np.full_like(g, np.nan) for g in ca.gamma2))
+        report = equivalence_odd_odd(broken)
+        assert not report.passed
+        assert math.isnan(report.max_residual)
+        items = {d["item"]: d for d in report.details}
+        assert math.isnan(items["doubled-clifford-relations"]["residual"])
+        assert math.isnan(items["restricted-generators"]["residual"])
+
+    def test_even_equivalence_product_element(self):
+        ca = build_commuting((2, 0), (0, 2))
+        broken = dataclasses.replace(
+            ca, mod1=dataclasses.replace(ca.mod1, P=np.full_like(ca.mod1.P, np.nan)))
+        report = equivalence_even(broken)
+        assert not report.passed
+        assert math.isnan(report.max_residual)
+
+    def test_real_structure_commutation(self):
+        ca = build_commuting((0, 2), (0, 2))
+        j = tensor_real_structure(ca)
+        assert real_structure_commutation(ca, j) < 1e-12
+        broken = dataclasses.replace(
+            ca, gamma2=(*ca.gamma2[:-1], np.full_like(ca.gamma2[-1], np.nan)))
+        assert math.isnan(real_structure_commutation(broken, j))

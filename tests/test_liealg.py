@@ -2,6 +2,8 @@
 Casimir against the direct gamma product, the chirality split, and
 intertwiner-based equivalence tests."""
 
+import dataclasses
+import gc
 import importlib.util
 import itertools
 import math
@@ -315,6 +317,18 @@ class TestCasimir:
         assert max_abs(reference) > 1.0
         assert max_abs(casimir_element(rep) - reference) < 1e-12
 
+    def test_a_call_leaves_no_cyclic_garbage(self):
+        # the memo's recursive closure referred to itself, a cycle that kept
+        # the 2^(n-1) memo matrices alive until the cyclic collector ran
+        rep = so_generators(build_irrep((0, 8)))
+        gc.collect()
+        gc.disable()
+        try:
+            casimir_element(rep)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     @pytest.mark.parametrize("pq", [(0, 10), (4, 6)])
     def test_ten_index(self, pq):
         rep, gammas = gamma_representation(pq)
@@ -459,3 +473,14 @@ def test_j_exchanges_conjugate_halves(pq):
     m = build_irrep(pq)
     assert m.s in (2, 6)
     assert product_eigenspace_exchange_residual(m) < 1e-10
+
+
+def test_nan_generators_fail_structure_survival():
+    # a max fold used to drop the NaN commutators and keep P and J
+    m = build_irrep((0, 4))
+    broken = dataclasses.replace(
+        m, gammas=(*m.gammas[:-1], np.full_like(m.gammas[-1], np.nan)))
+    survey = structure_survival(broken)
+    assert math.isnan(survey["p_residual"]) and math.isnan(survey["j_residual"])
+    assert not survey["has_p"] and not survey["has_j"]
+    assert not survey["matches_table"]

@@ -539,3 +539,40 @@ class TestStackedLoopsEqualTheReferences:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5e6
+
+
+class TestNanResiduals:
+    """A NaN residual is the report's max residual and fails it; the final
+    max of each report used to drop it after a finite value."""
+
+    def test_gauge_action_element_invariants(self):
+        triple = TRIPLES["plain"]
+        mod1 = triple.action.mod1
+        broken_mod1 = dataclasses.replace(mod1, chirality=np.full_like(mod1.chirality, np.nan))
+        broken = dataclasses.replace(
+            triple, action=dataclasses.replace(triple.action, mod1=broken_mod1))
+        report = verify_gauge_action(broken, samples=2, rng=0)
+        assert not report.passed
+        assert np.isnan(report.max_residual)
+        assert report.details[0]["factorization"] < 1e-12
+
+    def test_higgs_coefficient_norm(self):
+        # NaN lifted gammas leave g·D·g† finite and spoil only the recovered
+        # coefficients, so the covariance residual stays finite
+        triple = TRIPLES["hatted_second"]
+        dirac = triple.dirac_operator([1.0, 0.0, 0.0, 0.0])
+        action = dataclasses.replace(
+            triple.action, gamma1=tuple(np.full_like(g, np.nan) for g in triple.action.gamma1))
+        u = sample_gauge_element(triple, np.random.default_rng(5))
+        report = higgs_transform(dataclasses.replace(triple, action=action), dirac, u)
+        assert not report.passed
+        assert np.isnan(report.max_residual)
+        assert report.details[0]["covariance"] < 1e-12
+
+    def test_spin10_block_match(self):
+        triple = TRIPLES["hatted_second"]
+        broken = dataclasses.replace(triple, pi2_plus=np.full_like(triple.pi2_plus, np.nan))
+        report = spin10_action(broken, rng=0)
+        assert not report.passed
+        assert np.isnan(report.max_residual)
+        assert report.details[0]["brackets"] < 1e-12
