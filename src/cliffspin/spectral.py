@@ -307,14 +307,23 @@ def ko_dimension(triple: PatiSalamTriple, dirac: DiracData,
     return measure_ko_signs(triple.J, triple.chirality, dirac.matrix, tol)
 
 
+def gauge_elements(triple: PatiSalamTriple, angles) -> GaugeElement:
+    """The stack of gauge elements u = (exp Σθ·T₁, exp Σφ·T₂) with one
+    element per row of ``angles`` (B, k₁ + k₂): all θ, then all φ, one per
+    quadratic monomial.  Each factor is one stacked exponential, and each
+    element is bit-identical to the element of its own row."""
+    angles = np.asarray(angles, dtype=float)
+    k1 = len(triple.quadratics1)
+    return GaugeElement(u1=expm(linear_combination(angles[:, :k1], triple.quadratics1)),
+                        u2=expm(linear_combination(angles[:, k1:], triple.quadratics2)))
+
+
 def _gauge_elements(triple: PatiSalamTriple, rng: np.random.Generator,
                     scale: float, count: int) -> GaugeElement:
     """A stack of ``count`` gauge elements from one draw: per element all θ,
     then all φ, the numbers of one scalar draw per monomial."""
-    k1 = len(triple.quadratics1)
-    angles = rng.uniform(-scale, scale, size=(count, k1 + len(triple.quadratics2)))
-    return GaugeElement(u1=expm(linear_combination(angles[:, :k1], triple.quadratics1)),
-                        u2=expm(linear_combination(angles[:, k1:], triple.quadratics2)))
+    k = len(triple.quadratics1) + len(triple.quadratics2)
+    return gauge_elements(triple, rng.uniform(-scale, scale, size=(count, k)))
 
 
 def sample_gauge_element(triple: PatiSalamTriple, rng, scale: float = 1.0) -> GaugeElement:

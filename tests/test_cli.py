@@ -13,6 +13,7 @@ import pytest
 from cliffspin import cli, clifford, commuting, liealg, spectral
 from cliffspin.cli import run
 from cliffspin.clifford import build_irrep
+from cliffspin.report import Report
 from cliffspin.serialize import (
     export_module,
     load_module,
@@ -27,6 +28,22 @@ def run_capture(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def reference_higgs_report(triple, rng, tol=1e-10):
+    """The Higgs-covariance check of ``pati_salam_suite`` as a loop of ten
+    samples, each a Dirac vector and then one gauge element."""
+    worst = 0.0
+    all_passed = True
+    for _ in range(10):
+        d = rng.standard_normal(4)
+        u = spectral.sample_gauge_element(triple, rng)
+        last = spectral.higgs_transform(triple, triple.dirac_operator(d), u, tol)
+        worst = max(worst, last.max_residual)
+        all_passed = all_passed and last.passed
+    return Report(name=f"higgs-covariance({triple.variant})",
+                  passed=worst < tol and all_passed, max_residual=worst,
+                  tolerance=tol, details=last.details)
 
 
 class TestExport:
@@ -237,6 +254,15 @@ class TestCliContract:
             reports = cli.pati_salam_suite(7, 100, 1e-10)
         assert build.call_count == 2
         assert all(r.passed for r in reports)
+
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_higgs_reports_equal_the_per_sample_loop(self, seed):
+        reports = {r.name: r for r in cli.pati_salam_suite(seed, 1, 1e-10)}
+        for variant in spectral.VARIANTS:
+            reference = reference_higgs_report(
+                spectral.build_pati_salam(variant), cli._rng_for(seed, f"higgs-{variant}"))
+            assert (json.dumps(reports[reference.name].to_dict())
+                    == json.dumps(reference.to_dict()))
 
     def test_seeded_commuting_runs_are_identical(self, capsys):
         args = ["commuting", "--sig1", "2,0", "--sig2", "0,1", "--format", "json"]

@@ -1,12 +1,14 @@
 """Linear algebra substrate: Kronecker products, exponentials, polar
 factors and the antilinear commutant solver, checked against independent
-oracles (entry-wise expansion, truncated series, basis enumeration)."""
+oracles (entry-wise expansion, truncated series, basis enumeration,
+``scipy.linalg.expm``)."""
 
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cliffspin.linalg import (
     DEFAULT_TOL,
@@ -198,6 +200,89 @@ class TestExpm:
         bad = np.array([[np.inf, 0], [0, 0]], dtype=complex)
         with pytest.raises(ValueError):
             expm(bad)
+
+
+def with_one_norm(a, norm):
+    """``a`` rescaled to the given 1-norm (largest absolute column sum)."""
+    return a * (norm / np.abs(a).sum(axis=0).max())
+
+
+#: 1-norms from far below θ₁₃ ≈ 5.37 (no squaring) to 50 (four squarings)
+ONE_NORMS = (1e-3, 0.1, 1.0, 5.0, 5.371920351148152, 6.0, 20.0, 50.0)
+
+
+class TestExpmAgainstScipy:
+    """The numpy Padé(13) exponential against ``scipy.linalg.expm``, which
+    the package no longer uses; both are accurate to a few ulps, so they
+    agree to 1e-13 relative to the size of the exponential."""
+
+    @staticmethod
+    def assert_close(out, ref):
+        assert max_abs(out - ref) <= 1e-13 * max(1.0, max_abs(ref))
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 8, 16, 32])
+    @pytest.mark.parametrize("norm", ONE_NORMS)
+    def test_general_complex_input(self, dim, norm):
+        rng = np.random.default_rng(dim * 1000 + int(norm * 10))
+        a = with_one_norm(random_complex(rng, dim), norm)
+        self.assert_close(expm(a), scipy.linalg.expm(a))
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 8, 16, 32])
+    def test_one_stack_over_all_norms(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        stack = np.stack([with_one_norm(random_complex(rng, dim), norm)
+                          for norm in ONE_NORMS])
+        out = expm(stack)
+        assert out.shape == stack.shape
+        for k, a in enumerate(stack):
+            self.assert_close(out[k], scipy.linalg.expm(a))
+            assert out[k].tobytes() == expm(a).tobytes()
+
+    @pytest.mark.parametrize("norm", [0.5, 5.0, 50.0])
+    def test_non_normal_jordan_block(self, norm):
+        # λ·1 + N with N nilpotent: exp = e^λ·Σₖ Nᵏ/k!, a finite sum
+        dim = 6
+        lam = -0.3 + 0.8j
+        nil = np.diag(np.full(dim - 1, norm, dtype=complex), k=1)
+        a = lam * eye(dim) + nil
+        closed = np.zeros((dim, dim), dtype=complex)
+        power = eye(dim)
+        for k in range(dim):
+            closed += power / math.factorial(k)
+            power = power @ nil
+        closed *= np.exp(lam)
+        self.assert_close(expm(a), closed)
+        self.assert_close(expm(a), scipy.linalg.expm(a))
+
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32])
+    @pytest.mark.parametrize("norm", [1e-3, 1.0, 5.0, 20.0, 50.0])
+    def test_anti_hermitian_input_gives_a_unitary(self, dim, norm):
+        rng = np.random.default_rng(500 + dim)
+        a = random_complex(rng, dim)
+        u = expm(with_one_norm(a - dagger(a), norm))
+        assert unitarity_residual(u) <= 1e-14
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (32, 32), (4, 2, 5, 5)])
+    def test_zero_gives_exactly_the_identity(self, shape):
+        out = expm(np.zeros(shape))
+        assert out.dtype == complex and out.shape == shape
+        assert np.array_equal(out, np.broadcast_to(eye(shape[-1]), shape))
+
+    @pytest.mark.parametrize("shape", [(0, 4, 4), (2, 0, 3, 3), (3, 0, 0), (0, 0)])
+    def test_empty_stack_keeps_its_shape(self, shape):
+        out = expm(np.zeros(shape, dtype=complex))
+        assert out.shape == shape and out.dtype == complex
+
+    def test_deep_stack(self):
+        rng = np.random.default_rng(47)
+        norms = 10.0 ** rng.uniform(-3, np.log10(50), size=(2, 3, 4))
+        deep = np.stack([with_one_norm(random_complex(rng, 4), x)
+                         for x in norms.ravel()]).reshape(2, 3, 4, 4, 4)
+        out = expm(deep)
+        assert out.shape == deep.shape
+        for index in np.ndindex(2, 3, 4):
+            assert out[index].tobytes() == expm(deep[index]).tobytes()
+            self.assert_close(out[index], scipy.linalg.expm(deep[index]))
 
 
 class TestStacks:

@@ -36,6 +36,7 @@ from cliffspin.spectral import (
     chirality_exchange_residual,
     dirac_invariant_residuals,
     gauge_element_residuals,
+    gauge_elements,
     higgs_transform,
     ko_dimension,
     monomial_basis,
@@ -475,6 +476,16 @@ class TestStackedLoopsEqualTheReferences:
         ref = reference_gauge_element(triple, ref_rng, 0.5)
         assert u.u1.tobytes() == ref.u1.tobytes() and u.u2.tobytes() == ref.u2.tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_gauge_elements_equal_each_row_element(self, triple):
+        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+        k = len(triple.quadratics1) + len(triple.quadratics2)
+        u = gauge_elements(triple, rng.uniform(-1.0, 1.0, size=(5, k)))
+        assert u.u1.shape == (5, 4, 4) and u.u2.shape == (5, 8, 8)
+        for i in range(5):
+            ref = reference_gauge_element(triple, ref_rng, 1.0)
+            assert u.u1[i].tobytes() == ref.u1.tobytes()
+            assert u.u2[i].tobytes() == ref.u2.tobytes()
 
     def test_stacked_actions_equal_each_slice(self, triple):
         rng = np.random.default_rng(14)
