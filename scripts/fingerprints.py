@@ -8,8 +8,9 @@ checkouts on the same machine shows whether a change keeps the output
 byte-identical.  One line per output, ``<sha256>  <exit code>  <label>``:
 
 * the JSON output of nine CLI invocations, run in-process: among them
-  ``pati-salam`` with 300 samples and with 17 (two full sample blocks and
-  a partial one), ``three-actions``, and ``commuting`` on (0,3) x (2,0),
+  ``pati-salam`` with seeds 11 and 3 (two more seeds of the gauge, Higgs
+  and Spin(10) draws; the order conditions are exact and draw nothing),
+  ``three-actions``, and ``commuting`` on (0,3) x (2,0),
   whose odd first and even second factor send the suite through
   ``swap_factors`` before the even identification; these pin paths that
   ``all`` does not take;
@@ -39,8 +40,8 @@ COMMANDS = (
     ["verify", "brackets", "--max-n", "10"],
     ["commuting", "--sig1", "4,0", "--sig2", "0,6"],
     ["commuting", "--sig1", "0,3", "--sig2", "2,0"],
-    ["pati-salam", "--seed", "11", "--samples", "300"],
-    ["pati-salam", "--seed", "3", "--samples", "17"],
+    ["pati-salam", "--seed", "11"],
+    ["pati-salam", "--seed", "3"],
     ["three-actions", "--sig1", "0,3", "--sig2", "0,3", "--sig3", "0,3"],
 )
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 when every check passes, 1 when some check fails, 2 for
 usage or I/O errors.  Identical invocations produce byte-identical output;
-only the sampled ``pati-salam`` and ``all`` take ``--seed`` and ``--samples``.
+only ``pati-salam`` and ``all`` take ``--seed``.  It drives only the gauge,
+Higgs and Spin(10) draws: the order conditions are exact and draw nothing.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ def three_actions_report(sigs, min_defect: float = 0.1) -> Report:
     )
 
 
-def pati_salam_suite(seed: int, samples: int, tol: float) -> list:
+def pati_salam_suite(seed: int, tol: float) -> list:
     expected_rows = {"plain": 2, "hatted_second": 6}
     ca = commuting.build_commuting((4, 0), (0, 6))
     triples = {}
@@ -174,8 +175,7 @@ def pati_salam_suite(seed: int, samples: int, tol: float) -> list:
             tolerance=tol,
             details=[],
         ))
-        rng = _rng_for(seed, f"order-{variant}")
-        reports.append(spectral.check_order_conditions(triple, dirac, samples, rng, tol))
+        reports.append(spectral.check_order_conditions(triple, dirac, tol))
         rng = _rng_for(seed, f"gauge-{variant}")
         reports.append(spectral.verify_gauge_action(triple, 50, rng, 1.0, tol))
         # the draws of ten per-sample loops (d, then one angle per monomial),
@@ -230,10 +230,8 @@ def _add_shared(parser: argparse.ArgumentParser, seeded: bool = False) -> None:
                         help="residual tolerance (default 1e-10)")
     if seeded:
         parser.add_argument("--seed", type=int, default=0,
-                            help="seed for randomized checks (default 0)")
-        parser.add_argument("--samples", type=int, default=100,
-                            help="order-condition samples (default 100); the gauge "
-                                 "check always draws 50 and the Higgs check 10")
+                            help="seed of the gauge, Higgs and Spin(10) draws "
+                                 "(default 0); the order conditions draw nothing")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--out", default=None, help="write output to a file")
 
@@ -313,7 +311,7 @@ def run(argv=None) -> int:
             reports = [three_actions_report((args.sig1, args.sig2, args.sig3),
                                             args.min_defect)]
         elif args.command == "pati-salam":
-            reports = pati_salam_suite(args.seed, args.samples, args.tol)
+            reports = pati_salam_suite(args.seed, args.tol)
         elif args.command == "all":
             reports = []
             reports += signs_suite(6, args.tol)
@@ -322,7 +320,7 @@ def run(argv=None) -> int:
                 reports += commuting_suite(sig1, sig2, 1, 1, args.tol)
             for sigs in DEFAULT_TRIPLES:
                 reports.append(three_actions_report(sigs))
-            reports += pati_salam_suite(args.seed, args.samples, args.tol)
+            reports += pati_salam_suite(args.seed, args.tol)
         else:
             parser.error(f"unknown command {args.command!r}")
             return 2

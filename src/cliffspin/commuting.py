@@ -44,6 +44,7 @@ from .clifford import (
     CliffordModule,
     as_signature,
     build_irrep,
+    check_module_dim,
     clifford_residual,
     hatted_real_structure,
 )
@@ -64,10 +65,22 @@ from .linalg import (
 from .liealg import SoRepresentation, bracket_residual_table, quadratic_monomials
 from .report import Report
 
-#: largest product dimension D accepted by :func:`three_action_closure_defect`;
-#: at D = 512 its quadratics alone take 0.64 GB, and its real basis and the
-#: pseudo-inverse about 0.65 GB each
-MAX_THREE_ACTION_DIM = 256
+#: largest product dimension D of :func:`build_commuting` and
+#: :func:`three_action_closure_defect`: a pair peaks at 310 MB at D = 256, and
+#: three actions need 0.64 GB for their quadratics alone at D = 512
+MAX_PRODUCT_DIM = 256
+
+
+def check_product_dim(sigs) -> None:
+    """Refuse, before any module is built, a factor above ``MAX_MODULE_DIM``
+    or a product dimension above ``MAX_PRODUCT_DIM``."""
+    for sig in sigs:
+        check_module_dim(sig.n)
+    product_dim = math.prod(2 ** (sig.n // 2) for sig in sigs)
+    if product_dim > MAX_PRODUCT_DIM:
+        raise ValueError(
+            f"product dimension {product_dim} is above the limit {MAX_PRODUCT_DIM}: "
+            f"the dense product construction would need gigabytes of memory")
 
 
 def combined_metric(eta1, eta2) -> np.ndarray:
@@ -118,9 +131,12 @@ class CommutingAction:
 
 
 def build_commuting(sig1, sig2, branch1: int = 1, branch2: int = 1) -> CommutingAction:
-    """Lift two irreducible modules to commuting families γ⊗1 and 1⊗γ."""
-    mod1 = build_irrep(as_signature(sig1), branch1)
-    mod2 = build_irrep(as_signature(sig2), branch2)
+    """Lift two irreducible modules to commuting families γ⊗1 and 1⊗γ;
+    raises ValueError first when the product dimension is too large."""
+    sig1, sig2 = as_signature(sig1), as_signature(sig2)
+    check_product_dim((sig1, sig2))
+    mod1 = build_irrep(sig1, branch1)
+    mod2 = build_irrep(sig2, branch2)
     id1, id2 = eye(mod1.dim), eye(mod2.dim)
     gamma1 = tuple(frozen(kron(g, id2)) for g in mod1.gammas)
     gamma2 = tuple(frozen(kron(id1, g)) for g in mod2.gammas)
@@ -354,17 +370,12 @@ def three_action_closure_defect(sig_a, sig_b, sig_c) -> float:
     max-abs projection residual is returned.  A strictly positive defect
     shows the quadratics do not span a Lie algebra.  Raises ValueError,
     before any module is built, when the product dimension is above
-    ``MAX_THREE_ACTION_DIM``.
+    ``MAX_PRODUCT_DIM``.
     """
     sigs = [as_signature(s) for s in (sig_a, sig_b, sig_c)]
     if any(sig.n == 0 for sig in sigs):
         raise ValueError("each factor needs at least one generator")
-    product_dim = math.prod(2 ** (sig.n // 2) for sig in sigs)
-    if product_dim > MAX_THREE_ACTION_DIM:
-        raise ValueError(
-            f"product dimension {product_dim} is above the three-action limit "
-            f"{MAX_THREE_ACTION_DIM}: the dense projection onto its quadratics "
-            f"would need gigabytes of memory")
+    check_product_dim(sigs)
     mods = [build_irrep(sig) for sig in sigs]
     dims = [m.dim for m in mods]
     lifted = [

@@ -2,7 +2,7 @@
 
 Matrices are row-major arrays of rows; each entry is a two-element array
 [re, im] of decimal floats.  Python's shortest-round-trip float formatting
-makes export/import bit-exact for double precision.
+makes the round trip bit-exact for double precision.
 """
 
 from __future__ import annotations
@@ -60,12 +60,3 @@ def module_from_dict(doc: dict) -> CliffordModule:
 def module_to_json(m: CliffordModule) -> str:
     return json.dumps(module_to_dict(m), indent=2) + "\n"
 
-
-def export_module(m: CliffordModule, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(module_to_json(m))
-
-
-def load_module(path) -> CliffordModule:
-    with open(path, "r", encoding="utf-8") as handle:
-        return module_from_dict(json.load(handle))

@@ -13,11 +13,10 @@ action is the real-structure conjugate r(a) = J·l(a*)·J⁻¹, the Dirac
 operators are D = Σ dₐ·γ₁ᵃ⊗1 with real coefficients, and the gauge group
 is sampled by exponentiating the quadratic monomials of the two factors.
 
-The sampled checks run their samples, and the Spin(10) check its
-generators, as stacks of at most ``linalg.STACK_BLOCK_ENTRIES`` entries per
-matrix: the actions, exponentials and residuals below accept a leading
-stack axis, and every stacked product is bit-identical to the one-matrix
-product of each slice, so the reports equal those of a loop over samples.
+The exact order check and the sampled and Spin(10) checks run as stacks of
+at most ``linalg.STACK_BLOCK_ENTRIES`` entries per matrix: the actions,
+exponentials and residuals below take a leading stack axis, and each stacked
+product is bit-identical to the one-matrix product of its slice.
 
 Two real-structure variants are implemented, differing in the second
 factor: ``plain`` (J₁⊗J₂, measured signs (−1, +1, −1), the s = 2 row of
@@ -115,9 +114,6 @@ class GaugeElement:
     def as_algebra_element(self) -> AlgebraElement:
         return AlgebraElement(self.u1, self.u2)
 
-    def star(self) -> "GaugeElement":
-        return GaugeElement(dagger(self.u1), dagger(self.u2))
-
 
 @dataclass(frozen=True)
 class DiracData:
@@ -172,13 +168,17 @@ class PatiSalamTriple:
         """r(a) = J·l(a*)·J⁻¹; a stacked element gives a stack (B, D, D)."""
         return self.J.conjugate_matrix(self.left_action(a.star()))
 
-    def right_action_closed_form(self, a: AlgebraElement) -> np.ndarray:
-        """Expected block form of the right action, for direct comparison."""
-        return (kron(dagger(a.a1), self.pi2_minus)
-                + kron(eye(self.dim1), dagger(a.a2) @ self.pi2_plus))
-
     def identity_element(self) -> AlgebraElement:
         return AlgebraElement(eye(self.dim1), eye(self.dim2))
+
+    def algebra_generators(self) -> AlgebraElement:
+        """The ten generators of A₁ ⊕ A₂, stacked: (1, 0), (0, 1), (T₁⁰ᵃ, 0)
+        and (0, T₂⁰ᵃ), the T⁰ᵃ being the first n − 1 ``quadratics``."""
+        e1, e2 = eye(self.dim1), eye(self.dim2)
+        pairs = ([(e1, 0 * e2), (0 * e1, e2)]
+                 + [(t, 0 * e2) for t in self.quadratics1[:self.action.n1 - 1]]
+                 + [(0 * e1, t) for t in self.quadratics2[:self.action.n2 - 1]])
+        return AlgebraElement(*map(np.stack, zip(*pairs)))
 
     def random_algebra_element(self, rng) -> AlgebraElement:
         """Random real linear combination of the even monomial bases."""
@@ -237,42 +237,40 @@ def chirality_exchange_residual(triple: PatiSalamTriple) -> float:
 
 
 def check_order_conditions(triple: PatiSalamTriple, dirac: DiracData,
-                           samples: int = 100, rng=0,
                            tol: float = DEFAULT_TOL) -> Report:
-    """Sampled zeroth- and first-order commutator conditions.
+    """Zeroth- and first-order commutator conditions, checked exactly.
 
     zeroth:  [l(a), r(b)] = 0
     first:   [[D, l(a)], r(b)] = 0
 
-    The samples run in blocks of :func:`linalg.stack_blocks`.  Each block
-    draws all its coefficients in one call, sample by sample a then b, each
-    first-factor then second-factor coefficients: the numbers that
-    :meth:`PatiSalamTriple.random_algebra_element` draws for a then b, one
-    sample after the other.  The commutators are stacked products, so the
-    report equals that of a loop over samples, bit for bit.
+    Both are checked on the 10 × 10 pairs of
+    :meth:`PatiSalamTriple.algebra_generators`, which is exact: l is an
+    algebra homomorphism on the even subalgebras and r(b) = J·l(b*)·J⁻¹ an
+    anti-homomorphism, so the a (or b) that satisfy a condition form a
+    subalgebra; for the first-order condition in a this uses the Leibniz
+    rule [D, l(aa′)] = [D, l(a)]·l(a′) + l(a)·[D, l(a′)] and the zeroth-order
+    condition.  (2T⁰ᵃ)(2T⁰ᵇ) = −η⁰⁰γᵃγᵇ, so the ten elements generate
+    A₁ ⊕ A₂, and both conditions hold for all a and b exactly when they hold
+    on the generators.  The pairs run in blocks of
+    :func:`linalg.stack_blocks`; a NaN residual fails the report.
     """
-    if samples < 1:
-        raise ValueError("at least one sample is required")
-    rng = _as_rng(rng)
-    d = dirac.matrix
-    l1 = len(triple.even_basis1)
-    width = l1 + len(triple.even_basis2)
+    gens = triple.algebra_generators()
+    la, rb = triple.left_action(gens), triple.right_action(gens)
+    dla = commutator(dirac.matrix, la)
+    count = len(la)
     worst0 = worst1 = 0.0
-    for block in stack_blocks(samples, triple.dim):
-        coeffs = rng.standard_normal((block.stop - block.start, 2, width))
-        a1 = linear_combination(coeffs[..., :l1], triple.even_basis1)
-        a2 = linear_combination(coeffs[..., l1:], triple.even_basis2)
-        la = triple.left_action(AlgebraElement(a1[:, 0], a2[:, 0]))
-        rb = triple.right_action(AlgebraElement(a1[:, 1], a2[:, 1]))
-        worst0 = fold_max(worst0, max_abs(commutator(la, rb)))
-        worst1 = fold_max(worst1, max_abs(commutator(commutator(d, la), rb)))
+    for block in stack_blocks(count * count, triple.dim):
+        i, j = np.divmod(np.arange(block.start, block.stop), count)
+        worst0 = fold_max(worst0, max_abs(commutator(la[i], rb[j])))
+        worst1 = fold_max(worst1, max_abs(commutator(dla[i], rb[j])))
     worst = fold_max(worst0, worst1)
     return Report(
         name=f"order-conditions({triple.variant})",
         passed=worst < tol,
         max_residual=worst,
         tolerance=tol,
-        details=[{"samples": samples, "zeroth_order": worst0, "first_order": worst1}],
+        details=[{"generator_pairs": count * count, "zeroth_order": worst0,
+                  "first_order": worst1}],
     )
 
 

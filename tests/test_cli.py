@@ -15,12 +15,11 @@ from cliffspin.cli import run
 from cliffspin.clifford import build_irrep
 from cliffspin.report import Report
 from cliffspin.serialize import (
-    export_module,
-    load_module,
     matrix_from_lists,
     matrix_to_lists,
     module_from_dict,
     module_to_dict,
+    module_to_json,
 )
 
 
@@ -68,8 +67,9 @@ class TestExport:
     def test_file_round_trip_is_exact(self, tmp_path, pq):
         m = build_irrep(pq)
         path = tmp_path / "module.json"
-        export_module(m, path)
-        back = load_module(path)
+        path.write_text(module_to_json(m), encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            back = module_from_dict(json.load(handle))
         assert back.signature == m.signature and back.branch == m.branch
         for a, b in zip(m.gammas, back.gammas):
             assert np.array_equal(a, b)
@@ -173,8 +173,7 @@ class TestCliContract:
         assert run(["verify", "signs", "--max-n", "1", "--out", str(bad)]) == 2
 
     def test_pati_salam_json_reports_both_variants(self, capsys):
-        code, out = run_capture(capsys, ["pati-salam", "--samples", "5",
-                                         "--format", "json"])
+        code, out = run_capture(capsys, ["pati-salam", "--format", "json"])
         assert code == 0
         doc = json.loads(out)
         rows = {c["check"]: c for c in doc["checks"] if c["check"].startswith("ko-signs")}
@@ -248,16 +247,25 @@ class TestCliContract:
         assert "dimension 512" in captured.err and "limit 256" in captured.err
         assert elapsed < 1.0
 
+    def test_oversized_commuting_pair_is_refused(self, capsys):
+        # D = 64·64 = 4096 is above MAX_PRODUCT_DIM although each factor is admitted
+        with mock.patch.object(commuting, "build_irrep", side_effect=AssertionError("built")):
+            code = run(["commuting", "--sig1", "0,12", "--sig2", "0,12"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "dimension 4096" in captured.err and "limit 256" in captured.err
+
     def test_pati_salam_suite_builds_the_commuting_action_once(self):
         with mock.patch.object(commuting, "build_irrep",
                                wraps=commuting.build_irrep) as build:
-            reports = cli.pati_salam_suite(7, 100, 1e-10)
+            reports = cli.pati_salam_suite(7, 1e-10)
         assert build.call_count == 2
         assert all(r.passed for r in reports)
 
     @pytest.mark.parametrize("seed", [0, 7, 42])
     def test_higgs_reports_equal_the_per_sample_loop(self, seed):
-        reports = {r.name: r for r in cli.pati_salam_suite(seed, 1, 1e-10)}
+        reports = {r.name: r for r in cli.pati_salam_suite(seed, 1e-10)}
         for variant in spectral.VARIANTS:
             reference = reference_higgs_report(
                 spectral.build_pati_salam(variant), cli._rng_for(seed, f"higgs-{variant}"))
@@ -275,19 +283,22 @@ class TestCliContract:
     @pytest.mark.parametrize("argv", [
         ["verify", "signs", "--max-n", "1"], ["verify", "brackets", "--max-n", "1"],
         ["irrep", "--p", "0", "--q", "1"], ["commuting", "--sig1", "2,0", "--sig2", "0,1"],
-        ["three-actions", "--sig1", "2,0", "--sig2", "2,0", "--sig3", "2,0"]])
+        ["three-actions", "--sig1", "2,0", "--sig2", "2,0", "--sig3", "2,0"],
+        ["pati-salam"], ["all"]])
     def test_only_sampled_suites_take_seed_and_samples(self, capsys, argv):
-        for flag in ("--seed", "--samples"):
+        # --samples is gone from every subcommand, the sampled ones included;
+        # --seed stays only where something is drawn
+        flags = ("--samples",) if argv[0] in ("pati-salam", "all") else ("--seed", "--samples")
+        for flag in flags:
             assert run([*argv, flag, "3"]) == 2
             assert capsys.readouterr().out == ""
-        if argv[0] != "irrep":
+        if argv[0] not in ("irrep", "pati-salam", "all"):
             code, out = run_capture(capsys, [*argv, "--format", "json"])
             assert code == 0
             assert "seed" not in json.loads(out)
 
     def test_sampled_suites_report_their_seed(self, capsys):
-        code, out = run_capture(capsys, ["pati-salam", "--seed", "4", "--samples", "3",
-                                         "--format", "json"])
+        code, out = run_capture(capsys, ["pati-salam", "--seed", "4", "--format", "json"])
         assert code == 0
         assert list(json.loads(out))[:2] == ["command", "seed"]
         assert json.loads(out)["seed"] == 4
@@ -311,7 +322,7 @@ class TestFaultInjection:
 
     def test_plain_structure_for_the_hatted_variant_fails_its_ko_signs(self, capsys):
         with mock.patch.object(spectral, "hatted_real_structure", lambda m: m.J):
-            code = run(["pati-salam", "--samples", "5", "--format", "json"])
+            code = run(["pati-salam", "--format", "json"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == ""
@@ -350,7 +361,7 @@ class TestFaultInjection:
             return report
 
         with mock.patch.object(spectral, "higgs_transform", one_nan):
-            reports = cli.pati_salam_suite(0, 1, 1e-10)
+            reports = cli.pati_salam_suite(0, 1e-10)
         higgs = {r.name: r for r in reports}["higgs-covariance(plain)"]
         assert not higgs.passed
         assert math.isnan(higgs.max_residual)

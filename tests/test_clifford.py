@@ -6,7 +6,6 @@ measurement (attempting both antilinear sign patterns)."""
 
 import dataclasses
 import json
-import time
 import tracemalloc
 from unittest import mock
 
@@ -206,11 +205,22 @@ def test_reducible_gammas_have_no_measured_structure():
                          ids=["0-12", "5-7"])
 def test_n_12_modules_are_built_and_measured(pq, row):
     # neither the closed-form J nor the fixed-space measurement forms a
-    # Kronecker system
-    start = time.perf_counter()
-    m = build_irrep(pq)
-    measured, _ = measure_sign_triple(m)
-    assert time.perf_counter() - start < 1.0
+    # Kronecker system: no dense solve runs, and every SVD is of the
+    # d²×FIXED_SPACE_PROBES probe images, never of a d²-unknown system
+    svd_widths = []
+    real_svd = np.linalg.svd
+
+    def svd_spy(a, *args, **kwargs):
+        svd_widths.append(np.shape(a)[-1])
+        return real_svd(a, *args, **kwargs)
+
+    dense = {name: mock.Mock(wraps=getattr(linalg, name))
+             for name in ("null_space", "antilinear_constraints", "solve_antilinear_commutant")}
+    with mock.patch.multiple(linalg, **dense), mock.patch.object(np.linalg, "svd", svd_spy):
+        m = build_irrep(pq)
+        measured, _ = measure_sign_triple(m)
+    assert all(spy.call_count == 0 for spy in dense.values())
+    assert svd_widths and max(svd_widths) <= linalg.FIXED_SPACE_PROBES
     assert m.dim == 64
     assert all(value == 0.0 for value in module_residuals(m).values())
     assert tuple(measured) == row == sign_triple(m.s)

@@ -254,6 +254,17 @@ class TestTensorRealStructure:
         assert max_abs(tensor_hatted_real_structure(ca).matrix - direct) < 1e-12
 
 
+def test_oversized_pair_refused_before_any_module(monkeypatch):
+    # (0,10)x(0,8) acts on 32*16 = 512 dimensions; (0,10)x(0,6), 256, is admitted
+    def no_build(*args, **kwargs):
+        raise AssertionError("a module was built before the size check")
+    monkeypatch.setattr(commuting, "build_irrep", no_build)
+    with pytest.raises(ValueError, match="dimension 512 .* limit 256"):
+        build_commuting((0, 10), (0, 8))
+    with pytest.raises(AssertionError, match="a module was built"):
+        build_commuting((0, 10), (0, 6))
+
+
 class TestThreeActions:
     def test_trivial_scalars(self):
         assert three_action_closure_defect((0, 1), (0, 1), (0, 1)) < 1e-12

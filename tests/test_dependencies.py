@@ -29,8 +29,8 @@ for argv in (["irrep", "--p", "0", "--q", "6"],
              ["verify", "brackets", "--max-n", "3"],
              ["commuting", "--sig1", "0,3", "--sig2", "0,1"],
              ["three-actions", "--sig1", "0,3", "--sig2", "0,3", "--sig3", "0,3"],
-             ["pati-salam", "--samples", "1"],
-             ["all", "--samples", "1"]):
+             ["pati-salam"],
+             ["all"]):
     code = run(argv)
     assert code == 0, (argv, code)
     assert "scipy" not in sys.modules, f"loaded by {' '.join(argv)}"

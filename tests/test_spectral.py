@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from cliffspin import liealg, spectral
+from cliffspin import cli, liealg, spectral
 from cliffspin.liealg import bracket_residual, so_generators
 from cliffspin.linalg import (
     DEFAULT_TOL,
@@ -111,12 +111,17 @@ def test_left_action_is_a_homomorphism(triple):
                    - triple.left_action(a) @ triple.left_action(b)) < 1e-10
 
 
+def right_action_closed_form(triple, a):
+    """Expected block form of the right action, for direct comparison."""
+    return (kron(dagger(a.a1), triple.pi2_minus)
+            + kron(eye(triple.dim1), dagger(a.a2) @ triple.pi2_plus))
+
+
 def test_right_action_formula(triple):
     rng = np.random.default_rng(7)
     for _ in range(10):
         a = triple.random_algebra_element(rng)
-        assert max_abs(triple.right_action(a)
-                       - triple.right_action_closed_form(a)) < 1e-10
+        assert max_abs(triple.right_action(a) - right_action_closed_form(triple, a)) < 1e-10
 
 
 def test_right_action_block_example(triple):
@@ -138,9 +143,12 @@ class TestOrderConditions:
         assert max_abs(commutator(la, rb)) == 0.0
 
     def test_sampled(self, triple):
+        # the exact check, and 100 samples of the reference loop, pass
         dirac = triple.dirac_operator([1.0, 0.0, 0.0, 0.0])
-        report = check_order_conditions(triple, dirac, samples=100, rng=0)
+        report = check_order_conditions(triple, dirac)
         assert report.passed, report.details
+        assert report.details[0]["generator_pairs"] == 100
+        assert reference_order_conditions(triple, dirac, 100, np.random.default_rng(0)).passed
 
     def test_unprojected_action_breaks_zeroth_order(self, triple):
         rng = np.random.default_rng(8)
@@ -150,11 +158,6 @@ class TestOrderConditions:
         la = full(a)
         rb = triple.J.conjugate_matrix(full(b.star()))
         assert max_abs(commutator(la, rb)) > 0.1
-
-    def test_requires_samples(self, triple):
-        dirac = triple.dirac_operator([1.0, 0.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            check_order_conditions(triple, dirac, samples=0)
 
 
 def test_dirac_invariants(triple):
@@ -336,7 +339,9 @@ def test_wrong_variant_rejected():
 
 
 # The per-sample and per-generator loops that the stacked checks replaced,
-# kept as their references: every stacked report must equal them bit for bit.
+# kept as their references: every stacked report must equal them bit for
+# bit.  The order conditions are now checked exactly on the generators; their
+# sampled loop stays as the reference whose verdict the exact check must share.
 
 def reference_order_conditions(triple, dirac, samples, rng, tol=DEFAULT_TOL):
     d = dirac.matrix
@@ -418,12 +423,66 @@ def perturbed_projections(triple, seed, size=1e-9):
                                pi2_minus=noise(triple.pi2_minus))
 
 
+def twisted_real_structure(triple, seed, eps=1e-6):
+    """The triple with J replaced by J·expm(iεH) for a random Hermitian H
+    with J·H·J⁻¹ = H: then (J·expm(iεH))² = J², so the KO signs stay
+    measurable, while the right action moves by about ε."""
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((triple.dim,) * 2) + 1j * rng.standard_normal((triple.dim,) * 2)
+    h = h + dagger(h)
+    h = h + triple.J.conjugate_matrix(h)
+    return dataclasses.replace(triple, J=triple.J.after_linear(expm(1j * eps * h)))
+
+
+def real_basis(mats):
+    """Orthonormal basis of the real span of a stack of matrices."""
+    mats = np.asarray(mats)
+    d = mats.shape[-1]
+    vecs = np.concatenate([mats.real, mats.imag], axis=-1).reshape(len(mats), -1)
+    _, s, vh = np.linalg.svd(vecs, full_matrices=False)
+    rows = vh[s > 1e-9 * s[0]].reshape(-1, d, 2 * d)
+    return rows[..., :d] + 1j * rows[..., d:]
+
+
+def product_span(generators):
+    """Basis of the real span of all products of the generators."""
+    span = real_basis(generators)
+    while True:
+        products = (span[:, None] @ generators[None]).reshape(-1, *span.shape[1:])
+        grown = real_basis(np.concatenate([span, products]))
+        if len(grown) == len(span):
+            return span
+        span = grown
+
+
+def test_the_ten_generators_generate_the_even_subalgebras(triple):
+    gens = triple.algebra_generators()
+    assert len(gens.a1) == len(gens.a2) == 10
+    for factor, basis, dim in ((gens.a1, triple.even_basis1, 8),
+                               (gens.a2, triple.even_basis2, 32)):
+        span = product_span(factor)
+        assert len(span) == len(basis) == dim
+        assert len(real_basis(np.concatenate([span, basis]))) == dim
+
+
+def test_twisted_real_structure_fails_through_the_cli(capsys):
+    build = spectral.build_pati_salam
+    with mock.patch.object(spectral, "build_pati_salam",
+                           lambda *args, **kwargs: twisted_real_structure(build(*args, **kwargs), 3)):
+        code = cli.run(["pati-salam", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    rows = {c["check"]: c for c in json.loads(captured.out)["checks"]}
+    for variant in spectral.VARIANTS:
+        assert rows[f"order-conditions({variant})"]["passed"] is False
+
+
 def test_nan_projection_fails_the_order_conditions():
     # a NaN residual used to be dropped by every max fold: PASS with 0.0
     triple = TRIPLES["plain"]
     broken = dataclasses.replace(triple, pi2_plus=np.full_like(triple.pi2_plus, np.nan))
-    report = check_order_conditions(broken, triple.dirac_operator([1.0, 0.0, 0.0, 0.0]),
-                                    samples=3, rng=0)
+    report = check_order_conditions(broken, triple.dirac_operator([1.0, 0.0, 0.0, 0.0]))
     assert not report.passed
     assert np.isnan(report.max_residual)
     assert np.isnan(report.details[0]["zeroth_order"])
@@ -444,17 +503,21 @@ class TestStackedLoopsEqualTheReferences:
     @pytest.mark.parametrize("seed", [0, 5, 42])
     @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
     def test_order_conditions(self, triple, samples, seed):
-        # the exact triple has residuals of exactly 0.0; perturbed projections
-        # make every sample's residuals distinct and nonzero
-        for checked in (triple, perturbed_projections(triple, seed)):
-            dirac = checked.dirac_operator([0.3, -1.0, 0.5, 2.0])
-            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            report = check_order_conditions(checked, dirac, samples, rng)
-            reference = reference_order_conditions(checked, dirac, samples, ref_rng)
-            assert same_report(report, reference)
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert 0.0 < reference.details[0]["zeroth_order"] < 1e-6
-        assert 0.0 < reference.details[0]["first_order"] < 1e-6
+        # the exact check and the sampled reference share their verdict at
+        # every sample count: both residuals are exactly 0.0 on the triple,
+        # and perturbed projections or a twisted J fail both
+        dirac = triple.dirac_operator([0.3, -1.0, 0.5, 2.0])
+        for checked in (triple, perturbed_projections(triple, seed),
+                        twisted_real_structure(triple, seed)):
+            report = check_order_conditions(checked, dirac)
+            reference = reference_order_conditions(checked, dirac, samples,
+                                                   np.random.default_rng(seed))
+            assert report.passed == reference.passed == (checked is triple)
+            for key in ("zeroth_order", "first_order"):
+                if checked is triple:
+                    assert report.details[0][key] == reference.details[0][key] == 0.0
+                else:
+                    assert report.details[0][key] > DEFAULT_TOL
 
     @pytest.mark.parametrize("seed", [0, 5, 42])
     @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
@@ -537,15 +600,11 @@ class TestStackedLoopsEqualTheReferences:
                              eye(8))
         assert seen[0] == reference_adjoint_image(triple, first)[1:]
 
-    @pytest.mark.parametrize("check", ["order", "gauge"])
-    def test_memory_stays_bounded_at_300_samples(self, triple, check):
-        dirac = triple.dirac_operator([1.0, 0.0, 0.0, 0.0])
-        run = {"order": lambda: check_order_conditions(triple, dirac, 300, 0),
-               "gauge": lambda: verify_gauge_action(triple, 300, 0)}[check]
-        run()
+    def test_memory_stays_bounded_at_300_samples(self, triple):
+        verify_gauge_action(triple, 300, 0)
         tracemalloc.start()
         try:
-            assert run().passed
+            assert verify_gauge_action(triple, 300, 0).passed
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
