@@ -29,6 +29,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     AntilinearOp,
+    PhasedMaps,
     anticommutator,
     check_commuting_involutions,
     eye,
@@ -39,6 +40,8 @@ from .linalg import (
     kron_all,
     max_abs,
     phase_normalize,
+    phased_inverse,
+    phased_permutations,
     unitarity_residual,
 )
 from .report import Report
@@ -267,17 +270,48 @@ def hatted_real_structure(m: CliffordModule) -> AntilinearOp:
 
 
 def clifford_residual(gammas, eta) -> float:
-    """max-abs deviation from γᵃγᵇ + γᵇγᵃ = 2ηᵃᵇ·1 over all index pairs."""
+    """max-abs deviation from γᵃγᵇ + γᵇγᵃ = 2ηᵃᵇ·1 over all index pairs.
+
+    When every gamma is a phased permutation
+    (:func:`linalg.phased_permutations`) the n² anticommutators are
+    gathered, O(n²·d) in all, with the residuals of the dense sums entry
+    for entry; otherwise each is a sum of two d×d products.
+    """
     eta = np.asarray(eta)
     if len(gammas) == 0:
         return 0.0
     dim = gammas[0].shape[0]
+    phased = phased_permutations(gammas, dim)
+    if phased is not None:
+        return fold_max(0.0, _phased_clifford_residuals(phased, eta))
     resid = []
     for a, ga in enumerate(gammas):
         for b, gb in enumerate(gammas):
             target = 2 * eta[a] * eye(dim) if a == b else np.zeros((dim, dim))
             resid.append(max_abs(anticommutator(ga, gb) - target))
     return fold_max(0.0, resid)
+
+
+def _phased_clifford_residuals(phased, eta) -> np.ndarray:
+    """The n×n residuals of :func:`clifford_residual` for the phased-permutation
+    form of n gammas: row r of γᵃγᵇ + γᵇγᵃ − 2ηᵃᵇ·1 has its entries at the
+    columns of γᵃγᵇ, of γᵇγᵃ and r, which may coincide."""
+    cols, vals = phased
+    n, dim = cols.shape
+    # every γᵃγᵇ at [a, b] (row r: γᵃ[r] times row cols[a, r] of γᵇ), and
+    # γᵇγᵃ as its transpose over (a, b)
+    pick = np.arange(n)[None, :, None], cols[:, None, :]
+    ab_cols, ab = cols[pick], vals[:, None] * vals[pick]
+    ba_cols, ba = ab_cols.swapaxes(0, 1), ab.swapaxes(0, 1)
+    target = np.where(np.eye(n, dtype=bool), 2 * eta[:, None], 0)[..., None]
+    rows = np.arange(dim)
+    same, on_ab = ab_cols == ba_cols, ab_cols == rows
+    on_ba = ~same & (ba_cols == rows)
+    at_ab = np.where(same, ab + ba, ab) - np.where(on_ab, target, 0)
+    at_ba = np.where(same, 0, ba) - np.where(on_ba, target, 0)
+    at_row = np.where(on_ab | on_ba, 0, target)
+    gap = np.maximum(np.maximum(np.abs(at_ab), np.abs(at_ba)), np.abs(at_row))
+    return gap.max(axis=-1)
 
 
 def hermiticity_residual(m: CliffordModule) -> float:
@@ -298,14 +332,19 @@ def measure_sign_triple(m: CliffordModule, tol: float = DEFAULT_TOL):
     off it; returns the triple and that J.  The sign s changes neither the
     involution nor the commutation precondition of the fixed space, so
     :func:`linalg.check_commuting_involutions` runs once for both signs.
+    For gammas that are phased permutations the inverses, the precondition
+    and the fixed spaces are gathers (:func:`linalg.phased_permutations`).
     Raises ValueError for gammas that are not anticommuting involutions,
     admit the wrong signs or miss the closed form.
     """
-    pairs = check_commuting_involutions(
-        [(np.linalg.inv(g), np.conj(g)) for g in m.gammas], m.dim)
+    phased = phased_permutations(m.gammas, m.dim)
+    if phased is None:
+        maps = [(np.linalg.inv(g), np.conj(g)) for g in m.gammas]
+    else:
+        maps = PhasedMaps(phased_inverse(phased), (phased[0], phased[1].conj()))
+    maps = check_commuting_involutions(maps, m.dim)
     solvable = [sign for sign in (1, -1)
-                if fixed_space([(sign * inv, conj) for inv, conj in pairs], m.dim,
-                               checked=True).shape[1] == 1]
+                if fixed_space(maps, m.dim, checked=True, sign=sign).shape[1] == 1]
     if not solvable:
         raise ValueError("no antilinear structure found for either sign pattern")
     if m.n % 2 == 0:

@@ -22,6 +22,7 @@ import numpy as np
 from .clifford import CliffordModule, sign_triple
 from .linalg import (
     DEFAULT_TOL,
+    PhasedMaps,
     commutator,
     eye,
     fixed_space,
@@ -29,6 +30,8 @@ from .linalg import (
     frozen,
     max_abs,
     phase_normalize,
+    phased_inverse,
+    phased_permutations,
 )
 
 
@@ -94,27 +97,10 @@ def bracket_residual_table(rep: SoRepresentation) -> np.ndarray:
     conjugated or fault-injected generators) takes the dense loop of d×d
     commutators, which is also the tests' reference.
     """
-    mats = [rep.generators[key] for key in rep.pairs()]
-    perms = _phased_permutations(mats, rep.dim)
+    perms = phased_permutations([rep.generators[key] for key in rep.pairs()], rep.dim)
     if perms is None:
         return _dense_bracket_table(rep)
     return _phased_permutation_table(rep, *perms)
-
-
-def _phased_permutations(mats, dim: int):
-    """Column index and phase arrays, each N×d, of the given matrices, or
-    None unless every matrix is a phased permutation with finite entries."""
-    cols = np.zeros((len(mats), dim), dtype=np.intp)
-    vals = np.zeros((len(mats), dim), dtype=complex)
-    rows = np.arange(dim)
-    for k, g in enumerate(mats):
-        r, c = np.nonzero(g)
-        if not (np.array_equal(r, rows) and np.array_equal(np.sort(c), rows)):
-            return None
-        cols[k], vals[k] = c, g[r, c]
-    if not np.isfinite(vals).all():
-        return None
-    return cols, vals
 
 
 def _structure_terms(rep: SoRepresentation):
@@ -291,8 +277,10 @@ def find_intertwiner(rep_a: SoRepresentation, rep_b: SoRepresentation,
     W is a generic element of the fixed space (:func:`linalg.fixed_space`)
     of W ↦ (2T_b⁰ᵃ)·W·(2T_a⁰ᵃ)⁻¹, a = 1…n−1, which holds every intertwiner,
     so None is a sound verdict; for quadratic gamma monomials these maps
-    generate every 2Tᵃᵇ up to shared scalars.  W counts as invertible when
-    its smallest singular value is at least ``rtol`` times the largest.
+    generate every 2Tᵃᵇ up to shared scalars.  When every 2T⁰ᵃ is a phased
+    permutation the inverses and the maps are gathers.  W counts as
+    invertible when its smallest singular value is at least ``rtol`` times
+    the largest.
     Raises ValueError when a 2T⁰ᵃ does not square to a nonzero scalar and
     when W fails :func:`intertwiner_residual` on some generator.
     """
@@ -300,11 +288,18 @@ def find_intertwiner(rep_a: SoRepresentation, rep_b: SoRepresentation,
         raise ValueError("representation dimension mismatch")
     if rep_a.n != rep_b.n or not np.array_equal(rep_a.eta, rep_b.eta):
         raise ValueError("representations must share one metric")
-    basis = fixed_space([(2 * rep_b.t(0, a), np.linalg.inv(2 * rep_a.t(0, a)))
-                         for a in range(1, rep_a.n)], rep_a.dim)
+    dim = rep_a.dim
+    lefts = [2 * rep_b.t(0, a) for a in range(1, rep_a.n)]
+    rights = [2 * rep_a.t(0, a) for a in range(1, rep_a.n)]
+    left_form, right_form = phased_permutations(lefts, dim), phased_permutations(rights, dim)
+    if left_form is None or right_form is None:
+        maps = [(left, np.linalg.inv(right)) for left, right in zip(lefts, rights)]
+    else:
+        maps = PhasedMaps(left_form, phased_inverse(right_form))
+    basis = fixed_space(maps, dim)
     if basis.shape[1] == 0:
         return None
-    w = phase_normalize(basis.sum(axis=1)).reshape(rep_a.dim, rep_a.dim)
+    w = phase_normalize(basis.sum(axis=1)).reshape(dim, dim)
     svals = np.linalg.svd(w, compute_uv=False)
     if svals[-1] < rtol * svals[0]:
         return None

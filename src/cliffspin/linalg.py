@@ -5,6 +5,17 @@ comparisons use the max-absolute-entry norm throughout the package, with a
 single overridable default tolerance.  The Kronecker convention is first
 factor major (row-major blocks) everywhere.  The module, like the whole
 package, needs numpy only: :func:`expm` is a numpy Padé exponential.
+
+The gammas of a Jordan–Wigner chain, and every product of them, are phased
+permutations (Pauli strings; Aaronson and Gottesman, quant-ph/0406196): one
+nonzero entry per row and per column.  :func:`phased_permutations` detects
+a stack of such matrices exactly and gives its form (cols, vals), in which
+a product (:func:`phased_compose`) or an inverse (:func:`phased_inverse`)
+is an O(d) gather and a map X ↦ L·X·R an O(d²) gather.  The involution
+check and the fixed space (on ``PhasedMaps``), the inverses of the sign
+measurement and of the intertwiner search, and the Clifford residual take
+that form whenever every input matrix passes the detector, and otherwise
+their dense code, which is also the tests' reference.
 """
 
 from __future__ import annotations
@@ -20,7 +31,9 @@ DEFAULT_TOL = 1e-10
 #: relative singular-value threshold below which directions count as null
 NULL_RTOL = 1e-9
 
-#: seeded random probes that :func:`fixed_space` projects
+#: random probes that :func:`fixed_space` projects, drawn from the
+#: standard library's generator (stdlib MT19937, seed 0), so no fixed space
+#: loads ``numpy.random``
 FIXED_SPACE_PROBES = 3
 
 #: matrix entries per stacked product of :func:`check_commuting_involutions`:
@@ -30,9 +43,11 @@ FIXED_SPACE_PROBES = 3
 PRECONDITION_BLOCK_ENTRIES = 1 << 15
 
 #: matrix entries per stacked product of the sampled loops of ``spectral``
-#: and the per-generator loops of ``commuting``: samples or generators are
-#: stacked in blocks of at most this many entries per d×d matrix (one item
-#: at least), 8 at d = 32, so their memory does not grow with the count
+#: and the per-generator loops of ``commuting``, and per block of the
+#: detector :func:`phased_permutations`: samples, generators or tested
+#: matrices are stacked in blocks of at most this many entries per d×d
+#: matrix (one item at least), 8 at d = 32, so their memory does not grow
+#: with the count
 STACK_BLOCK_ENTRIES = 1 << 13
 
 #: largest matrix dimension d for the dense d²-unknown Kronecker reference
@@ -246,23 +261,149 @@ def null_space(a, rtol: float = NULL_RTOL) -> np.ndarray:
     return vh[int(np.sum(s > rtol * s[0])):].conj().T
 
 
+def phased_permutations(mats, dim: int):
+    """The phased-permutation form (cols, vals), each of shape (N, dim), of a
+    sequence of N dim×dim matrices (a list or a stack), or None unless every
+    matrix is exactly a phased permutation: one nonzero entry per row and
+    per column, tested with ``!= 0`` and no tolerance, and every entry
+    finite.  Row r of matrix k holds vals[k, r] at column cols[k, r] and
+    zeros elsewhere.  The matrices are stacked and tested in blocks of at
+    most ``STACK_BLOCK_ENTRIES`` entries, and nothing is sorted."""
+    cols = np.zeros((len(mats), dim), dtype=np.intp)
+    vals = np.zeros((len(mats), dim), dtype=complex)
+    for block in stack_blocks(len(mats), dim):
+        m = np.asarray(mats[block], dtype=complex)
+        if m.shape[1:] != (dim, dim):
+            return None
+        nonzero = m != 0
+        c = nonzero.argmax(axis=-1)
+        v = m[_stack_index(c), np.arange(dim), c]
+        # as many nonzeros as rows, none of them missing from a row (so one
+        # per row), and none missing from a column (so one per column)
+        if not (np.count_nonzero(nonzero) == c.size and np.all(v != 0)
+                and nonzero.any(axis=-2).all() and np.isfinite(v).all()):
+            return None
+        cols[block], vals[block] = c, v
+    return cols, vals
+
+
+def _stack_index(cols) -> np.ndarray:
+    """The index k of each matrix of a stack of forms (N, d), as a column."""
+    return np.arange(len(cols))[:, None]
+
+
+def phased_compose(a, b):
+    """The form of A·B for phased-permutation forms ``a`` and ``b`` of two
+    stacks of N matrices: row r of A·B is vals_a[r] times row cols_a[r] of
+    B."""
+    (cols_a, vals_a), (cols_b, vals_b) = a, b
+    k = _stack_index(cols_a)
+    return cols_b[k, cols_a], vals_a * vals_b[k, cols_a]
+
+
+def _phased_rows(cols) -> np.ndarray:
+    """The inverse permutations of phased-permutation columns: the row
+    rows[c] of each matrix that holds column c, by one scatter."""
+    rows = np.empty_like(cols)
+    rows[_stack_index(cols), cols] = np.arange(cols.shape[-1])
+    return rows
+
+
+def phased_inverse(a):
+    """The form of A⁻¹ for a phased-permutation form ``a``: A maps the unit
+    vector of column cols[r] to vals[r] times that of row r."""
+    cols, vals = a
+    rows = _phased_rows(cols)
+    return rows, 1 / vals[_stack_index(rows), rows]
+
+
+def _phased_distance(a, b) -> np.ndarray:
+    """max-abs of A − B for each matrix of two phased-permutation forms: a
+    row whose columns agree gives |va − vb|, any other max(|va|, |vb|)."""
+    (cols_a, vals_a), (cols_b, vals_b) = a, b
+    gap = np.where(cols_a == cols_b, np.abs(vals_a - vals_b),
+                   np.maximum(np.abs(vals_a), np.abs(vals_b)))
+    return gap.max(axis=-1)
+
+
+@dataclass(frozen=True)
+class PhasedMaps:
+    """Maps X ↦ Lᵢ·X·Rᵢ whose every Lᵢ and Rᵢ is a phased permutation, held
+    as the forms (cols, vals) of the stacked Lᵢ and of the stacked Rᵢ, so
+    that no d×d matrix of them is formed.  :func:`check_commuting_involutions`
+    and :func:`fixed_space` take it in place of a list of (L, R) pairs."""
+
+    lefts: tuple
+    rights: tuple
+
+
+def _as_maps(maps, dim: int):
+    """The maps as given when they are ``PhasedMaps``, else as a list of
+    (L, R) pairs of complex matrices; and their ``PhasedMaps``, or None
+    unless the list is nonempty and every Lᵢ and Rᵢ a phased permutation.
+    The detector runs once on the Lᵢ and once on the Rᵢ."""
+    if isinstance(maps, PhasedMaps):
+        return maps, maps
+    maps = [(as_matrix(left), as_matrix(right)) for left, right in maps]
+    if not maps:
+        return maps, None
+    lefts = phased_permutations([left for left, _ in maps], dim)
+    rights = None if lefts is None else phased_permutations([right for _, right in maps], dim)
+    return maps, None if rights is None else PhasedMaps(lefts, rights)
+
+
 def _first_failure(bad) -> int:
     """Index of the first True entry of a boolean vector, or its length."""
     return int(np.argmax(bad)) if bad.any() else len(bad)
 
 
-def check_commuting_involutions(maps, dim: int) -> list:
-    """The precondition of :func:`fixed_space`: every map Mᵢ: X ↦ Lᵢ·X·Rᵢ is
-    an involution (L² = c·1, R² = c⁻¹·1) and every two commute (LᵢLⱼ =
-    σLⱼLᵢ, RⱼRᵢ = σRᵢRⱼ, one σ ∈ {±1}), each to ``DEFAULT_TOL``.
+def _raise_first_failure(bad_maps, commutes, pairs_per_block: int) -> None:
+    """Raise ValueError for the first failure in the order map i, then its
+    pairs (j, i) with j < i ascending: ``bad_maps`` flags the maps that are
+    not involutions, and ``commutes(i, j)`` tells, for index arrays of at
+    most ``pairs_per_block`` pairs, which pairs commute."""
+    first_bad_map = _first_failure(bad_maps)
+    rows, cols = np.tril_indices(first_bad_map, -1)
+    for start in range(0, len(rows), pairs_per_block):
+        i, j = rows[start:start + pairs_per_block], cols[start:start + pairs_per_block]
+        k = _first_failure(~commutes(i, j))
+        if k < len(i):
+            raise ValueError(f"fixed_space: maps {j[k]} and {i[k]} do not commute")
+    if first_bad_map < len(bad_maps):
+        raise ValueError(f"fixed_space: map {first_bad_map} is not an involution")
 
-    Returns the maps as pairs of complex matrices.  Raises ValueError for the
-    first failure in the order map i, then its pairs (j, i) with j < i
-    ascending.  Both conditions are read off stacked products over blocks of
-    at most ``PRECONDITION_BLOCK_ENTRIES`` entries; a sign on any Lᵢ changes
-    neither, so maps that differ only by such signs need one check.
-    """
-    maps = [(as_matrix(left), as_matrix(right)) for left, right in maps]
+
+def _check_phased(maps: PhasedMaps, dim: int) -> None:
+    """The precondition on phased-permutation forms, in O(d) per map and
+    per pair: the residuals are those of the dense products, entry for
+    entry, since each entry of a product of phased permutations is one
+    product of two entries."""
+    lefts, rights = maps.lefts, maps.rights
+    lsq, rsq = phased_compose(lefts, lefts), phased_compose(rights, rights)
+    diag = np.arange(dim)
+    c = np.where(lsq[0] == diag, lsq[1], 0).sum(axis=-1) / dim
+    scale = np.where(c == 0, 1, c)[:, None]
+    resid = np.maximum(_phased_distance(lsq, (diag, scale)),
+                       _phased_distance(rsq, (diag, 1 / scale)))
+
+    def commutes(i, j):
+        (lc, lv), (rc, rv) = lefts, rights
+        li, lj, ri, rj = (lc[i], lv[i]), (lc[j], lv[j]), (rc[i], rv[i]), (rc[j], rv[j])
+        left_ij, left_ji = phased_compose(li, lj), phased_compose(lj, li)
+        right_ji, right_ij = phased_compose(rj, ri), phased_compose(ri, rj)
+        out = np.zeros(len(i), dtype=bool)
+        for sigma in (1, -1):
+            out |= np.maximum(
+                _phased_distance(left_ij, (left_ji[0], sigma * left_ji[1])),
+                _phased_distance(right_ji, (right_ij[0], sigma * right_ij[1]))) <= DEFAULT_TOL
+        return out
+
+    _raise_first_failure((c == 0) | ~(resid <= DEFAULT_TOL), commutes, max(1, len(c) ** 2))
+
+
+def _check_dense(maps, dim: int) -> None:
+    """The precondition by stacked d×d products over blocks of at most
+    ``PRECONDITION_BLOCK_ENTRIES`` entries."""
     all_lefts = [left for left, _ in maps]
     all_rights = [right for _, right in maps]
     ident = eye(dim)
@@ -276,47 +417,94 @@ def check_commuting_involutions(maps, dim: int) -> list:
         resid = np.maximum(np.abs(lsq - scale * ident).max(axis=(1, 2)),
                            np.abs(rsq - ident / scale).max(axis=(1, 2)))
         bad_maps.append((c == 0) | ~(resid <= DEFAULT_TOL))
-    first_bad_map = _first_failure(np.concatenate(bad_maps))
-    rows, cols = np.tril_indices(first_bad_map, -1)
-    for block in stack_blocks(len(rows), dim, PRECONDITION_BLOCK_ENTRIES):
-        i, j = rows[block], cols[block]
+
+    def commutes(i, j):
         li, lj = stack_at(all_lefts, i), stack_at(all_lefts, j)
         ri, rj = stack_at(all_rights, i), stack_at(all_rights, j)
         left_ij, left_ji = li @ lj, lj @ li
         right_ji, right_ij = rj @ ri, ri @ rj
-        commutes = np.zeros(len(i), dtype=bool)
+        out = np.zeros(len(i), dtype=bool)
         for sigma in (1, -1):
             resid = np.maximum(np.abs(left_ij - sigma * left_ji).max(axis=(1, 2)),
                                np.abs(right_ji - sigma * right_ij).max(axis=(1, 2)))
-            commutes |= resid <= DEFAULT_TOL
-        k = _first_failure(~commutes)
-        if k < len(i):
-            raise ValueError(f"fixed_space: maps {j[k]} and {i[k]} do not commute")
-    if first_bad_map < len(maps):
-        raise ValueError(f"fixed_space: map {first_bad_map} is not an involution")
+            out |= resid <= DEFAULT_TOL
+        return out
+
+    _raise_first_failure(np.concatenate(bad_maps), commutes,
+                         max(1, PRECONDITION_BLOCK_ENTRIES // (dim * dim)))
+
+
+def check_commuting_involutions(maps, dim: int):
+    """The precondition of :func:`fixed_space`: every map Mᵢ: X ↦ Lᵢ·X·Rᵢ is
+    an involution (L² = c·1, R² = c⁻¹·1) and every two commute (LᵢLⱼ =
+    σLⱼLᵢ, RⱼRᵢ = σRᵢRⱼ, one σ ∈ {±1}), each to ``DEFAULT_TOL``.
+
+    Returns the maps as pairs of complex matrices, or ``PhasedMaps`` as
+    given.  Raises ValueError for the first failure in the order map i, then
+    its pairs (j, i) with j < i ascending.  When every Lᵢ and Rᵢ is a phased
+    permutation (:func:`phased_permutations`) both conditions are read off
+    gathers, O(d) per map and per pair; otherwise off stacked d×d products
+    over blocks of at most ``PRECONDITION_BLOCK_ENTRIES`` entries.  A sign
+    on any Lᵢ changes neither, so maps that differ only by such signs need
+    one check.
+    """
+    maps, phased = _as_maps(maps, dim)
+    _check_precondition(maps, phased, dim)
     return maps
 
 
-def fixed_space(maps, dim: int, checked: bool = False) -> np.ndarray:
-    """Orthonormal basis (columns: row-major flattened X) of the dim×dim X
-    with L·X·R = X for every (L, R) in ``maps``; no dim²-unknown system.
+def _check_precondition(maps, phased, dim: int) -> None:
+    """The precondition on the gathers when ``phased`` holds the maps'
+    forms, else on dense products."""
+    if phased is None:
+        _check_dense(maps, dim)
+    else:
+        _check_phased(phased, dim)
 
-    The maps must be commuting involutions: :func:`check_commuting_involutions`
-    runs first and raises ValueError otherwise, unless ``checked`` says the
-    caller has already run it on these maps or on maps that differ from
-    them only by signs of the Lᵢ.  The projector Πᵢ(1 + Mᵢ)/2 is applied to
-    ``FIXED_SPACE_PROBES`` seeded probes (a randomized range finder,
+
+def _probes(dim: int) -> np.ndarray:
+    """``FIXED_SPACE_PROBES`` complex dim×dim probes whose real and imaginary
+    parts are the 32-bit signed integers k/2³¹ on [−1, 1), from stdlib
+    MT19937 with seed 0."""
+    import random  # loaded by numpy already; the probes need no numpy.random
+
+    count = 2 * FIXED_SPACE_PROBES * dim * dim
+    words = np.frombuffer(random.Random(0).randbytes(4 * count), dtype="<i4")
+    parts = (words * 2.0 ** -31).reshape(2, FIXED_SPACE_PROBES, dim, dim)
+    return parts[0] + 1j * parts[1]
+
+
+def fixed_space(maps, dim: int, checked: bool = False, sign: int = 1) -> np.ndarray:
+    """Orthonormal basis (columns: row-major flattened X) of the dim×dim X
+    with sign·L·X·R = X for every (L, R) in ``maps`` (a list of pairs or
+    ``PhasedMaps``); no dim²-unknown system.
+
+    The maps must be commuting involutions: the precondition of
+    :func:`check_commuting_involutions` runs first and raises ValueError
+    otherwise, unless ``checked`` says the caller has already run it on
+    these maps or on maps that differ from them only by signs of the Lᵢ.
+    The projector Πᵢ(1 + sign·Mᵢ)/2 is applied to ``FIXED_SPACE_PROBES``
+    random probes (stdlib MT19937, seed 0; a randomized range finder,
     arXiv:0909.4061) and the images are ranked against the probe norm, so
     an empty space gives no column and a space of ``FIXED_SPACE_PROBES``
-    dimensions or more gives that many.
+    dimensions or more gives that many.  When every Lᵢ and Rᵢ is a phased
+    permutation each map is applied by one gather, else by two products.
     """
+    maps, phased = _as_maps(maps, dim)
     if not checked:
-        maps = check_commuting_involutions(maps, dim)
-    rng = np.random.default_rng(0)
-    shape = (FIXED_SPACE_PROBES, dim, dim)
-    images = probes = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    for left, right in maps:
-        images = 0.5 * (images + left @ images @ right)
+        _check_precondition(maps, phased, dim)
+    images = probes = _probes(dim)
+    if phased is None:
+        for left, right in maps:
+            images = 0.5 * (images + (sign * left) @ images @ right)
+    else:
+        (lc, lv), (rc, rv) = phased.lefts, phased.rights
+        # (X·R)[:, c] = X[:, r]·R[r, c] for the one row r = rows[c] of column c
+        rows = _phased_rows(rc)
+        rv = rv[_stack_index(rows), rows]
+        for k in range(len(lc)):
+            images = 0.5 * (images + (sign * lv[k, :, None]) * rv[k]
+                            * images[:, lc[k, :, None], rows[k]])
     u, s, _ = np.linalg.svd(images.reshape(FIXED_SPACE_PROBES, dim * dim).T,
                             full_matrices=False)
     return u[:, :int(np.sum(s > NULL_RTOL * np.linalg.norm(probes)))]

@@ -1,7 +1,8 @@
 """The package runs on numpy alone: no command loads SciPy, no module of the
 package imports it anywhere, and a warm ``cliffspin all`` pass keeps to one
 core.  SciPy is a test dependency only, the reference of the matrix
-exponential's tests."""
+exponential's tests.  Only the commands that make seeded draws load
+``numpy.random``."""
 
 import ast
 import subprocess
@@ -35,6 +36,22 @@ for argv in (["irrep", "--p", "0", "--q", "6"],
     assert code == 0, (argv, code)
     assert "scipy" not in sys.modules, f"loaded by {' '.join(argv)}"
 print("ok")
+"""
+
+#: in a fresh interpreter, the commands of argv[2:] (separated by ``--``)
+#: in turn; prints, for each, whether ``numpy.random`` was loaded after it
+RANDOM_CHILD = """\
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+import cliffspin
+from cliffspin import cli
+
+print("import", "numpy.random" in sys.modules)
+for argv in " ".join(sys.argv[2:]).split(" -- "):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.run(argv.split())
+    assert code == 0, (argv, code)
+    print(argv, "numpy.random" in sys.modules)
 """
 
 #: two ``all --seed 7`` passes in a fresh interpreter; prints the wall and
@@ -132,3 +149,25 @@ def test_a_warm_all_pass_keeps_to_one_core():
     assert done.returncode == 0, done.stderr
     wall, cpu = map(float, done.stdout.split())
     assert cpu <= 1.25 * wall + 0.05, f"cpu {cpu:.3f} s for wall {wall:.3f} s"
+
+
+def random_loaded(*commands) -> list:
+    """Run the commands in turn in one fresh interpreter; return, after the
+    import and after each command, whether ``numpy.random`` was loaded."""
+    argv = " -- ".join(commands).split()
+    done = subprocess.run([sys.executable, "-c", RANDOM_CHILD, str(ROOT / "src"), *argv],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return [line.rsplit(" ", 1)[1] == "True" for line in done.stdout.splitlines()]
+
+
+def test_only_seeded_draws_load_numpy_random():
+    # the fixed-space probes come from the standard library's generator
+    assert random_loaded("irrep --p 0 --q 6",
+                         "verify signs --max-n 6",
+                         "verify brackets",
+                         "commuting --sig1 4,0 --sig2 0,6",
+                         "commuting --sig1 0,3 --sig2 2,0",
+                         "three-actions --sig1 0,3 --sig2 0,3 --sig3 0,3",
+                         "pati-salam") == [False] * 7 + [True]
+    assert random_loaded("all") == [False, True]
