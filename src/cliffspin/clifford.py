@@ -29,8 +29,8 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     AntilinearOp,
-    PhasedMaps,
     anticommutator,
+    antilinear_maps,
     check_commuting_involutions,
     eye,
     fixed_space,
@@ -40,8 +40,8 @@ from .linalg import (
     kron_all,
     max_abs,
     phase_normalize,
-    phased_inverse,
     phased_permutations,
+    signed_maps,
     unitarity_residual,
 )
 from .report import Report
@@ -333,18 +333,13 @@ def measure_sign_triple(m: CliffordModule, tol: float = DEFAULT_TOL):
     involution nor the commutation precondition of the fixed space, so
     :func:`linalg.check_commuting_involutions` runs once for both signs.
     For gammas that are phased permutations the inverses, the precondition
-    and the fixed spaces are gathers (:func:`linalg.phased_permutations`).
+    and the fixed spaces are gathers (:func:`linalg.antilinear_maps`).
     Raises ValueError for gammas that are not anticommuting involutions,
     admit the wrong signs or miss the closed form.
     """
-    phased = phased_permutations(m.gammas, m.dim)
-    if phased is None:
-        maps = [(np.linalg.inv(g), np.conj(g)) for g in m.gammas]
-    else:
-        maps = PhasedMaps(phased_inverse(phased), (phased[0], phased[1].conj()))
-    maps = check_commuting_involutions(maps, m.dim)
+    maps = check_commuting_involutions(antilinear_maps(m.gammas, m.dim), m.dim)
     solvable = [sign for sign in (1, -1)
-                if fixed_space(maps, m.dim, checked=True, sign=sign).shape[1] == 1]
+                if fixed_space(signed_maps(maps, sign), m.dim, checked=True).shape[1] == 1]
     if not solvable:
         raise ValueError("no antilinear structure found for either sign pattern")
     if m.n % 2 == 0:

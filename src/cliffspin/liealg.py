@@ -22,15 +22,14 @@ import numpy as np
 from .clifford import CliffordModule, sign_triple
 from .linalg import (
     DEFAULT_TOL,
-    PhasedMaps,
     commutator,
     eye,
     fixed_space,
     fold_max,
     frozen,
+    intertwining_maps,
     max_abs,
     phase_normalize,
-    phased_inverse,
     phased_permutations,
 )
 
@@ -278,9 +277,9 @@ def find_intertwiner(rep_a: SoRepresentation, rep_b: SoRepresentation,
     of W ↦ (2T_b⁰ᵃ)·W·(2T_a⁰ᵃ)⁻¹, a = 1…n−1, which holds every intertwiner,
     so None is a sound verdict; for quadratic gamma monomials these maps
     generate every 2Tᵃᵇ up to shared scalars.  When every 2T⁰ᵃ is a phased
-    permutation the inverses and the maps are gathers.  W counts as
-    invertible when its smallest singular value is at least ``rtol`` times
-    the largest.
+    permutation the inverses and the maps are gathers
+    (:func:`linalg.intertwining_maps`).  W counts as invertible when its
+    smallest singular value is at least ``rtol`` times the largest.
     Raises ValueError when a 2T⁰ᵃ does not square to a nonzero scalar and
     when W fails :func:`intertwiner_residual` on some generator.
     """
@@ -289,13 +288,8 @@ def find_intertwiner(rep_a: SoRepresentation, rep_b: SoRepresentation,
     if rep_a.n != rep_b.n or not np.array_equal(rep_a.eta, rep_b.eta):
         raise ValueError("representations must share one metric")
     dim = rep_a.dim
-    lefts = [2 * rep_b.t(0, a) for a in range(1, rep_a.n)]
-    rights = [2 * rep_a.t(0, a) for a in range(1, rep_a.n)]
-    left_form, right_form = phased_permutations(lefts, dim), phased_permutations(rights, dim)
-    if left_form is None or right_form is None:
-        maps = [(left, np.linalg.inv(right)) for left, right in zip(lefts, rights)]
-    else:
-        maps = PhasedMaps(left_form, phased_inverse(right_form))
+    maps = intertwining_maps([2 * rep_b.t(0, a) for a in range(1, rep_a.n)],
+                             [2 * rep_a.t(0, a) for a in range(1, rep_a.n)], dim)
     basis = fixed_space(maps, dim)
     if basis.shape[1] == 0:
         return None

@@ -11,11 +11,12 @@ permutations (Pauli strings; Aaronson and Gottesman, quant-ph/0406196): one
 nonzero entry per row and per column.  :func:`phased_permutations` detects
 a stack of such matrices exactly and gives its form (cols, vals), in which
 a product (:func:`phased_compose`) or an inverse (:func:`phased_inverse`)
-is an O(d) gather and a map X ↦ L·X·R an O(d²) gather.  The involution
-check and the fixed space (on ``PhasedMaps``), the inverses of the sign
-measurement and of the intertwiner search, and the Clifford residual take
-that form whenever every input matrix passes the detector, and otherwise
-their dense code, which is also the tests' reference.
+is an O(d) gather and a map X ↦ L·X·R an O(d²) gather.  The maps of the
+sign measurement (:func:`antilinear_maps`) and of the intertwiner search
+(:func:`intertwining_maps`), and the Clifford residual, take that form
+whenever every input matrix passes the detector: the involution check and
+the fixed space then run on ``PhasedMaps``.  Any other input takes the
+dense code, which is also the tests' reference.
 """
 
 from __future__ import annotations
@@ -337,19 +338,43 @@ class PhasedMaps:
     rights: tuple
 
 
-def _as_maps(maps, dim: int):
-    """The maps as given when they are ``PhasedMaps``, else as a list of
-    (L, R) pairs of complex matrices; and their ``PhasedMaps``, or None
-    unless the list is nonempty and every Lᵢ and Rᵢ a phased permutation.
-    The detector runs once on the Lᵢ and once on the Rᵢ."""
+def antilinear_maps(gammas, dim: int):
+    """The maps K ↦ γ⁻¹·K·conj(γ), one per γ: the K with K·conj(γ) = s·γ·K
+    for every γ are the fixed space of their :func:`signed_maps` by s.
+
+    When every γ is a phased permutation (one detector call) they are
+    ``PhasedMaps`` inverted by gather, with no d×d matrix formed; otherwise
+    a list of (γ⁻¹, conj(γ)) pairs inverted by ``np.linalg.inv``.
+    """
+    forms = phased_permutations(gammas, dim)
+    if forms is None:
+        return [(np.linalg.inv(g), np.conj(g)) for g in gammas]
+    cols, vals = forms
+    return PhasedMaps(phased_inverse(forms), (cols, vals.conj()))
+
+
+def intertwining_maps(lefts, rights, dim: int):
+    """The maps X ↦ Lᵢ·X·Rᵢ⁻¹: the X with Lᵢ·X = X·Rᵢ for every i are their
+    fixed space.
+
+    When every Lᵢ and Rᵢ is a phased permutation (one detector call on
+    them stacked) they are ``PhasedMaps`` inverted by gather; otherwise a
+    list of (L, R⁻¹) pairs inverted by ``np.linalg.inv``.
+    """
+    lefts, rights = list(lefts), list(rights)
+    forms = phased_permutations(lefts + rights, dim)
+    if forms is None:
+        return [(left, np.linalg.inv(right)) for left, right in zip(lefts, rights)]
+    (cols, vals), n = forms, len(lefts)
+    return PhasedMaps((cols[:n], vals[:n]), phased_inverse((cols[n:], vals[n:])))
+
+
+def signed_maps(maps, sign: int):
+    """The maps X ↦ sign·Lᵢ·X·Rᵢ of maps X ↦ Lᵢ·X·Rᵢ, in the form given."""
     if isinstance(maps, PhasedMaps):
-        return maps, maps
-    maps = [(as_matrix(left), as_matrix(right)) for left, right in maps]
-    if not maps:
-        return maps, None
-    lefts = phased_permutations([left for left, _ in maps], dim)
-    rights = None if lefts is None else phased_permutations([right for _, right in maps], dim)
-    return maps, None if rights is None else PhasedMaps(lefts, rights)
+        cols, vals = maps.lefts
+        return PhasedMaps((cols, sign * vals), maps.rights)
+    return [(sign * left, right) for left, right in maps]
 
 
 def _first_failure(bad) -> int:
@@ -439,27 +464,20 @@ def check_commuting_involutions(maps, dim: int):
     an involution (L² = c·1, R² = c⁻¹·1) and every two commute (LᵢLⱼ =
     σLⱼLᵢ, RⱼRᵢ = σRᵢRⱼ, one σ ∈ {±1}), each to ``DEFAULT_TOL``.
 
-    Returns the maps as pairs of complex matrices, or ``PhasedMaps`` as
-    given.  Raises ValueError for the first failure in the order map i, then
-    its pairs (j, i) with j < i ascending.  When every Lᵢ and Rᵢ is a phased
-    permutation (:func:`phased_permutations`) both conditions are read off
-    gathers, O(d) per map and per pair; otherwise off stacked d×d products
-    over blocks of at most ``PRECONDITION_BLOCK_ENTRIES`` entries.  A sign
-    on any Lᵢ changes neither, so maps that differ only by such signs need
-    one check.
+    Returns ``PhasedMaps`` as given, and a list as pairs of complex
+    matrices.  Raises ValueError for the first failure in the order map i,
+    then its pairs (j, i) with j < i ascending.  On ``PhasedMaps`` both
+    conditions are read off gathers, O(d) per map and per pair; on a list
+    off stacked d×d products over blocks of at most
+    ``PRECONDITION_BLOCK_ENTRIES`` entries.  A sign on any Lᵢ changes
+    neither, so maps that differ only by such signs need one check.
     """
-    maps, phased = _as_maps(maps, dim)
-    _check_precondition(maps, phased, dim)
+    if isinstance(maps, PhasedMaps):
+        _check_phased(maps, dim)
+        return maps
+    maps = [(as_matrix(left), as_matrix(right)) for left, right in maps]
+    _check_dense(maps, dim)
     return maps
-
-
-def _check_precondition(maps, phased, dim: int) -> None:
-    """The precondition on the gathers when ``phased`` holds the maps'
-    forms, else on dense products."""
-    if phased is None:
-        _check_dense(maps, dim)
-    else:
-        _check_phased(phased, dim)
 
 
 def _probes(dim: int) -> np.ndarray:
@@ -474,37 +492,35 @@ def _probes(dim: int) -> np.ndarray:
     return parts[0] + 1j * parts[1]
 
 
-def fixed_space(maps, dim: int, checked: bool = False, sign: int = 1) -> np.ndarray:
+def fixed_space(maps, dim: int, checked: bool = False) -> np.ndarray:
     """Orthonormal basis (columns: row-major flattened X) of the dim×dim X
-    with sign·L·X·R = X for every (L, R) in ``maps`` (a list of pairs or
+    with L·X·R = X for every (L, R) in ``maps`` (a list of pairs or
     ``PhasedMaps``); no dim²-unknown system.
 
-    The maps must be commuting involutions: the precondition of
-    :func:`check_commuting_involutions` runs first and raises ValueError
-    otherwise, unless ``checked`` says the caller has already run it on
-    these maps or on maps that differ from them only by signs of the Lᵢ.
-    The projector Πᵢ(1 + sign·Mᵢ)/2 is applied to ``FIXED_SPACE_PROBES``
-    random probes (stdlib MT19937, seed 0; a randomized range finder,
-    arXiv:0909.4061) and the images are ranked against the probe norm, so
-    an empty space gives no column and a space of ``FIXED_SPACE_PROBES``
-    dimensions or more gives that many.  When every Lᵢ and Rᵢ is a phased
-    permutation each map is applied by one gather, else by two products.
+    The maps must be commuting involutions: :func:`check_commuting_involutions`
+    runs first and raises ValueError otherwise, unless ``checked`` says the
+    caller has already run it on these maps or on maps that differ from
+    them only by signs of the Lᵢ.  The projector Πᵢ(1 + Mᵢ)/2 is applied to
+    ``FIXED_SPACE_PROBES`` random probes (stdlib MT19937, seed 0; a
+    randomized range finder, arXiv:0909.4061) and the images are ranked
+    against the probe norm, so an empty space gives no column and a space
+    of ``FIXED_SPACE_PROBES`` dimensions or more gives that many.  Each of
+    ``PhasedMaps`` is applied by one gather, each of a list by two
+    products.
     """
-    maps, phased = _as_maps(maps, dim)
     if not checked:
-        _check_precondition(maps, phased, dim)
+        maps = check_commuting_involutions(maps, dim)
     images = probes = _probes(dim)
-    if phased is None:
-        for left, right in maps:
-            images = 0.5 * (images + (sign * left) @ images @ right)
-    else:
-        (lc, lv), (rc, rv) = phased.lefts, phased.rights
+    if isinstance(maps, PhasedMaps):
+        (lc, lv), (rc, rv) = maps.lefts, maps.rights
         # (X·R)[:, c] = X[:, r]·R[r, c] for the one row r = rows[c] of column c
         rows = _phased_rows(rc)
         rv = rv[_stack_index(rows), rows]
         for k in range(len(lc)):
-            images = 0.5 * (images + (sign * lv[k, :, None]) * rv[k]
-                            * images[:, lc[k, :, None], rows[k]])
+            images = 0.5 * (images + lv[k, :, None] * rv[k] * images[:, lc[k, :, None], rows[k]])
+    else:
+        for left, right in maps:
+            images = 0.5 * (images + left @ images @ right)
     u, s, _ = np.linalg.svd(images.reshape(FIXED_SPACE_PROBES, dim * dim).T,
                             full_matrices=False)
     return u[:, :int(np.sum(s > NULL_RTOL * np.linalg.norm(probes)))]

@@ -28,11 +28,14 @@ from cliffspin.clifford import (
 from cliffspin.liealg import find_intertwiner, intertwiner_residual, so_generators, weyl_pieces
 from cliffspin.linalg import (
     PhasedMaps,
+    antilinear_maps,
     check_commuting_involutions,
     fixed_space,
+    intertwining_maps,
     phased_compose,
     phased_inverse,
     phased_permutations,
+    signed_maps,
 )
 
 #: every module with n ≤ 10, both branches for odd n
@@ -79,7 +82,22 @@ def sign_outcome(m):
 
 
 def sign_maps(m):
-    return [(np.linalg.inv(g), np.conj(g)) for g in m.gammas]
+    """The maps K ↦ (γᵃ)⁻¹·K·conj(γᵃ) of the sign measurement: ``PhasedMaps``,
+    or under :func:`dense_only` a list of pairs."""
+    return antilinear_maps(m.gammas, m.dim)
+
+
+def intertwiner_maps(rep):
+    """The maps W ↦ (2T⁰ᵃ)·W·(2T⁰ᵃ)⁻¹ of the intertwiner search of a
+    representation with itself."""
+    gens = [2 * rep.t(0, a) for a in range(1, rep.n)]
+    return intertwining_maps(gens, gens, rep.dim)
+
+
+def phased_maps(maps, dim):
+    """``PhasedMaps`` of a list of (L, R) pairs of phased permutations."""
+    return PhasedMaps(phased_permutations([left for left, _ in maps], dim),
+                      phased_permutations([right for _, right in maps], dim))
 
 
 class TestDetector:
@@ -135,12 +153,12 @@ class TestDetector:
 @pytest.mark.parametrize("p, q, branch", MODULES_10)
 def test_sign_measurement_agrees_with_the_dense_path(p, q, branch):
     m = build_irrep((p, q), branch)
-    assert phased_permutations(m.gammas, m.dim) is not None
-    maps = sign_maps(m)
-    phased, dense = both_paths(check_commuting_involutions, maps, m.dim)
+    assert isinstance(sign_maps(m), PhasedMaps)
+    phased, dense = both_paths(lambda: check_commuting_involutions(sign_maps(m), m.dim))
     assert phased[0] == dense[0] == "returned"
+    assert isinstance(dense[1], list)
     for sign in (1, -1):
-        phased, dense = both_paths(fixed_space, maps, m.dim, sign=sign)
+        phased, dense = both_paths(lambda: fixed_space(signed_maps(sign_maps(m), sign), m.dim))
         assert phased[1].shape == dense[1].shape
     phased = sign_outcome(m)
     with dense_only():
@@ -163,8 +181,8 @@ def test_intertwiner_search_agrees_with_the_dense_path(p, q):
     assert phased[1] is not None and dense[1] is not None
     assert intertwiner_residual(phased[1], rep, rep) < 1e-10
     # both paths rank the same fixed space of the 2T⁰ᵃ maps
-    maps = [(2 * rep.t(0, a), np.linalg.inv(2 * rep.t(0, a))) for a in range(1, rep.n)]
-    phased, dense = both_paths(fixed_space, maps, rep.dim)
+    assert isinstance(intertwiner_maps(rep), PhasedMaps)
+    phased, dense = both_paths(lambda: fixed_space(intertwiner_maps(rep), rep.dim))
     assert phased[1].shape == dense[1].shape
 
 
@@ -180,8 +198,8 @@ def test_first_failure_is_named_alike_on_both_paths(seed):
     swap = np.eye(dim, dtype=complex)[np.arange(dim) ^ 1]
     for k in rng.choice(np.arange(2, 12), size=rng.integers(1, 4), replace=False):
         maps[k] = (swap, swap) if rng.random() < 0.6 else (2 * diag[k], diag[k])
-    assert phased_permutations([left for left, _ in maps], dim) is not None
-    phased, dense = both_paths(check_commuting_involutions, maps, dim)
+    phased = outcome(check_commuting_involutions, phased_maps(maps, dim), dim)
+    dense = outcome(check_commuting_involutions, maps, dim)
     assert phased[0] == dense[0]
     if phased[0] == "raised":
         assert phased[1] == dense[1]
@@ -298,12 +316,22 @@ class TestFootprint:
         assert spy.call_count == 1
         assert peak <= 6e6
 
-    def test_a_list_of_maps_is_detected_once_per_side(self):
-        m = build_irrep((3, 6))
+    def test_intertwiner_search_detects_once(self):
+        rep = so_generators(build_irrep((3, 5)))
         spy = mock.Mock(wraps=linalg.phased_permutations)
         with mock.patch.object(linalg, "phased_permutations", spy):
-            check_commuting_involutions(sign_maps(m), m.dim)
-        assert spy.call_count == 2
+            assert find_intertwiner(rep, rep) is not None
+        assert spy.call_count == 1
+
+    def test_a_list_of_maps_takes_the_dense_path(self):
+        m = build_irrep((3, 6))
+        rank = fixed_space(sign_maps(m), m.dim).shape[1]
+        with dense_only():
+            maps = sign_maps(m)
+        with mock.patch.object(linalg, "phased_permutations",
+                               side_effect=AssertionError("detected")):
+            assert len(check_commuting_involutions(maps, m.dim)) == m.n
+            assert fixed_space(maps, m.dim).shape[1] == rank
 
     def test_phased_maps_are_not_detected_again(self):
         m = build_irrep((2, 3))
@@ -312,5 +340,5 @@ class TestFootprint:
         with mock.patch.object(linalg, "phased_permutations",
                                side_effect=AssertionError("detected")):
             assert check_commuting_involutions(maps, m.dim) is maps
-            assert [fixed_space(maps, m.dim, checked=True, sign=sign).shape[1]
+            assert [fixed_space(signed_maps(maps, sign), m.dim, checked=True).shape[1]
                     for sign in (1, -1)] == [0, 1]  # s = 1: ε′ = −1
