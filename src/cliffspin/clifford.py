@@ -29,7 +29,6 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     AntilinearOp,
-    anticommutator,
     antilinear_maps,
     check_commuting_involutions,
     eye,
@@ -39,6 +38,7 @@ from .linalg import (
     kron,
     kron_all,
     max_abs,
+    pair_residuals,
     phase_normalize,
     phased_permutations,
     signed_maps,
@@ -272,46 +272,20 @@ def hatted_real_structure(m: CliffordModule) -> AntilinearOp:
 def clifford_residual(gammas, eta) -> float:
     """max-abs deviation from γᵃγᵇ + γᵇγᵃ = 2ηᵃᵇ·1 over all index pairs.
 
-    When every gamma is a phased permutation
-    (:func:`linalg.phased_permutations`) the n² anticommutators are
-    gathered, O(n²·d) in all, with the residuals of the dense sums entry
-    for entry; otherwise each is a sum of two d×d products.
+    One :func:`linalg.pair_residuals` call over the pairs a ≥ b (the
+    anticommutator is symmetric) of the gammas with the identity appended,
+    which is the right-hand side 2ηᵃ·1 of the pairs a = b: gathers when
+    every gamma is a phased permutation (:func:`linalg.phased_permutations`),
+    stacked d×d products otherwise.
     """
-    eta = np.asarray(eta)
     if len(gammas) == 0:
         return 0.0
-    dim = gammas[0].shape[0]
-    phased = phased_permutations(gammas, dim)
-    if phased is not None:
-        return fold_max(0.0, _phased_clifford_residuals(phased, eta))
-    resid = []
-    for a, ga in enumerate(gammas):
-        for b, gb in enumerate(gammas):
-            target = 2 * eta[a] * eye(dim) if a == b else np.zeros((dim, dim))
-            resid.append(max_abs(anticommutator(ga, gb) - target))
-    return fold_max(0.0, resid)
-
-
-def _phased_clifford_residuals(phased, eta) -> np.ndarray:
-    """The n×n residuals of :func:`clifford_residual` for the phased-permutation
-    form of n gammas: row r of γᵃγᵇ + γᵇγᵃ − 2ηᵃᵇ·1 has its entries at the
-    columns of γᵃγᵇ, of γᵇγᵃ and r, which may coincide."""
-    cols, vals = phased
-    n, dim = cols.shape
-    # every γᵃγᵇ at [a, b] (row r: γᵃ[r] times row cols[a, r] of γᵇ), and
-    # γᵇγᵃ as its transpose over (a, b)
-    pick = np.arange(n)[None, :, None], cols[:, None, :]
-    ab_cols, ab = cols[pick], vals[:, None] * vals[pick]
-    ba_cols, ba = ab_cols.swapaxes(0, 1), ab.swapaxes(0, 1)
-    target = np.where(np.eye(n, dtype=bool), 2 * eta[:, None], 0)[..., None]
-    rows = np.arange(dim)
-    same, on_ab = ab_cols == ba_cols, ab_cols == rows
-    on_ba = ~same & (ba_cols == rows)
-    at_ab = np.where(same, ab + ba, ab) - np.where(on_ab, target, 0)
-    at_ba = np.where(same, 0, ba) - np.where(on_ba, target, 0)
-    at_row = np.where(on_ab | on_ba, 0, target)
-    gap = np.maximum(np.maximum(np.abs(at_ab), np.abs(at_ba)), np.abs(at_row))
-    return gap.max(axis=-1)
+    n, dim = len(gammas), gammas[0].shape[0]
+    mats = [*gammas, eye(dim)]
+    a, b = np.nonzero(np.tri(n, dtype=bool))
+    terms = np.full(len(a), n), np.where(a == b, 2 * np.asarray(eta)[a], 0)
+    return fold_max(0.0, pair_residuals(phased_permutations(mats, dim) or mats,
+                                        a, b, 1, terms))
 
 
 def hermiticity_residual(m: CliffordModule) -> float:

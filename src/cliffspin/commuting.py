@@ -367,8 +367,9 @@ def three_action_closure_defect(sig_a, sig_b, sig_c) -> float:
     All within- and cross-family quadratics are formed on the triple tensor
     product; every pairwise commutator is projected (real least squares)
     onto the real span of the identity and the quadratics, and the largest
-    max-abs projection residual is returned.  A strictly positive defect
-    shows the quadratics do not span a Lie algebra.  Raises ValueError,
+    max-abs projection residual is returned; a NaN anywhere makes it NaN.
+    A strictly positive defect shows the quadratics do not span a Lie
+    algebra.  Raises ValueError,
     before any module is built, when the product dimension is above
     ``MAX_PRODUCT_DIM``.
     """
@@ -402,14 +403,16 @@ def three_action_closure_defect(sig_a, sig_b, sig_c) -> float:
         return np.concatenate([flat.real, flat.imag])
 
     basis = np.column_stack([realvec(m) for m in span])
-    pinv = np.linalg.pinv(basis)
+    # a non-finite span has no least-squares projector: the defect is NaN
+    pinv = (np.linalg.pinv(basis) if np.isfinite(basis).all()
+            else np.full(basis.T.shape, np.nan))
     defect = 0.0
     for i in range(len(quadratics)):
         for j in range(i + 1, len(quadratics)):
             comm = commutator(quadratics[i], quadratics[j])
             coeff = pinv @ realvec(comm)
             recon = linear_combination(coeff, span)
-            defect = max(defect, max_abs(comm - recon))
+            defect = fold_max(defect, max_abs(comm - recon))
     return defect
 
 

@@ -29,6 +29,7 @@ from .linalg import (
     frozen,
     intertwining_maps,
     max_abs,
+    pair_residuals,
     phase_normalize,
     phased_permutations,
 )
@@ -74,37 +75,32 @@ def so_generators(m: CliffordModule) -> SoRepresentation:
                             generators=quadratic_monomials(m.gammas))
 
 
-#: gathered entries per temporary of the phased-permutation bracket kernel:
-#: the (i, j) pairs of the table are processed in blocks of at most this
-#: many matrix rows in all (one pair at least), so the kernel's memory does
-#: not grow with the table
-BRACKET_BLOCK_ENTRIES = 4096
-
-
 def bracket_residual_table(rep: SoRepresentation) -> np.ndarray:
     """Max-abs deviation of each bracket [Tᵃᵇ, Tᶜᵈ] from the structure relation.
 
-    Rows and columns are both indexed by ``rep.pairs()``.  When every
-    generator is exactly a phased permutation (one nonzero entry per row and
-    per column, tested with ``!= 0`` and no tolerance, all entries finite),
-    the whole table is evaluated by a vectorized kernel in O(N²·d) for N
-    generators of dimension d, the Pauli-string picture of stabilizer
-    simulation.  Each row of (TᵃᵇTᶜᵈ − TᶜᵈTᵃᵇ) − rhs then has at most three
-    nonzero terms, summed in the dense order, so for the exact
-    {0, ±½, ±i/2} entries of gamma monomials the kernel's residuals are
-    bit-identical to the dense loop.  Any other input (perturbed,
-    conjugated or fault-injected generators) takes the dense loop of d×d
-    commutators, which is also the tests' reference.
+    Rows and columns are both indexed by ``rep.pairs()``.  The table is one
+    :func:`linalg.pair_residuals` call with sign −1 over all N² pairs of the
+    N generators and the right-hand sides of :func:`_structure_terms`.  When
+    every generator is exactly a phased permutation (one nonzero entry per
+    row and per column, tested with ``!= 0`` and no tolerance, all entries
+    finite) it runs on gathers in O(N²·d), the Pauli-string picture of
+    stabilizer simulation, bit-identical to the dense products; any other
+    input (perturbed, conjugated or fault-injected generators) takes stacked
+    d×d commutators.
     """
-    perms = phased_permutations([rep.generators[key] for key in rep.pairs()], rep.dim)
-    if perms is None:
-        return _dense_bracket_table(rep)
-    return _phased_permutation_table(rep, *perms)
+    mats = [rep.generators[key] for key in rep.pairs()]
+    size = len(mats)
+    if size == 0:
+        return np.zeros((0, 0))
+    i, j = np.divmod(np.arange(size * size), size)
+    table = pair_residuals(phased_permutations(mats, rep.dim) or mats, i, j, -1,
+                           _structure_terms(rep))
+    return table.reshape(size, size)
 
 
 def _structure_terms(rep: SoRepresentation):
     """The one surviving term coef·T[k] of the structure relation's right-hand
-    side for every (i, j) of the table, flattened row-major.
+    side for every (i, j) of the table, flattened row-major, as (k, coef).
 
     Two distinct pairs share at most one index, so at most one of the four
     η terms applies; a pair against itself gives T⁽ᵃᵃ⁾ = 0, coefficient 0.
@@ -124,60 +120,6 @@ def _structure_terms(rep: SoRepresentation):
     y = np.select(conds, [d, d, a, b], 0)
     coef = np.select(conds, [eta[b], -eta[a], eta[b], -eta[a]], 0) * orient[x, y]
     return index[x, y], coef
-
-
-def _phased_permutation_table(rep: SoRepresentation, cols, vals) -> np.ndarray:
-    """Bracket residual table of phased-permutation generators: row r of
-    TᵢTⱼ is vᵢ[r]·vⱼ[cᵢ[r]] at column cⱼ[cᵢ[r]], and likewise for TⱼTᵢ."""
-    size, dim = cols.shape
-    table = np.zeros(size * size)
-    if size == 0:
-        return table.reshape(0, 0)
-    target, coef = _structure_terms(rep)
-    step = max(1, BRACKET_BLOCK_ENTRIES // dim)
-    for lo in range(0, size * size, step):
-        flat = np.arange(lo, min(lo + step, size * size))
-        i, j = np.divmod(flat, size)
-        ci, cj = cols[i], cols[j]
-        c1, ab = cols[j[:, None], ci], vals[i] * vals[j[:, None], ci]
-        c2, ba = cols[i[:, None], cj], vals[j] * vals[i[:, None], cj]
-        c3, rhs = cols[target[flat]], coef[flat, None] * vals[target[flat]]
-        # the dense (AB − BA) − rhs, entry by entry, at the ≤ 3 columns hit,
-        # in place: ab, ba and rhs end up holding the entries at c1, c2 and
-        # c3 up to sign, each column counted once
-        same, on1, on2 = c2 == c1, c3 == c1, c3 == c2
-        np.subtract(ab, ba, out=ab, where=same)
-        np.subtract(ab, rhs, out=ab, where=on1)
-        np.negative(ba, out=ba)
-        np.subtract(ba, rhs, out=ba, where=on2)
-        ba[same] = 0
-        rhs[on1 | on2] = 0
-        worst = np.abs(ab)
-        np.maximum(worst, np.abs(ba), out=worst)
-        np.maximum(worst, np.abs(rhs), out=worst)
-        table[lo:lo + len(flat)] = worst.max(axis=1)
-    return table.reshape(size, size)
-
-
-def _dense_bracket_table(rep: SoRepresentation) -> np.ndarray:
-    """The bracket residual table by d×d commutators, one pair at a time."""
-    eta = rep.eta
-    pairs = rep.pairs()
-    table = np.zeros((len(pairs), len(pairs)))
-    for i, (a, b) in enumerate(pairs):
-        tab = rep.t(a, b)
-        for j, (c, d) in enumerate(pairs):
-            rhs = np.zeros((rep.dim, rep.dim), dtype=complex)
-            if b == c:
-                rhs = rhs + eta[b] * rep.t(a, d)
-            if a == c:
-                rhs = rhs - eta[a] * rep.t(b, d)
-            if b == d:
-                rhs = rhs + eta[b] * rep.t(c, a)
-            if a == d:
-                rhs = rhs - eta[a] * rep.t(c, b)
-            table[i, j] = max_abs(commutator(tab, rep.t(c, d)) - rhs)
-    return table
 
 
 def bracket_residual(rep: SoRepresentation) -> float:

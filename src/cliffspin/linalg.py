@@ -9,20 +9,25 @@ package, needs numpy only: :func:`expm` is a numpy Padé exponential.
 The gammas of a Jordan–Wigner chain, and every product of them, are phased
 permutations (Pauli strings; Aaronson and Gottesman, quant-ph/0406196): one
 nonzero entry per row and per column.  :func:`phased_permutations` detects
-a stack of such matrices exactly and gives its form (cols, vals), in which
-a product (:func:`phased_compose`) or an inverse (:func:`phased_inverse`)
-is an O(d) gather and a map X ↦ L·X·R an O(d²) gather.  The maps of the
-sign measurement (:func:`antilinear_maps`) and of the intertwiner search
-(:func:`intertwining_maps`), and the Clifford residual, take that form
-whenever every input matrix passes the detector: the involution check and
-the fixed space then run on ``PhasedMaps``.  Any other input takes the
-dense code, which is also the tests' reference.
+a stack of such matrices exactly and gives its ``PhasedForm`` (cols, vals),
+in which a product (:func:`phased_compose`) or an inverse
+(:func:`phased_inverse`) is an O(d) gather and a map X ↦ L·X·R an O(d²)
+gather.  Every pairwise identity, the Clifford relations, the so(p,q)
+brackets and the commutation of the maps of :func:`fixed_space`, is checked
+by one function, :func:`pair_residuals`: on a ``PhasedForm`` by gathers,
+on a list of matrices by stacked products.  The maps of the sign
+measurement (:func:`antilinear_maps`) and of the intertwiner search
+(:func:`intertwining_maps`) are ``PhasedMaps`` whenever every input matrix
+passes the detector, and the fixed space then runs on gathers too.  Only
+this module indexes a (cols, vals) form; any other input takes the dense
+code.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,11 +42,18 @@ NULL_RTOL = 1e-9
 #: loads ``numpy.random``
 FIXED_SPACE_PROBES = 3
 
-#: matrix entries per stacked product of :func:`check_commuting_involutions`:
-#: the maps, and the (i, j) pairs of maps, are checked in blocks of at most
-#: this many entries in all (one map or pair at least), so the check's memory
-#: does not grow with the number of maps
+#: matrix entries per stacked product of the involution check of
+#: :func:`check_commuting_involutions` and of the dense path of
+#: :func:`pair_residuals`: maps, or pairs, are taken in blocks of at most
+#: this many entries in all (one map or pair at least), so their memory does
+#: not grow with the count
 PRECONDITION_BLOCK_ENTRIES = 1 << 15
+
+#: gathered entries per temporary of the phased path of
+#: :func:`pair_residuals`: the pairs are taken in blocks of at most this many
+#: matrix rows in all (one pair at least), so its memory does not grow with
+#: the number of pairs
+BRACKET_BLOCK_ENTRIES = 4096
 
 #: matrix entries per stacked product of the sampled loops of ``spectral``
 #: and the per-generator loops of ``commuting``, and per block of the
@@ -178,10 +190,6 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
-def anticommutator(a, b) -> np.ndarray:
-    return a @ b + b @ a
-
-
 def dagger(a) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix of a stack."""
     return np.swapaxes(np.asarray(a).conj(), -1, -2)
@@ -262,14 +270,21 @@ def null_space(a, rtol: float = NULL_RTOL) -> np.ndarray:
     return vh[int(np.sum(s > rtol * s[0])):].conj().T
 
 
+class PhasedForm(NamedTuple):
+    """The phased-permutation form of a stack of N dim×dim matrices: row r of
+    matrix k holds vals[k, r] at column cols[k, r] and zeros elsewhere."""
+
+    cols: np.ndarray
+    vals: np.ndarray
+
+
 def phased_permutations(mats, dim: int):
-    """The phased-permutation form (cols, vals), each of shape (N, dim), of a
+    """The ``PhasedForm`` (cols, vals), each of shape (N, dim), of a
     sequence of N dim×dim matrices (a list or a stack), or None unless every
     matrix is exactly a phased permutation: one nonzero entry per row and
     per column, tested with ``!= 0`` and no tolerance, and every entry
-    finite.  Row r of matrix k holds vals[k, r] at column cols[k, r] and
-    zeros elsewhere.  The matrices are stacked and tested in blocks of at
-    most ``STACK_BLOCK_ENTRIES`` entries, and nothing is sorted."""
+    finite.  The matrices are stacked and tested in blocks of at most
+    ``STACK_BLOCK_ENTRIES`` entries, and nothing is sorted."""
     cols = np.zeros((len(mats), dim), dtype=np.intp)
     vals = np.zeros((len(mats), dim), dtype=complex)
     for block in stack_blocks(len(mats), dim):
@@ -285,7 +300,7 @@ def phased_permutations(mats, dim: int):
                 and nonzero.any(axis=-2).all() and np.isfinite(v).all()):
             return None
         cols[block], vals[block] = c, v
-    return cols, vals
+    return PhasedForm(cols, vals)
 
 
 def _stack_index(cols) -> np.ndarray:
@@ -299,7 +314,7 @@ def phased_compose(a, b):
     B."""
     (cols_a, vals_a), (cols_b, vals_b) = a, b
     k = _stack_index(cols_a)
-    return cols_b[k, cols_a], vals_a * vals_b[k, cols_a]
+    return PhasedForm(cols_b[k, cols_a], vals_a * vals_b[k, cols_a])
 
 
 def _phased_rows(cols) -> np.ndarray:
@@ -315,7 +330,7 @@ def phased_inverse(a):
     vector of column cols[r] to vals[r] times that of row r."""
     cols, vals = a
     rows = _phased_rows(cols)
-    return rows, 1 / vals[_stack_index(rows), rows]
+    return PhasedForm(rows, 1 / vals[_stack_index(rows), rows])
 
 
 def _phased_distance(a, b) -> np.ndarray:
@@ -377,86 +392,107 @@ def signed_maps(maps, sign: int):
     return [(sign * left, right) for left, right in maps]
 
 
+def pair_residuals(mats, i, j, sign: int, terms) -> np.ndarray:
+    """max-abs of Aᵢ·Aⱼ + sign·Aⱼ·Aᵢ − c·A[k] for each pair p = (i[p], j[p])
+    of matrices A, as an array over the pairs; ``terms`` is None (no
+    right-hand side) or the index arrays (k, c), one index into A and one
+    coefficient per pair, and a pair whose c is 0 has no right-hand side.
+
+    A ``PhasedForm`` takes gathers, O(d) per pair in blocks of at most
+    ``BRACKET_BLOCK_ENTRIES`` rows; a list of d×d matrices takes stacked
+    products in blocks of at most ``PRECONDITION_BLOCK_ENTRIES`` entries.
+    Both form the entries of (AᵢAⱼ ± AⱼAᵢ) − c·A[k] in that order, so the
+    two forms of the same matrices give bit-identical residuals.
+    """
+    i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
+    if isinstance(mats, PhasedForm):
+        return _phased_pair_residuals(mats, i, j, sign, terms)
+    return _dense_pair_residuals(mats, i, j, sign, terms)
+
+
+def _phased_pair_residuals(form: PhasedForm, i, j, sign: int, terms) -> np.ndarray:
+    """:func:`pair_residuals` by gathers: row r of AᵢAⱼ is vᵢ[r]·vⱼ[cᵢ[r]]
+    at column cⱼ[cᵢ[r]], likewise for AⱼAᵢ, and c·A[k] is c·v_k[r] at
+    c_k[r], so each row has at most three nonzero entries."""
+    cols, vals = form
+    out = np.zeros(len(i))
+    step = max(1, BRACKET_BLOCK_ENTRIES // cols.shape[-1])
+    for lo in range(0, len(i), step):
+        bi, bj = i[lo:lo + step], j[lo:lo + step]
+        ci, cj = cols[bi], cols[bj]
+        c1, ab = cols[bj[:, None], ci], vals[bi] * vals[bj[:, None], ci]
+        c2, ba = cols[bi[:, None], cj], vals[bj] * vals[bi[:, None], cj]
+        # the dense entries at the ≤ 3 columns hit, in place: ab, ba and rhs
+        # end up holding those at c1, c2 and c3, each column counted once
+        same = c2 == c1
+        if sign < 0:
+            np.negative(ba, out=ba)
+        np.add(ab, ba, out=ab, where=same)
+        if terms is not None:
+            k, coef = terms[0][lo:lo + step], terms[1][lo:lo + step]
+            c3, rhs = cols[k], coef[:, None] * vals[k]
+            on1, on2 = c3 == c1, c3 == c2
+            np.subtract(ab, rhs, out=ab, where=on1)
+            np.subtract(ba, rhs, out=ba, where=on2)
+            rhs[on1 | on2] = 0
+        ba[same] = 0
+        worst = np.abs(ab)
+        np.maximum(worst, np.abs(ba), out=worst)
+        if terms is not None:
+            np.maximum(worst, np.abs(rhs), out=worst)
+        out[lo:lo + step] = worst.max(axis=1)
+    return out
+
+
+def _dense_pair_residuals(mats, i, j, sign: int, terms) -> np.ndarray:
+    """:func:`pair_residuals` by stacked d×d products."""
+    out = np.zeros(len(i))
+    if not len(i):
+        return out
+    for block in stack_blocks(len(i), mats[0].shape[-1], PRECONDITION_BLOCK_ENTRIES):
+        ai, aj = stack_at(mats, i[block]), stack_at(mats, j[block])
+        resid = ai @ aj + aj @ ai if sign > 0 else ai @ aj - aj @ ai
+        if terms is not None:
+            k, coef = terms[0][block], terms[1][block]
+            hit = np.flatnonzero(coef)
+            if len(hit):
+                resid[hit] -= coef[hit, None, None] * stack_at(mats, k[hit])
+        out[block] = max_abs(resid)
+    return out
+
+
 def _first_failure(bad) -> int:
     """Index of the first True entry of a boolean vector, or its length."""
     return int(np.argmax(bad)) if bad.any() else len(bad)
 
 
-def _raise_first_failure(bad_maps, commutes, pairs_per_block: int) -> None:
-    """Raise ValueError for the first failure in the order map i, then its
-    pairs (j, i) with j < i ascending: ``bad_maps`` flags the maps that are
-    not involutions, and ``commutes(i, j)`` tells, for index arrays of at
-    most ``pairs_per_block`` pairs, which pairs commute."""
-    first_bad_map = _first_failure(bad_maps)
-    rows, cols = np.tril_indices(first_bad_map, -1)
-    for start in range(0, len(rows), pairs_per_block):
-        i, j = rows[start:start + pairs_per_block], cols[start:start + pairs_per_block]
-        k = _first_failure(~commutes(i, j))
-        if k < len(i):
-            raise ValueError(f"fixed_space: maps {j[k]} and {i[k]} do not commute")
-    if first_bad_map < len(bad_maps):
-        raise ValueError(f"fixed_space: map {first_bad_map} is not an involution")
-
-
-def _check_phased(maps: PhasedMaps, dim: int) -> None:
-    """The precondition on phased-permutation forms, in O(d) per map and
-    per pair: the residuals are those of the dense products, entry for
-    entry, since each entry of a product of phased permutations is one
-    product of two entries."""
-    lefts, rights = maps.lefts, maps.rights
+def _phased_involutions(lefts: PhasedForm, rights: PhasedForm, dim: int) -> np.ndarray:
+    """Which maps fail L² = c·1, R² = c⁻¹·1, read off the gathered squares:
+    each entry of a product of phased permutations is one product of two
+    entries, so the residuals are those of the dense squares."""
     lsq, rsq = phased_compose(lefts, lefts), phased_compose(rights, rights)
     diag = np.arange(dim)
     c = np.where(lsq[0] == diag, lsq[1], 0).sum(axis=-1) / dim
     scale = np.where(c == 0, 1, c)[:, None]
     resid = np.maximum(_phased_distance(lsq, (diag, scale)),
                        _phased_distance(rsq, (diag, 1 / scale)))
-
-    def commutes(i, j):
-        (lc, lv), (rc, rv) = lefts, rights
-        li, lj, ri, rj = (lc[i], lv[i]), (lc[j], lv[j]), (rc[i], rv[i]), (rc[j], rv[j])
-        left_ij, left_ji = phased_compose(li, lj), phased_compose(lj, li)
-        right_ji, right_ij = phased_compose(rj, ri), phased_compose(ri, rj)
-        out = np.zeros(len(i), dtype=bool)
-        for sigma in (1, -1):
-            out |= np.maximum(
-                _phased_distance(left_ij, (left_ji[0], sigma * left_ji[1])),
-                _phased_distance(right_ji, (right_ij[0], sigma * right_ij[1]))) <= DEFAULT_TOL
-        return out
-
-    _raise_first_failure((c == 0) | ~(resid <= DEFAULT_TOL), commutes, max(1, len(c) ** 2))
+    return (c == 0) | ~(resid <= DEFAULT_TOL)
 
 
-def _check_dense(maps, dim: int) -> None:
-    """The precondition by stacked d×d products over blocks of at most
-    ``PRECONDITION_BLOCK_ENTRIES`` entries."""
-    all_lefts = [left for left, _ in maps]
-    all_rights = [right for _, right in maps]
+def _dense_involutions(lefts, rights, dim: int) -> np.ndarray:
+    """Which maps fail L² = c·1, R² = c⁻¹·1, by stacked d×d squares over
+    blocks of at most ``PRECONDITION_BLOCK_ENTRIES`` entries."""
     ident = eye(dim)
-
-    bad_maps = [np.zeros(0, dtype=bool)]
-    for block in stack_blocks(len(maps), dim, PRECONDITION_BLOCK_ENTRIES):
-        lefts, rights = np.stack(all_lefts[block]), np.stack(all_rights[block])
-        lsq, rsq = lefts @ lefts, rights @ rights
+    bad = [np.zeros(0, dtype=bool)]
+    for block in stack_blocks(len(lefts), dim, PRECONDITION_BLOCK_ENTRIES):
+        left, right = np.stack(lefts[block]), np.stack(rights[block])
+        lsq, rsq = left @ left, right @ right
         c = np.trace(lsq, axis1=1, axis2=2) / dim
         scale = np.where(c == 0, 1, c)[:, None, None]
         resid = np.maximum(np.abs(lsq - scale * ident).max(axis=(1, 2)),
                            np.abs(rsq - ident / scale).max(axis=(1, 2)))
-        bad_maps.append((c == 0) | ~(resid <= DEFAULT_TOL))
-
-    def commutes(i, j):
-        li, lj = stack_at(all_lefts, i), stack_at(all_lefts, j)
-        ri, rj = stack_at(all_rights, i), stack_at(all_rights, j)
-        left_ij, left_ji = li @ lj, lj @ li
-        right_ji, right_ij = rj @ ri, ri @ rj
-        out = np.zeros(len(i), dtype=bool)
-        for sigma in (1, -1):
-            resid = np.maximum(np.abs(left_ij - sigma * left_ji).max(axis=(1, 2)),
-                               np.abs(right_ji - sigma * right_ij).max(axis=(1, 2)))
-            out |= resid <= DEFAULT_TOL
-        return out
-
-    _raise_first_failure(np.concatenate(bad_maps), commutes,
-                         max(1, PRECONDITION_BLOCK_ENTRIES // (dim * dim)))
+        bad.append((c == 0) | ~(resid <= DEFAULT_TOL))
+    return np.concatenate(bad)
 
 
 def check_commuting_involutions(maps, dim: int):
@@ -466,17 +502,33 @@ def check_commuting_involutions(maps, dim: int):
 
     Returns ``PhasedMaps`` as given, and a list as pairs of complex
     matrices.  Raises ValueError for the first failure in the order map i,
-    then its pairs (j, i) with j < i ascending.  On ``PhasedMaps`` both
-    conditions are read off gathers, O(d) per map and per pair; on a list
-    off stacked d×d products over blocks of at most
-    ``PRECONDITION_BLOCK_ENTRIES`` entries.  A sign on any Lᵢ changes
-    neither, so maps that differ only by such signs need one check.
+    then its pairs (j, i) with j < i ascending.  The involutions are read
+    off gathered squares on ``PhasedMaps`` and off stacked d×d squares over
+    blocks of at most ``PRECONDITION_BLOCK_ENTRIES`` entries on a list; the
+    commutations are :func:`pair_residuals` with sign −σ, first for σ = −1
+    on every pair and then for σ = +1 on the pairs left.  A sign on any Lᵢ
+    changes neither, so maps that differ only by such signs need one check.
     """
     if isinstance(maps, PhasedMaps):
-        _check_phased(maps, dim)
-        return maps
-    maps = [(as_matrix(left), as_matrix(right)) for left, right in maps]
-    _check_dense(maps, dim)
+        lefts, rights = PhasedForm(*maps.lefts), PhasedForm(*maps.rights)
+        bad_maps = _phased_involutions(lefts, rights, dim)
+    else:
+        maps = [(as_matrix(left), as_matrix(right)) for left, right in maps]
+        lefts, rights = [left for left, _ in maps], [right for _, right in maps]
+        bad_maps = _dense_involutions(lefts, rights, dim)
+    first_bad_map = _first_failure(bad_maps)
+    i, j = np.nonzero(np.tri(first_bad_map, k=-1, dtype=bool))
+    commutes = np.zeros(len(i), dtype=bool)
+    for sigma in (-1, 1):
+        todo = np.flatnonzero(~commutes)
+        commutes[todo] = np.maximum(
+            pair_residuals(lefts, i[todo], j[todo], -sigma, None),
+            pair_residuals(rights, j[todo], i[todo], -sigma, None)) <= DEFAULT_TOL
+    k = _first_failure(~commutes)
+    if k < len(i):
+        raise ValueError(f"fixed_space: maps {j[k]} and {i[k]} do not commute")
+    if first_bad_map < len(bad_maps):
+        raise ValueError(f"fixed_space: map {first_bad_map} is not an involution")
     return maps
 
 
@@ -574,9 +626,6 @@ class AntilinearOp:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def __call__(self, v) -> np.ndarray:
-        return self.matrix @ np.conj(np.asarray(v, dtype=complex))
 
     def compose(self, other: "AntilinearOp") -> np.ndarray:
         """Matrix of the linear map self∘other (antilinear twice = linear)."""

@@ -168,9 +168,6 @@ class PatiSalamTriple:
         """r(a) = J·l(a*)·J⁻¹; a stacked element gives a stack (B, D, D)."""
         return self.J.conjugate_matrix(self.left_action(a.star()))
 
-    def identity_element(self) -> AlgebraElement:
-        return AlgebraElement(eye(self.dim1), eye(self.dim2))
-
     def algebra_generators(self) -> AlgebraElement:
         """The ten generators of A₁ ⊕ A₂, stacked: (1, 0), (0, 1), (T₁⁰ᵃ, 0)
         and (0, T₂⁰ᵃ), the T⁰ᵃ being the first n − 1 ``quadratics``."""

@@ -11,7 +11,6 @@ import pytest
 import scipy.linalg
 
 from cliffspin.linalg import (
-    DEFAULT_TOL,
     FIXED_SPACE_PROBES,
     MAX_KRONECKER_DIM,
     PRECONDITION_BLOCK_ENTRIES,
@@ -38,6 +37,7 @@ from cliffspin.linalg import (
     tensor_antilinear,
     unitarity_residual,
 )
+from dense_reference import loop_precondition_failure
 
 S1 = np.array([[0, 1], [1, 0]], dtype=complex)
 S2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -425,16 +425,24 @@ class TestPolar:
             polar_unitary(np.diag([1.0, 0.0]))
 
 
+def antilinear_action(j, v):
+    """The action v ↦ K·conj(v) of an antilinear map."""
+    return j.matrix @ np.conj(v)
+
+
 class TestAntilinearOp:
     def test_action_conjugates(self):
+        # J·M·J⁻¹ acting on J(v) is J(M·v)
         j = AntilinearOp(S2)
-        v = np.array([1.0, 1.0j])
-        assert max_abs(j(v) - S2 @ np.conj(v)) == 0.0
+        v, m = np.array([1.0, 1.0j]), np.array([[1, 2j], [0.5, -1]])
+        assert max_abs(j.conjugate_matrix(m) @ antilinear_action(j, v)
+                       - antilinear_action(j, m @ v)) < 1e-14
 
     def test_composition_rule(self):
         j1, j2 = AntilinearOp(S2), AntilinearOp(S1)
         v = np.array([0.3 + 1j, -2.0])
-        assert max_abs(j1(j2(v)) - j1.compose(j2) @ v) < 1e-14
+        assert max_abs(antilinear_action(j1, antilinear_action(j2, v))
+                       - j1.compose(j2) @ v) < 1e-14
 
     def test_tensor(self):
         j1, j2 = AntilinearOp(S2), AntilinearOp(S1)
@@ -611,23 +619,6 @@ class TestFixedSpace:
     def test_preconditions_are_checked_first(self, maps, message):
         with pytest.raises(ValueError, match=message):
             fixed_space(maps, 2)
-
-
-def loop_precondition_failure(maps, dim):
-    """The pairwise loop the batched precondition replaced: the message of
-    the first failure, map i before its pairs (j, i), or None."""
-    ident = eye(dim)
-    for i, (left, right) in enumerate(maps):
-        c = np.trace(left @ left) / dim
-        if c == 0 or max(max_abs(left @ left - c * ident),
-                         max_abs(right @ right - ident / c)) > DEFAULT_TOL:
-            return f"fixed_space: map {i} is not an involution"
-        for j, (left_j, right_j) in enumerate(maps[:i]):
-            if not any(max_abs(left @ left_j - sigma * left_j @ left) <= DEFAULT_TOL
-                       and max_abs(right_j @ right - sigma * right @ right_j) <= DEFAULT_TOL
-                       for sigma in (1, -1)):
-                return f"fixed_space: maps {j} and {i} do not commute"
-    return None
 
 
 class TestCommutingInvolutions:

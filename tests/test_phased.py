@@ -4,10 +4,12 @@ stands in for.
 The gammas of the Jordan–Wigner chain and their quadratic monomials are
 phased permutations, so the involution check, the fixed spaces, the
 inverses of the sign measurement and of the intertwiner search, and the
-Clifford residual run on gathers.  Making the detector answer None sends
-the same input through the dense code, which must agree in every rank,
-verdict, error text and residual; faulted modules must give the same FAIL
-or the same error on both paths."""
+pairwise checks of ``pair_residuals`` (Clifford residual, bracket table,
+commutation precondition) run on gathers.  Making the detector answer
+None sends the same input through the dense code, which must agree in
+every rank, verdict, error text and residual; faulted modules must give
+the same FAIL or the same error on both paths, and the pairwise checks of
+both paths must equal the per-pair loops of ``dense_reference``."""
 
 import contextlib
 import dataclasses
@@ -18,24 +20,38 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from cliffspin import clifford, liealg, linalg
+from cliffspin import cli, clifford, liealg, linalg
 from cliffspin.clifford import (
     build_irrep,
     clifford_residual,
     measure_sign_triple,
     verify_module_signs,
 )
-from cliffspin.liealg import find_intertwiner, intertwiner_residual, so_generators, weyl_pieces
+from cliffspin.commuting import build_commuting
+from cliffspin.liealg import (
+    bracket_residual_table,
+    find_intertwiner,
+    intertwiner_residual,
+    so_generators,
+    weyl_pieces,
+)
 from cliffspin.linalg import (
     PhasedMaps,
     antilinear_maps,
     check_commuting_involutions,
     fixed_space,
     intertwining_maps,
+    pair_residuals,
     phased_compose,
     phased_inverse,
     phased_permutations,
     signed_maps,
+)
+from dense_reference import (
+    loop_bracket_table,
+    loop_clifford_residual,
+    loop_pair_residuals,
+    loop_precondition_failure,
 )
 
 #: every module with n ≤ 10, both branches for odd n
@@ -201,8 +217,13 @@ def test_first_failure_is_named_alike_on_both_paths(seed):
     phased = outcome(check_commuting_involutions, phased_maps(maps, dim), dim)
     dense = outcome(check_commuting_involutions, maps, dim)
     assert phased[0] == dense[0]
-    if phased[0] == "raised":
-        assert phased[1] == dense[1]
+    assert verdict(phased) == verdict(dense) == loop_precondition_failure(maps, dim)
+
+
+def verdict(result):
+    """The ValueError text of an ``outcome``, or None when it returned."""
+    kind, value = result
+    return value if kind == "raised" else None
 
 
 def nan_entry(m):
@@ -278,6 +299,96 @@ def test_faulted_sign_reports_fail_alike(fault):
     assert not reports[0]["passed"]
     failed = {(d["p"], d["q"]) for d in reports[0]["details"] if not d["passed"]}
     assert failed == {(p, n - p) for n in range(2, 5) for p in range(1, n)}
+
+
+def pair_paths(f, *args):
+    """What f returns on the phased path and under :func:`dense_only`, as
+    float arrays."""
+    phased = f(*args)
+    with dense_only():
+        dense = f(*args)
+    return np.asarray(phased, dtype=float), np.asarray(dense, dtype=float)
+
+
+def assert_pairwise_checks_match_the_loops(gammas, eta, rep):
+    """clifford_residual, the bracket table and the precondition verdict of
+    the sign maps, on both paths, equal the per-pair loops bit for bit."""
+    reference = loop_clifford_residual(gammas, eta)
+    for value in pair_paths(clifford_residual, gammas, eta):
+        assert same_float(float(value), reference)
+    reference = loop_bracket_table(rep)
+    for table in pair_paths(bracket_residual_table, rep):
+        assert np.array_equal(table, reference, equal_nan=True)
+    dim = rep.dim
+    phased = outcome(lambda: check_commuting_involutions(antilinear_maps(gammas, dim), dim))
+    with dense_only():
+        dense = outcome(lambda: check_commuting_involutions(antilinear_maps(gammas, dim), dim))
+    maps = outcome(lambda: [(np.linalg.inv(g), np.conj(g)) for g in gammas])
+    if maps[0] == "raised":  # a dense inverse met a NaN: the same LinAlgError
+        assert phased == dense == maps
+    else:
+        assert verdict(phased) == verdict(dense) == loop_precondition_failure(maps[1], dim)
+
+
+class TestPairResiduals:
+    """``linalg.pair_residuals``, and the three checks made of it, against
+    the per-pair loops of ``dense_reference`` on both paths."""
+
+    @pytest.mark.parametrize("p, q, branch", MODULES_10)
+    def test_every_module_to_n_10(self, p, q, branch):
+        m = build_irrep((p, q), branch)
+        assert_pairwise_checks_match_the_loops(list(m.gammas), m.eta, so_generators(m))
+
+    @pytest.mark.parametrize("sig1, sig2", cli.DEFAULT_PAIRS)
+    def test_combined_generators_of_the_default_pairs(self, sig1, sig2):
+        # the two commuting families together: pairs across them commute
+        # (σ = +1), pairs within one anticommute (σ = −1)
+        ca = build_commuting(sig1, sig2)
+        gammas = [*ca.gamma1, *ca.gamma2]
+        eta = np.concatenate([ca.mod1.eta, ca.mod2.eta])
+        assert_pairwise_checks_match_the_loops(gammas, eta, ca.generators)
+        assert loop_clifford_residual(gammas, eta) > 1.0
+
+    @NAN_WARNING
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("pq", FAULT_SIGNATURES)
+    def test_faults(self, fault, pq):
+        make, _ = FAULTS[fault]
+        m = make(build_irrep(pq))
+        assert_pairwise_checks_match_the_loops(list(m.gammas), m.eta, so_generators(m))
+
+    @pytest.mark.parametrize("seed, dim", [(seed, dim) for seed in range(6) for dim in (1, 3, 8)])
+    def test_random_phased_permutations(self, seed, dim):
+        # random columns put AᵢAⱼ, AⱼAᵢ and A[k] on any columns of a row;
+        # power-of-two magnitudes keep every product and sum exact
+        rng = np.random.default_rng(seed)
+        mats = []
+        for _ in range(5):
+            g = np.zeros((dim, dim), dtype=complex)
+            g[np.arange(dim), rng.permutation(dim)] = (
+                2.0 ** rng.integers(-3, 4, dim) * rng.choice([1, -1, 1j, -1j], dim))
+            mats.append(g)
+        i, j, k = rng.integers(0, 5, (3, 40))
+        coef = rng.choice([0, 1, -1, 2, -0.5], 40)
+        form = phased_permutations(mats, dim)
+        for sign in (1, -1):
+            for terms in (None, (k, coef)):
+                reference = loop_pair_residuals(mats, i, j, sign, terms)
+                assert np.array_equal(pair_residuals(form, i, j, sign, terms), reference)
+                assert np.array_equal(pair_residuals(mats, i, j, sign, terms), reference)
+
+    def test_blocks_and_empty_pairs(self):
+        # d = 128 puts 32 pairs in a phased block and 2 in a dense one
+        mats = list(build_irrep((0, 14)).gammas)
+        i, j = np.triu_indices(14, 1)
+        form = phased_permutations(mats, 128)
+        assert linalg.BRACKET_BLOCK_ENTRIES // 128 < len(i)
+        reference = loop_pair_residuals(mats, i, j, 1, None)
+        assert np.array_equal(pair_residuals(form, i, j, 1, None), reference)
+        assert np.array_equal(pair_residuals(mats, i, j, 1, None), reference)
+        assert np.all(reference == 0.0)
+        for given in (form, mats):
+            assert pair_residuals(given, i[:0], j[:0], -1, None).shape == (0,)
 
 
 class TestFootprint:

@@ -74,7 +74,7 @@ def test_ko_indeterminate_without_dirac(triple):
 
 
 def test_identity_acts_as_identity(triple):
-    ident = triple.identity_element()
+    ident = AlgebraElement(eye(triple.dim1), eye(triple.dim2))
     assert max_abs(triple.left_action(ident) - eye(32)) < 1e-14
     assert max_abs(triple.right_action(ident) - eye(32)) < 1e-12
 
@@ -137,7 +137,7 @@ def test_right_action_block_example(triple):
 
 class TestOrderConditions:
     def test_identity_pair_is_exact(self, triple):
-        ident = triple.identity_element()
+        ident = AlgebraElement(eye(triple.dim1), eye(triple.dim2))
         la = triple.left_action(ident)
         rb = triple.right_action(ident)
         assert max_abs(commutator(la, rb)) == 0.0
