@@ -7,11 +7,8 @@ from .clifford import (
     SignTriple,
     Signature,
     build_irrep,
-    chirality_op,
     hatted_real_structure,
     measure_sign_triple,
-    product_element,
-    real_structure,
     sign_triple,
     verify_module_signs,
 )

@@ -29,10 +29,8 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     AntilinearOp,
-    antilinear_maps,
-    check_commuting_involutions,
     eye,
-    fixed_space,
+    fixed_spaces,
     fold_max,
     frozen,
     kron,
@@ -40,8 +38,6 @@ from .linalg import (
     max_abs,
     pair_residuals,
     phase_normalize,
-    phased_permutations,
-    signed_maps,
     unitarity_residual,
 )
 from .report import Report
@@ -246,22 +242,6 @@ def closed_form_real_structure(gammas, eps_prime: int, dim: int) -> AntilinearOp
                      "the gammas are not each purely real or purely imaginary")
 
 
-def product_element(m: CliffordModule) -> np.ndarray:
-    """Recompute P = γ¹γ²…γⁿ in canonical index order."""
-    return product_of(m.gammas, m.dim)
-
-
-def chirality_op(m: CliffordModule) -> np.ndarray:
-    """Recompute the chirality operator i^{s(s+1)/2}·P."""
-    return chirality_phase(m.s) * product_element(m)
-
-
-def real_structure(m: CliffordModule) -> AntilinearOp:
-    """Recompute the real structure in closed form (see
-    :func:`closed_form_real_structure`)."""
-    return closed_form_real_structure(m.gammas, sign_triple(m.s).eps_prime, m.dim)
-
-
 def hatted_real_structure(m: CliffordModule) -> AntilinearOp:
     """Ĵ = J∘P, the second real structure; defined for even s only."""
     if m.s % 2 != 0:
@@ -274,9 +254,7 @@ def clifford_residual(gammas, eta) -> float:
 
     One :func:`linalg.pair_residuals` call over the pairs a ≥ b (the
     anticommutator is symmetric) of the gammas with the identity appended,
-    which is the right-hand side 2ηᵃ·1 of the pairs a = b: gathers when
-    every gamma is a phased permutation (:func:`linalg.phased_permutations`),
-    stacked d×d products otherwise.
+    which is the right-hand side 2ηᵃ·1 of the pairs a = b.
     """
     if len(gammas) == 0:
         return 0.0
@@ -284,8 +262,7 @@ def clifford_residual(gammas, eta) -> float:
     mats = [*gammas, eye(dim)]
     a, b = np.nonzero(np.tri(n, dtype=bool))
     terms = np.full(len(a), n), np.where(a == b, 2 * np.asarray(eta)[a], 0)
-    return fold_max(0.0, pair_residuals(phased_permutations(mats, dim) or mats,
-                                        a, b, 1, terms))
+    return fold_max(0.0, pair_residuals(mats, a, b, 1, terms))
 
 
 def hermiticity_residual(m: CliffordModule) -> float:
@@ -298,22 +275,18 @@ def measure_sign_triple(m: CliffordModule, tol: float = DEFAULT_TOL):
     """Measure (ε, ε′, ε″) of the module's real structure directly.
 
     ε′ is found, independently of the sign table, by testing which signs s
-    admit a one-dimensional space of K with K·conj(γᵃ) = s·γᵃ·K: the fixed
-    space (:func:`linalg.fixed_space`) of K ↦ s·(γᵃ)⁻¹·K·conj(γᵃ).  For
-    even n both signs do (J and Ĵ) and the real structure is the commuting
-    one; for odd n exactly one does.  J for the measured ε′ is then taken in
-    closed form (:func:`closed_form_real_structure`), and ε and ε″ are read
-    off it; returns the triple and that J.  The sign s changes neither the
-    involution nor the commutation precondition of the fixed space, so
-    :func:`linalg.check_commuting_involutions` runs once for both signs.
-    For gammas that are phased permutations the inverses, the precondition
-    and the fixed spaces are gathers (:func:`linalg.antilinear_maps`).
-    Raises ValueError for gammas that are not anticommuting involutions,
-    admit the wrong signs or miss the closed form.
+    admit a one-dimensional space of K with γᵃ·K = s·K·conj(γᵃ), that is
+    K·conj(γᵃ) = s·γᵃ·K: one :func:`linalg.fixed_spaces` call gives both
+    spaces.  For even n both signs do (J and Ĵ) and the real structure is
+    the commuting one; for odd n exactly one does.  J for the measured ε′ is
+    then taken in closed form (:func:`closed_form_real_structure`), and ε
+    and ε″ are read off it; returns the triple and that J.  Raises
+    ValueError for gammas that are not anticommuting involutions, admit the
+    wrong signs or miss the closed form.
     """
-    maps = check_commuting_involutions(antilinear_maps(m.gammas, m.dim), m.dim)
-    solvable = [sign for sign in (1, -1)
-                if fixed_space(signed_maps(maps, sign), m.dim, checked=True).shape[1] == 1]
+    # a generator, so the conjugates are freed once fixed_spaces has detected them
+    spaces = fixed_spaces(m.gammas, (np.conj(g) for g in m.gammas), m.dim, (1, -1))
+    solvable = [sign for sign, basis in zip((1, -1), spaces) if basis.shape[1] == 1]
     if not solvable:
         raise ValueError("no antilinear structure found for either sign pattern")
     if m.n % 2 == 0:

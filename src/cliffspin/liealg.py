@@ -24,14 +24,12 @@ from .linalg import (
     DEFAULT_TOL,
     commutator,
     eye,
-    fixed_space,
+    fixed_spaces,
     fold_max,
     frozen,
-    intertwining_maps,
     max_abs,
     pair_residuals,
     phase_normalize,
-    phased_permutations,
 )
 
 
@@ -80,21 +78,18 @@ def bracket_residual_table(rep: SoRepresentation) -> np.ndarray:
 
     Rows and columns are both indexed by ``rep.pairs()``.  The table is one
     :func:`linalg.pair_residuals` call with sign −1 over all N² pairs of the
-    N generators and the right-hand sides of :func:`_structure_terms`.  When
-    every generator is exactly a phased permutation (one nonzero entry per
-    row and per column, tested with ``!= 0`` and no tolerance, all entries
-    finite) it runs on gathers in O(N²·d), the Pauli-string picture of
-    stabilizer simulation, bit-identical to the dense products; any other
-    input (perturbed, conjugated or fault-injected generators) takes stacked
-    d×d commutators.
+    N generators and the right-hand sides of :func:`_structure_terms`: on
+    gathers in O(N²·d) when every generator is a phased permutation (the
+    Pauli-string picture of stabilizer simulation), by stacked d×d
+    commutators otherwise (perturbed, conjugated or fault-injected
+    generators), bit-identical either way.
     """
     mats = [rep.generators[key] for key in rep.pairs()]
     size = len(mats)
     if size == 0:
         return np.zeros((0, 0))
     i, j = np.divmod(np.arange(size * size), size)
-    table = pair_residuals(phased_permutations(mats, rep.dim) or mats, i, j, -1,
-                           _structure_terms(rep))
+    table = pair_residuals(mats, i, j, -1, _structure_terms(rep))
     return table.reshape(size, size)
 
 
@@ -215,13 +210,11 @@ def find_intertwiner(rep_a: SoRepresentation, rep_b: SoRepresentation,
                      rtol: float = 1e-6):
     """Invertible W with W·T_a = T_b·W for every generator, or None.
 
-    W is a generic element of the fixed space (:func:`linalg.fixed_space`)
-    of W ↦ (2T_b⁰ᵃ)·W·(2T_a⁰ᵃ)⁻¹, a = 1…n−1, which holds every intertwiner,
-    so None is a sound verdict; for quadratic gamma monomials these maps
-    generate every 2Tᵃᵇ up to shared scalars.  When every 2T⁰ᵃ is a phased
-    permutation the inverses and the maps are gathers
-    (:func:`linalg.intertwining_maps`).  W counts as invertible when its
-    smallest singular value is at least ``rtol`` times the largest.
+    W is a generic element of the space of W with 2T_b⁰ᵃ·W = W·2T_a⁰ᵃ,
+    a = 1…n−1 (:func:`linalg.fixed_spaces`), which holds every intertwiner,
+    so None is a sound verdict; for quadratic gamma monomials the 2T⁰ᵃ
+    generate every 2Tᵃᵇ up to shared scalars.  W counts as invertible when
+    its smallest singular value is at least ``rtol`` times the largest.
     Raises ValueError when a 2T⁰ᵃ does not square to a nonzero scalar and
     when W fails :func:`intertwiner_residual` on some generator.
     """
@@ -230,9 +223,8 @@ def find_intertwiner(rep_a: SoRepresentation, rep_b: SoRepresentation,
     if rep_a.n != rep_b.n or not np.array_equal(rep_a.eta, rep_b.eta):
         raise ValueError("representations must share one metric")
     dim = rep_a.dim
-    maps = intertwining_maps([2 * rep_b.t(0, a) for a in range(1, rep_a.n)],
-                             [2 * rep_a.t(0, a) for a in range(1, rep_a.n)], dim)
-    basis = fixed_space(maps, dim)
+    basis, = fixed_spaces([2 * rep_b.t(0, a) for a in range(1, rep_a.n)],
+                          [2 * rep_a.t(0, a) for a in range(1, rep_a.n)], dim, (1,))
     if basis.shape[1] == 0:
         return None
     w = phase_normalize(basis.sum(axis=1)).reshape(dim, dim)

@@ -12,15 +12,17 @@ nonzero entry per row and per column.  :func:`phased_permutations` detects
 a stack of such matrices exactly and gives its ``PhasedForm`` (cols, vals),
 in which a product (:func:`phased_compose`) or an inverse
 (:func:`phased_inverse`) is an O(d) gather and a map X ↦ L·X·R an O(d²)
-gather.  Every pairwise identity, the Clifford relations, the so(p,q)
-brackets and the commutation of the maps of :func:`fixed_space`, is checked
-by one function, :func:`pair_residuals`: on a ``PhasedForm`` by gathers,
-on a list of matrices by stacked products.  The maps of the sign
-measurement (:func:`antilinear_maps`) and of the intertwiner search
-(:func:`intertwining_maps`) are ``PhasedMaps`` whenever every input matrix
-passes the detector, and the fixed space then runs on gathers too.  Only
-this module indexes a (cols, vals) form; any other input takes the dense
-code.
+gather.  Callers hand plain matrices to the two checks built on it, and
+each check makes its one detector call itself:
+
+* :func:`pair_residuals`, every pairwise identity (the Clifford relations
+  and the so(p,q) brackets);
+* :func:`fixed_spaces`, the X with Lᵢ·X = s·X·Rᵢ for every i and each sign
+  s (the sign measurement and the intertwiner search), whose commutation
+  precondition is a pair-residual check too.
+
+Only this module knows the ``PhasedForm``; input that is not a stack of
+phased permutations takes the dense code.
 """
 
 from __future__ import annotations
@@ -37,16 +39,15 @@ DEFAULT_TOL = 1e-10
 #: relative singular-value threshold below which directions count as null
 NULL_RTOL = 1e-9
 
-#: random probes that :func:`fixed_space` projects, drawn from the
+#: random probes that :func:`fixed_spaces` projects, drawn from the
 #: standard library's generator (stdlib MT19937, seed 0), so no fixed space
 #: loads ``numpy.random``
 FIXED_SPACE_PROBES = 3
 
 #: matrix entries per stacked product of the involution check of
-#: :func:`check_commuting_involutions` and of the dense path of
-#: :func:`pair_residuals`: maps, or pairs, are taken in blocks of at most
-#: this many entries in all (one map or pair at least), so their memory does
-#: not grow with the count
+#: :func:`fixed_spaces` and of the dense path of :func:`pair_residuals`:
+#: maps, or pairs, are taken in blocks of at most this many entries in all
+#: (one map or pair at least), so their memory does not grow with the count
 PRECONDITION_BLOCK_ENTRIES = 1 << 15
 
 #: gathered entries per temporary of the phased path of
@@ -342,72 +343,27 @@ def _phased_distance(a, b) -> np.ndarray:
     return gap.max(axis=-1)
 
 
-@dataclass(frozen=True)
-class PhasedMaps:
-    """Maps X ↦ Lᵢ·X·Rᵢ whose every Lᵢ and Rᵢ is a phased permutation, held
-    as the forms (cols, vals) of the stacked Lᵢ and of the stacked Rᵢ, so
-    that no d×d matrix of them is formed.  :func:`check_commuting_involutions`
-    and :func:`fixed_space` take it in place of a list of (L, R) pairs."""
-
-    lefts: tuple
-    rights: tuple
-
-
-def antilinear_maps(gammas, dim: int):
-    """The maps K ↦ γ⁻¹·K·conj(γ), one per γ: the K with K·conj(γ) = s·γ·K
-    for every γ are the fixed space of their :func:`signed_maps` by s.
-
-    When every γ is a phased permutation (one detector call) they are
-    ``PhasedMaps`` inverted by gather, with no d×d matrix formed; otherwise
-    a list of (γ⁻¹, conj(γ)) pairs inverted by ``np.linalg.inv``.
-    """
-    forms = phased_permutations(gammas, dim)
-    if forms is None:
-        return [(np.linalg.inv(g), np.conj(g)) for g in gammas]
-    cols, vals = forms
-    return PhasedMaps(phased_inverse(forms), (cols, vals.conj()))
-
-
-def intertwining_maps(lefts, rights, dim: int):
-    """The maps X ↦ Lᵢ·X·Rᵢ⁻¹: the X with Lᵢ·X = X·Rᵢ for every i are their
-    fixed space.
-
-    When every Lᵢ and Rᵢ is a phased permutation (one detector call on
-    them stacked) they are ``PhasedMaps`` inverted by gather; otherwise a
-    list of (L, R⁻¹) pairs inverted by ``np.linalg.inv``.
-    """
-    lefts, rights = list(lefts), list(rights)
-    forms = phased_permutations(lefts + rights, dim)
-    if forms is None:
-        return [(left, np.linalg.inv(right)) for left, right in zip(lefts, rights)]
-    (cols, vals), n = forms, len(lefts)
-    return PhasedMaps((cols[:n], vals[:n]), phased_inverse((cols[n:], vals[n:])))
-
-
-def signed_maps(maps, sign: int):
-    """The maps X ↦ sign·Lᵢ·X·Rᵢ of maps X ↦ Lᵢ·X·Rᵢ, in the form given."""
-    if isinstance(maps, PhasedMaps):
-        cols, vals = maps.lefts
-        return PhasedMaps((cols, sign * vals), maps.rights)
-    return [(sign * left, right) for left, right in maps]
-
-
 def pair_residuals(mats, i, j, sign: int, terms) -> np.ndarray:
     """max-abs of Aᵢ·Aⱼ + sign·Aⱼ·Aᵢ − c·A[k] for each pair p = (i[p], j[p])
-    of matrices A, as an array over the pairs; ``terms`` is None (no
-    right-hand side) or the index arrays (k, c), one index into A and one
-    coefficient per pair, and a pair whose c is 0 has no right-hand side.
+    of the d×d matrices A (a list or a stack), as an array over the pairs;
+    ``terms`` is None (no right-hand side) or the index arrays (k, c), one
+    index into A and one coefficient per pair, and a pair whose c is 0 has
+    no right-hand side.
 
-    A ``PhasedForm`` takes gathers, O(d) per pair in blocks of at most
-    ``BRACKET_BLOCK_ENTRIES`` rows; a list of d×d matrices takes stacked
-    products in blocks of at most ``PRECONDITION_BLOCK_ENTRIES`` entries.
-    Both form the entries of (AᵢAⱼ ± AⱼAᵢ) − c·A[k] in that order, so the
-    two forms of the same matrices give bit-identical residuals.
+    One :func:`phased_permutations` call picks the path: gathers, O(d) per
+    pair in blocks of at most ``BRACKET_BLOCK_ENTRIES`` rows, when every
+    matrix is a phased permutation, and stacked products in blocks of at
+    most ``PRECONDITION_BLOCK_ENTRIES`` entries otherwise.  Both form the
+    entries of (AᵢAⱼ ± AⱼAᵢ) − c·A[k] in that order, so the two paths give
+    bit-identical residuals on the same matrices.
     """
     i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
-    if isinstance(mats, PhasedForm):
-        return _phased_pair_residuals(mats, i, j, sign, terms)
-    return _dense_pair_residuals(mats, i, j, sign, terms)
+    if not len(i):
+        return np.zeros(0)
+    form = phased_permutations(mats, np.shape(mats[0])[-1])
+    if form is None:
+        return _dense_pair_residuals(mats, i, j, sign, terms)
+    return _phased_pair_residuals(form, i, j, sign, terms)
 
 
 def _phased_pair_residuals(form: PhasedForm, i, j, sign: int, terms) -> np.ndarray:
@@ -481,7 +437,8 @@ def _phased_involutions(lefts: PhasedForm, rights: PhasedForm, dim: int) -> np.n
 
 def _dense_involutions(lefts, rights, dim: int) -> np.ndarray:
     """Which maps fail L² = c·1, R² = c⁻¹·1, by stacked d×d squares over
-    blocks of at most ``PRECONDITION_BLOCK_ENTRIES`` entries."""
+    blocks of at most ``PRECONDITION_BLOCK_ENTRIES`` entries.  A NaN entry
+    fails its map without a RuntimeWarning."""
     ident = eye(dim)
     bad = [np.zeros(0, dtype=bool)]
     for block in stack_blocks(len(lefts), dim, PRECONDITION_BLOCK_ENTRIES):
@@ -489,47 +446,45 @@ def _dense_involutions(lefts, rights, dim: int) -> np.ndarray:
         lsq, rsq = left @ left, right @ right
         c = np.trace(lsq, axis1=1, axis2=2) / dim
         scale = np.where(c == 0, 1, c)[:, None, None]
-        resid = np.maximum(np.abs(lsq - scale * ident).max(axis=(1, 2)),
-                           np.abs(rsq - ident / scale).max(axis=(1, 2)))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            resid = np.maximum(np.abs(lsq - scale * ident).max(axis=(1, 2)),
+                               np.abs(rsq - ident / scale).max(axis=(1, 2)))
         bad.append((c == 0) | ~(resid <= DEFAULT_TOL))
     return np.concatenate(bad)
 
 
-def check_commuting_involutions(maps, dim: int):
-    """The precondition of :func:`fixed_space`: every map Mᵢ: X ↦ Lᵢ·X·Rᵢ is
-    an involution (L² = c·1, R² = c⁻¹·1) and every two commute (LᵢLⱼ =
-    σLⱼLᵢ, RⱼRᵢ = σRᵢRⱼ, one σ ∈ {±1}), each to ``DEFAULT_TOL``.
+def _check_commuting_involutions(lefts, rights, dim: int) -> None:
+    """The precondition of :func:`fixed_spaces` on the maps X ↦ Lᵢ·X·Rᵢ
+    (Lᵢ inverted already): every map is an involution (L² = c·1,
+    R² = c⁻¹·1) and every two commute (LᵢLⱼ = σLⱼLᵢ, RⱼRᵢ = σRᵢRⱼ, one
+    σ ∈ {±1}), each to ``DEFAULT_TOL``.
 
-    Returns ``PhasedMaps`` as given, and a list as pairs of complex
-    matrices.  Raises ValueError for the first failure in the order map i,
-    then its pairs (j, i) with j < i ascending.  The involutions are read
-    off gathered squares on ``PhasedMaps`` and off stacked d×d squares over
-    blocks of at most ``PRECONDITION_BLOCK_ENTRIES`` entries on a list; the
-    commutations are :func:`pair_residuals` with sign −σ, first for σ = −1
-    on every pair and then for σ = +1 on the pairs left.  A sign on any Lᵢ
-    changes neither, so maps that differ only by such signs need one check.
+    Raises ValueError for the first failure in the order map i, then its
+    pairs (j, i) with j < i ascending.  The involutions are read off
+    gathered squares of two ``PhasedForm`` stacks and off stacked d×d
+    squares of two lists; the commutations are pair residuals with sign
+    −σ, first for σ = −1 on every pair and then for σ = +1 on the pairs
+    left.  A sign on any Lᵢ changes neither, so one check serves every
+    sign.
     """
-    if isinstance(maps, PhasedMaps):
-        lefts, rights = PhasedForm(*maps.lefts), PhasedForm(*maps.rights)
-        bad_maps = _phased_involutions(lefts, rights, dim)
+    if isinstance(lefts, PhasedForm):
+        involutions, pairs = _phased_involutions, _phased_pair_residuals
     else:
-        maps = [(as_matrix(left), as_matrix(right)) for left, right in maps]
-        lefts, rights = [left for left, _ in maps], [right for _, right in maps]
-        bad_maps = _dense_involutions(lefts, rights, dim)
+        involutions, pairs = _dense_involutions, _dense_pair_residuals
+    bad_maps = involutions(lefts, rights, dim)
     first_bad_map = _first_failure(bad_maps)
     i, j = np.nonzero(np.tri(first_bad_map, k=-1, dtype=bool))
     commutes = np.zeros(len(i), dtype=bool)
     for sigma in (-1, 1):
         todo = np.flatnonzero(~commutes)
         commutes[todo] = np.maximum(
-            pair_residuals(lefts, i[todo], j[todo], -sigma, None),
-            pair_residuals(rights, j[todo], i[todo], -sigma, None)) <= DEFAULT_TOL
+            pairs(lefts, i[todo], j[todo], -sigma, None),
+            pairs(rights, j[todo], i[todo], -sigma, None)) <= DEFAULT_TOL
     k = _first_failure(~commutes)
     if k < len(i):
         raise ValueError(f"fixed_space: maps {j[k]} and {i[k]} do not commute")
     if first_bad_map < len(bad_maps):
         raise ValueError(f"fixed_space: map {first_bad_map} is not an involution")
-    return maps
 
 
 def _probes(dim: int) -> np.ndarray:
@@ -544,35 +499,61 @@ def _probes(dim: int) -> np.ndarray:
     return parts[0] + 1j * parts[1]
 
 
-def fixed_space(maps, dim: int, checked: bool = False) -> np.ndarray:
-    """Orthonormal basis (columns: row-major flattened X) of the dim×dim X
-    with L·X·R = X for every (L, R) in ``maps`` (a list of pairs or
-    ``PhasedMaps``); no dim²-unknown system.
+def fixed_spaces(lefts, rights, dim: int, signs) -> list:
+    """One orthonormal basis (columns: row-major flattened X) per sign s of
+    ``signs``, of the dim×dim X with Lᵢ·X = s·X·Rᵢ for every i: the fixed
+    space of the maps X ↦ s·Lᵢ⁻¹·X·Rᵢ.  ``lefts`` and ``rights`` are
+    iterables of dim×dim matrices, each read once, and no dim²-unknown
+    system is formed.
 
-    The maps must be commuting involutions: :func:`check_commuting_involutions`
-    runs first and raises ValueError otherwise, unless ``checked`` says the
-    caller has already run it on these maps or on maps that differ from
-    them only by signs of the Lᵢ.  The projector Πᵢ(1 + Mᵢ)/2 is applied to
-    ``FIXED_SPACE_PROBES`` random probes (stdlib MT19937, seed 0; a
-    randomized range finder, arXiv:0909.4061) and the images are ranked
-    against the probe norm, so an empty space gives no column and a space
-    of ``FIXED_SPACE_PROBES`` dimensions or more gives that many.  Each of
-    ``PhasedMaps`` is applied by one gather, each of a list by two
-    products.
+    One :func:`phased_permutations` call on the stacked Lᵢ and Rᵢ picks the
+    path.  When every one is a phased permutation, the inverses, the
+    precondition and the projections are gathers and no d×d matrix of the
+    maps is formed; otherwise the inverses come from ``np.linalg.inv`` and
+    the rest from d×d products.  The maps must be commuting involutions:
+    the precondition (:func:`_check_commuting_involutions`) runs once for
+    all signs and raises ValueError otherwise.  For each sign the projector
+    Πᵢ(1 + Mᵢ)/2 is applied to ``FIXED_SPACE_PROBES`` random probes (stdlib
+    MT19937, seed 0; a randomized range finder, arXiv:0909.4061) and the
+    images are ranked against the probe norm, so an empty space gives no
+    column and a space of ``FIXED_SPACE_PROBES`` dimensions or more gives
+    that many.
     """
-    if not checked:
-        maps = check_commuting_involutions(maps, dim)
-    images = probes = _probes(dim)
-    if isinstance(maps, PhasedMaps):
-        (lc, lv), (rc, rv) = maps.lefts, maps.rights
+    lefts, rights = list(lefts), list(rights)
+    if len(lefts) != len(rights):
+        raise ValueError(f"{len(lefts)} left and {len(rights)} right matrices")
+    count = len(lefts)
+    form = phased_permutations(lefts + rights, dim)
+    if form is None:
+        lefts = [np.linalg.inv(as_matrix(left)) for left in lefts]
+        rights = [as_matrix(right) for right in rights]
+    else:
+        cols, vals = form
+        lefts = phased_inverse(PhasedForm(cols[:count], vals[:count]))
+        rights = PhasedForm(cols[count:], vals[count:])
+    _check_commuting_involutions(lefts, rights, dim)
+    probes = _probes(dim)
+    return [_project(lefts, rights, sign, probes) for sign in signs]
+
+
+def _project(lefts, rights, sign: int, probes) -> np.ndarray:
+    """The basis of :func:`fixed_spaces` for one sign, from the images of
+    the probes under the projectors X ↦ (X + s·Lᵢ·X·Rᵢ)/2 (Lᵢ inverted
+    already): one gather each on two ``PhasedForm`` stacks, two products
+    each on two lists."""
+    dim = probes.shape[-1]
+    images = probes
+    if isinstance(lefts, PhasedForm):
+        (lc, lv), (rc, rv) = lefts, rights
+        lv = sign * lv
         # (X·R)[:, c] = X[:, r]·R[r, c] for the one row r = rows[c] of column c
         rows = _phased_rows(rc)
         rv = rv[_stack_index(rows), rows]
         for k in range(len(lc)):
             images = 0.5 * (images + lv[k, :, None] * rv[k] * images[:, lc[k, :, None], rows[k]])
     else:
-        for left, right in maps:
-            images = 0.5 * (images + left @ images @ right)
+        for left, right in zip(lefts, rights):
+            images = 0.5 * (images + (sign * left) @ images @ right)
     u, s, _ = np.linalg.svd(images.reshape(FIXED_SPACE_PROBES, dim * dim).T,
                             full_matrices=False)
     return u[:, :int(np.sum(s > NULL_RTOL * np.linalg.norm(probes)))]

@@ -360,8 +360,9 @@ def _adjoint_image(triple: PatiSalamTriple, u: GaugeElement):
     """
     lu = triple.left_action(u.as_algebra_element())
     adj = lu @ triple.J.conjugate_matrix(lu)
-    return (adj, max_abs(adj - stacked_kron(u.u1, u.u2)),
-            _scalar_abs(np.linalg.det(lu) - 1.0))
+    with np.errstate(invalid="ignore", divide="ignore"):  # NaN fails quietly
+        det = np.linalg.det(lu)
+    return (adj, max_abs(adj - stacked_kron(u.u1, u.u2)), _scalar_abs(det - 1.0))
 
 
 def _adjoint_failure(resid: float, det_err: float, tol: float,

@@ -1,7 +1,7 @@
 """Per-pair dense loops, the independent references of the pairwise checks.
 
 ``linalg.pair_residuals`` evaluates the Clifford relations, the so(p,q)
-brackets and the commutation precondition of ``fixed_space`` for many
+brackets and the commutation precondition of ``fixed_spaces`` for many
 pairs at once, by gathers or by stacked products.  These loops take one
 pair at a time with plain d×d products, as the package did before, and the
 tests compare the package against them bit for bit.
@@ -56,14 +56,20 @@ def loop_bracket_table(rep) -> np.ndarray:
     return table
 
 
-def loop_precondition_failure(maps, dim):
-    """The message of the first failure of ``check_commuting_involutions``,
-    map i before its pairs (j, i), or None."""
+def loop_precondition_failure(lefts, rights, dim):
+    """The message of the first failure of the precondition of
+    ``linalg.fixed_spaces`` on the maps X ↦ Lᵢ⁻¹·X·Rᵢ, map i before its
+    pairs (j, i), or None; a dense inverse that meets a singular Lᵢ raises
+    its LinAlgError."""
     ident = eye(dim)
+    maps = [(np.linalg.inv(left), np.asarray(right, dtype=complex))
+            for left, right in zip(lefts, rights)]
     for i, (left, right) in enumerate(maps):
         c = np.trace(left @ left) / dim
-        if c == 0 or not fold_max(max_abs(left @ left - c * ident),
-                                  max_abs(right @ right - ident / c)) <= DEFAULT_TOL:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            resid = fold_max(max_abs(left @ left - c * ident),
+                             max_abs(right @ right - ident / c))
+        if c == 0 or not resid <= DEFAULT_TOL:
             return f"fixed_space: map {i} is not an involution"
         for j, (left_j, right_j) in enumerate(maps[:i]):
             if not any(max_abs(left @ left_j - sigma * left_j @ left) <= DEFAULT_TOL

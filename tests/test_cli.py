@@ -4,7 +4,6 @@ and byte-level determinism of seeded runs."""
 import dataclasses
 import json
 import math
-import time
 from unittest import mock
 
 import numpy as np
@@ -197,13 +196,10 @@ class TestCliContract:
         code, out = run_capture(capsys, ["irrep", "--p", "0", "--q", "12"])
         assert code == 0
         assert out == "module (0,12) branch 1: dim 64, s = 4, signs (-1, 1, 1)\n"
-        start = time.perf_counter()
         with mock.patch.object(clifford, "gamma_chain", side_effect=AssertionError("built")):
             code = run(["irrep", "--p", "0", "--q", "30"])
-        elapsed = time.perf_counter() - start
         captured = capsys.readouterr()
         assert code == 2
-        assert elapsed < 1.0
         assert captured.out == ""
         assert "dimension 2^15" in captured.err and "limit 128" in captured.err
 
@@ -217,14 +213,11 @@ class TestCliContract:
 
     def test_oversized_sign_table_is_refused_at_once(self, capsys):
         for suite in ("signs", "brackets"):
-            start = time.perf_counter()
             with mock.patch.object(clifford, "build_irrep",
                                    side_effect=AssertionError("built")):
                 code = run(["verify", suite, "--max-n", "30"])
-            elapsed = time.perf_counter() - start
             captured = capsys.readouterr()
             assert code == 2
-            assert elapsed < 1.0
             assert captured.out == ""
             assert "dimension 2^15" in captured.err and "limit 128" in captured.err
 
@@ -302,8 +295,59 @@ class TestCliContract:
         assert json.loads(out)["seed"] == 4
 
 
+def nan_entry(m):
+    g = np.array(m.gammas[0])
+    g[0, 0] = np.nan
+    return dataclasses.replace(m, gammas=(g, *m.gammas[1:]))
+
+
+def times_i(m):
+    return dataclasses.replace(m, gammas=(*m.gammas[:-1], 1j * m.gammas[-1]))
+
+
+def swapped(m):
+    # the first gamma squares to +1 and the last to −1 when p, q > 0
+    gs = list(m.gammas)
+    gs[0], gs[-1] = gs[-1], gs[0]
+    return dataclasses.replace(m, gammas=tuple(gs))
+
+
+def perturbed(m):
+    noise = 1e-6 * np.cos(np.arange(m.dim * m.dim)).reshape(m.dim, m.dim)
+    return dataclasses.replace(m, gammas=(m.gammas[0] + noise, *m.gammas[1:]))
+
+
+#: gamma faults, injected into every module with both metric signs
+GAMMA_FAULTS = {"nan-entry": nan_entry, "gamma-times-i": times_i,
+                "swapped-gammas": swapped, "perturbed-1e-6": perturbed}
+
+
 class TestFaultInjection:
     """A corrupted structure map must turn a CLI report into FAIL, exit 1."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, failed", [
+        (["verify", "signs"], "sign-table(max_n=6)"),
+        (["verify", "brackets", "--max-n", "4"], "so-brackets(max_n=4)"),
+    ], ids=["signs", "brackets"])
+    @pytest.mark.parametrize("fault", GAMMA_FAULTS)
+    def test_faulted_gammas_fail_without_a_warning(self, capsys, fault, argv, failed):
+        # a warning fails the test: the NaN gamma reaches the dense checks,
+        # which must fail it quietly
+        real = clifford.build_irrep
+
+        def faulted(sig, branch=1):
+            m = real(sig, branch)
+            return GAMMA_FAULTS[fault](m) if m.signature.p and m.signature.q else m
+
+        with mock.patch.object(clifford, "build_irrep", faulted):
+            code = run([*argv, "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert doc["all_passed"] is False
+        assert [c["check"] for c in doc["checks"] if not c["passed"]] == [failed]
 
     def test_hatted_module_structure_fails_the_sign_table(self, capsys):
         def hatted_irrep(*args, **kwargs):

@@ -18,13 +18,12 @@ from cliffspin import clifford, linalg
 from cliffspin.clifford import (
     Signature,
     build_irrep,
-    chirality_op,
+    chirality_phase,
     closed_form_real_structure,
     hatted_real_structure,
     measure_sign_triple,
     module_residuals,
-    product_element,
-    real_structure,
+    product_of,
     sign_triple,
     verify_module_signs,
 )
@@ -32,7 +31,7 @@ from cliffspin.linalg import (
     AntilinearOp,
     antilinear_constraints,
     eye,
-    fixed_space,
+    fixed_spaces,
     kron,
     max_abs,
     null_space,
@@ -74,7 +73,7 @@ def test_pauli_pair_construction():
 
 
 def test_product_element_small_cases():
-    assert np.array_equal(product_element(build_irrep((0, 0))), eye(1))
+    assert np.array_equal(product_of(build_irrep((0, 0)).gammas, 1), eye(1))
     # (0,2): P = (i s1)(i s2) = -i s3, squaring to -1 (s = 2)
     m = build_irrep((0, 2))
     assert max_abs(m.P - (-1j) * S3) < 1e-15
@@ -152,9 +151,10 @@ def test_j_past_product_element(pq):
 
 def test_recomputed_maps_match_stored():
     m = build_irrep((3, 2))
-    assert max_abs(product_element(m) - m.P) == 0.0
-    assert max_abs(chirality_op(m) - m.chirality) == 0.0
-    assert np.array_equal(real_structure(m).matrix, m.J.matrix)
+    assert max_abs(product_of(m.gammas, m.dim) - m.P) == 0.0
+    assert max_abs(chirality_phase(m.s) * product_of(m.gammas, m.dim) - m.chirality) == 0.0
+    j = closed_form_real_structure(m.gammas, sign_triple(m.s).eps_prime, m.dim)
+    assert np.array_equal(j.matrix, m.J.matrix)
 
 
 def test_measured_signs_match_table_small():
@@ -231,9 +231,8 @@ def test_one_precondition_per_sign_measurement(pq):
     # the sign s changes neither the involution nor the commutation check,
     # so both sign patterns share one
     m = build_irrep(pq)
-    spy = mock.Mock(wraps=linalg.check_commuting_involutions)
-    with mock.patch.object(clifford, "check_commuting_involutions", spy), \
-            mock.patch.object(linalg, "check_commuting_involutions", spy):
+    spy = mock.Mock(wraps=linalg._check_commuting_involutions)
+    with mock.patch.object(linalg, "_check_commuting_involutions", spy):
         measured, _ = measure_sign_triple(m)
     assert spy.call_count == 1
     assert tuple(measured) == sign_triple(m.s)
@@ -366,9 +365,9 @@ class TestFixedSpaceReference:
     @pytest.mark.parametrize("p, q, branch", TestClosedFormRealStructure.CROSS_CHECK)
     def test_dimension_matches_the_dense_null_space(self, p, q, branch, sign):
         m = build_irrep((p, q), branch)
-        maps = [(sign * np.linalg.inv(g), np.conj(g)) for g in m.gammas]
+        (basis,) = fixed_spaces(m.gammas, np.conj(m.gammas), m.dim, (sign,))
         dense = null_space(antilinear_constraints(m.gammas, [sign] * m.n, m.dim))
-        assert fixed_space(maps, m.dim).shape[1] == dense.shape[1]
+        assert basis.shape[1] == dense.shape[1]
 
 
 def test_verify_module_signs_report():

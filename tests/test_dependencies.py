@@ -2,11 +2,15 @@
 package imports it anywhere, and a warm ``cliffspin all`` pass keeps to one
 core.  SciPy is a test dependency only, the reference of the matrix
 exponential's tests.  Only the commands that make seeded draws load
-``numpy.random``."""
+``numpy.random``.  Only ``linalg`` names the phased-permutation form, so
+the choice between gathers and dense code is made in one module."""
 
 import ast
+import io
+import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -132,6 +136,44 @@ def test_the_guard_sees_every_import():
     assert scipy_imports(source, "m.py") == [
         "m.py:2", "m.py:3", "m.py:5", "m.py:10", "m.py:12", "m.py:14",
         "m.py:18", "m.py:19"]
+
+
+def phased_names(source: str, filename: str) -> list:
+    """``file:line`` of every name in the code (not in strings or comments)
+    that is ``PhasedForm`` or a ``phased_*`` or ``_phased_*`` function,
+    ``phased_permutations`` among them: an import, a call, an attribute or
+    a def."""
+    found = []
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.NAME and (
+                token.string == "PhasedForm" or re.match(r"_?phased_", token.string)):
+            found.append(f"{filename}:{token.start[0]}")
+    return found
+
+
+def test_only_linalg_picks_the_phased_path():
+    # callers hand linalg plain matrices, and linalg alone decides between
+    # the gathers and the dense code
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "linalg.py":
+            found += phased_names(path.read_text(encoding="utf-8"),
+                                  str(path.relative_to(ROOT)))
+    assert not found, "phased form named outside linalg: " + ", ".join(found)
+
+
+def test_the_phased_guard_sees_every_name():
+    source = ("from .linalg import pair_residuals, phased_permutations\n"
+              "from . import linalg\n"
+              "# phased_permutations in a comment is prose\n"
+              "form = linalg.phased_permutations(mats, dim) or mats\n"
+              "def f(x: 'PhasedForm'):\n"
+              "    return linalg.PhasedForm(*x)\n"
+              "def _phased_rows(cols):\n"
+              "    \"\"\"phased_compose in a docstring is prose\"\"\"\n"
+              "    return phased_inverse(cols)\n"
+              "phased = unphased_count = 0\n")
+    assert phased_names(source, "m.py") == ["m.py:1", "m.py:4", "m.py:6", "m.py:7", "m.py:9"]
 
 
 def test_no_command_loads_scipy():

@@ -3,6 +3,7 @@ factors and the antilinear commutant solver, checked against independent
 oracles (entry-wise expansion, truncated series, basis enumeration,
 ``scipy.linalg.expm``)."""
 
+import contextlib
 import math
 from unittest import mock
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from cliffspin import linalg
 from cliffspin.linalg import (
     FIXED_SPACE_PROBES,
     MAX_KRONECKER_DIM,
@@ -17,12 +19,11 @@ from cliffspin.linalg import (
     STACK_BLOCK_ENTRIES,
     AntilinearOp,
     antilinear_constraints,
-    check_commuting_involutions,
     check_kronecker_dim,
     dagger,
     expm,
     eye,
-    fixed_space,
+    fixed_spaces,
     fold_max,
     kron,
     linear_combination,
@@ -572,11 +573,17 @@ class TestNullity:
         assert null_space(antilinear_constraints(gammas, [-1, -1, -1])).shape[1] == 0
 
 
+def fixed_space(lefts, rights, dim, sign=1):
+    """The one basis of :func:`fixed_spaces` for one sign."""
+    (basis,) = fixed_spaces(lefts, rights, dim, (sign,))
+    return basis
+
+
 class TestFixedSpace:
     def test_basis_is_orthonormal_and_fixed(self):
         # K·conj(g) = g·K for the (0,3) gammas: one solution, K ∝ S2
         gammas = [1j * S1, 1j * S2, 1j * S3]
-        basis = fixed_space([(np.linalg.inv(g), np.conj(g)) for g in gammas], 2)
+        basis = fixed_space(gammas, np.conj(gammas), 2)
         assert basis.shape == (4, 1)
         k = basis[:, 0].reshape(2, 2)
         assert abs(np.vdot(basis[:, 0], basis[:, 0]) - 1) < 1e-12
@@ -584,7 +591,7 @@ class TestFixedSpace:
         assert max_abs(k - k[0, 1] / (-1j) * S2) < 1e-12
 
     def test_empty_fixed_space_has_no_column(self):
-        assert fixed_space([(-eye(3), eye(3))], 3).shape == (9, 0)
+        assert fixed_space([-eye(3)], [eye(3)], 3).shape == (9, 0)
 
     def test_rounding_noise_is_ranked_against_the_probes(self):
         # conjugated gammas make the images of an empty space rounding noise,
@@ -592,93 +599,108 @@ class TestFixedSpace:
         rng = np.random.default_rng(2)
         u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
         gammas = [u @ (1j * g) @ u.conj().T for g in (S1, S2, S3)]
-        for sign, count in ((1, 1), (-1, 0)):
-            maps = [(sign * np.linalg.inv(g), np.conj(g)) for g in gammas]
-            assert fixed_space(maps, 2).shape == (4, count)
+        assert [basis.shape for basis in fixed_spaces(gammas, np.conj(gammas), 2, (1, -1))] \
+            == [(4, 1), (4, 0)]
 
     def test_large_fixed_space_reads_the_probe_count(self):
-        assert fixed_space([], 4).shape == (16, FIXED_SPACE_PROBES)
-        assert fixed_space([], 1).shape == (1, 1)
+        assert fixed_space([], [], 4).shape == (16, FIXED_SPACE_PROBES)
+        assert fixed_space([], [], 1).shape == (1, 1)
 
     def test_projector_agrees_with_the_dense_null_space(self):
-        # two commuting involutions X ↦ L·X·R on 2×2 matrices
-        maps = [(S3, S3), (S1, S1)]
-        stacked = np.vstack([np.kron(left, right.T) - np.eye(4) for left, right in maps])
+        # two commuting involutions X ↦ L⁻¹·X·R = L·X·R on 2×2 matrices
+        lefts, rights = [S3, S1], [S3, S1]
+        stacked = np.vstack([np.kron(left, right.T) - np.eye(4)
+                             for left, right in zip(lefts, rights)])
         dense = null_space(stacked)
-        basis = fixed_space(maps, 2)
+        basis = fixed_space(lefts, rights, 2)
         assert basis.shape == dense.shape == (4, 1)
         assert max_abs(basis @ basis.conj().T - dense @ dense.conj().T) < 1e-12
 
     @pytest.mark.parametrize("maps, message", [
-        ([(2 * eye(2), eye(2))], "map 0 is not an involution"),
-        ([(S1, 2 * S1)], "map 0 is not an involution"),
-        ([(S1 + S3, S1)], "map 0 is not an involution"),
-        ([(S1, S1), (S3, S1)], "maps 0 and 1 do not commute"),
-        ([(S1, S1), (S1 + 0.5 * S3, S1)], "is not an involution"),
+        (([0.5 * eye(2)], [eye(2)]), "map 0 is not an involution"),
+        (([S1], [2 * S1]), "map 0 is not an involution"),
+        (([S1 + S3], [S1]), "map 0 is not an involution"),
+        (([S1, S3], [S1, S1]), "maps 0 and 1 do not commute"),
+        (([S1, S1 + 0.5 * S3], [S1, S1]), "is not an involution"),
     ])
     def test_preconditions_are_checked_first(self, maps, message):
         with pytest.raises(ValueError, match=message):
-            fixed_space(maps, 2)
+            fixed_space(*maps, 2)
+
+    def test_one_left_matrix_per_right_matrix(self):
+        with pytest.raises(ValueError, match="2 left and 1 right matrices"):
+            fixed_spaces([S1, S3], [S1], 2, (1,))
 
 
 class TestCommutingInvolutions:
-    # the (0,3) gammas as maps K ↦ γ⁻¹·K·conj(γ): commuting involutions
-    GOOD = [(np.linalg.inv(1j * s), np.conj(1j * s)) for s in (S1, S2, S3)]
+    """The precondition of ``fixed_spaces``, the maps X ↦ Lᵢ⁻¹·X·Rᵢ as
+    commuting involutions, against the loop of ``dense_reference``."""
 
-    def test_returns_the_maps_as_matrices(self):
-        maps = check_commuting_involutions([([[1]], [[1]]), (-eye(1), eye(1))], 1)
-        assert [m.shape for pair in maps for m in pair] == [(1, 1)] * 4
-        assert check_commuting_involutions([], 3) == []
+    # the (0,3) gammas: K ↦ γ⁻¹·K·conj(γ) are commuting involutions
+    GOOD = [1j * S1, 1j * S2, 1j * S3]
+
+    def test_takes_nested_lists_and_empty_stacks(self):
+        assert [b.shape for b in fixed_spaces([[[1]], -eye(1)], [[[1]], eye(1)], 1, (1, -1))] \
+            == [(1, 0), (1, 0)]
+        assert [b.shape for b in fixed_spaces([], [], 3, (1, -1))] == [(9, 3), (9, 3)]
+        assert fixed_spaces(self.GOOD, np.conj(self.GOOD), 2, ()) == []
 
     def test_lowest_non_commuting_pair_is_named(self):
         # map 3 fails against map 1 and map 4 against map 0: the report
         # names (1, 3), the lowest pair in the order i, then j < i
-        maps = [(S1, S1), (S3, S3), (S1, S1), (S1, eye(2)), (S3, eye(2))]
-        assert loop_precondition_failure(maps, 2) == "fixed_space: maps 1 and 3 do not commute"
+        lefts, rights = [S1, S3, S1, S1, S3], [S1, S3, S1, eye(2), eye(2)]
+        assert loop_precondition_failure(lefts, rights, 2) \
+            == "fixed_space: maps 1 and 3 do not commute"
         with pytest.raises(ValueError, match="^fixed_space: maps 1 and 3 do not commute$"):
-            check_commuting_involutions(maps, 2)
+            fixed_space(lefts, rights, 2)
 
     def test_involution_failure_after_earlier_pairs(self):
         # pair (0, 1) fails before map 2 is checked, and map 2 fails before
         # its own pairs
-        maps = [(S1, S1), (S3, S1), (2 * S1, S1)]
         with pytest.raises(ValueError, match="maps 0 and 1 do not commute"):
-            check_commuting_involutions(maps, 2)
-        maps = [(S1, S1), (S1, S1), (S1 + S3, S1), (S3, S1)]
+            fixed_space([S1, S3, 0.5 * S1], [S1, S1, S1], 2)
         with pytest.raises(ValueError, match="map 2 is not an involution"):
-            check_commuting_involutions(maps, 2)
+            fixed_space([S1, S1, S1 + S3, S3], [S1, S1, S1, S1], 2)
 
     def test_nan_is_not_an_involution(self):
         with pytest.raises(ValueError, match="map 0 is not an involution"):
-            check_commuting_involutions([(S1, np.full((2, 2), np.nan))], 2)
+            fixed_space([S1], [np.full((2, 2), np.nan)], 2)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_the_loop_across_blocks(self, seed):
         # d = 64 puts PRECONDITION_BLOCK_ENTRIES // d² pairs in a block, so
         # a dozen maps span many blocks; faults land at random maps from 5 on,
-        # whose pairs lie past the first block
+        # whose pairs lie past the first block.  A halved diagonal is no
+        # involution map.  Every map is a phased permutation, so a detector
+        # that answers None sends the same maps through the dense path.
         rng = np.random.default_rng(seed)
         dim = 64
         assert PRECONDITION_BLOCK_ENTRIES // (dim * dim) < 10
         diag = [np.diag(rng.choice([-1.0, 1.0], size=dim)).astype(complex) for _ in range(12)]
-        maps = [(d, d) for d in diag]
+        lefts, rights = list(diag), list(diag)
         swap = np.eye(dim, dtype=complex)[np.arange(dim) ^ 1]
         for k in rng.choice(np.arange(5, 12), size=rng.integers(1, 4), replace=False):
-            maps[k] = (swap, swap) if rng.random() < 0.7 else (2 * diag[k], diag[k])
-        expected = loop_precondition_failure(maps, dim)
-        if expected is None:
-            assert len(check_commuting_involutions(maps, dim)) == 12
-        else:
-            with pytest.raises(ValueError, match=f"^{expected}$"):
-                check_commuting_involutions(maps, dim)
+            if rng.random() < 0.7:
+                lefts[k] = rights[k] = swap
+            else:
+                lefts[k] = 0.5 * diag[k]
+        expected = loop_precondition_failure(lefts, rights, dim)
+        for path in (contextlib.nullcontext(),
+                     mock.patch.object(linalg, "phased_permutations", return_value=None)):
+            with path:
+                if expected is None:
+                    assert len(fixed_spaces(lefts, rights, dim, (1, -1))) == 2
+                else:
+                    with pytest.raises(ValueError, match=f"^{expected}$"):
+                        fixed_space(lefts, rights, dim)
 
     def test_checked_maps_skip_the_precondition(self):
-        maps = check_commuting_involutions(self.GOOD, 2)
-        with mock.patch("cliffspin.linalg.check_commuting_involutions",
-                        side_effect=AssertionError("checked twice")):
-            for sign, count in ((1, 1), (-1, 0)):
-                signed = [(sign * left, right) for left, right in maps]
-                assert fixed_space(signed, 2, checked=True).shape == (4, count)
+        # the precondition runs once, and every further sign skips it
+        spy = mock.Mock(wraps=linalg._check_commuting_involutions)
+        with mock.patch.object(linalg, "_check_commuting_involutions", spy):
+            spaces = fixed_spaces(self.GOOD, np.conj(self.GOOD), 2, (1, -1, 1))
+        assert spy.call_count == 1
+        assert [basis.shape[1] for basis in spaces] == [1, 0, 1]
 
 
 class TestKroneckerLimit:

@@ -2,14 +2,15 @@
 stands in for.
 
 The gammas of the Jordan–Wigner chain and their quadratic monomials are
-phased permutations, so the involution check, the fixed spaces, the
-inverses of the sign measurement and of the intertwiner search, and the
-pairwise checks of ``pair_residuals`` (Clifford residual, bracket table,
-commutation precondition) run on gathers.  Making the detector answer
-None sends the same input through the dense code, which must agree in
-every rank, verdict, error text and residual; faulted modules must give
-the same FAIL or the same error on both paths, and the pairwise checks of
-both paths must equal the per-pair loops of ``dense_reference``."""
+phased permutations, so ``fixed_spaces`` (the sign measurement and the
+intertwiner search: inverses, involution check, commutation precondition
+and projections) and ``pair_residuals`` (Clifford residual, bracket table)
+run on gathers.  Each makes its one detector call itself; making the
+detector answer None sends the same input through the dense code, which
+must agree in every rank, verdict, error text and residual.  Faulted
+modules must give the same FAIL or the same error on both paths, no
+RuntimeWarning on either, and the pairwise checks of both paths must equal
+the per-pair loops of ``dense_reference``."""
 
 import contextlib
 import dataclasses
@@ -20,7 +21,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from cliffspin import cli, clifford, liealg, linalg
+from cliffspin import cli, clifford, linalg
 from cliffspin.clifford import (
     build_irrep,
     clifford_residual,
@@ -29,6 +30,7 @@ from cliffspin.clifford import (
 )
 from cliffspin.commuting import build_commuting
 from cliffspin.liealg import (
+    SoRepresentation,
     bracket_residual_table,
     find_intertwiner,
     intertwiner_residual,
@@ -36,16 +38,11 @@ from cliffspin.liealg import (
     weyl_pieces,
 )
 from cliffspin.linalg import (
-    PhasedMaps,
-    antilinear_maps,
-    check_commuting_involutions,
-    fixed_space,
-    intertwining_maps,
+    fixed_spaces,
     pair_residuals,
     phased_compose,
     phased_inverse,
     phased_permutations,
-    signed_maps,
 )
 from dense_reference import (
     loop_bracket_table,
@@ -59,14 +56,9 @@ MODULES_10 = [(p, n - p, branch) for n in range(11) for p in range(n + 1)
               for branch in ((1,) if n % 2 == 0 else (1, -1))]
 
 
-@contextlib.contextmanager
 def dense_only():
-    """Every caller of the detector sees None, so only the dense code runs."""
-    refuse = mock.Mock(return_value=None)
-    with mock.patch.object(linalg, "phased_permutations", refuse), \
-            mock.patch.object(clifford, "phased_permutations", refuse), \
-            mock.patch.object(liealg, "phased_permutations", refuse):
-        yield
+    """The detector answers None, so only the dense code runs."""
+    return mock.patch.object(linalg, "phased_permutations", return_value=None)
 
 
 def outcome(f, *args, **kwargs):
@@ -97,23 +89,28 @@ def sign_outcome(m):
     return kind, tuple(triple), j.matrix.tobytes()
 
 
-def sign_maps(m):
-    """The maps K ↦ (γᵃ)⁻¹·K·conj(γᵃ) of the sign measurement: ``PhasedMaps``,
-    or under :func:`dense_only` a list of pairs."""
-    return antilinear_maps(m.gammas, m.dim)
+def sign_spaces(gammas, dim):
+    """The ranks of the sign measurement's two fixed spaces, of the K with
+    γᵃ·K = s·K·conj(γᵃ) for s = 1 and s = −1."""
+    return [basis.shape[1] for basis in
+            fixed_spaces(gammas, np.conj(gammas), dim, (1, -1))]
 
 
-def intertwiner_maps(rep):
-    """The maps W ↦ (2T⁰ᵃ)·W·(2T⁰ᵃ)⁻¹ of the intertwiner search of a
-    representation with itself."""
+def intertwiner_space(rep):
+    """The rank of the intertwiner search's fixed space of a representation
+    with itself, the W with 2T⁰ᵃ·W = W·2T⁰ᵃ."""
     gens = [2 * rep.t(0, a) for a in range(1, rep.n)]
-    return intertwining_maps(gens, gens, rep.dim)
+    return fixed_spaces(gens, gens, rep.dim, (1,))[0].shape[1]
 
 
-def phased_maps(maps, dim):
-    """``PhasedMaps`` of a list of (L, R) pairs of phased permutations."""
-    return PhasedMaps(phased_permutations([left for left, _ in maps], dim),
-                      phased_permutations([right for _, right in maps], dim))
+def is_phased(mats, dim) -> bool:
+    return phased_permutations(mats, dim) is not None
+
+
+def unitary(dim):
+    """A fixed dense unitary, to conjugate the chain off the phased form."""
+    k = np.arange(dim * dim).reshape(dim, dim)
+    return np.linalg.qr(np.cos(k) + 1j * np.sin(k ** 2))[0]
 
 
 class TestDetector:
@@ -169,13 +166,10 @@ class TestDetector:
 @pytest.mark.parametrize("p, q, branch", MODULES_10)
 def test_sign_measurement_agrees_with_the_dense_path(p, q, branch):
     m = build_irrep((p, q), branch)
-    assert isinstance(sign_maps(m), PhasedMaps)
-    phased, dense = both_paths(lambda: check_commuting_involutions(sign_maps(m), m.dim))
-    assert phased[0] == dense[0] == "returned"
-    assert isinstance(dense[1], list)
-    for sign in (1, -1):
-        phased, dense = both_paths(lambda: fixed_space(signed_maps(sign_maps(m), sign), m.dim))
-        assert phased[1].shape == dense[1].shape
+    assert is_phased([*m.gammas, *np.conj(m.gammas)], m.dim)
+    phased, dense = both_paths(sign_spaces, m.gammas, m.dim)
+    assert phased == dense
+    assert sorted(phased[1]) == ([1, 1] if m.n % 2 == 0 else [0, 1])
     phased = sign_outcome(m)
     with dense_only():
         dense = sign_outcome(m)
@@ -196,28 +190,40 @@ def test_intertwiner_search_agrees_with_the_dense_path(p, q):
     assert phased[0] == dense[0] == "returned"
     assert phased[1] is not None and dense[1] is not None
     assert intertwiner_residual(phased[1], rep, rep) < 1e-10
-    # both paths rank the same fixed space of the 2T⁰ᵃ maps
-    assert isinstance(intertwiner_maps(rep), PhasedMaps)
-    phased, dense = both_paths(lambda: fixed_space(intertwiner_maps(rep), rep.dim))
-    assert phased[1].shape == dense[1].shape
+    # both paths rank the same fixed space of the 2T⁰ᵃ maps: the span of
+    # the identity and the chirality, one scalar on each Weyl piece
+    assert is_phased([2 * rep.t(0, a) for a in range(1, rep.n)], rep.dim)
+    phased, dense = both_paths(intertwiner_space, rep)
+    assert phased == dense == ("returned", 2)
+    # a unitary conjugate of the representation takes the dense path and is
+    # found equivalent to it
+    u = unitary(rep.dim)
+    conjugated = SoRepresentation(eta=rep.eta, dim=rep.dim, generators={
+        key: u @ g @ u.conj().T for key, g in rep.generators.items()})
+    assert not is_phased(list(conjugated.generators.values()), rep.dim)
+    w = find_intertwiner(rep, conjugated)
+    assert w is not None and intertwiner_residual(w, rep, conjugated) < 1e-10
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_first_failure_is_named_alike_on_both_paths(seed):
     # diagonal sign matrices commute, a swap of neighbours does not commute
-    # with most of them, and a doubled map is no involution; at d = 64 the
-    # dense check takes its pairs in blocks of 8
+    # with most of them, and a halved left matrix is no involution; at
+    # d = 64 the dense check takes its pairs in blocks of 8
     rng = np.random.default_rng(seed)
     dim = 64
     diag = [np.diag(rng.choice([-1.0, 1.0], size=dim)).astype(complex) for _ in range(12)]
-    maps = [(d, d) for d in diag]
+    lefts, rights = list(diag), list(diag)
     swap = np.eye(dim, dtype=complex)[np.arange(dim) ^ 1]
     for k in rng.choice(np.arange(2, 12), size=rng.integers(1, 4), replace=False):
-        maps[k] = (swap, swap) if rng.random() < 0.6 else (2 * diag[k], diag[k])
-    phased = outcome(check_commuting_involutions, phased_maps(maps, dim), dim)
-    dense = outcome(check_commuting_involutions, maps, dim)
+        if rng.random() < 0.6:
+            lefts[k] = rights[k] = swap
+        else:
+            lefts[k] = 0.5 * diag[k]
+    assert is_phased(lefts + rights, dim)
+    phased, dense = both_paths(fixed_spaces, lefts, rights, dim, (1, -1))
     assert phased[0] == dense[0]
-    assert verdict(phased) == verdict(dense) == loop_precondition_failure(maps, dim)
+    assert verdict(phased) == verdict(dense) == loop_precondition_failure(lefts, rights, dim)
 
 
 def verdict(result):
@@ -255,11 +261,12 @@ FAULTS = {"nan-entry": (nan_entry, False), "gamma-times-i": (times_i, True),
 FAULT_SIGNATURES = [(1, 1), (1, 2), (2, 2), (3, 2), (1, 5), (4, 4), (3, 6)]
 
 
-#: the NaN fault makes the dense check divide by NaN, as it is meant to
-NAN_WARNING = pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+#: a warning fails the test: the NaN fault reaches the dense checks, which
+#: must fail it without a RuntimeWarning
+NO_WARNING = pytest.mark.filterwarnings("error")
 
 
-@NAN_WARNING
+@NO_WARNING
 @pytest.mark.parametrize("fault", FAULTS)
 @pytest.mark.parametrize("pq", FAULT_SIGNATURES)
 def test_faults_give_the_same_verdict_on_both_paths(fault, pq):
@@ -268,10 +275,8 @@ def test_faults_give_the_same_verdict_on_both_paths(fault, pq):
     # a fault that leaves no phased permutation reaches the dense fallback
     assert (phased_permutations(m.gammas, m.dim) is not None) == still_phased
     # LinAlgError, a ValueError, when a dense inverse meets a NaN
-    phased, dense = both_paths(lambda: check_commuting_involutions(sign_maps(m), m.dim))
-    assert phased[0] == dense[0]
-    if phased[0] == "raised":
-        assert phased[1] == dense[1]
+    phased, dense = both_paths(sign_spaces, m.gammas, m.dim)
+    assert phased == dense
     phased = sign_outcome(m)
     with dense_only():
         dense = sign_outcome(m)
@@ -281,7 +286,28 @@ def test_faults_give_the_same_verdict_on_both_paths(fault, pq):
     assert not phased[1] < 1e-10
 
 
-@NAN_WARNING
+@NO_WARNING
+@pytest.mark.parametrize("p, q, branch", [(p, q, b) for p, q, b in MODULES_10 if p and q])
+def test_every_faulted_module_to_n_10_agrees_on_both_paths(p, q, branch):
+    # every fault of every module with both metric signs: the same ranks or
+    # error texts of the sign measurement's fixed spaces, the same measured
+    # triple or error, and for even n the same intertwiner verdict
+    for make, _ in FAULTS.values():
+        m = make(build_irrep((p, q), branch))
+        phased, dense = both_paths(sign_spaces, m.gammas, m.dim)
+        assert phased == dense
+        phased = sign_outcome(m)
+        with dense_only():
+            dense = sign_outcome(m)
+        assert phased == dense
+        if m.n % 2 == 0:
+            rep = so_generators(m)
+            phased, dense = both_paths(find_intertwiner, rep, rep)
+            assert verdict(phased) == verdict(dense)
+            assert (phased[1] is None) == (dense[1] is None)
+
+
+@NO_WARNING
 @pytest.mark.parametrize("fault", FAULTS)
 def test_faulted_sign_reports_fail_alike(fault):
     make, _ = FAULTS[fault]
@@ -319,15 +345,13 @@ def assert_pairwise_checks_match_the_loops(gammas, eta, rep):
     reference = loop_bracket_table(rep)
     for table in pair_paths(bracket_residual_table, rep):
         assert np.array_equal(table, reference, equal_nan=True)
-    dim = rep.dim
-    phased = outcome(lambda: check_commuting_involutions(antilinear_maps(gammas, dim), dim))
-    with dense_only():
-        dense = outcome(lambda: check_commuting_involutions(antilinear_maps(gammas, dim), dim))
-    maps = outcome(lambda: [(np.linalg.inv(g), np.conj(g)) for g in gammas])
-    if maps[0] == "raised":  # a dense inverse met a NaN: the same LinAlgError
-        assert phased == dense == maps
+    dim, conj = rep.dim, np.conj(gammas)
+    phased, dense = both_paths(fixed_spaces, gammas, conj, dim, (1, -1))
+    reference = outcome(loop_precondition_failure, gammas, conj, dim)
+    if reference[0] == "raised":  # a dense inverse met a NaN: the same LinAlgError
+        assert phased == dense == reference
     else:
-        assert verdict(phased) == verdict(dense) == loop_precondition_failure(maps[1], dim)
+        assert verdict(phased) == verdict(dense) == reference[1]
 
 
 class TestPairResiduals:
@@ -349,7 +373,7 @@ class TestPairResiduals:
         assert_pairwise_checks_match_the_loops(gammas, eta, ca.generators)
         assert loop_clifford_residual(gammas, eta) > 1.0
 
-    @NAN_WARNING
+    @NO_WARNING
     @pytest.mark.parametrize("fault", FAULTS)
     @pytest.mark.parametrize("pq", FAULT_SIGNATURES)
     def test_faults(self, fault, pq):
@@ -370,61 +394,70 @@ class TestPairResiduals:
             mats.append(g)
         i, j, k = rng.integers(0, 5, (3, 40))
         coef = rng.choice([0, 1, -1, 2, -0.5], 40)
-        form = phased_permutations(mats, dim)
+        assert is_phased(mats, dim)
         for sign in (1, -1):
             for terms in (None, (k, coef)):
                 reference = loop_pair_residuals(mats, i, j, sign, terms)
-                assert np.array_equal(pair_residuals(form, i, j, sign, terms), reference)
-                assert np.array_equal(pair_residuals(mats, i, j, sign, terms), reference)
+                for value in pair_paths(pair_residuals, mats, i, j, sign, terms):
+                    assert np.array_equal(value, reference)
 
     def test_blocks_and_empty_pairs(self):
         # d = 128 puts 32 pairs in a phased block and 2 in a dense one
         mats = list(build_irrep((0, 14)).gammas)
         i, j = np.triu_indices(14, 1)
-        form = phased_permutations(mats, 128)
+        assert is_phased(mats, 128)
         assert linalg.BRACKET_BLOCK_ENTRIES // 128 < len(i)
         reference = loop_pair_residuals(mats, i, j, 1, None)
-        assert np.array_equal(pair_residuals(form, i, j, 1, None), reference)
-        assert np.array_equal(pair_residuals(mats, i, j, 1, None), reference)
         assert np.all(reference == 0.0)
-        for given in (form, mats):
-            assert pair_residuals(given, i[:0], j[:0], -1, None).shape == (0,)
+        for value in pair_paths(pair_residuals, mats, i, j, 1, None):
+            assert np.array_equal(value, reference)
+        for value in pair_paths(pair_residuals, mats, i[:0], j[:0], -1, None):
+            assert value.shape == (0,)
+
+
+def call_counter(f):
+    """f, counting its calls; unlike ``mock.Mock(wraps=f)`` it keeps no
+    reference to the arguments, so they are freed as the caller frees them."""
+    def counted(*args, **kwargs):
+        counted.calls += 1
+        return f(*args, **kwargs)
+    counted.calls = 0
+    return counted
 
 
 class TestFootprint:
     """The phased path keeps O(n²·d) arrays, and detects once per call."""
 
     def test_sign_measurement_at_n_15(self):
-        # a (n, d, d) stack of the fifteen d = 128 gammas is 3.9 MB, and a
-        # (pairs, d, d) one 27.5 MB; the probes and their images fit below
-        # the bound, either stack does not
+        # a (pairs, d, d) stack of the 105 pairs of the fifteen d = 128
+        # gammas is 27.5 MB; the conjugated gammas (3.9 MB), the probes and
+        # their images fit below the bound, that stack does not
         m = build_irrep((7, 8))
-        spy = mock.Mock(wraps=linalg.phased_permutations)
+        spy = call_counter(linalg.phased_permutations)
         tracemalloc.start()
         try:
-            with mock.patch.object(clifford, "phased_permutations", spy), \
-                    mock.patch.object(linalg, "phased_permutations", spy):
+            with mock.patch.object(linalg, "phased_permutations", spy):
                 measured, _ = measure_sign_triple(m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert tuple(measured) == clifford.sign_triple(m.s)
-        assert spy.call_count == 1
+        assert spy.calls == 1
         assert peak <= 6e6
 
     def test_clifford_residual_at_n_15(self):
         # the n² anticommutators stacked as (n, n, d, d) would be 59 MB
         m = build_irrep((7, 8))
-        spy = mock.Mock(wraps=linalg.phased_permutations)
+        spy = call_counter(linalg.phased_permutations)
         tracemalloc.start()
         try:
-            with mock.patch.object(clifford, "phased_permutations", spy):
+            with mock.patch.object(linalg, "phased_permutations", spy):
                 resid = clifford_residual(m.gammas, m.eta)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert resid == 0.0
-        assert spy.call_count == 1
+        assert spy.calls == 1
         assert peak <= 6e6
 
     def test_intertwiner_search_detects_once(self):
@@ -434,22 +467,26 @@ class TestFootprint:
             assert find_intertwiner(rep, rep) is not None
         assert spy.call_count == 1
 
-    def test_a_list_of_maps_takes_the_dense_path(self):
+    def test_conjugated_gammas_take_the_dense_path(self):
+        # no unitary conjugate of the chain is a phased permutation; the
+        # dense path finds the same ranks, and the gathers never run
         m = build_irrep((3, 6))
-        rank = fixed_space(sign_maps(m), m.dim).shape[1]
-        with dense_only():
-            maps = sign_maps(m)
-        with mock.patch.object(linalg, "phased_permutations",
-                               side_effect=AssertionError("detected")):
-            assert len(check_commuting_involutions(maps, m.dim)) == m.n
-            assert fixed_space(maps, m.dim).shape[1] == rank
+        u = unitary(m.dim)
+        conjugated = [u @ g @ u.conj().T for g in m.gammas]
+        assert not is_phased(conjugated, m.dim)
+        ranks = sign_spaces(m.gammas, m.dim)
+        with mock.patch.object(linalg, "_phased_involutions",
+                               side_effect=AssertionError("gathered")), \
+                mock.patch.object(linalg, "_phased_pair_residuals",
+                                  side_effect=AssertionError("gathered")):
+            assert sign_spaces(conjugated, m.dim) == ranks == [1, 0]  # s = 3: ε′ = 1
 
     def test_phased_maps_are_not_detected_again(self):
+        # one detector call and one precondition for both signs
         m = build_irrep((2, 3))
-        form = phased_permutations(m.gammas, m.dim)
-        maps = PhasedMaps(phased_inverse(form), (form[0], form[1].conj()))
-        with mock.patch.object(linalg, "phased_permutations",
-                               side_effect=AssertionError("detected")):
-            assert check_commuting_involutions(maps, m.dim) is maps
-            assert [fixed_space(signed_maps(maps, sign), m.dim, checked=True).shape[1]
-                    for sign in (1, -1)] == [0, 1]  # s = 1: ε′ = −1
+        detect = mock.Mock(wraps=linalg.phased_permutations)
+        check = mock.Mock(wraps=linalg._check_commuting_involutions)
+        with mock.patch.object(linalg, "phased_permutations", detect), \
+                mock.patch.object(linalg, "_check_commuting_involutions", check):
+            assert sign_spaces(m.gammas, m.dim) == [0, 1]  # s = 1: ε′ = −1
+        assert detect.call_count == check.call_count == 1

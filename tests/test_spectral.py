@@ -639,6 +639,7 @@ class TestNanResiduals:
         assert np.isnan(report.max_residual)
         assert report.details[0]["covariance"] < 1e-12
 
+    @pytest.mark.filterwarnings("error")  # the NaN determinant fails quietly
     def test_spin10_block_match(self):
         triple = TRIPLES["hatted_second"]
         broken = dataclasses.replace(triple, pi2_plus=np.full_like(triple.pi2_plus, np.nan))
