@@ -7,13 +7,15 @@ Run from the root of a source checkout; the package is imported from
 checkouts on the same machine shows whether a change keeps the output
 byte-identical.  One line per output, ``<sha256>  <exit code>  <label>``:
 
-* the JSON output of nine CLI invocations, run in-process: among them
+* the JSON output of ten CLI invocations, run in-process: among them
   ``pati-salam`` with seeds 11 and 3 (two more seeds of the gauge, Higgs
   and Spin(10) draws; the order conditions are exact and draw nothing),
-  ``three-actions``, and ``commuting`` on (0,3) x (2,0),
+  ``three-actions``, ``commuting`` on (0,3) x (2,0),
   whose odd first and even second factor send the suite through
-  ``swap_factors`` before the even identification; these pin paths that
-  ``all`` does not take;
+  ``swap_factors`` before the even identification, and ``commuting`` on
+  (0,8) x (0,8), at the product dimension limit D = 256, where the block
+  sizes of the stacked checks matter (about 1.5 s and 310 MB); these pin
+  paths that ``all`` does not take;
 * one hash over ``module_to_json`` of every module in the benchmark's
   ``signature_sweep`` list (``bench/workloads.SWEEP``), in list order.
 """
@@ -40,6 +42,7 @@ COMMANDS = (
     ["verify", "brackets", "--max-n", "10"],
     ["commuting", "--sig1", "4,0", "--sig2", "0,6"],
     ["commuting", "--sig1", "0,3", "--sig2", "2,0"],
+    ["commuting", "--sig1", "0,8", "--sig2", "0,8"],
     ["pati-salam", "--seed", "11"],
     ["pati-salam", "--seed", "3"],
     ["three-actions", "--sig1", "0,3", "--sig2", "0,3", "--sig3", "0,3"],

@@ -26,7 +26,8 @@ representation when both are odd.  Both identifications are implemented as
 explicit checks: a unitary conjugation for the even case, and a doubled
 Clifford module restricted to an eigenspace for the odd-odd case.
 
-The per-generator checks run their matrices as stacks of at most
+The gamma commutation residual is one :func:`linalg.pair_residuals` call.
+The other per-generator checks run their matrices as stacks of at most
 ``linalg.STACK_BLOCK_ENTRIES`` entries per matrix; every stacked product is
 bit-identical to the one-matrix product, so the residuals equal those of a
 loop over generators.
@@ -58,7 +59,7 @@ from .linalg import (
     kron,
     linear_combination,
     max_abs,
-    stack_at,
+    pair_residuals,
     stack_blocks,
     tensor_antilinear,
 )
@@ -144,14 +145,10 @@ def build_commuting(sig1, sig2, branch1: int = 1, branch2: int = 1) -> Commuting
 
 
 def commutation_residual(ca: CommutingAction) -> float:
-    """max-abs of [Γ₁ᵃ, Γ₂^α] over all index pairs (must vanish)."""
-    pairs = [(a, b) for a in range(ca.n1) for b in range(ca.n2)]
-    worst = 0.0
-    for block in stack_blocks(len(pairs), ca.dim):
-        first, second = zip(*pairs[block])
-        worst = fold_max(worst, max_abs(
-            commutator(stack_at(ca.gamma1, first), stack_at(ca.gamma2, second))))
-    return worst
+    """max-abs of [Γ₁ᵃ, Γ₂^α] over all index pairs (must vanish), one
+    :func:`linalg.pair_residuals` call over Γ₁ then Γ₂."""
+    a, alpha = np.indices((ca.n1, ca.n2)).reshape(2, -1)
+    return fold_max(0.0, pair_residuals([*ca.gamma1, *ca.gamma2], a, ca.n1 + alpha, -1, None))
 
 
 #: the five bracket families as (row, column) blocks of the combined table; a

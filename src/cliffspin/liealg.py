@@ -22,7 +22,6 @@ import numpy as np
 from .clifford import CliffordModule, sign_triple
 from .linalg import (
     DEFAULT_TOL,
-    commutator,
     eye,
     fixed_spaces,
     fold_max,
@@ -283,7 +282,9 @@ def structure_survival(m: CliffordModule, tol: float = DEFAULT_TOL) -> dict:
     For odd n the full module is already irreducible and J survives as is.
     """
     rep = so_generators(m)
-    p_comm = fold_max(0.0, [max_abs(commutator(m.P, g)) for g in rep.generators.values()])
+    mats = [m.P, *rep.generators.values()]
+    others = np.arange(1, len(mats))
+    p_comm = fold_max(0.0, pair_residuals(mats, 0 * others, others, -1, None))
     j_comm = fold_max(0.0, [m.J.commutation_residual(g, 1) for g in rep.generators.values()])
     if m.n == 0:
         has_p = has_j = True

@@ -15,8 +15,9 @@ in which a product (:func:`phased_compose`) or an inverse
 gather.  Callers hand plain matrices to the two checks built on it, and
 each check makes its one detector call itself:
 
-* :func:`pair_residuals`, every pairwise identity (the Clifford relations
-  and the so(p,q) brackets);
+* :func:`pair_residuals`, every pairwise identity (the Clifford relations,
+  the so(p,q) brackets and the commutators checked in ``commuting``,
+  ``spectral`` and ``liealg``);
 * :func:`fixed_spaces`, the X with Lᵢ·X = s·X·Rᵢ for every i and each sign
   s (the sign measurement and the intertwiner search), whose commutation
   precondition is a pair-residual check too.
@@ -44,24 +45,10 @@ NULL_RTOL = 1e-9
 #: loads ``numpy.random``
 FIXED_SPACE_PROBES = 3
 
-#: matrix entries per stacked product of the involution check of
-#: :func:`fixed_spaces` and of the dense path of :func:`pair_residuals`:
-#: maps, or pairs, are taken in blocks of at most this many entries in all
-#: (one map or pair at least), so their memory does not grow with the count
-PRECONDITION_BLOCK_ENTRIES = 1 << 15
-
-#: gathered entries per temporary of the phased path of
-#: :func:`pair_residuals`: the pairs are taken in blocks of at most this many
-#: matrix rows in all (one pair at least), so its memory does not grow with
-#: the number of pairs
-BRACKET_BLOCK_ENTRIES = 4096
-
-#: matrix entries per stacked product of the sampled loops of ``spectral``
-#: and the per-generator loops of ``commuting``, and per block of the
-#: detector :func:`phased_permutations`: samples, generators or tested
-#: matrices are stacked in blocks of at most this many entries per d×d
-#: matrix (one item at least), 8 at d = 32, so their memory does not grow
-#: with the count
+#: entries per block of every stacked loop (one item at least), so no
+#: loop's memory grows with its count: d×d matrices per stacked product, 8
+#: at d = 32, and gathered rows of AᵢAⱼ and AⱼAᵢ in :func:`pair_residuals`,
+#: 2d per pair, so 32 pairs at d = 128
 STACK_BLOCK_ENTRIES = 1 << 13
 
 #: largest matrix dimension d for the dense d²-unknown Kronecker reference
@@ -100,16 +87,16 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def stack_blocks(count: int, dim: int, entries: int = STACK_BLOCK_ENTRIES) -> list:
+def stack_blocks(count: int, dim: int) -> list:
     """Slices that cut ``count`` stacked dim×dim matrices into blocks of at
-    most ``entries`` entries in all (one matrix at least)."""
-    size = max(1, entries // (dim * dim))
+    most ``STACK_BLOCK_ENTRIES`` entries in all (one matrix at least)."""
+    size = max(1, STACK_BLOCK_ENTRIES // (dim * dim))
     return [slice(start, min(start + size, count)) for start in range(0, count, size)]
 
 
 def stack_at(mats, index) -> np.ndarray:
     """The matrices ``mats[i]`` for i in ``index``, as one stack."""
-    return np.stack([mats[i] for i in index])
+    return np.array([mats[i] for i in np.asarray(index).tolist()])
 
 
 def max_abs(a):
@@ -351,11 +338,14 @@ def pair_residuals(mats, i, j, sign: int, terms) -> np.ndarray:
     no right-hand side.
 
     One :func:`phased_permutations` call picks the path: gathers, O(d) per
-    pair in blocks of at most ``BRACKET_BLOCK_ENTRIES`` rows, when every
-    matrix is a phased permutation, and stacked products in blocks of at
-    most ``PRECONDITION_BLOCK_ENTRIES`` entries otherwise.  Both form the
-    entries of (AᵢAⱼ ± AⱼAᵢ) − c·A[k] in that order, so the two paths give
-    bit-identical residuals on the same matrices.
+    pair in blocks of at most ``STACK_BLOCK_ENTRIES`` rows of AᵢAⱼ and
+    AⱼAᵢ, when every matrix is a phased permutation, and stacked products
+    in blocks of at most ``STACK_BLOCK_ENTRIES`` entries per matrix
+    otherwise.  The gathers form the entries of (AᵢAⱼ ± AⱼAᵢ) − c·A[k] in
+    the dense order, each product of two entries with the Aᵢ entry first,
+    so the two paths give bit-identical residuals when every product of
+    entries is exact (as in every module the package builds) and agree to
+    rounding otherwise.
     """
     i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
     if not len(i):
@@ -372,12 +362,12 @@ def _phased_pair_residuals(form: PhasedForm, i, j, sign: int, terms) -> np.ndarr
     c_k[r], so each row has at most three nonzero entries."""
     cols, vals = form
     out = np.zeros(len(i))
-    step = max(1, BRACKET_BLOCK_ENTRIES // cols.shape[-1])
+    step = max(1, STACK_BLOCK_ENTRIES // (2 * cols.shape[-1]))
     for lo in range(0, len(i), step):
         bi, bj = i[lo:lo + step], j[lo:lo + step]
         ci, cj = cols[bi], cols[bj]
         c1, ab = cols[bj[:, None], ci], vals[bi] * vals[bj[:, None], ci]
-        c2, ba = cols[bi[:, None], cj], vals[bj] * vals[bi[:, None], cj]
+        c2, ba = cols[bi[:, None], cj], vals[bi[:, None], cj] * vals[bj]
         # the dense entries at the ≤ 3 columns hit, in place: ab, ba and rhs
         # end up holding those at c1, c2 and c3, each column counted once
         same = c2 == c1
@@ -405,7 +395,7 @@ def _dense_pair_residuals(mats, i, j, sign: int, terms) -> np.ndarray:
     out = np.zeros(len(i))
     if not len(i):
         return out
-    for block in stack_blocks(len(i), mats[0].shape[-1], PRECONDITION_BLOCK_ENTRIES):
+    for block in stack_blocks(len(i), mats[0].shape[-1]):
         ai, aj = stack_at(mats, i[block]), stack_at(mats, j[block])
         resid = ai @ aj + aj @ ai if sign > 0 else ai @ aj - aj @ ai
         if terms is not None:
@@ -437,11 +427,11 @@ def _phased_involutions(lefts: PhasedForm, rights: PhasedForm, dim: int) -> np.n
 
 def _dense_involutions(lefts, rights, dim: int) -> np.ndarray:
     """Which maps fail L² = c·1, R² = c⁻¹·1, by stacked d×d squares over
-    blocks of at most ``PRECONDITION_BLOCK_ENTRIES`` entries.  A NaN entry
+    blocks of at most ``STACK_BLOCK_ENTRIES`` entries.  A NaN entry
     fails its map without a RuntimeWarning."""
     ident = eye(dim)
     bad = [np.zeros(0, dtype=bool)]
-    for block in stack_blocks(len(lefts), dim, PRECONDITION_BLOCK_ENTRIES):
+    for block in stack_blocks(len(lefts), dim):
         left, right = np.stack(lefts[block]), np.stack(rights[block])
         lsq, rsq = left @ left, right @ right
         c = np.trace(lsq, axis1=1, axis2=2) / dim
@@ -509,8 +499,9 @@ def fixed_spaces(lefts, rights, dim: int, signs) -> list:
     One :func:`phased_permutations` call on the stacked Lᵢ and Rᵢ picks the
     path.  When every one is a phased permutation, the inverses, the
     precondition and the projections are gathers and no d×d matrix of the
-    maps is formed; otherwise the inverses come from ``np.linalg.inv`` and
-    the rest from d×d products.  The maps must be commuting involutions:
+    maps is formed; otherwise the inverses come from ``np.linalg.inv`` (a
+    NaN matrix where it refuses one) and the rest from d×d products.  The
+    maps must be commuting involutions:
     the precondition (:func:`_check_commuting_involutions`) runs once for
     all signs and raises ValueError otherwise.  For each sign the projector
     Πᵢ(1 + Mᵢ)/2 is applied to ``FIXED_SPACE_PROBES`` random probes (stdlib
@@ -525,7 +516,7 @@ def fixed_spaces(lefts, rights, dim: int, signs) -> list:
     count = len(lefts)
     form = phased_permutations(lefts + rights, dim)
     if form is None:
-        lefts = [np.linalg.inv(as_matrix(left)) for left in lefts]
+        lefts = [_dense_inverse(left) for left in lefts]
         rights = [as_matrix(right) for right in rights]
     else:
         cols, vals = form
@@ -534,6 +525,14 @@ def fixed_spaces(lefts, rights, dim: int, signs) -> list:
     _check_commuting_involutions(lefts, rights, dim)
     probes = _probes(dim)
     return [_project(lefts, rights, sign, probes) for sign in signs]
+
+
+def _dense_inverse(left) -> np.ndarray:
+    """``np.linalg.inv``, or NaN where it raises: the precondition names the map."""
+    try:
+        return np.linalg.inv(as_matrix(left))
+    except np.linalg.LinAlgError:
+        return np.full(np.shape(left), np.nan, dtype=complex)
 
 
 def _project(lefts, rights, sign: int, probes) -> np.ndarray:

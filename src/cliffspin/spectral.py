@@ -13,10 +13,10 @@ action is the real-structure conjugate r(a) = J·l(a*)·J⁻¹, the Dirac
 operators are D = Σ dₐ·γ₁ᵃ⊗1 with real coefficients, and the gauge group
 is sampled by exponentiating the quadratic monomials of the two factors.
 
-The exact order check and the sampled and Spin(10) checks run as stacks of
-at most ``linalg.STACK_BLOCK_ENTRIES`` entries per matrix: the actions,
-exponentials and residuals below take a leading stack axis, and each stacked
-product is bit-identical to the one-matrix product of its slice.
+The exact order check and the Spin(10) mixed generators are
+:func:`linalg.pair_residuals` calls; the sampled checks and the Spin(10)
+block matches run in stacks of ``linalg.STACK_BLOCK_ENTRIES`` entries per
+matrix, each stacked product bit-identical to that of its one-matrix slice.
 
 Two real-structure variants are implemented, differing in the second
 factor: ``plain`` (J₁⊗J₂, measured signs (−1, +1, −1), the s = 2 row of
@@ -48,6 +48,7 @@ from .linalg import (
     kron,
     linear_combination,
     max_abs,
+    pair_residuals,
     stack_blocks,
     stacked_kron,
     tensor_antilinear,
@@ -248,18 +249,17 @@ def check_order_conditions(triple: PatiSalamTriple, dirac: DiracData,
     rule [D, l(aa′)] = [D, l(a)]·l(a′) + l(a)·[D, l(a′)] and the zeroth-order
     condition.  (2T⁰ᵃ)(2T⁰ᵇ) = −η⁰⁰γᵃγᵇ, so the ten elements generate
     A₁ ⊕ A₂, and both conditions hold for all a and b exactly when they hold
-    on the generators.  The pairs run in blocks of
-    :func:`linalg.stack_blocks`; a NaN residual fails the report.
+    on the generators.  Both are one :func:`linalg.pair_residuals` call,
+    pairs (l(a), r(b)) then ([D, l(a)], r(b)); a NaN residual fails it.
     """
     gens = triple.algebra_generators()
     la, rb = triple.left_action(gens), triple.right_action(gens)
     dla = commutator(dirac.matrix, la)
     count = len(la)
-    worst0 = worst1 = 0.0
-    for block in stack_blocks(count * count, triple.dim):
-        i, j = np.divmod(np.arange(block.start, block.stop), count)
-        worst0 = fold_max(worst0, max_abs(commutator(la[i], rb[j])))
-        worst1 = fold_max(worst1, max_abs(commutator(dla[i], rb[j])))
+    i, j = np.divmod(np.arange(2 * count * count), count)
+    resid = pair_residuals([*la, *dla, *rb], i, 2 * count + j, -1, None)
+    worst0 = fold_max(0.0, resid[:count * count])
+    worst1 = fold_max(0.0, resid[count * count:])
     worst = fold_max(worst0, worst1)
     return Report(
         name=f"order-conditions({triple.variant})",
@@ -523,8 +523,9 @@ def spin10_action(triple: PatiSalamTriple, rng=0, tol: float = DEFAULT_TOL) -> R
     a_generic = triple.random_algebra_element(rng)
     la = triple.left_action(a_generic)
     mixed = [g for (a, b), g in combined.generators.items() if a < n1 <= b]
-    mixed_min = min(v for block in stack_blocks(len(mixed), triple.dim)
-                    for v in max_abs(commutator(np.stack(mixed[block]), la)).tolist())
+    # l(a) first: the detector stops at its first block, which is not phased
+    others = np.arange(1, len(mixed) + 1)
+    mixed_min = float(pair_residuals([la, *mixed], 0 * others, others, -1, None).min())
 
     worst = fold_max(bracket_res, (match1, match2))
     passed = worst < tol and mixed_min > 0.01 and failure is None

@@ -1,11 +1,14 @@
 """Per-pair dense loops, the independent references of the pairwise checks.
 
 ``linalg.pair_residuals`` evaluates the Clifford relations, the so(p,q)
-brackets and the commutation precondition of ``fixed_spaces`` for many
-pairs at once, by gathers or by stacked products.  These loops take one
-pair at a time with plain d×d products, as the package did before, and the
-tests compare the package against them bit for bit.
+brackets, the commutation precondition of ``fixed_spaces``, the order
+conditions and the Spin(10) mixed-generator commutators for many pairs at
+once, by gathers or by stacked products.  These loops take one pair at a
+time with plain d×d products, as the package did before, and the tests
+compare the package against them bit for bit.
 """
+
+import math
 
 import numpy as np
 
@@ -56,13 +59,37 @@ def loop_bracket_table(rep) -> np.ndarray:
     return table
 
 
+def loop_order_conditions(la, dla, rb):
+    """The zeroth- and first-order residuals, the worst max-abs of
+    [l(a), r(b)] and of [[D, l(a)], r(b)] over every generator pair, one
+    pair at a time; a NaN anywhere gives NaN."""
+    zeroth = [max_abs(commutator(a, b)) for a in la for b in rb]
+    first = [max_abs(commutator(da, b)) for da in dla for b in rb]
+    return fold_max(0.0, zeroth), fold_max(0.0, first)
+
+
+def loop_mixed_min(mixed, la):
+    """The least max-abs of [T, l(a)] over the mixed generators T, one at a
+    time; a NaN anywhere gives NaN."""
+    values = [max_abs(commutator(t, la)) for t in mixed]
+    return math.nan if any(map(math.isnan, values)) else min(values)
+
+
+def loop_inverse(left):
+    """The inverse of a left matrix, or a NaN matrix where ``np.linalg.inv``
+    raises (a NaN entry may read as a singular matrix)."""
+    try:
+        return np.linalg.inv(left)
+    except np.linalg.LinAlgError:
+        return np.full(np.shape(left), np.nan, dtype=complex)
+
+
 def loop_precondition_failure(lefts, rights, dim):
     """The message of the first failure of the precondition of
     ``linalg.fixed_spaces`` on the maps X ↦ Lᵢ⁻¹·X·Rᵢ, map i before its
-    pairs (j, i), or None; a dense inverse that meets a singular Lᵢ raises
-    its LinAlgError."""
+    pairs (j, i), or None."""
     ident = eye(dim)
-    maps = [(np.linalg.inv(left), np.asarray(right, dtype=complex))
+    maps = [(loop_inverse(left), np.asarray(right, dtype=complex))
             for left, right in zip(lefts, rights)]
     for i, (left, right) in enumerate(maps):
         c = np.trace(left @ left) / dim

@@ -349,6 +349,49 @@ class TestFaultInjection:
         assert doc["all_passed"] is False
         assert [c["check"] for c in doc["checks"] if not c["passed"]] == [failed]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sig1, sig2", [("4,0", "0,6"), ("0,3", "2,0")])
+    def test_nan_gamma_fails_the_commuting_suite(self, capsys, sig1, sig2):
+        real = commuting.build_commuting
+
+        def faulted(*args, **kwargs):
+            ca = real(*args, **kwargs)
+            g = np.array(ca.gamma1[0])
+            g[0, 0] = np.nan
+            return dataclasses.replace(ca, gamma1=(g, *ca.gamma1[1:]))
+
+        with mock.patch.object(commuting, "build_commuting", faulted):
+            code = run(["commuting", "--sig1", sig1, "--sig2", sig2, "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        brackets = json.loads(captured.out)["checks"][0]
+        assert brackets["passed"] is False
+        (commutation,) = [d for d in brackets["details"]
+                          if d["family"] == "gamma-commutation"]
+        assert math.isnan(commutation["residual"])
+
+    @pytest.mark.filterwarnings("error")
+    def test_nan_projection_fails_the_pati_salam_suite(self, capsys):
+        real = spectral.build_pati_salam
+
+        def faulted(*args, **kwargs):
+            triple = real(*args, **kwargs)
+            pi2_plus = np.array(triple.pi2_plus)
+            pi2_plus[0, 0] = np.nan
+            return dataclasses.replace(triple, pi2_plus=pi2_plus)
+
+        with mock.patch.object(spectral, "build_pati_salam", faulted):
+            code = run(["pati-salam", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        rows = {c["check"]: c for c in json.loads(captured.out)["checks"]}
+        for variant in spectral.VARIANTS:
+            order = rows[f"order-conditions({variant})"]
+            assert order["passed"] is False and math.isnan(order["max_residual"])
+        spin10 = rows["spin10-extension"]
+        assert spin10["passed"] is False
+        assert math.isnan(spin10["details"][0]["mixed_generator_min_commutator"])
+
     def test_hatted_module_structure_fails_the_sign_table(self, capsys):
         def hatted_irrep(*args, **kwargs):
             m = build_irrep(*args, **kwargs)

@@ -15,7 +15,6 @@ from cliffspin import linalg
 from cliffspin.linalg import (
     FIXED_SPACE_PROBES,
     MAX_KRONECKER_DIM,
-    PRECONDITION_BLOCK_ENTRIES,
     STACK_BLOCK_ENTRIES,
     AntilinearOp,
     antilinear_constraints,
@@ -397,15 +396,17 @@ class TestStacks:
 
     @pytest.mark.parametrize("count, dim", [(0, 32), (1, 32), (8, 32), (9, 32), (300, 32),
                                             (45, 16), (5, 128), (7, 1)])
-    @pytest.mark.parametrize("entries", [STACK_BLOCK_ENTRIES, PRECONDITION_BLOCK_ENTRIES])
+    @pytest.mark.parametrize("entries", [STACK_BLOCK_ENTRIES, 1 << 15])
     def test_stack_blocks_cover_the_count_in_bounded_blocks(self, count, dim, entries):
-        blocks = stack_blocks(count, dim, entries)
+        # the one block size, and a larger one patched in
+        assert stack_blocks(20, 32)[0] == slice(0, 8)
+        with mock.patch.object(linalg, "STACK_BLOCK_ENTRIES", entries):
+            blocks = stack_blocks(count, dim)
+            assert stack_blocks(40, 32)[0] == slice(0, entries // 32 ** 2)
         assert [i for block in blocks for i in range(count)[block]] == list(range(count))
         for block in blocks:
             size = block.stop - block.start
             assert size >= 1 and (size == 1 or size * dim * dim <= entries)
-        assert stack_blocks(20, 32)[0] == slice(0, 8)
-        assert stack_blocks(40, 32, PRECONDITION_BLOCK_ENTRIES)[0] == slice(0, 32)
 
 
 class TestPolar:
@@ -668,14 +669,14 @@ class TestCommutingInvolutions:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_the_loop_across_blocks(self, seed):
-        # d = 64 puts PRECONDITION_BLOCK_ENTRIES // d² pairs in a block, so
+        # d = 64 puts STACK_BLOCK_ENTRIES // d² pairs in a block, so
         # a dozen maps span many blocks; faults land at random maps from 5 on,
         # whose pairs lie past the first block.  A halved diagonal is no
         # involution map.  Every map is a phased permutation, so a detector
         # that answers None sends the same maps through the dense path.
         rng = np.random.default_rng(seed)
         dim = 64
-        assert PRECONDITION_BLOCK_ENTRIES // (dim * dim) < 10
+        assert STACK_BLOCK_ENTRIES // (dim * dim) < 10
         diag = [np.diag(rng.choice([-1.0, 1.0], size=dim)).astype(complex) for _ in range(12)]
         lefts, rights = list(diag), list(diag)
         swap = np.eye(dim, dtype=complex)[np.arange(dim) ^ 1]

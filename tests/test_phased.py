@@ -274,7 +274,6 @@ def test_faults_give_the_same_verdict_on_both_paths(fault, pq):
     m = make(build_irrep(pq))
     # a fault that leaves no phased permutation reaches the dense fallback
     assert (phased_permutations(m.gammas, m.dim) is not None) == still_phased
-    # LinAlgError, a ValueError, when a dense inverse meets a NaN
     phased, dense = both_paths(sign_spaces, m.gammas, m.dim)
     assert phased == dense
     phased = sign_outcome(m)
@@ -305,6 +304,20 @@ def test_every_faulted_module_to_n_10_agrees_on_both_paths(p, q, branch):
             phased, dense = both_paths(find_intertwiner, rep, rep)
             assert verdict(phased) == verdict(dense)
             assert (phased[1] is None) == (dense[1] is None)
+
+
+@NO_WARNING
+@pytest.mark.parametrize("p, q, branch", [(p, q, b) for p, q, b in MODULES_10 if p and q])
+def test_a_nan_row_names_its_map_on_both_paths(p, q, branch):
+    # a NaN row of γ₁ can make np.linalg.inv call the matrix singular; the
+    # dense path then inverts it to NaN, and the precondition names map 1
+    m = build_irrep((p, q), branch)
+    g = np.array(m.gammas[1])
+    g[0, :] = np.nan
+    m = dataclasses.replace(m, gammas=(m.gammas[0], g, *m.gammas[2:]))
+    expected = ("raised", "fixed_space: map 1 is not an involution")
+    assert both_paths(sign_spaces, m.gammas, m.dim) == (expected, expected)
+    assert both_paths(measure_sign_triple, m) == (expected, expected)
 
 
 @NO_WARNING
@@ -347,11 +360,7 @@ def assert_pairwise_checks_match_the_loops(gammas, eta, rep):
         assert np.array_equal(table, reference, equal_nan=True)
     dim, conj = rep.dim, np.conj(gammas)
     phased, dense = both_paths(fixed_spaces, gammas, conj, dim, (1, -1))
-    reference = outcome(loop_precondition_failure, gammas, conj, dim)
-    if reference[0] == "raised":  # a dense inverse met a NaN: the same LinAlgError
-        assert phased == dense == reference
-    else:
-        assert verdict(phased) == verdict(dense) == reference[1]
+    assert verdict(phased) == verdict(dense) == loop_precondition_failure(gammas, conj, dim)
 
 
 class TestPairResiduals:
@@ -401,12 +410,25 @@ class TestPairResiduals:
                 for value in pair_paths(pair_residuals, mats, i, j, sign, terms):
                     assert np.array_equal(value, reference)
 
+    def test_scalars_commute_exactly_on_both_paths(self):
+        # 1×1 matrices are phased permutations with inexact products, and a
+        # complex multiply need not commute bit for bit; the phased path
+        # forms AᵢAⱼ and AⱼAᵢ with the Aᵢ entry first, so a·b − b·a is
+        # exactly 0.0, as on the dense path
+        rng = np.random.default_rng(23)
+        mats = list(rng.standard_normal((400, 1, 1)) + 1j * rng.standard_normal((400, 1, 1)))
+        i, j = np.arange(0, 400, 2), np.arange(1, 400, 2)
+        assert is_phased(mats, 1)
+        for value in pair_paths(pair_residuals, mats, i, j, -1, None):
+            assert value.shape == (200,) and np.all(value == 0.0)
+
     def test_blocks_and_empty_pairs(self):
-        # d = 128 puts 32 pairs in a phased block and 2 in a dense one
+        # d = 128 puts 32 of the 91 pairs in a phased block (2d gathered
+        # rows each), and one in a dense one
         mats = list(build_irrep((0, 14)).gammas)
         i, j = np.triu_indices(14, 1)
         assert is_phased(mats, 128)
-        assert linalg.BRACKET_BLOCK_ENTRIES // 128 < len(i)
+        assert linalg.STACK_BLOCK_ENTRIES // (2 * 128) == 32 < len(i)
         reference = loop_pair_residuals(mats, i, j, 1, None)
         assert np.all(reference == 0.0)
         for value in pair_paths(pair_residuals, mats, i, j, 1, None):

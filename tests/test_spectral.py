@@ -3,6 +3,7 @@ conditions, measured sign rows for both real-structure variants, gauge
 action with unimodularity, Dirac covariance, and the extension of the
 gauge symmetry to the full 45-generator algebra."""
 
+import contextlib
 import dataclasses
 import json
 import tracemalloc
@@ -11,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from cliffspin import cli, liealg, spectral
+from cliffspin import cli, liealg, linalg, spectral
 from cliffspin.liealg import bracket_residual, so_generators
 from cliffspin.linalg import (
     DEFAULT_TOL,
@@ -44,6 +45,7 @@ from cliffspin.spectral import (
     spin10_action,
     verify_gauge_action,
 )
+from dense_reference import loop_mixed_min, loop_order_conditions
 
 TRIPLES = {variant: build_pati_salam(variant) for variant in ("plain", "hatted_second")}
 
@@ -495,6 +497,11 @@ def same_report(report, reference) -> bool:
 
 SAMPLE_COUNTS = (1, 7, 8, 9, 17, 300)
 
+#: the path pair_residuals picks, and the dense path forced by a detector
+#: that answers None
+PAIR_PATHS = (contextlib.nullcontext,
+              lambda: mock.patch.object(linalg, "phased_permutations", return_value=None))
+
 
 class TestStackedLoopsEqualTheReferences:
     def test_block_is_eight_samples_of_the_triple(self):
@@ -518,6 +525,35 @@ class TestStackedLoopsEqualTheReferences:
                     assert report.details[0][key] == reference.details[0][key] == 0.0
                 else:
                     assert report.details[0][key] > DEFAULT_TOL
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_order_conditions_equal_the_pair_loop(self, triple, seed):
+        # the one pair_residuals call of the exact check equals the per-pair
+        # loop bit for bit, on exact and perturbed input and on both paths
+        dirac = triple.dirac_operator([0.3, -1.0, 0.5, 2.0])
+        for checked in (triple, perturbed_projections(triple, seed),
+                        twisted_real_structure(triple, seed)):
+            gens = checked.algebra_generators()
+            la, rb = checked.left_action(gens), checked.right_action(gens)
+            reference = loop_order_conditions(la, commutator(dirac.matrix, la), rb)
+            for path in PAIR_PATHS:
+                with path():
+                    detail = check_order_conditions(checked, dirac).details[0]
+                assert (detail["zeroth_order"], detail["first_order"]) == reference
+            assert (reference == (0.0, 0.0)) == (checked is triple)
+
+    @pytest.mark.parametrize("seed", [9, 21])
+    def test_spin10_mixed_minimum_equals_the_loop(self, triple, seed):
+        for checked in (triple, perturbed_projections(triple, seed)):
+            ca = checked.action
+            mixed = [g for (a, b), g in ca.generators.generators.items() if a < ca.n1 <= b]
+            la = checked.left_action(checked.random_algebra_element(np.random.default_rng(seed)))
+            reference = loop_mixed_min(mixed, la)
+            assert reference > 0.01
+            for path in PAIR_PATHS:
+                with path():
+                    detail = spin10_action(checked, rng=seed).details[0]
+                assert detail["mixed_generator_min_commutator"] == reference
 
     @pytest.mark.parametrize("seed", [0, 5, 42])
     @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
@@ -647,3 +683,5 @@ class TestNanResiduals:
         assert not report.passed
         assert np.isnan(report.max_residual)
         assert report.details[0]["brackets"] < 1e-12
+        # one pair_residuals minimum: a NaN commutator is not dropped
+        assert np.isnan(report.details[0]["mixed_generator_min_commutator"])
