@@ -8,8 +8,9 @@ checkouts on the same machine shows whether a change keeps the output
 byte-identical.  One line per output, ``<sha256>  <exit code>  <label>``:
 
 * the JSON output of ten CLI invocations, run in-process: among them
-  ``pati-salam`` with seeds 11 and 3 (two more seeds of the gauge, Higgs
-  and Spin(10) draws; the order conditions are exact and draw nothing),
+  ``pati-salam`` with seeds 11 and 3 (two more seeds of the Spin(10)
+  mixed-generator draw, the only draw of the suite; every other check is
+  exact and draws nothing),
   ``three-actions``, ``commuting`` on (0,3) x (2,0),
   whose odd first and even second factor send the suite through
   ``swap_factors`` before the even identification, and ``commuting`` on

@@ -48,7 +48,6 @@ from .spectral import (
     DiracData,
     GaugeElement,
     PatiSalamTriple,
-    adjoint_gauge_action,
     build_pati_salam,
     check_order_conditions,
     higgs_transform,

@@ -2,8 +2,10 @@
 
 Exit codes: 0 when every check passes, 1 when some check fails, 2 for
 usage or I/O errors.  Identical invocations produce byte-identical output;
-only ``pati-salam`` and ``all`` take ``--seed``.  It drives only the gauge,
-Higgs and Spin(10) draws: the order conditions are exact and draw nothing.
+only ``pati-salam`` and ``all`` take ``--seed``.  It drives only the
+generic algebra element of the Spin(10) mixed-generator minimum: the order
+conditions, the gauge action, the Higgs covariance and the Spin(10) block
+matches are checked exactly on generators and draw nothing.
 """
 
 from __future__ import annotations
@@ -176,29 +178,8 @@ def pati_salam_suite(seed: int, tol: float) -> list:
             details=[],
         ))
         reports.append(spectral.check_order_conditions(triple, dirac, tol))
-        rng = _rng_for(seed, f"gauge-{variant}")
-        reports.append(spectral.verify_gauge_action(triple, 50, rng, 1.0, tol))
-        # the draws of ten per-sample loops (d, then one angle per monomial),
-        # exponentiated as one stack per factor
-        rng = _rng_for(seed, f"higgs-{variant}")
-        monomials = len(triple.quadratics1) + len(triple.quadratics2)
-        draws = [(rng.standard_normal(4), rng.uniform(-1.0, 1.0, size=monomials))
-                 for _ in range(10)]
-        u = spectral.gauge_elements(triple, [angles for _, angles in draws])
-        worst = 0.0
-        all_passed = True
-        for i, (d, _) in enumerate(draws):
-            last = spectral.higgs_transform(triple, triple.dirac_operator(d),
-                                            spectral.GaugeElement(u.u1[i], u.u2[i]), tol)
-            worst = fold_max(worst, last.max_residual)
-            all_passed = all_passed and last.passed
-        reports.append(Report(
-            name=f"higgs-covariance({variant})",
-            passed=worst < tol and all_passed,
-            max_residual=worst,
-            tolerance=tol,
-            details=last.details,
-        ))
+        reports.append(spectral.verify_gauge_action(triple, tol))
+        reports.append(spectral.higgs_transform(triple, tol))
     reports.append(spectral.spin10_action(
         triples["hatted_second"], _rng_for(seed, "spin10"), tol))
     return reports
@@ -230,8 +211,9 @@ def _add_shared(parser: argparse.ArgumentParser, seeded: bool = False) -> None:
                         help="residual tolerance (default 1e-10)")
     if seeded:
         parser.add_argument("--seed", type=int, default=0,
-                            help="seed of the gauge, Higgs and Spin(10) draws "
-                                 "(default 0); the order conditions draw nothing")
+                            help="seed of the Spin(10) mixed-generator draw "
+                                 "(default 0); every other check is exact and "
+                                 "draws nothing")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--out", default=None, help="write output to a file")
 

@@ -53,9 +53,10 @@ _EPS_DPRIME = (1, 1, -1, 1, 1, 1, -1, 1)
 
 
 class SignTriple(NamedTuple):
-    """The signs (ε, ε′, ε″); ε″ is None where there is no chirality grading."""
+    """The signs (ε, ε′, ε″); ε″ is None where there is no chirality grading,
+    and a measured sign is None where neither +1 nor −1 fits."""
 
-    eps: int
+    eps: Optional[int]
     eps_prime: Optional[int]
     eps_double_prime: Optional[int]
 

@@ -231,16 +231,15 @@ def find_intertwiner(rep_a: SoRepresentation, rep_b: SoRepresentation,
     if svals[-1] < rtol * svals[0]:
         return None
     residual = intertwiner_residual(w, rep_a, rep_b)
-    if residual > DEFAULT_TOL:
+    if not residual <= DEFAULT_TOL:
         raise ValueError(f"intertwiner of the 2T^0a fails a generator: residual {residual:.6g}")
     return w
 
 
 def intertwiner_residual(w, rep_a: SoRepresentation, rep_b: SoRepresentation) -> float:
-    return max(
-        (max_abs(w @ rep_a.t(a, b) - rep_b.t(a, b) @ w) for a, b in rep_a.pairs()),
-        default=0.0,
-    )
+    """Worst max-abs of W·T_a − T_b·W over the generators; NaN anywhere gives NaN."""
+    return fold_max(0.0, [max_abs(w @ rep_a.t(a, b) - rep_b.t(a, b) @ w)
+                          for a, b in rep_a.pairs()])
 
 
 @dataclass(frozen=True)
@@ -256,20 +255,6 @@ def expected_structure(s: int) -> StructureExpectation:
     """Structure-map table: P survives iff s is even, J except at s = 2, 6."""
     s = s % 8
     return StructureExpectation(s=s, has_j=s not in (2, 6), has_p=s % 2 == 0)
-
-
-def product_eigenspace_exchange_residual(m: CliffordModule) -> float:
-    """For s ∈ {2, 6}: J swaps the ±i eigenspaces of the product element.
-
-    Checked as the operator identity J·π⁺ = π⁻·J with π^{±} the
-    eigenprojections of P onto ±i.
-    """
-    if m.s not in (2, 6):
-        raise ValueError("eigenvalue exchange is specific to s = 2 or 6")
-    plus = 0.5 * (eye(m.dim) - 1j * m.P)
-    minus = 0.5 * (eye(m.dim) + 1j * m.P)
-    k = m.J.matrix
-    return max_abs(k @ np.conj(plus) - minus @ k)
 
 
 def structure_survival(m: CliffordModule, tol: float = DEFAULT_TOL) -> dict:

@@ -614,13 +614,13 @@ class AntilinearOp:
     def square(self) -> np.ndarray:
         return self.compose(self)
 
-    def square_sign(self, tol: float = DEFAULT_TOL) -> int:
-        """The sign ε with J² = ε·I; raises when J² is not ±identity."""
+    def square_sign(self, tol: float = DEFAULT_TOL):
+        """The sign ε ∈ {+1, −1} with J² = ε·I, or None if neither fits."""
         sq = self.square()
         for sign in (1, -1):
             if max_abs(sq - sign * eye(self.dim)) < tol:
                 return sign
-        raise ValueError("antilinear square is not plus or minus the identity")
+        return None
 
     def after_linear(self, m) -> "AntilinearOp":
         """The antilinear map v ↦ J(M·v), i.e. matrix part K·conj(M)."""

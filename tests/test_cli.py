@@ -12,7 +12,7 @@ import pytest
 from cliffspin import cli, clifford, commuting, liealg, spectral
 from cliffspin.cli import run
 from cliffspin.clifford import build_irrep
-from cliffspin.report import Report
+from cliffspin.linalg import AntilinearOp
 from cliffspin.serialize import (
     matrix_from_lists,
     matrix_to_lists,
@@ -20,6 +20,7 @@ from cliffspin.serialize import (
     module_to_dict,
     module_to_json,
 )
+from dense_reference import loop_higgs_report
 
 
 def run_capture(capsys, argv):
@@ -28,20 +29,13 @@ def run_capture(capsys, argv):
     return code, captured.out
 
 
-def reference_higgs_report(triple, rng, tol=1e-10):
-    """The Higgs-covariance check of ``pati_salam_suite`` as a loop of ten
-    samples, each a Dirac vector and then one gauge element."""
-    worst = 0.0
-    all_passed = True
-    for _ in range(10):
-        d = rng.standard_normal(4)
-        u = spectral.sample_gauge_element(triple, rng)
-        last = spectral.higgs_transform(triple, triple.dirac_operator(d), u, tol)
-        worst = max(worst, last.max_residual)
-        all_passed = all_passed and last.passed
-    return Report(name=f"higgs-covariance({triple.variant})",
-                  passed=worst < tol and all_passed, max_residual=worst,
-                  tolerance=tol, details=last.details)
+def with_unit_projections(build):
+    """``build`` with π₂⁺ = π₂⁻ = 1 on every triple it assembles, which
+    breaks the factorization of the adjoint gauge action."""
+    def faulted(*args, **kwargs):
+        eye8 = np.eye(8, dtype=complex)
+        return dataclasses.replace(build(*args, **kwargs), pi2_plus=eye8, pi2_minus=eye8)
+    return faulted
 
 
 class TestExport:
@@ -181,15 +175,21 @@ class TestCliContract:
         assert rows["ko-signs(hatted_second)"]["details"][0]["default"] is True
 
     def test_broken_adjoint_bound_is_a_failed_report(self, capsys):
-        code = run(["pati-salam", "--tol", "1e-18", "--format", "json"])
+        with mock.patch.object(spectral, "build_pati_salam",
+                               with_unit_projections(spectral.build_pati_salam)):
+            code = run(["pati-salam", "--format", "json"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == ""
         doc = json.loads(captured.out)
         rows = {c["check"]: c for c in doc["checks"]}
         assert doc["all_passed"] is False
-        assert rows["higgs-covariance(hatted_second)"]["passed"] is False
-        assert "adjoint_failure" in rows["spin10-extension"]["details"][0]
+        for variant in spectral.VARIANTS:
+            assert rows[f"gauge-action({variant})"]["passed"] is False
+            assert rows[f"higgs-covariance({variant})"]["passed"] is False
+        assert rows["spin10-extension"]["passed"] is False
+        # every residual of the exact suite is 0.0, so it passes far below rounding
+        assert run(["pati-salam", "--tol", "1e-18"]) == 0
 
     def test_oversized_irrep_is_refused(self, capsys):
         # (0,12) is measured in full; (0,30) is refused before any gamma exists
@@ -256,12 +256,21 @@ class TestCliContract:
 
     @pytest.mark.parametrize("seed", [0, 7, 42])
     def test_higgs_reports_equal_the_per_sample_loop(self, seed):
-        reports = {r.name: r for r in cli.pati_salam_suite(seed, 1e-10)}
-        for variant in spectral.VARIANTS:
-            reference = reference_higgs_report(
-                spectral.build_pati_salam(variant), cli._rng_for(seed, f"higgs-{variant}"))
-            assert (json.dumps(reports[reference.name].to_dict())
-                    == json.dumps(reference.to_dict()))
+        # the exact Higgs reports draw nothing and read 0.0 at every seed,
+        # with the verdict of ten sampled (d, u) pairs, on the triple and
+        # with π₂⁺ = π₂⁻ = 1
+        for build in (spectral.build_pati_salam,
+                      with_unit_projections(spectral.build_pati_salam)):
+            with mock.patch.object(spectral, "build_pati_salam", build):
+                reports = {r.name: r for r in cli.pati_salam_suite(seed, 1e-10)}
+            for variant in spectral.VARIANTS:
+                reference = loop_higgs_report(build(variant), 10,
+                                              cli._rng_for(seed, f"higgs-{variant}"))
+                report = reports[reference.name]
+                assert report.passed == reference.passed
+                assert report.passed == (build is spectral.build_pati_salam)
+                if report.passed:
+                    assert report.max_residual == 0.0
 
     def test_seeded_commuting_runs_are_identical(self, capsys):
         args = ["commuting", "--sig1", "2,0", "--sig2", "0,1", "--format", "json"]
@@ -392,6 +401,28 @@ class TestFaultInjection:
         assert spin10["passed"] is False
         assert math.isnan(spin10["details"][0]["mixed_generator_min_commutator"])
 
+    @pytest.mark.filterwarnings("error")
+    def test_nan_real_structure_fails_the_pati_salam_suite(self, capsys):
+        # J² of a NaN real structure is neither +1 nor -1: the KO signs fail
+        # where the sign measurement used to raise and exit with 2
+        real = spectral.build_pati_salam
+
+        def faulted(*args, **kwargs):
+            triple = real(*args, **kwargs)
+            k = np.array(triple.J.matrix)
+            k[0, 0] = np.nan
+            return dataclasses.replace(triple, J=AntilinearOp(k))
+
+        with mock.patch.object(spectral, "build_pati_salam", faulted):
+            code = run(["pati-salam", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        rows = {c["check"]: c for c in json.loads(captured.out)["checks"]}
+        for variant in spectral.VARIANTS:
+            ko = rows[f"ko-signs({variant})"]
+            assert ko["passed"] is False and ko["details"][0]["eps"] is None
+            assert rows[f"gauge-action({variant})"]["passed"] is False
+
     def test_hatted_module_structure_fails_the_sign_table(self, capsys):
         def hatted_irrep(*args, **kwargs):
             m = build_irrep(*args, **kwargs)
@@ -459,19 +490,48 @@ class TestFaultInjection:
         assert math.isnan(report.max_residual)
 
     def test_nan_higgs_residual_is_the_higgs_report_residual(self):
-        # one failed Higgs sample with a NaN residual among finite ones
-        real = spectral.higgs_transform
-        calls = []
+        # one NaN entry in one lifted gamma of the plain triple only
+        real = spectral.build_pati_salam
 
-        def one_nan(*args, **kwargs):
-            report = real(*args, **kwargs)
-            calls.append(report)
-            if len(calls) == 3:
-                return dataclasses.replace(report, passed=False, max_residual=math.nan)
-            return report
+        def one_nan(variant="hatted_second", action=None):
+            triple = real(variant, action=action)
+            if variant != "plain":
+                return triple
+            gamma = np.array(triple.action.gamma1[2])
+            gamma[3, 1] = np.nan
+            action = dataclasses.replace(triple.action,
+                                         gamma1=(*triple.action.gamma1[:2], gamma,
+                                                 *triple.action.gamma1[3:]))
+            return dataclasses.replace(triple, action=action)
 
-        with mock.patch.object(spectral, "higgs_transform", one_nan):
-            reports = cli.pati_salam_suite(0, 1e-10)
-        higgs = {r.name: r for r in reports}["higgs-covariance(plain)"]
+        with mock.patch.object(spectral, "build_pati_salam", one_nan):
+            reports = {r.name: r for r in cli.pati_salam_suite(0, 1e-10)}
+        higgs = reports["higgs-covariance(plain)"]
         assert not higgs.passed
         assert math.isnan(higgs.max_residual)
+        assert math.isnan(higgs.details[0]["covariance"])
+        assert reports["higgs-covariance(hatted_second)"].passed
+
+    @pytest.mark.filterwarnings("error")
+    def test_nan_lifted_gamma_fails_the_pati_salam_suite(self, capsys):
+        # the Spin(10) block match used to exponentiate the NaN combined
+        # generators, and expm refused them with exit 2
+        real = commuting.build_commuting
+
+        def faulted(*args, **kwargs):
+            ca = real(*args, **kwargs)
+            gamma = np.array(ca.gamma1[0])
+            gamma[0, 0] = np.nan
+            return dataclasses.replace(ca, gamma1=(gamma, *ca.gamma1[1:]))
+
+        with mock.patch.object(commuting, "build_commuting", faulted):
+            code = run(["pati-salam", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        rows = {c["check"]: c for c in json.loads(captured.out)["checks"]}
+        failed = [name for name, row in rows.items() if not row["passed"]]
+        assert failed == ["order-conditions(plain)", "higgs-covariance(plain)",
+                          "order-conditions(hatted_second)",
+                          "higgs-covariance(hatted_second)", "spin10-extension"]
+        for name in failed:
+            assert math.isnan(rows[name]["max_residual"])

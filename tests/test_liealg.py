@@ -28,7 +28,6 @@ from cliffspin.liealg import (
     find_intertwiner,
     flipped_representation,
     intertwiner_residual,
-    product_eigenspace_exchange_residual,
     quadratic_monomials,
     so_generators,
     structure_survival,
@@ -442,6 +441,20 @@ class TestIntertwiner:
         with pytest.raises(ValueError, match="fails a generator"):
             find_intertwiner(rep_a, rep_b)
 
+    @pytest.mark.parametrize("pq", [(0, 4), (3, 1), (0, 6)])
+    def test_a_nan_generator_outside_the_searched_maps_is_refused(self, pq):
+        # a NaN in T^12 used to be dropped by the residual's max fold, so a
+        # W came back with a residual of about 1e-16
+        rep = so_generators(build_irrep(pq))
+        gens = dict(rep.generators)
+        bad_t = np.array(gens[(1, 2)])
+        bad_t[0, 0] = np.nan
+        gens[(1, 2)] = frozen(bad_t)
+        bad = SoRepresentation(eta=rep.eta, dim=rep.dim, generators=gens)
+        with pytest.raises(ValueError, match="fails a generator: residual nan"):
+            find_intertwiner(rep, bad)
+        assert math.isnan(intertwiner_residual(eye(rep.dim), rep, bad))
+
     def test_dimension_mismatch_rejected(self):
         rep_a = so_generators(build_irrep((0, 2)))
         rep_b = so_generators(build_irrep((0, 4)))
@@ -462,6 +475,18 @@ def test_structure_survival_matches_table(pq):
     m = build_irrep(pq)
     survey = structure_survival(m)
     assert survey["matches_table"], (pq, survey)
+
+
+def product_eigenspace_exchange_residual(m) -> float:
+    """For s ∈ {2, 6}: J swaps the ±i eigenspaces of the product element,
+    checked as the operator identity J·π⁺ = π⁻·J with π^± the
+    eigenprojections of P onto ±i."""
+    if m.s not in (2, 6):
+        raise ValueError("eigenvalue exchange is specific to s = 2 or 6")
+    plus = 0.5 * (eye(m.dim) - 1j * m.P)
+    minus = 0.5 * (eye(m.dim) + 1j * m.P)
+    k = m.J.matrix
+    return max_abs(k @ np.conj(plus) - minus @ k)
 
 
 @pytest.mark.parametrize("pq", [(0, 2), (2, 0), (0, 6), (3, 1)])

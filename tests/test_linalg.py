@@ -455,6 +455,15 @@ class TestAntilinearOp:
         with pytest.raises(ValueError):
             AntilinearOp(2 * eye(2))
 
+    def test_square_sign_is_none_when_neither_sign_fits(self):
+        # it used to raise, so a NaN real structure made the CLI exit with 2
+        assert AntilinearOp(S2).square_sign() == -1
+        assert AntilinearOp(eye(2)).square_sign() == 1
+        assert AntilinearOp(np.array([[0, 1], [1j, 0]])).square_sign() is None
+        k = np.array(S2, dtype=complex)
+        k[0, 1] = np.nan
+        assert AntilinearOp(k).square_sign() is None
+
 
 def antilinear_basis_oracle(gammas, sign):
     """Which of 1, s1, s2, s3 satisfy K conj(g) = sign g K for all g."""

@@ -1,7 +1,8 @@
 """Pati-Salam spectral triple on C4 x C8: left/right actions, order
 conditions, measured sign rows for both real-structure variants, gauge
 action with unimodularity, Dirac covariance, and the extension of the
-gauge symmetry to the full 45-generator algebra."""
+gauge symmetry to the full 45-generator algebra.  The exact generator
+checks are compared with the sampled group loops of ``dense_reference``."""
 
 import contextlib
 import dataclasses
@@ -17,27 +18,23 @@ from cliffspin.liealg import bracket_residual, so_generators
 from cliffspin.linalg import (
     DEFAULT_TOL,
     STACK_BLOCK_ENTRIES,
+    AntilinearOp,
     commutator,
     dagger,
     expm,
     eye,
+    fold_max,
     kron,
-    linear_combination,
     max_abs,
-    unitarity_residual,
 )
 from cliffspin.report import Report
 from cliffspin.spectral import (
-    DET_TOL,
     AlgebraElement,
     GaugeElement,
-    adjoint_gauge_action,
     build_pati_salam,
     check_order_conditions,
     chirality_exchange_residual,
     dirac_invariant_residuals,
-    gauge_element_residuals,
-    gauge_elements,
     higgs_transform,
     ko_dimension,
     monomial_basis,
@@ -45,7 +42,17 @@ from cliffspin.spectral import (
     spin10_action,
     verify_gauge_action,
 )
-from dense_reference import loop_mixed_min, loop_order_conditions
+from dense_reference import (
+    loop_adjoint_image,
+    loop_element_residuals,
+    loop_gauge_action,
+    loop_gauge_element,
+    loop_higgs_report,
+    loop_higgs_transform,
+    loop_mixed_min,
+    loop_order_conditions,
+    loop_spin10_action,
+)
 
 TRIPLES = {variant: build_pati_salam(variant) for variant in ("plain", "hatted_second")}
 
@@ -189,8 +196,11 @@ def test_hermitian_odd_elements_are_gamma_spans():
 
 class TestGauge:
     def test_zero_angles_give_identity(self, triple):
-        u = GaugeElement(eye(4), eye(8))
-        assert max_abs(adjoint_gauge_action(triple, u) - eye(32)) < 1e-12
+        adj, resid, det_err = loop_adjoint_image(triple, GaugeElement(eye(4), eye(8)))
+        assert max_abs(adj - eye(32)) < 1e-12
+        assert resid < 1e-12 and det_err < 1e-12
+        zero = AlgebraElement(np.zeros((4, 4)), np.zeros((8, 8)))
+        assert max_abs(triple.derived_action(zero)) == 0.0
 
     def test_single_angle_closed_form(self, triple):
         # T = g0 g1 / 2 squares to -1/4, so exp(pi T) = 2 T = g0 g1
@@ -198,12 +208,15 @@ class TestGauge:
         t = 0.5 * (mod1.gammas[0] @ mod1.gammas[1])
         u1 = expm(np.pi * t)
         assert max_abs(u1 - 2 * t) < 1e-13
-        res = gauge_element_residuals(triple, GaugeElement(u1, eye(8)))
+        res = loop_element_residuals(triple, GaugeElement(u1, eye(8)))
         assert max(res.values()) < 1e-12
 
     def test_sampled_invariants_and_factorization(self, triple):
-        report = verify_gauge_action(triple, samples=50, rng=0)
+        # the exact check on the 21 generators, and 50 sampled group elements
+        report = verify_gauge_action(triple)
         assert report.passed, report.details
+        assert report.details[0]["generators"] == 21
+        assert loop_gauge_action(triple, 50, np.random.default_rng(0)).passed
 
     def test_center_elements(self, triple):
         # -1 on the first factor is reached by a 2*pi angle; the pair
@@ -212,12 +225,12 @@ class TestGauge:
         t1 = 0.5 * (mod1.gammas[0] @ mod1.gammas[1])
         u1 = expm(2 * np.pi * t1)
         assert max_abs(u1 + eye(4)) < 1e-12
-        adj = adjoint_gauge_action(triple, GaugeElement(u1, eye(8)))
+        adj = loop_adjoint_image(triple, GaugeElement(u1, eye(8)))[0]
         assert max_abs(adj + eye(32)) < 1e-10
         t2 = 0.5 * (mod2.gammas[0] @ mod2.gammas[1])
         u2 = expm(2 * np.pi * t2)
         assert max_abs(u2 + eye(8)) < 1e-12
-        adj = adjoint_gauge_action(triple, GaugeElement(u1, u2))
+        adj = loop_adjoint_image(triple, GaugeElement(u1, u2))[0]
         assert max_abs(adj - eye(32)) < 1e-10
 
     def test_scale_must_be_positive(self, triple):
@@ -227,8 +240,10 @@ class TestGauge:
     @pytest.mark.parametrize("samples, scale", [(0, 1.0), (-3, 1.0), (50, 0.0), (50, -1.0),
                                                 (0, -1.0)])
     def test_verify_needs_samples_and_a_positive_scale(self, triple, samples, scale):
-        # zero samples, or a non-positive scale, used to report PASS
-        with pytest.raises(ValueError):
+        # zero samples, or a non-positive scale, used to report PASS; the
+        # exact check draws nothing, and a sample count or scale is refused
+        # instead of being read as something else
+        with pytest.raises(TypeError):
             verify_gauge_action(triple, samples, rng=0, scale=scale)
 
     def test_vectorized_draws_equal_scalar_draws(self, triple):
@@ -249,23 +264,33 @@ class TestGauge:
         with mock.patch.object(liealg, "so_generators", spy), \
                 mock.patch.object(spectral, "so_generators", spy):
             triple = build_pati_salam("hatted_second", action=TRIPLES["plain"].action)
-            assert verify_gauge_action(triple, 50, rng=0).passed
+            assert verify_gauge_action(triple).passed
+            assert higgs_transform(triple).passed
         assert spy.call_count <= 2
+
+    def test_gauge_generators_are_the_quadratic_monomials(self, triple):
+        gens = triple.gauge_generators()
+        assert gens.a1.shape == (21, 4, 4) and gens.a2.shape == (21, 8, 8)
+        assert gens.a1[:6].tobytes() == triple.quadratics1.tobytes()
+        assert gens.a2[6:].tobytes() == triple.quadratics2.tobytes()
+        assert not gens.a1[6:].any() and not gens.a2[:6].any()
 
 
 class TestHiggs:
     def test_identity_gauge_fixes_coefficients(self, triple):
         dirac = triple.dirac_operator([0.3, -1.2, 0.0, 2.0])
-        report = higgs_transform(triple, dirac, GaugeElement(eye(4), eye(8)))
+        report = loop_higgs_transform(triple, dirac, GaugeElement(eye(4), eye(8)))
         assert report.passed
         assert np.allclose(report.details[0]["d_transformed"], dirac.d, atol=1e-12)
+        assert higgs_transform(triple).details == [
+            {"generators": 21, "covariance": 0.0, "norm_change": 0.0}]
 
     def test_random_gauge_rotates_isometrically(self, triple):
         rng = np.random.default_rng(11)
         dirac = triple.dirac_operator([1.0, 0.0, 0.0, 0.0])
         for _ in range(5):
             u = sample_gauge_element(triple, rng)
-            report = higgs_transform(triple, dirac, u)
+            report = loop_higgs_transform(triple, dirac, u)
             assert report.passed, report.details
             d_new = report.details[0]["d_transformed"]
             assert abs(np.linalg.norm(d_new) - 1.0) < 1e-10
@@ -275,9 +300,14 @@ class TestHiggs:
         d = np.array([0.5, 0.25, -1.0, 0.0])
         dirac = triple.dirac_operator(d)
         u2_only = GaugeElement(eye(4), sample_gauge_element(triple, rng).u2)
-        report = higgs_transform(triple, dirac, u2_only)
+        report = loop_higgs_transform(triple, dirac, u2_only)
         assert report.passed
         assert np.allclose(report.details[0]["d_transformed"], d, atol=1e-10)
+        # exactly: the derived action of each second-factor generator
+        # commutes with every lifted gamma of the first factor
+        derived = triple.derived_action(triple.gauge_generators()[6:])
+        for gamma in triple.action.gamma1:
+            assert np.max(max_abs(commutator(derived, gamma))) == 0.0
 
 
 def test_spin10_extension():
@@ -294,22 +324,29 @@ def test_spin10_extension_runs_on_the_given_triple(triple):
 
 
 def test_broken_adjoint_bound_fails_the_reports(triple):
-    # a tolerance below rounding breaks the factorization bound: the
-    # checks report FAIL with the reason instead of raising
+    # pi2+ = pi2- = 1 doubles the derived action, so the adjoint action no
+    # longer factorizes: on the generators and on a sampled element alike,
+    # and the checks report FAIL instead of raising
+    broken = dataclasses.replace(triple, pi2_plus=eye(8), pi2_minus=eye(8))
+    gauge, higgs = verify_gauge_action(broken), higgs_transform(broken)
+    assert not gauge.passed and gauge.details[0]["factorization"] == 0.5
+    assert not higgs.passed and higgs.details[0]["covariance"] > 0.1
     u = sample_gauge_element(triple, np.random.default_rng(13))
-    report = higgs_transform(triple, triple.dirac_operator([1.0, 0.0, 0.0, 0.0]), u, tol=1e-18)
-    assert not report.passed
-    assert report.details[0]["adjoint_failure"].startswith("adjoint action does not factorize")
-    with pytest.raises(ValueError, match="does not factorize"):
-        adjoint_gauge_action(triple, u, tol=1e-18)
-    passing = higgs_transform(triple, triple.dirac_operator([1.0, 0.0, 0.0, 0.0]), u)
-    assert passing.passed and "adjoint_failure" not in passing.details[0]
+    reference = loop_higgs_transform(broken, broken.dirac_operator([1.0, 0.0, 0.0, 0.0]), u)
+    assert reference.details[0]["adjoint_failure"].startswith("adjoint action does not factorize")
+    assert verify_gauge_action(triple).passed and higgs_transform(triple).passed
 
 
 def test_spin10_reports_a_broken_adjoint_bound():
-    report = spin10_action(TRIPLES["hatted_second"], rng=0, tol=1e-18)
+    # J replaced by plain conjugation breaks the adjoint images of both blocks
+    triple = TRIPLES["hatted_second"]
+    broken = dataclasses.replace(triple, J=AntilinearOp(eye(32)))
+    report = spin10_action(broken, rng=0)
     assert not report.passed
-    assert "adjoint_failure" in report.details[0]
+    assert report.details[0]["factor1_block_match"] > 0.1
+    assert report.details[0]["factor2_block_match"] > 0.1
+    reference = loop_spin10_action(broken, np.random.default_rng(0))
+    assert not reference.passed and reference.details[0]["adjoint_failure"] is not None
 
 
 def test_spin10_requires_the_right_signatures():
@@ -340,10 +377,10 @@ def test_wrong_variant_rejected():
         build_pati_salam("other")
 
 
-# The per-sample and per-generator loops that the stacked checks replaced,
-# kept as their references: every stacked report must equal them bit for
-# bit.  The order conditions are now checked exactly on the generators; their
-# sampled loop stays as the reference whose verdict the exact check must share.
+# The sampled loop of the order conditions, kept as the reference whose
+# verdict the exact check on the generators must share, as the sampled
+# group loops of ``dense_reference`` are for the gauge, Higgs and Spin(10)
+# checks.
 
 def reference_order_conditions(triple, dirac, samples, rng, tol=DEFAULT_TOL):
     d = dirac.matrix
@@ -359,61 +396,6 @@ def reference_order_conditions(triple, dirac, samples, rng, tol=DEFAULT_TOL):
     return Report(name=f"order-conditions({triple.variant})", passed=worst < tol,
                   max_residual=worst, tolerance=tol,
                   details=[{"samples": samples, "zeroth_order": worst0, "first_order": worst1}])
-
-
-def reference_gauge_element(triple, rng, scale):
-    u1, u2 = (expm(linear_combination(rng.uniform(-scale, scale, size=len(quads)), quads))
-              for quads in (triple.quadratics1, triple.quadratics2))
-    return GaugeElement(u1, u2)
-
-
-def reference_adjoint_image(triple, u):
-    a = u.as_algebra_element()
-    lu = triple.left_action(a)
-    adj = lu @ triple.right_action(a.star())
-    return adj, max_abs(adj - kron(u.u1, u.u2)), abs(np.linalg.det(lu) - 1.0)
-
-
-def reference_gauge_action(triple, samples, rng, scale=1.0, tol=DEFAULT_TOL):
-    worst = det_worst = inv_worst = 0.0
-    for _ in range(samples):
-        u = reference_gauge_element(triple, rng, scale)
-        for mat, mod in ((u.u1, triple.action.mod1), (u.u2, triple.action.mod2)):
-            inv_worst = max(inv_worst, unitarity_residual(mat),
-                            max_abs(commutator(mat, mod.chirality)),
-                            mod.J.commutation_residual(mat, 1))
-        _, resid, det_err = reference_adjoint_image(triple, u)
-        worst = max(worst, resid)
-        det_worst = max(det_worst, det_err)
-    passed = worst < tol and det_worst < DET_TOL and inv_worst < tol
-    return Report(name=f"gauge-action({triple.variant})", passed=passed,
-                  max_residual=max(worst, inv_worst), tolerance=tol,
-                  details=[{"samples": samples, "factorization": worst,
-                            "unimodularity": det_worst, "element_invariants": inv_worst}])
-
-
-def reference_spin10_parts(triple, rng, tol):
-    """(match1, match2, mixed_min, first adjoint failure) of the generator loops."""
-    ca = triple.action
-    quads1, quads2 = so_generators(ca.mod1).generators, so_generators(ca.mod2).generators
-    failure = None
-    match1 = match2 = 0.0
-    for (a, b) in quads1:
-        big = expm(0.7 * ca.generators.t(a, b))
-        u = GaugeElement(expm(-0.7 * quads1[(a, b)]), eye(ca.mod2.dim))
-        adj, resid, det_err = reference_adjoint_image(triple, u)
-        failure = failure or spectral._adjoint_failure(resid, det_err, tol, DET_TOL)
-        match1 = max(match1, max_abs(big - adj))
-    for (a, b) in quads2:
-        big = expm(0.7 * ca.generators.t(ca.n1 + a, ca.n1 + b))
-        u = GaugeElement(eye(ca.mod1.dim), expm(0.7 * quads2[(a, b)]))
-        adj, resid, det_err = reference_adjoint_image(triple, u)
-        failure = failure or spectral._adjoint_failure(resid, det_err, tol, DET_TOL)
-        match2 = max(match2, max_abs(big - adj))
-    la = triple.left_action(triple.random_algebra_element(rng))
-    mixed_min = min(max_abs(commutator(ca.generators.t(a, ca.n1 + b), la))
-                    for a in range(ca.n1) for b in range(ca.n2))
-    return match1, match2, mixed_min, failure
 
 
 def perturbed_projections(triple, seed, size=1e-9):
@@ -558,93 +540,129 @@ class TestStackedLoopsEqualTheReferences:
     @pytest.mark.parametrize("seed", [0, 5, 42])
     @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
     def test_gauge_action(self, triple, samples, seed):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        report = verify_gauge_action(triple, samples, rng)
-        assert same_report(report, reference_gauge_action(triple, samples, ref_rng))
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # the exact check and the sampled group loop share their verdict at
+        # every sample count: perturbed projections or a twisted J fail both
+        for checked in (triple, perturbed_projections(triple, seed),
+                        twisted_real_structure(triple, seed)):
+            report = verify_gauge_action(checked)
+            reference = loop_gauge_action(checked, samples, np.random.default_rng(seed))
+            assert report.passed == reference.passed == (checked is triple)
+            if checked is triple:
+                assert report.max_residual == 0.0
+            else:
+                assert report.details[0]["factorization"] > DEFAULT_TOL
 
     def test_gauge_action_at_another_scale_and_tolerance(self, triple):
-        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
-        report = verify_gauge_action(triple, 11, rng, scale=0.25, tol=1e-18)
-        reference = reference_gauge_action(triple, 11, ref_rng, scale=0.25, tol=1e-18)
-        assert not report.passed and same_report(report, reference)
+        # the sampled residuals are rounding-sized, so a tolerance of 1e-18
+        # fails the group loop; the generator residuals are exactly 0.0
+        reference = loop_gauge_action(triple, 11, np.random.default_rng(3), scale=0.25,
+                                      tol=1e-18)
+        assert not reference.passed
+        assert loop_gauge_action(triple, 11, np.random.default_rng(3), scale=0.25).passed
+        report = verify_gauge_action(triple, tol=1e-18)
+        assert report.passed and report.max_residual == 0.0
 
     def test_sampled_gauge_element_is_the_reference_element(self, triple):
         rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
         u = sample_gauge_element(triple, rng, 0.5)
-        ref = reference_gauge_element(triple, ref_rng, 0.5)
+        ref = loop_gauge_element(triple, ref_rng, 0.5)
         assert u.u1.tobytes() == ref.u1.tobytes() and u.u2.tobytes() == ref.u2.tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-    def test_gauge_elements_equal_each_row_element(self, triple):
-        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
-        k = len(triple.quadratics1) + len(triple.quadratics2)
-        u = gauge_elements(triple, rng.uniform(-1.0, 1.0, size=(5, k)))
-        assert u.u1.shape == (5, 4, 4) and u.u2.shape == (5, 8, 8)
-        for i in range(5):
-            ref = reference_gauge_element(triple, ref_rng, 1.0)
-            assert u.u1[i].tobytes() == ref.u1.tobytes()
-            assert u.u2[i].tobytes() == ref.u2.tobytes()
 
     def test_stacked_actions_equal_each_slice(self, triple):
         rng = np.random.default_rng(14)
         elements = [triple.random_algebra_element(rng) for _ in range(5)]
         stacked = AlgebraElement(np.stack([e.a1 for e in elements]),
                                  np.stack([e.a2 for e in elements]))
-        for action in (triple.left_action, triple.right_action):
+        for action in (triple.left_action, triple.right_action, triple.derived_action):
             stack = action(stacked)
             assert stack.shape == (5, 32, 32)
             for k, element in enumerate(elements):
                 assert stack[k].tobytes() == action(element).tobytes()
 
-    def test_stacked_gauge_residuals_equal_each_element(self, triple):
-        rng = np.random.default_rng(15)
-        us = [sample_gauge_element(triple, rng) for _ in range(4)]
-        stacked = GaugeElement(np.stack([u.u1 for u in us]), np.stack([u.u2 for u in us]))
-        residuals = gauge_element_residuals(triple, stacked)
-        adj, resid, det_err = spectral._adjoint_image(triple, stacked)
-        for k, u in enumerate(us):
-            assert {key: val[k] for key, val in residuals.items()} == \
-                gauge_element_residuals(triple, u)
-            ref_adj, ref_resid, ref_det = reference_adjoint_image(triple, u)
-            assert adj[k].tobytes() == ref_adj.tobytes()
-            assert (resid[k], det_err[k]) == (ref_resid, ref_det)
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_stacked_gauge_residuals_equal_each_element(self, triple, seed):
+        # the blocked residuals of the exact check equal a loop over the 21
+        # generators, one at a time, on exact and perturbed projections
+        for checked in (triple, perturbed_projections(triple, seed)):
+            gens = checked.gauge_generators()
+            factor, trace = [], []
+            for k in range(21):
+                x = gens[k]
+                factor.append(max_abs(checked.derived_action(x)
+                                      - kron(x.a1, eye(8)) - kron(eye(4), x.a2)))
+                trace.append(np.abs(np.trace(checked.left_action(x))))
+            detail = verify_gauge_action(checked).details[0]
+            assert detail["factorization"] == fold_max(0.0, factor)
+            assert detail["unimodularity"] == fold_max(0.0, trace)
 
     @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-18])
     def test_spin10_generator_blocks(self, triple, tol):
+        # the block matches on the generators read exactly 0.0, so they pass
+        # at any tolerance; the exponentials of the group loop match to
+        # rounding, so they fail a tolerance below it
         report = spin10_action(triple, rng=9, tol=tol)
-        match1, match2, mixed_min, failure = reference_spin10_parts(
-            triple, np.random.default_rng(9), tol)
-        detail = report.details[0]
+        reference = loop_spin10_action(triple, np.random.default_rng(9), tol)
+        detail, ref = report.details[0], reference.details[0]
         assert detail["brackets"] == bracket_residual(triple.action.generators)
-        assert (detail["factor1_block_match"], detail["factor2_block_match"],
-                detail["mixed_generator_min_commutator"]) == (match1, match2, mixed_min)
-        assert detail.get("adjoint_failure") == failure
-        assert (failure is None) == (tol == DEFAULT_TOL)
+        assert detail["factor1_block_match"] == detail["factor2_block_match"] == 0.0
+        assert 0.0 < fold_max(ref["factor1_block_match"], ref["factor2_block_match"]) < 1e-13
+        assert detail["mixed_generator_min_commutator"] == ref["mixed_generator_min_commutator"]
+        assert report.passed
+        assert reference.passed == (tol == DEFAULT_TOL)
 
-    def test_spin10_reports_the_first_adjoint_failure_in_monomial_order(self, triple):
-        seen = []
+    def test_memory_of_exact_reports(self, triple):
+        for check in (verify_gauge_action, higgs_transform, spin10_action):
+            check(triple)
+            tracemalloc.start()
+            try:
+                assert check(triple).passed
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.5e6, (check.__name__, peak)
 
-        def failing(resid, det_err, tol, det_tol):
-            seen.append((resid, det_err))
-            return f"failure {len(seen)}"
 
-        with mock.patch.object(spectral, "_adjoint_failure", failing):
-            report = spin10_action(triple, rng=0)
-        assert report.details[0]["adjoint_failure"] == "failure 1" and len(seen) == 1
-        first = GaugeElement(expm(-0.7 * so_generators(triple.action.mod1).generators[(0, 1)]),
-                             eye(8))
-        assert seen[0] == reference_adjoint_image(triple, first)[1:]
+def nan_projection(triple):
+    pi2_plus = np.array(triple.pi2_plus)
+    pi2_plus[0, 0] = np.nan
+    return dataclasses.replace(triple, pi2_plus=pi2_plus)
 
-    def test_memory_stays_bounded_at_300_samples(self, triple):
-        verify_gauge_action(triple, 300, 0)
-        tracemalloc.start()
-        try:
-            assert verify_gauge_action(triple, 300, 0).passed
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5e6
+
+def lifted_gamma_times_i(triple):
+    gamma1 = list(triple.action.gamma1)
+    gamma1[1] = 1j * gamma1[1]
+    return dataclasses.replace(
+        triple, action=dataclasses.replace(triple.action, gamma1=tuple(gamma1)))
+
+
+#: a fault of the triple and the verdicts (gauge, Higgs, Spin(10)) it gives
+GROUP_FAULTS = {
+    "none": (lambda t: t, "PPP"),
+    "projections-one": (lambda t: dataclasses.replace(t, pi2_plus=eye(8), pi2_minus=eye(8)),
+                        "FFF"),
+    "plain-conjugation": (lambda t: dataclasses.replace(t, J=AntilinearOp(eye(32))), "FFF"),
+    "nan-projection": (nan_projection, "FFF"),
+    "lifted-gamma-times-i": (lifted_gamma_times_i, "PFF"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fault", list(GROUP_FAULTS))
+def test_exact_reports_share_the_verdicts_of_the_group_loops(triple, fault):
+    # the gauge, Higgs and Spin(10) checks on the 21 generators give the
+    # verdicts of 50 sampled gauge elements and of the exponentiated blocks
+    make, verdicts = GROUP_FAULTS[fault]
+    checked = make(triple)
+    exact = (verify_gauge_action(checked), higgs_transform(checked),
+             spin10_action(checked, rng=0))
+    sampled = (loop_gauge_action(checked, 50, np.random.default_rng(1)),
+               loop_higgs_report(checked, 50, np.random.default_rng(2)),
+               loop_spin10_action(checked, np.random.default_rng(0)))
+    as_text = lambda reports: "".join("P" if r.passed else "F" for r in reports)
+    assert as_text(exact) == as_text(sampled) == verdicts
+    if fault == "nan-projection":
+        assert all(np.isnan(r.max_residual) for r in exact)
 
 
 class TestNanResiduals:
@@ -657,25 +675,32 @@ class TestNanResiduals:
         broken_mod1 = dataclasses.replace(mod1, chirality=np.full_like(mod1.chirality, np.nan))
         broken = dataclasses.replace(
             triple, action=dataclasses.replace(triple.action, mod1=broken_mod1))
-        report = verify_gauge_action(broken, samples=2, rng=0)
+        report = verify_gauge_action(broken)
         assert not report.passed
         assert np.isnan(report.max_residual)
-        assert report.details[0]["factorization"] < 1e-12
+        assert report.details[0]["factorization"] == 0.0
 
     def test_higgs_coefficient_norm(self):
-        # NaN lifted gammas leave g·D·g† finite and spoil only the recovered
-        # coefficients, so the covariance residual stays finite
+        # NaN gammas of the first factor spoil the coefficient rotation M and
+        # so its norm change; NaN lifted gammas spoil only the covariance,
+        # because M is read from the factor's own gammas
         triple = TRIPLES["hatted_second"]
-        dirac = triple.dirac_operator([1.0, 0.0, 0.0, 0.0])
-        action = dataclasses.replace(
-            triple.action, gamma1=tuple(np.full_like(g, np.nan) for g in triple.action.gamma1))
-        u = sample_gauge_element(triple, np.random.default_rng(5))
-        report = higgs_transform(dataclasses.replace(triple, action=action), dirac, u)
+        mod1 = dataclasses.replace(triple.action.mod1, gammas=tuple(
+            np.full_like(g, np.nan) for g in triple.action.mod1.gammas))
+        report = higgs_transform(dataclasses.replace(
+            triple, action=dataclasses.replace(triple.action, mod1=mod1)))
         assert not report.passed
         assert np.isnan(report.max_residual)
-        assert report.details[0]["covariance"] < 1e-12
+        assert np.isnan(report.details[0]["norm_change"])
+        action = dataclasses.replace(
+            triple.action, gamma1=tuple(np.full_like(g, np.nan) for g in triple.action.gamma1))
+        report = higgs_transform(dataclasses.replace(triple, action=action))
+        assert not report.passed
+        assert np.isnan(report.max_residual)
+        assert np.isnan(report.details[0]["covariance"])
+        assert report.details[0]["norm_change"] == 0.0
 
-    @pytest.mark.filterwarnings("error")  # the NaN determinant fails quietly
+    @pytest.mark.filterwarnings("error")  # a NaN fails quietly
     def test_spin10_block_match(self):
         triple = TRIPLES["hatted_second"]
         broken = dataclasses.replace(triple, pi2_plus=np.full_like(triple.pi2_plus, np.nan))
@@ -683,5 +708,6 @@ class TestNanResiduals:
         assert not report.passed
         assert np.isnan(report.max_residual)
         assert report.details[0]["brackets"] < 1e-12
+        assert np.isnan(report.details[0]["factor1_block_match"])
         # one pair_residuals minimum: a NaN commutator is not dropped
         assert np.isnan(report.details[0]["mixed_generator_min_commutator"])
