@@ -6,28 +6,29 @@ both real-structure variants, the gauge action with its automatic
 unimodularity, the Dirac family and its covariance, and the extension of
 the gauge symmetry to all 45 combined generators.
 
-The order conditions are checked exactly, on the pairs of the algebra's
-ten generators, and the gauge action, the Dirac covariance and the Spin(10)
-block matches on the 21 gauge generators; none of them draws random
-numbers.  The random generator below draws one gauge element, to show the
-group-level identities the generator checks decide, and, like the CLI's
-``--seed``, the generic algebra element of the Spin(10) mixed minimum.
+The order conditions and the Spin(10) mixed minimum are checked exactly,
+on the algebra's ten generators, and the gauge action, the Dirac covariance
+and the Spin(10) block matches on the 21 gauge generators; nothing draws
+random numbers.  One gauge element u = (exp X₁, exp X₂) shows the
+group-level identities the generator checks decide: its adjoint image
+l(u)·r(u*) is the exponential of the derived action of X.
 """
 
 import numpy as np
 
 from cliffspin import (
+    AlgebraElement,
     build_pati_salam,
     check_order_conditions,
+    expm,
     higgs_transform,
     ko_dimension,
-    sample_gauge_element,
+    kron,
     spin10_action,
 )
 from cliffspin.spectral import chirality_exchange_residual, verify_gauge_action
 
 np.set_printoptions(precision=3, suppress=True, linewidth=120)
-rng = np.random.default_rng(2024)
 
 print("=== Both real-structure variants and their sign rows ===")
 for variant in ("plain", "hatted_second"):
@@ -48,12 +49,11 @@ print()
 
 print("=== Gauge action: factorization and unimodularity ===")
 print(verify_gauge_action(triple).summary_line())
-u = sample_gauge_element(triple, rng)
-a = u.as_algebra_element()
-adj = triple.left_action(a) @ triple.right_action(a.star())
-print("|l(u) r(u*) - u1 x u2| =",
-      float(np.max(np.abs(adj - np.kron(u.u1, u.u2)))))
-print("det l(u) =", np.linalg.det(triple.left_action(a)))
+x = AlgebraElement(0.7 * triple.quadratics1[0], -0.4 * triple.quadratics2[3])
+adj = expm(triple.derived_action(x))
+print("|exp(l(X) + r(X*)) - exp(X1) x exp(X2)| =",
+      float(np.max(np.abs(adj - kron(expm(x.a1), expm(x.a2))))))
+print("det l(u) = exp(tr l(X)) =", np.linalg.det(expm(triple.left_action(x))))
 print()
 
 print("=== Dirac coefficients transform as a rotating 4-vector ===")
@@ -68,6 +68,9 @@ print(higgs_transform(triple).summary_line())
 print()
 
 print("=== The gauge symmetry sits inside 45 combined generators ===")
-print(spin10_action(triple, rng=rng).summary_line())
+report = spin10_action(triple)
+print(report.summary_line())
+print("least commutator of a mixed generator with the ten l(g):",
+      report.details[0]["mixed_generator_min_commutator"])
 print("(mixed-block generators move the algebra action: they are charged,")
 print(" not gauge directions; the two factor blocks reproduce the adjoint action)")

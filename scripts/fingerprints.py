@@ -7,11 +7,9 @@ Run from the root of a source checkout; the package is imported from
 checkouts on the same machine shows whether a change keeps the output
 byte-identical.  One line per output, ``<sha256>  <exit code>  <label>``:
 
-* the JSON output of ten CLI invocations, run in-process: among them
-  ``pati-salam`` with seeds 11 and 3 (two more seeds of the Spin(10)
-  mixed-generator draw, the only draw of the suite; every other check is
-  exact and draws nothing),
-  ``three-actions``, ``commuting`` on (0,3) x (2,0),
+* the JSON output of nine CLI invocations, run in-process: among them
+  ``pati-salam`` (every check is exact and draws nothing, so ``--seed``
+  would change nothing), ``three-actions``, ``commuting`` on (0,3) x (2,0),
   whose odd first and even second factor send the suite through
   ``swap_factors`` before the even identification, and ``commuting`` on
   (0,8) x (0,8), at the product dimension limit D = 256, where the block
@@ -37,15 +35,14 @@ from cliffspin.serialize import module_to_json  # noqa: E402
 from workloads import SWEEP  # noqa: E402
 
 COMMANDS = (
-    ["all", "--seed", "7"],
+    ["all"],
     ["verify", "signs", "--max-n", "8"],
     ["verify", "brackets", "--max-n", "8"],
     ["verify", "brackets", "--max-n", "10"],
     ["commuting", "--sig1", "4,0", "--sig2", "0,6"],
     ["commuting", "--sig1", "0,3", "--sig2", "2,0"],
     ["commuting", "--sig1", "0,8", "--sig2", "0,8"],
-    ["pati-salam", "--seed", "11"],
-    ["pati-salam", "--seed", "3"],
+    ["pati-salam"],
     ["three-actions", "--sig1", "0,3", "--sig2", "0,3", "--sig3", "0,3"],
 )
 

@@ -46,13 +46,11 @@ from .report import Report
 from .spectral import (
     AlgebraElement,
     DiracData,
-    GaugeElement,
     PatiSalamTriple,
     build_pati_salam,
     check_order_conditions,
     higgs_transform,
     ko_dimension,
-    sample_gauge_element,
     spin10_action,
 )
 

@@ -1,11 +1,9 @@
 """Command-line front end: verification suites and module export.
 
 Exit codes: 0 when every check passes, 1 when some check fails, 2 for
-usage or I/O errors.  Identical invocations produce byte-identical output;
-only ``pati-salam`` and ``all`` take ``--seed``.  It drives only the
-generic algebra element of the Spin(10) mixed-generator minimum: the order
-conditions, the gauge action, the Higgs covariance and the Spin(10) block
-matches are checked exactly on generators and draw nothing.
+usage or I/O errors.  Identical invocations produce byte-identical output.
+Every check is exact on generators and draws nothing; ``pati-salam`` and
+``all`` still parse ``--seed``, which has no effect.
 """
 
 from __future__ import annotations
@@ -14,9 +12,6 @@ import argparse
 import json
 import math
 import sys
-import zlib
-
-import numpy as np
 
 from . import clifford, commuting, liealg, spectral
 from .linalg import DEFAULT_TOL, fold_max, max_abs
@@ -26,11 +21,6 @@ from .serialize import module_to_json
 #: fixed signature pairs exercised by the bundled commuting suites
 DEFAULT_PAIRS = (((0, 3), (0, 1)), ((4, 0), (0, 6)), ((1, 1), (2, 0)), ((0, 7), (3, 0)))
 DEFAULT_TRIPLES = (((2, 0), (2, 0), (2, 0)), ((0, 3), (0, 3), (0, 1)))
-
-
-def _rng_for(seed: int, label: str) -> np.random.Generator:
-    """Deterministic per-check generator derived from the seed and label."""
-    return np.random.default_rng([seed, zlib.crc32(label.encode("utf-8"))])
 
 
 def _parse_sig(text: str):
@@ -151,7 +141,7 @@ def three_actions_report(sigs, min_defect: float = 0.1) -> Report:
     )
 
 
-def pati_salam_suite(seed: int, tol: float) -> list:
+def pati_salam_suite(tol: float) -> list:
     expected_rows = {"plain": 2, "hatted_second": 6}
     ca = commuting.build_commuting((4, 0), (0, 6))
     triples = {}
@@ -180,8 +170,7 @@ def pati_salam_suite(seed: int, tol: float) -> list:
         reports.append(spectral.check_order_conditions(triple, dirac, tol))
         reports.append(spectral.verify_gauge_action(triple, tol))
         reports.append(spectral.higgs_transform(triple, tol))
-    reports.append(spectral.spin10_action(
-        triples["hatted_second"], _rng_for(seed, "spin10"), tol))
+    reports.append(spectral.spin10_action(triples["hatted_second"], tol))
     return reports
 
 
@@ -196,8 +185,7 @@ def _emit(text: str, out_path) -> None:
 def _render(reports: list, args, command: str) -> tuple[str, bool]:
     all_passed = all(r.passed for r in reports)
     if args.format == "json":
-        seed = {"seed": args.seed} if "seed" in args else {}
-        doc = {"command": command, **seed, "tol": args.tol, "all_passed": all_passed,
+        doc = {"command": command, "tol": args.tol, "all_passed": all_passed,
                "checks": [r.to_dict() for r in reports]}
         return json.dumps(doc, indent=2) + "\n", all_passed
     lines = [r.summary_line() for r in reports]
@@ -210,10 +198,10 @@ def _add_shared(parser: argparse.ArgumentParser, seeded: bool = False) -> None:
     parser.add_argument("--tol", type=_parse_positive, default=DEFAULT_TOL,
                         help="residual tolerance (default 1e-10)")
     if seeded:
-        parser.add_argument("--seed", type=int, default=0,
-                            help="seed of the Spin(10) mixed-generator draw "
-                                 "(default 0); every other check is exact and "
-                                 "draws nothing")
+        parser.add_argument("--seed", type=int,
+                            help="no effect: every check is exact and draws "
+                                 "nothing; kept so that existing invocations "
+                                 "still parse")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--out", default=None, help="write output to a file")
 
@@ -293,7 +281,7 @@ def run(argv=None) -> int:
             reports = [three_actions_report((args.sig1, args.sig2, args.sig3),
                                             args.min_defect)]
         elif args.command == "pati-salam":
-            reports = pati_salam_suite(args.seed, args.tol)
+            reports = pati_salam_suite(args.tol)
         elif args.command == "all":
             reports = []
             reports += signs_suite(6, args.tol)
@@ -302,7 +290,7 @@ def run(argv=None) -> int:
                 reports += commuting_suite(sig1, sig2, 1, 1, args.tol)
             for sigs in DEFAULT_TRIPLES:
                 reports.append(three_actions_report(sigs))
-            reports += pati_salam_suite(args.seed, args.tol)
+            reports += pati_salam_suite(args.tol)
         else:
             parser.error(f"unknown command {args.command!r}")
             return 2

@@ -13,13 +13,13 @@ action is the real-structure conjugate r(a) = J·l(a*)·J⁻¹, the Dirac
 operators are D = Σ dₐ·γ₁ᵃ⊗1 with real coefficients, and the gauge group
 is generated by the 21 quadratic monomials of the two factors.
 
-Every identity is checked exactly on generators and draws nothing, except
-the generic algebra element of the Spin(10) mixed-generator minimum: the
-order conditions on the ten algebra generators, and the gauge action, the
-Higgs covariance and the Spin(10) block matches on the 21 gauge generators
-through the derived action X ↦ l(X) + r(X*).  The order check and the
-mixed minimum are :func:`linalg.pair_residuals` calls; the 32×32 generator
-stacks run in blocks of :func:`linalg.stack_blocks`.
+Every identity is checked exactly on generators and draws nothing: the
+order conditions and the Spin(10) mixed-generator minimum on the ten
+algebra generators, and the gauge action, the Higgs covariance and the
+Spin(10) block matches on the 21 gauge generators through the derived
+action X ↦ l(X) + r(X*).  The order check and the mixed minimum are
+:func:`linalg.pair_residuals` calls; the 32×32 generator stacks run in
+blocks of :func:`linalg.stack_blocks`.
 
 Two real-structure variants are implemented, differing in the second
 factor: ``plain`` (J₁⊗J₂, measured signs (−1, +1, −1), the s = 2 row of
@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .clifford import CliffordModule, SignTriple, hatted_real_structure, sign_triple
+from .clifford import SignTriple, hatted_real_structure, sign_triple
 from .commuting import CommutingAction, build_commuting
 from .liealg import bracket_residual, so_generators, weyl_projectors
 from .linalg import (
@@ -45,7 +45,6 @@ from .linalg import (
     commutator,
     dagger,
     eye,
-    expm,
     fold_max,
     frozen,
     kron,
@@ -59,28 +58,6 @@ from .linalg import (
 from .report import Report
 
 VARIANTS = ("plain", "hatted_second")
-
-
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
-def monomial_basis(m: CliffordModule, parity: int) -> list:
-    """Ordered products of gammas over index subsets of size ≡ parity (mod 2).
-
-    For parity 0, real linear combinations of these span the even real
-    subalgebra of the module's Clifford algebra.
-    """
-    basis = []
-    for size in range(parity, m.n + 1, 2):
-        for subset in itertools.combinations(range(m.n), size):
-            mat = eye(m.dim)
-            for a in subset:
-                mat = mat @ m.gammas[a]
-            basis.append(frozen(mat))
-    return basis
 
 
 @dataclass(frozen=True)
@@ -100,18 +77,6 @@ class AlgebraElement:
 
 
 @dataclass(frozen=True)
-class GaugeElement:
-    """Unitaries (u₁, u₂) from exponentiated quadratic monomials; either may
-    be a stack (B, d, d) of B unitaries."""
-
-    u1: np.ndarray
-    u2: np.ndarray
-
-    def as_algebra_element(self) -> AlgebraElement:
-        return AlgebraElement(self.u1, self.u2)
-
-
-@dataclass(frozen=True)
 class DiracData:
     """Dirac operator D = Σ dₐ·γ₁ᵃ⊗1 for a real 4-vector d."""
 
@@ -125,9 +90,8 @@ class PatiSalamTriple:
 
     ``pi2_plus`` and ``pi2_minus`` are the chirality projections π₂^± of the
     second factor, on C⁸; the left and right actions lift them to C⁴⊗C⁸.
-    ``even_basis1`` and ``even_basis2`` stack the even monomial bases of the
-    two factors, and ``quadratics1`` and ``quadratics2`` their quadratic
-    monomials in ``so_generators`` order, each built once per triple.
+    ``quadratics1`` and ``quadratics2`` stack the quadratic monomials of the
+    two factors in ``so_generators`` order, each built once per triple.
     """
 
     variant: str
@@ -137,8 +101,6 @@ class PatiSalamTriple:
     pi2_plus: np.ndarray
     pi2_minus: np.ndarray
     sign_triple: SignTriple
-    even_basis1: np.ndarray
-    even_basis2: np.ndarray
     quadratics1: np.ndarray
     quadratics2: np.ndarray
 
@@ -186,14 +148,6 @@ class PatiSalamTriple:
         u ↦ l(u)·r(u*) along X; a stacked X gives a stack (B, D, D)."""
         return self.left_action(x) + self.right_action(x.star())
 
-    def random_algebra_element(self, rng) -> AlgebraElement:
-        """Random real linear combination of the even monomial bases."""
-        rng = _as_rng(rng)
-        c1 = rng.standard_normal(len(self.even_basis1))
-        c2 = rng.standard_normal(len(self.even_basis2))
-        return AlgebraElement(linear_combination(c1, self.even_basis1),
-                              linear_combination(c2, self.even_basis2))
-
     def dirac_operator(self, d) -> DiracData:
         d = np.asarray(d, dtype=float)
         if d.shape != (4,):
@@ -226,8 +180,6 @@ def build_pati_salam(variant: str = "hatted_second",
         pi2_plus=frozen(pi2p),
         pi2_minus=frozen(pi2m),
         sign_triple=measured,
-        even_basis1=frozen(monomial_basis(ca.mod1, 0)),
-        even_basis2=frozen(monomial_basis(ca.mod2, 0)),
         quadratics1=frozen(list(so_generators(ca.mod1).generators.values())),
         quadratics2=frozen(list(so_generators(ca.mod2).generators.values())),
     )
@@ -308,23 +260,6 @@ def ko_dimension(triple: PatiSalamTriple, dirac: DiracData,
                  tol: float = DEFAULT_TOL):
     """Sign triple and matched table row of the triple with the given D."""
     return measure_ko_signs(triple.J, triple.chirality, dirac.matrix, tol)
-
-
-def sample_gauge_element(triple: PatiSalamTriple, rng, scale: float = 1.0) -> GaugeElement:
-    """u = (exp Σθ·T₁, exp Σφ·T₂) with coefficients uniform in [−scale, scale].
-
-    The quadratic monomials are the triple's stacked ``quadratics1`` and
-    ``quadratics2``; all θ, then all φ, are drawn in one call, which gives
-    the same numbers as one scalar draw per monomial.  The monomials are
-    anti-Hermitian for both factors, so the exponentials are unitary, even
-    and real-subalgebra members.
-    """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    k1 = len(triple.quadratics1)
-    angles = _as_rng(rng).uniform(-scale, scale, size=k1 + len(triple.quadratics2))
-    return GaugeElement(u1=expm(linear_combination(angles[:k1], triple.quadratics1)),
-                        u2=expm(linear_combination(angles[k1:], triple.quadratics2)))
 
 
 def verify_gauge_action(triple: PatiSalamTriple, tol: float = DEFAULT_TOL) -> Report:
@@ -413,7 +348,7 @@ def dirac_invariant_residuals(triple: PatiSalamTriple, dirac: DiracData) -> dict
     }
 
 
-def spin10_action(triple: PatiSalamTriple, rng=0, tol: float = DEFAULT_TOL) -> Report:
+def spin10_action(triple: PatiSalamTriple, tol: float = DEFAULT_TOL) -> Report:
     """The 45 combined generators of the triple's (4,0)×(0,6) action extend
     its gauge action to the full orthogonal algebra.
 
@@ -425,11 +360,15 @@ def spin10_action(triple: PatiSalamTriple, rng=0, tol: float = DEFAULT_TOL) -> R
     combined indexing negates the first-factor monomials) and each of the
     second-factor block derived_action(T₂), so the exponentials of the two
     blocks are the adjoint gauge images of :func:`verify_gauge_action`; the
-    mixed generators are not symmetries of the algebra action (their
-    commutator with the left action of an algebra element drawn from
-    ``rng``, the only draw of the check, stays well away from zero).
+    mixed generators are not symmetries of the algebra action.
+
+    The last check is exact on the ten :meth:`algebra_generators` g: l is an
+    algebra homomorphism and they generate A₁ ⊕ A₂, so a mixed generator M
+    commutes with l(A) exactly when it commutes with every l(g).  The
+    report's ``mixed_generator_min_commutator`` is the least over the 24 M
+    of the worst ‖[l(g), M]‖ over g, one :func:`linalg.pair_residuals`
+    call over the 10 × 24 pairs; it must stay well away from zero.
     """
-    rng = _as_rng(rng)
     ca = triple.action
     combined = ca.generators
     bracket_res = bracket_residual(combined)
@@ -445,12 +384,12 @@ def spin10_action(triple: PatiSalamTriple, rng=0, tol: float = DEFAULT_TOL) -> R
     k1 = len(triple.quadratics1)
     match1, match2 = fold_max(0.0, resid[:k1]), fold_max(0.0, resid[k1:])
 
-    a_generic = triple.random_algebra_element(rng)
-    la = triple.left_action(a_generic)
+    la = triple.left_action(triple.algebra_generators())
     mixed = [g for (a, b), g in combined.generators.items() if a < n1 <= b]
-    # l(a) first: the detector stops at its first block, which is not phased
-    others = np.arange(1, len(mixed) + 1)
-    mixed_min = float(pair_residuals([la, *mixed], 0 * others, others, -1, None).min())
+    # the l(g) first: the detector stops at its first block, which is not phased
+    i, j = np.divmod(np.arange(len(la) * len(mixed)), len(mixed))
+    commutators = pair_residuals([*la, *mixed], i, len(la) + j, -1, None)
+    mixed_min = float(commutators.reshape(len(la), len(mixed)).max(axis=0).min())
 
     worst = fold_max(bracket_res, (match1, match2))
     return Report(

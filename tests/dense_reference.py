@@ -11,10 +11,13 @@ tests compare the package against them bit for bit.
 block matches exactly on the 21 gauge generators.  The sampled loops here
 check the same identities on the group, on exponentiated gauge elements,
 as the package did before; the tests require both to give one verdict.
+The even monomial bases and the random algebra elements and gauge
+elements drawn from them live here too: the package draws nothing.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,16 +29,58 @@ from cliffspin.linalg import (
     expm,
     eye,
     fold_max,
+    frozen,
     kron,
     linear_combination,
     max_abs,
     unitarity_residual,
 )
 from cliffspin.report import Report
-from cliffspin.spectral import GaugeElement
+from cliffspin.spectral import AlgebraElement
 
 #: bound of the sampled unimodularity check |det(l(u)) − 1|
 DET_TOL = 1e-8
+
+
+@dataclass(frozen=True)
+class GaugeElement:
+    """Unitaries (u₁, u₂) from exponentiated quadratic monomials."""
+
+    u1: np.ndarray
+    u2: np.ndarray
+
+    def as_algebra_element(self) -> AlgebraElement:
+        return AlgebraElement(self.u1, self.u2)
+
+
+def monomial_basis(m, parity: int) -> list:
+    """Ordered products of gammas over index subsets of size ≡ parity (mod 2).
+
+    For parity 0, real linear combinations of these span the even real
+    subalgebra of the module's Clifford algebra.
+    """
+    basis = []
+    for size in range(parity, m.n + 1, 2):
+        for subset in itertools.combinations(range(m.n), size):
+            mat = eye(m.dim)
+            for a in subset:
+                mat = mat @ m.gammas[a]
+            basis.append(frozen(mat))
+    return basis
+
+
+def even_bases(triple):
+    """The stacked even monomial bases of the triple's two factors."""
+    return tuple(np.stack(monomial_basis(mod, 0))
+                 for mod in (triple.action.mod1, triple.action.mod2))
+
+
+def random_algebra_element(bases, rng) -> AlgebraElement:
+    """Random real linear combination of the even monomial bases
+    ``(basis1, basis2)`` of :func:`even_bases`."""
+    basis1, basis2 = bases
+    return AlgebraElement(linear_combination(rng.standard_normal(len(basis1)), basis1),
+                          linear_combination(rng.standard_normal(len(basis2)), basis2))
 
 
 def loop_pair_residuals(mats, i, j, sign, terms):
@@ -91,10 +136,11 @@ def loop_order_conditions(la, dla, rb):
     return fold_max(0.0, zeroth), fold_max(0.0, first)
 
 
-def loop_mixed_min(mixed, la):
-    """The least max-abs of [T, l(a)] over the mixed generators T, one at a
-    time; a NaN anywhere gives NaN."""
-    values = [max_abs(commutator(t, la)) for t in mixed]
+def loop_mixed_min(mixed, las):
+    """The least, over the mixed generators T, of the worst max-abs of
+    [l(g), T] over the generator images l(g), one pair at a time; a NaN
+    anywhere gives NaN."""
+    values = [fold_max(0.0, [max_abs(commutator(la, t)) for la in las]) for t in mixed]
     return math.nan if any(map(math.isnan, values)) else min(values)
 
 
@@ -245,12 +291,13 @@ def loop_spin10_blocks(triple, theta=0.7, tol=DEFAULT_TOL):
     return (*matches, failure)
 
 
-def loop_spin10_action(triple, rng, tol=DEFAULT_TOL) -> Report:
-    """The Spin(10) extension with the block matches on exponentials."""
+def loop_spin10_action(triple, tol=DEFAULT_TOL) -> Report:
+    """The Spin(10) extension with the block matches on exponentials and
+    the mixed minimum over the ten algebra generators, one pair at a time."""
     ca = triple.action
     match1, match2, failure = loop_spin10_blocks(triple, tol=tol)
     mixed = [g for (a, b), g in ca.generators.generators.items() if a < ca.n1 <= b]
-    mixed_min = loop_mixed_min(mixed, triple.left_action(triple.random_algebra_element(rng)))
+    mixed_min = loop_mixed_min(mixed, triple.left_action(triple.algebra_generators()))
     worst = fold_max(bracket_residual(ca.generators), (match1, match2))
     return Report(name="spin10-extension",
                   passed=worst < tol and mixed_min > 0.01 and failure is None,

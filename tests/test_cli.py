@@ -1,5 +1,5 @@
 """CLI contract: subcommands, exit codes, JSON schema, export round trip
-and byte-level determinism of seeded runs."""
+and byte-level determinism of every run, whatever ``--seed`` says."""
 
 import dataclasses
 import json
@@ -250,22 +250,22 @@ class TestCliContract:
     def test_pati_salam_suite_builds_the_commuting_action_once(self):
         with mock.patch.object(commuting, "build_irrep",
                                wraps=commuting.build_irrep) as build:
-            reports = cli.pati_salam_suite(7, 1e-10)
+            reports = cli.pati_salam_suite(1e-10)
         assert build.call_count == 2
         assert all(r.passed for r in reports)
 
     @pytest.mark.parametrize("seed", [0, 7, 42])
     def test_higgs_reports_equal_the_per_sample_loop(self, seed):
-        # the exact Higgs reports draw nothing and read 0.0 at every seed,
-        # with the verdict of ten sampled (d, u) pairs, on the triple and
-        # with π₂⁺ = π₂⁻ = 1
+        # the exact Higgs reports draw nothing and read 0.0, with the verdict
+        # of ten (d, u) pairs drawn from the seed, on the triple and with
+        # π₂⁺ = π₂⁻ = 1
         for build in (spectral.build_pati_salam,
                       with_unit_projections(spectral.build_pati_salam)):
             with mock.patch.object(spectral, "build_pati_salam", build):
-                reports = {r.name: r for r in cli.pati_salam_suite(seed, 1e-10)}
+                reports = {r.name: r for r in cli.pati_salam_suite(1e-10)}
             for variant in spectral.VARIANTS:
                 reference = loop_higgs_report(build(variant), 10,
-                                              cli._rng_for(seed, f"higgs-{variant}"))
+                                              np.random.default_rng(seed))
                 report = reports[reference.name]
                 assert report.passed == reference.passed
                 assert report.passed == (build is spectral.build_pati_salam)
@@ -297,11 +297,21 @@ class TestCliContract:
             assert code == 0
             assert "seed" not in json.loads(out)
 
-    def test_sampled_suites_report_their_seed(self, capsys):
+    def test_seeded_suites_report_no_seed(self, capsys):
         code, out = run_capture(capsys, ["pati-salam", "--seed", "4", "--format", "json"])
         assert code == 0
-        assert list(json.loads(out))[:2] == ["command", "seed"]
-        assert json.loads(out)["seed"] == 4
+        assert list(json.loads(out))[:2] == ["command", "tol"]
+        assert "seed" not in json.loads(out)
+
+    @pytest.mark.parametrize("command", ["pati-salam", "all"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_no_seed_changes_the_output(self, capsys, command, fmt):
+        # nothing is drawn: --seed still parses as an integer and has no effect
+        outputs = [run_capture(capsys, [command, *seed, "--format", fmt])
+                   for seed in ([], ["--seed", "3"], ["--seed", "7"])]
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[2] == outputs[0]
+        assert run([command, "--seed", "seven"]) == 2
 
 
 def nan_entry(m):
@@ -505,7 +515,7 @@ class TestFaultInjection:
             return dataclasses.replace(triple, action=action)
 
         with mock.patch.object(spectral, "build_pati_salam", one_nan):
-            reports = {r.name: r for r in cli.pati_salam_suite(0, 1e-10)}
+            reports = {r.name: r for r in cli.pati_salam_suite(1e-10)}
         higgs = reports["higgs-covariance(plain)"]
         assert not higgs.passed
         assert math.isnan(higgs.max_residual)
@@ -535,3 +545,4 @@ class TestFaultInjection:
                           "higgs-covariance(hatted_second)", "spin10-extension"]
         for name in failed:
             assert math.isnan(rows[name]["max_residual"])
+        assert math.isnan(rows["spin10-extension"]["details"][0]["mixed_generator_min_commutator"])

@@ -5,6 +5,7 @@ gauge symmetry to the full 45-generator algebra.  The exact generator
 checks are compared with the sampled group loops of ``dense_reference``."""
 
 import contextlib
+import copy
 import dataclasses
 import json
 import tracemalloc
@@ -30,19 +31,18 @@ from cliffspin.linalg import (
 from cliffspin.report import Report
 from cliffspin.spectral import (
     AlgebraElement,
-    GaugeElement,
     build_pati_salam,
     check_order_conditions,
     chirality_exchange_residual,
     dirac_invariant_residuals,
     higgs_transform,
     ko_dimension,
-    monomial_basis,
-    sample_gauge_element,
     spin10_action,
     verify_gauge_action,
 )
 from dense_reference import (
+    GaugeElement,
+    even_bases,
     loop_adjoint_image,
     loop_element_residuals,
     loop_gauge_action,
@@ -52,6 +52,8 @@ from dense_reference import (
     loop_mixed_min,
     loop_order_conditions,
     loop_spin10_action,
+    monomial_basis,
+    random_algebra_element,
 )
 
 TRIPLES = {variant: build_pati_salam(variant) for variant in ("plain", "hatted_second")}
@@ -94,15 +96,17 @@ def test_chirality_exchange(triple):
 
 def test_even_basis_dimensions():
     # even subalgebra real dimensions: 8 for the first factor, 32 for the second
-    assert len(TRIPLES["plain"].even_basis1) == 8
-    assert len(TRIPLES["plain"].even_basis2) == 32
+    basis1, basis2 = even_bases(TRIPLES["plain"])
+    assert len(basis1) == 8
+    assert len(basis2) == 32
 
 
 def test_sampled_elements_live_in_the_algebra(triple):
     rng = np.random.default_rng(5)
     mod1, mod2 = triple.action.mod1, triple.action.mod2
+    bases = even_bases(triple)
     for _ in range(5):
-        a = triple.random_algebra_element(rng)
+        a = random_algebra_element(bases, rng)
         assert max_abs(commutator(a.a1, mod1.chirality)) < 1e-12
         assert max_abs(commutator(a.a2, mod2.chirality)) < 1e-12
         assert mod1.J.commutation_residual(a.a1, 1) < 1e-10
@@ -112,9 +116,9 @@ def test_sampled_elements_live_in_the_algebra(triple):
 
 
 def test_left_action_is_a_homomorphism(triple):
-    rng = np.random.default_rng(6)
-    a = triple.random_algebra_element(rng)
-    b = triple.random_algebra_element(rng)
+    rng, bases = np.random.default_rng(6), even_bases(triple)
+    a = random_algebra_element(bases, rng)
+    b = random_algebra_element(bases, rng)
     ab = AlgebraElement(a.a1 @ b.a1, a.a2 @ b.a2)
     assert max_abs(triple.left_action(ab)
                    - triple.left_action(a) @ triple.left_action(b)) < 1e-10
@@ -127,9 +131,9 @@ def right_action_closed_form(triple, a):
 
 
 def test_right_action_formula(triple):
-    rng = np.random.default_rng(7)
+    rng, bases = np.random.default_rng(7), even_bases(triple)
     for _ in range(10):
-        a = triple.random_algebra_element(rng)
+        a = random_algebra_element(bases, rng)
         assert max_abs(triple.right_action(a) - right_action_closed_form(triple, a)) < 1e-10
 
 
@@ -160,9 +164,9 @@ class TestOrderConditions:
         assert reference_order_conditions(triple, dirac, 100, np.random.default_rng(0)).passed
 
     def test_unprojected_action_breaks_zeroth_order(self, triple):
-        rng = np.random.default_rng(8)
-        a = triple.random_algebra_element(rng)
-        b = triple.random_algebra_element(rng)
+        rng, bases = np.random.default_rng(8), even_bases(triple)
+        a = random_algebra_element(bases, rng)
+        b = random_algebra_element(bases, rng)
         full = lambda x: kron(x.a1, eye(8)) + kron(eye(4), x.a2)
         la = full(a)
         rb = triple.J.conjugate_matrix(full(b.star()))
@@ -233,10 +237,6 @@ class TestGauge:
         adj = loop_adjoint_image(triple, GaugeElement(u1, u2))[0]
         assert max_abs(adj - eye(32)) < 1e-10
 
-    def test_scale_must_be_positive(self, triple):
-        with pytest.raises(ValueError):
-            sample_gauge_element(triple, 0, scale=0.0)
-
     @pytest.mark.parametrize("samples, scale", [(0, 1.0), (-3, 1.0), (50, 0.0), (50, -1.0),
                                                 (0, -1.0)])
     def test_verify_needs_samples_and_a_positive_scale(self, triple, samples, scale):
@@ -248,10 +248,11 @@ class TestGauge:
 
     def test_vectorized_draws_equal_scalar_draws(self, triple):
         # one uniform draw per monomial and a Python sum, factor by factor:
-        # the sampler's batched draws and stacked combination give the same bits
+        # the reference sampler's batched draws and stacked combination give
+        # the same bits
         rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
         for scale in (1.0, 0.25):
-            u = sample_gauge_element(triple, rng, scale)
+            u = loop_gauge_element(triple, rng, scale)
             ref = [expm(sum(ref_rng.uniform(-scale, scale) * t
                             for t in so_generators(mod).generators.values()))
                    for mod in (triple.action.mod1, triple.action.mod2)]
@@ -289,7 +290,7 @@ class TestHiggs:
         rng = np.random.default_rng(11)
         dirac = triple.dirac_operator([1.0, 0.0, 0.0, 0.0])
         for _ in range(5):
-            u = sample_gauge_element(triple, rng)
+            u = loop_gauge_element(triple, rng)
             report = loop_higgs_transform(triple, dirac, u)
             assert report.passed, report.details
             d_new = report.details[0]["d_transformed"]
@@ -299,7 +300,7 @@ class TestHiggs:
         rng = np.random.default_rng(12)
         d = np.array([0.5, 0.25, -1.0, 0.0])
         dirac = triple.dirac_operator(d)
-        u2_only = GaugeElement(eye(4), sample_gauge_element(triple, rng).u2)
+        u2_only = GaugeElement(eye(4), loop_gauge_element(triple, rng).u2)
         report = loop_higgs_transform(triple, dirac, u2_only)
         assert report.passed
         assert np.allclose(report.details[0]["d_transformed"], d, atol=1e-10)
@@ -311,14 +312,14 @@ class TestHiggs:
 
 
 def test_spin10_extension():
-    report = spin10_action(TRIPLES["hatted_second"], rng=0)
+    report = spin10_action(TRIPLES["hatted_second"])
     assert report.passed, report.details
     detail = report.details[0]
-    assert detail["mixed_generator_min_commutator"] > 0.01
+    assert detail["mixed_generator_min_commutator"] == 0.5
 
 
 def test_spin10_extension_runs_on_the_given_triple(triple):
-    report = spin10_action(triple, rng=0)
+    report = spin10_action(triple)
     assert report.passed, report.details
     assert report.max_residual < 1e-13
 
@@ -331,7 +332,7 @@ def test_broken_adjoint_bound_fails_the_reports(triple):
     gauge, higgs = verify_gauge_action(broken), higgs_transform(broken)
     assert not gauge.passed and gauge.details[0]["factorization"] == 0.5
     assert not higgs.passed and higgs.details[0]["covariance"] > 0.1
-    u = sample_gauge_element(triple, np.random.default_rng(13))
+    u = loop_gauge_element(triple, np.random.default_rng(13))
     reference = loop_higgs_transform(broken, broken.dirac_operator([1.0, 0.0, 0.0, 0.0]), u)
     assert reference.details[0]["adjoint_failure"].startswith("adjoint action does not factorize")
     assert verify_gauge_action(triple).passed and higgs_transform(triple).passed
@@ -341,11 +342,11 @@ def test_spin10_reports_a_broken_adjoint_bound():
     # J replaced by plain conjugation breaks the adjoint images of both blocks
     triple = TRIPLES["hatted_second"]
     broken = dataclasses.replace(triple, J=AntilinearOp(eye(32)))
-    report = spin10_action(broken, rng=0)
+    report = spin10_action(broken)
     assert not report.passed
     assert report.details[0]["factor1_block_match"] > 0.1
     assert report.details[0]["factor2_block_match"] > 0.1
-    reference = loop_spin10_action(broken, np.random.default_rng(0))
+    reference = loop_spin10_action(broken)
     assert not reference.passed and reference.details[0]["adjoint_failure"] is not None
 
 
@@ -384,10 +385,11 @@ def test_wrong_variant_rejected():
 
 def reference_order_conditions(triple, dirac, samples, rng, tol=DEFAULT_TOL):
     d = dirac.matrix
+    bases = even_bases(triple)
     worst0 = worst1 = 0.0
     for _ in range(samples):
-        a = triple.random_algebra_element(rng)
-        b = triple.random_algebra_element(rng)
+        a = random_algebra_element(bases, rng)
+        b = random_algebra_element(bases, rng)
         la = triple.left_action(a)
         rb = triple.right_action(b)
         worst0 = max(worst0, max_abs(commutator(la, rb)))
@@ -442,8 +444,7 @@ def product_span(generators):
 def test_the_ten_generators_generate_the_even_subalgebras(triple):
     gens = triple.algebra_generators()
     assert len(gens.a1) == len(gens.a2) == 10
-    for factor, basis, dim in ((gens.a1, triple.even_basis1, 8),
-                               (gens.a2, triple.even_basis2, 32)):
+    for factor, basis, dim in zip((gens.a1, gens.a2), even_bases(triple), (8, 32)):
         span = product_span(factor)
         assert len(span) == len(basis) == dim
         assert len(real_basis(np.concatenate([span, basis]))) == dim
@@ -526,15 +527,18 @@ class TestStackedLoopsEqualTheReferences:
 
     @pytest.mark.parametrize("seed", [9, 21])
     def test_spin10_mixed_minimum_equals_the_loop(self, triple, seed):
+        # the one pair_residuals call over the 10 × 24 pairs (l(g), M) equals
+        # the per-pair loop bit for bit, on exact and perturbed projections
+        # and on both paths
         for checked in (triple, perturbed_projections(triple, seed)):
             ca = checked.action
             mixed = [g for (a, b), g in ca.generators.generators.items() if a < ca.n1 <= b]
-            la = checked.left_action(checked.random_algebra_element(np.random.default_rng(seed)))
-            reference = loop_mixed_min(mixed, la)
+            reference = loop_mixed_min(mixed, checked.left_action(checked.algebra_generators()))
             assert reference > 0.01
+            assert (reference == 0.5) == (checked is triple)
             for path in PAIR_PATHS:
                 with path():
-                    detail = spin10_action(checked, rng=seed).details[0]
+                    detail = spin10_action(checked).details[0]
                 assert detail["mixed_generator_min_commutator"] == reference
 
     @pytest.mark.parametrize("seed", [0, 5, 42])
@@ -562,16 +566,9 @@ class TestStackedLoopsEqualTheReferences:
         report = verify_gauge_action(triple, tol=1e-18)
         assert report.passed and report.max_residual == 0.0
 
-    def test_sampled_gauge_element_is_the_reference_element(self, triple):
-        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-        u = sample_gauge_element(triple, rng, 0.5)
-        ref = loop_gauge_element(triple, ref_rng, 0.5)
-        assert u.u1.tobytes() == ref.u1.tobytes() and u.u2.tobytes() == ref.u2.tobytes()
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-
     def test_stacked_actions_equal_each_slice(self, triple):
-        rng = np.random.default_rng(14)
-        elements = [triple.random_algebra_element(rng) for _ in range(5)]
+        rng, bases = np.random.default_rng(14), even_bases(triple)
+        elements = [random_algebra_element(bases, rng) for _ in range(5)]
         stacked = AlgebraElement(np.stack([e.a1 for e in elements]),
                                  np.stack([e.a2 for e in elements]))
         for action in (triple.left_action, triple.right_action, triple.derived_action):
@@ -601,8 +598,8 @@ class TestStackedLoopsEqualTheReferences:
         # the block matches on the generators read exactly 0.0, so they pass
         # at any tolerance; the exponentials of the group loop match to
         # rounding, so they fail a tolerance below it
-        report = spin10_action(triple, rng=9, tol=tol)
-        reference = loop_spin10_action(triple, np.random.default_rng(9), tol)
+        report = spin10_action(triple, tol=tol)
+        reference = loop_spin10_action(triple, tol)
         detail, ref = report.details[0], reference.details[0]
         assert detail["brackets"] == bracket_residual(triple.action.generators)
         assert detail["factor1_block_match"] == detail["factor2_block_match"] == 0.0
@@ -636,6 +633,35 @@ def lifted_gamma_times_i(triple):
         triple, action=dataclasses.replace(triple.action, gamma1=tuple(gamma1)))
 
 
+def identity_mixed_generator(triple):
+    """The triple whose first mixed combined generator is the identity,
+    which commutes with l(A)."""
+    ca = triple.action
+    gens = dict(ca.generators.generators)
+    gens[next(key for key in gens if key[0] < ca.n1 <= key[1])] = eye(ca.dim)
+    action = copy.copy(ca)
+    object.__setattr__(action, "generators", dataclasses.replace(ca.generators, generators=gens))
+    return dataclasses.replace(triple, action=action)
+
+
+def test_a_mixed_generator_commuting_with_the_algebra_fails_spin10(triple, capsys):
+    # the exact minimum reads 0.0 and fails the report on its own: at a
+    # tolerance above the broken brackets only the minimum can fail it
+    report = spin10_action(identity_mixed_generator(triple), tol=1e3)
+    assert report.max_residual < 1e3 and report.details[0]["brackets"] > 0.1
+    assert not report.passed
+    assert report.details[0]["mixed_generator_min_commutator"] == 0.0
+    build = spectral.build_pati_salam
+    with mock.patch.object(spectral, "build_pati_salam",
+                           lambda *args, **kwargs: identity_mixed_generator(build(*args, **kwargs))):
+        code = cli.run(["pati-salam", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    rows = {c["check"]: c for c in json.loads(captured.out)["checks"]}
+    assert [name for name, row in rows.items() if not row["passed"]] == ["spin10-extension"]
+    assert rows["spin10-extension"]["details"][0]["mixed_generator_min_commutator"] == 0.0
+
+
 #: a fault of the triple and the verdicts (gauge, Higgs, Spin(10)) it gives
 GROUP_FAULTS = {
     "none": (lambda t: t, "PPP"),
@@ -644,6 +670,7 @@ GROUP_FAULTS = {
     "plain-conjugation": (lambda t: dataclasses.replace(t, J=AntilinearOp(eye(32))), "FFF"),
     "nan-projection": (nan_projection, "FFF"),
     "lifted-gamma-times-i": (lifted_gamma_times_i, "PFF"),
+    "identity-mixed-generator": (identity_mixed_generator, "PPF"),
 }
 
 
@@ -654,11 +681,10 @@ def test_exact_reports_share_the_verdicts_of_the_group_loops(triple, fault):
     # verdicts of 50 sampled gauge elements and of the exponentiated blocks
     make, verdicts = GROUP_FAULTS[fault]
     checked = make(triple)
-    exact = (verify_gauge_action(checked), higgs_transform(checked),
-             spin10_action(checked, rng=0))
+    exact = (verify_gauge_action(checked), higgs_transform(checked), spin10_action(checked))
     sampled = (loop_gauge_action(checked, 50, np.random.default_rng(1)),
                loop_higgs_report(checked, 50, np.random.default_rng(2)),
-               loop_spin10_action(checked, np.random.default_rng(0)))
+               loop_spin10_action(checked))
     as_text = lambda reports: "".join("P" if r.passed else "F" for r in reports)
     assert as_text(exact) == as_text(sampled) == verdicts
     if fault == "nan-projection":
@@ -704,7 +730,7 @@ class TestNanResiduals:
     def test_spin10_block_match(self):
         triple = TRIPLES["hatted_second"]
         broken = dataclasses.replace(triple, pi2_plus=np.full_like(triple.pi2_plus, np.nan))
-        report = spin10_action(broken, rng=0)
+        report = spin10_action(broken)
         assert not report.passed
         assert np.isnan(report.max_residual)
         assert report.details[0]["brackets"] < 1e-12
