@@ -24,7 +24,7 @@ np.set_printoptions(precision=3, suppress=True, linewidth=100)
 
 print("=== so(0,3) from the (0,3) module ===")
 rep = so_generators(build_irrep((0, 3)))
-for (a, b), t in sorted(rep.generators.items()):
+for (a, b), t in zip(rep.pairs(), rep.mats):
     print(f"T^{a}{b} =\n{t}")
 print("bracket residual:", bracket_residual(rep))
 print("negated generators with negated metric:",

@@ -26,7 +26,7 @@ print("=== (0,3) x (0,1): commuting families on C^2 ===")
 ca = build_commuting((0, 3), (0, 1))
 print("cross-family commutators:", commutation_residual(ca))
 print("combined metric diag:", ca.generators.eta, " (so(3,1))")
-for (a, b), t in ca.generators.generators.items():
+for (a, b), t in zip(ca.generators.pairs(), ca.generators.mats):
     print(f"T^{a}{b} =\n{t}")
 print(verify_bracket_table(ca).summary_line())
 print()
@@ -41,7 +41,7 @@ print()
 
 print("=== (4,0) x (0,6): the ten-dimensional case on C^32 ===")
 ca10 = build_commuting((4, 0), (0, 6))
-print("generator count:", len(ca10.generators.generators))
+print("generator count:", len(ca10.generators.mats))
 print(verify_bracket_table(ca10).summary_line())
 print(equivalence_even(ca10).summary_line())
 j = tensor_real_structure(ca10)

@@ -39,8 +39,6 @@ from .linalg import (
     expm,
     kron,
     max_abs,
-    polar_unitary,
-    solve_antilinear_commutant,
 )
 from .report import Report
 from .spectral import (

@@ -14,11 +14,12 @@ combined indexing is
 
 extended antisymmetrically: the quadratic monomials of the concatenated
 family Γ₁ then Γ₂ with the first block negated.  Every
-:class:`CommutingAction` carries them as ``ca.generators``, built once from
-its gammas.  Factor order is significant; swapping the factors lands the
-flip on the other signature.  The five bracket families T₁·T₁, T₂·T₂, T₁·U,
-U·T₂ and U·U are index blocks of the one bracket table of these combined
-generators.
+:class:`CommutingAction` carries them as ``ca.generators``, a
+:class:`liealg.SoRepresentation` whose read-only stack ``mats`` is built
+once from its gammas; the checks here slice that stack.  Factor order is
+significant; swapping the factors lands the flip on the other signature.
+The five bracket families T₁·T₁, T₂·T₂, T₁·U, U·T₂ and U·U are index
+blocks of the one bracket table of these combined generators.
 
 The resulting representation is a full (Dirac) spinor representation when
 either factor has even generator count, and a single half-spinor (Weyl)
@@ -57,6 +58,7 @@ from .linalg import (
     fold_max,
     frozen,
     kron,
+    kron_all,
     linear_combination,
     max_abs,
     pair_residuals,
@@ -91,11 +93,10 @@ def combined_metric(eta1, eta2) -> np.ndarray:
 def combined_generators(gamma1, gamma2, eta1, eta2) -> SoRepresentation:
     """Combined generators for the metric (−η₁)⊕η₂: the quadratic monomials
     of Γ₁ then Γ₂, with the T₁ block (b < n₁) negated."""
-    n1, gammas = len(gamma1), (*gamma1, *gamma2)
-    gens = {(a, b): frozen(-m) if b < n1 else m
-            for (a, b), m in quadratic_monomials(gammas).items()}
-    dim = gammas[0].shape[0] if gammas else 1
-    return SoRepresentation(eta=combined_metric(eta1, eta2), dim=dim, generators=gens)
+    mats = quadratic_monomials((*gamma1, *gamma2))
+    _, b = np.triu_indices(len(gamma1) + len(gamma2), 1)
+    np.negative(mats, out=mats, where=(b < len(gamma1))[:, None, None])
+    return SoRepresentation(eta=combined_metric(eta1, eta2), mats=mats)
 
 
 @dataclass(frozen=True)
@@ -220,12 +221,11 @@ def equivalence_even(ca: CommutingAction, tol: float = DEFAULT_TOL) -> Report:
     v = kron((eye(ca.mod1.dim) + 1j * ca.mod1.chirality) / math.sqrt(2), id2)
     vh = v.conj().T
     # the reference monomials come in the (a, b) order of the combined ones
-    ref_quads = list(quadratic_monomials(ref).values())
-    gens = list(ca.generators.generators.values())
+    ref_quads = quadratic_monomials(ref)
+    gens = ca.generators.mats
     worst = 0.0
     for block in stack_blocks(len(gens), ca.dim):
-        worst = fold_max(worst, max_abs(
-            v @ np.stack(ref_quads[block]) @ vh - np.stack(gens[block])))
+        worst = fold_max(worst, max_abs(v @ ref_quads[block] @ vh - gens[block]))
     p_res = 0.0
     if (ca.n1 + ca.n2) % 2 == 0:
         prod = tensor_product_element(ca)
@@ -264,13 +264,13 @@ def equivalence_odd_odd(ca: CommutingAction, tol: float = DEFAULT_TOL) -> Report
     cliff_res = clifford_residual(doubled, ref_eta)
 
     d = ca.dim
-    doubled_quads = list(quadratic_monomials(doubled).values())
-    gens = list(ca.generators.generators.values())
+    doubled_quads = quadratic_monomials(doubled)
+    gens = ca.generators.mats
     worst = 0.0
     for block in stack_blocks(len(gens), 2 * d):
-        quad = np.stack(doubled_quads[block])
+        quad = doubled_quads[block]
         worst = fold_max(worst, [max_abs(quad[:, :d, d:]), max_abs(quad[:, d:, :d]),
-                                 max_abs(quad[:, :d, :d] - np.stack(gens[block]))])
+                                 max_abs(quad[:, :d, :d] - gens[block])])
 
     prod = tensor_product_element(ca)
     scalar = complex(prod[0, 0])
@@ -350,10 +350,10 @@ def tensor_hatted_real_structure(ca: CommutingAction) -> AntilinearOp:
 
 def real_structure_commutation(ca: CommutingAction, j: AntilinearOp) -> float:
     """Worst residual of K·conj(Tᴬᴮ) = Tᴬᴮ·K over the combined generators."""
-    gens = list(ca.generators.generators.values())
+    gens = ca.generators.mats
     worst = 0.0
     for block in stack_blocks(len(gens), ca.dim):
-        worst = fold_max(worst, j.commutation_residual(np.stack(gens[block]), 1))
+        worst = fold_max(worst, j.commutation_residual(gens[block], 1))
     return worst
 
 
@@ -375,25 +375,19 @@ def three_action_closure_defect(sig_a, sig_b, sig_c) -> float:
         raise ValueError("each factor needs at least one generator")
     check_product_dim(sigs)
     mods = [build_irrep(sig) for sig in sigs]
-    dims = [m.dim for m in mods]
-    lifted = [
-        [kron(kron(g, eye(dims[1])), eye(dims[2])) for g in mods[0].gammas],
-        [kron(kron(eye(dims[0]), g), eye(dims[2])) for g in mods[1].gammas],
-        [kron(eye(dims[0]), kron(eye(dims[1]), g)) for g in mods[2].gammas],
-    ]
-    quadratics = []
-    for fam in lifted:
-        for a in range(len(fam)):
-            for b in range(a + 1, len(fam)):
-                quadratics.append(0.5 * (fam[a] @ fam[b]))
-    for i in range(3):
-        for j in range(i + 1, 3):
-            for ga in lifted[i]:
-                for gb in lifted[j]:
-                    quadratics.append(0.5 * (ga @ gb))
-    dim = dims[0] * dims[1] * dims[2]
-    span = np.stack([eye(dim)] + quadratics)
-    quadratics = span[1:]
+    ids = [eye(m.dim) for m in mods]
+    lifted = [kron_all([*ids[:f], g, *ids[f + 1:]])
+              for f, m in enumerate(mods) for g in m.gammas]
+    quads = quadratic_monomials(lifted)
+    # within-family pairs first, family by family, then the cross-family
+    # pairs by family pair, each group in ascending (a, b) order
+    family = np.repeat(np.arange(3), [sig.n for sig in sigs])
+    a, b = np.triu_indices(len(family), 1)
+    order = np.lexsort((family[b], family[a], family[a] != family[b]))
+    span = np.empty((1 + len(order), *quads.shape[1:]), dtype=complex)
+    span[0] = eye(quads.shape[-1])
+    quadratics = np.take(quads, order, axis=0, out=span[1:])
+    del quads  # the unordered copy: the span holds every monomial
 
     def realvec(mat):
         flat = np.asarray(mat, dtype=complex).ravel()

@@ -5,15 +5,18 @@ diagonal) satisfy
 
     [Tᵃᵇ, Tᶜᵈ] = ηᵇᶜTᵃᵈ − ηᵃᶜTᵇᵈ + ηᵇᵈTᶜᵃ − ηᵃᵈTᶜᵇ
 
-for the module's diagonal metric η.  This module provides the bracket
-checker, the Levi-Civita Casimir that reproduces the gamma product, the
-chirality (Weyl) split, and intertwiner search for equivalence testing.
+for the module's diagonal metric η, held by :class:`SoRepresentation` as one
+read-only stack (n(n−1)/2, d, d) in ascending (a, b) order.  This module
+provides the bracket checker, the Levi-Civita Casimir that reproduces the
+gamma product, the chirality (Weyl) split, and intertwiner search for
+equivalence testing.
 
 Indices are 0-based throughout.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +28,6 @@ from .linalg import (
     eye,
     fixed_spaces,
     fold_max,
-    frozen,
     max_abs,
     pair_residuals,
     phase_normalize,
@@ -34,42 +36,60 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class SoRepresentation:
-    """Indexed generators of an orthogonal Lie algebra on a complex space.
+    """Generators of an orthogonal Lie algebra on a complex space.
 
-    ``generators`` maps (a, b) with a < b to a matrix; access through
-    :meth:`t` for the antisymmetric extension.
+    ``mats``, made read-only here, stacks Tᵃᵇ for the pairs a < b of
+    :meth:`pairs` in ascending order; :meth:`t` gives the antisymmetric
+    extension.
     """
 
     eta: np.ndarray
-    dim: int
-    generators: dict
+    mats: np.ndarray
+
+    def __post_init__(self):
+        mats = np.asarray(self.mats, dtype=complex)
+        count = self.n * (self.n - 1) // 2
+        if mats.ndim != 3 or mats.shape[:2] != (count, mats.shape[2]):
+            raise ValueError(f"expected a stack of {count} square matrices, got {mats.shape}")
+        mats.setflags(write=False)
+        object.__setattr__(self, "mats", mats)
 
     @property
     def n(self) -> int:
         return len(self.eta)
 
+    @property
+    def dim(self) -> int:
+        return self.mats.shape[-1]
+
     def pairs(self):
-        return sorted(self.generators)
+        return list(itertools.combinations(range(self.n), 2))
 
     def t(self, a: int, b: int) -> np.ndarray:
         if a == b:
             return np.zeros((self.dim, self.dim), dtype=complex)
-        if a < b:
-            return self.generators[(a, b)]
-        return -self.generators[(b, a)]
+        lo, hi = sorted((a, b))
+        # the rows of the pairs (c, ·), c < lo, come first
+        row = self.mats[lo * (2 * self.n - lo - 1) // 2 + hi - lo - 1]
+        return row if a < b else -row
 
 
-def quadratic_monomials(gammas) -> dict:
-    """{(a, b): ½γᵃγᵇ} for a < b, read-only, in ascending (a, b) order."""
+def quadratic_monomials(gammas) -> np.ndarray:
+    """A new stack of ½γᵃγᵇ for a < b in ascending (a, b) order, filled in
+    place one product at a time; no gammas give a (0, 1, 1) stack."""
     n = len(gammas)
-    return {(a, b): frozen(0.5 * (gammas[a] @ gammas[b]))
-            for a in range(n) for b in range(a + 1, n)}
+    dim = gammas[0].shape[-1] if n else 1
+    mats = np.empty((n * (n - 1) // 2, dim, dim), dtype=complex)
+    for k, (a, b) in enumerate(itertools.combinations(range(n), 2)):
+        np.matmul(gammas[a], gammas[b], out=mats[k])
+        mats[k] *= 0.5
+    return mats
 
 
 def so_generators(m: CliffordModule) -> SoRepresentation:
     """Quadratic monomials Tᵃᵇ = ½γᵃγᵇ of an irreducible module."""
-    return SoRepresentation(eta=np.asarray(m.eta, dtype=int), dim=m.dim,
-                            generators=quadratic_monomials(m.gammas))
+    return SoRepresentation(eta=np.asarray(m.eta, dtype=int),
+                            mats=quadratic_monomials(m.gammas))
 
 
 def bracket_residual_table(rep: SoRepresentation) -> np.ndarray:
@@ -83,12 +103,11 @@ def bracket_residual_table(rep: SoRepresentation) -> np.ndarray:
     commutators otherwise (perturbed, conjugated or fault-injected
     generators), bit-identical either way.
     """
-    mats = [rep.generators[key] for key in rep.pairs()]
-    size = len(mats)
+    size = len(rep.mats)
     if size == 0:
         return np.zeros((0, 0))
     i, j = np.divmod(np.arange(size * size), size)
-    table = pair_residuals(mats, i, j, -1, _structure_terms(rep))
+    table = pair_residuals(rep.mats, i, j, -1, _structure_terms(rep))
     return table.reshape(size, size)
 
 
@@ -127,8 +146,7 @@ def flipped_representation(rep: SoRepresentation) -> SoRepresentation:
     Exhibits the isomorphism between the algebras of signature (p, q) and
     (q, p) at the level of structure constants.
     """
-    gens = {key: frozen(-g) for key, g in rep.generators.items()}
-    return SoRepresentation(eta=-np.asarray(rep.eta), dim=rep.dim, generators=gens)
+    return SoRepresentation(eta=-np.asarray(rep.eta), mats=-rep.mats)
 
 
 def casimir_element(rep: SoRepresentation) -> np.ndarray:
@@ -179,29 +197,21 @@ def weyl_projectors(m: CliffordModule):
     return plus, minus
 
 
-def _chirality_columns(m: CliffordModule, sign: int) -> np.ndarray:
-    """Selector onto the chirality eigenspace, using that the deterministic
-    construction makes the chirality operator diagonal with ±1 entries."""
-    diag = np.diagonal(m.chirality)
-    off = max_abs(m.chirality - np.diag(diag))
-    if off > 1e-12:
-        raise ValueError("chirality operator is unexpectedly non-diagonal")
-    cols = [i for i, v in enumerate(diag) if abs(v - sign) < 1e-9]
-    basis = np.zeros((m.dim, len(cols)), dtype=complex)
-    for j, i in enumerate(cols):
-        basis[i, j] = 1.0
-    return basis
-
-
 def weyl_pieces(m: CliffordModule):
-    """The two half-spinor representations on the chirality eigenspaces."""
+    """The two half-spinor representations on the chirality eigenspaces: the
+    rows and columns of each generator at the +1, then the −1, entries of
+    the chirality operator, which the deterministic construction makes
+    diagonal with ±1 entries."""
+    diag = np.diagonal(m.chirality)
+    # a non-finite entry anywhere, the diagonal included, makes off NaN
+    off = max_abs(m.chirality - np.diag(diag))
+    if not off <= 1e-12:
+        raise ValueError("chirality operator is not a finite diagonal matrix")
     rep = so_generators(m)
     pieces = []
     for sign in (1, -1):
-        basis = _chirality_columns(m, sign)
-        gens = {key: frozen(basis.conj().T @ g @ basis)
-                for key, g in rep.generators.items()}
-        pieces.append(SoRepresentation(eta=rep.eta, dim=basis.shape[1], generators=gens))
+        rows = np.flatnonzero(np.abs(diag - sign) < 1e-9)
+        pieces.append(SoRepresentation(eta=rep.eta, mats=rep.mats[:, rows[:, None], rows]))
     return tuple(pieces)
 
 
@@ -222,8 +232,9 @@ def find_intertwiner(rep_a: SoRepresentation, rep_b: SoRepresentation,
     if rep_a.n != rep_b.n or not np.array_equal(rep_a.eta, rep_b.eta):
         raise ValueError("representations must share one metric")
     dim = rep_a.dim
-    basis, = fixed_spaces([2 * rep_b.t(0, a) for a in range(1, rep_a.n)],
-                          [2 * rep_a.t(0, a) for a in range(1, rep_a.n)], dim, (1,))
+    # the pairs (0, a) are the first n − 1 rows
+    first = slice(rep_a.n - 1)
+    basis, = fixed_spaces(2 * rep_b.mats[first], 2 * rep_a.mats[first], dim, (1,))
     if basis.shape[1] == 0:
         return None
     w = phase_normalize(basis.sum(axis=1)).reshape(dim, dim)
@@ -238,8 +249,7 @@ def find_intertwiner(rep_a: SoRepresentation, rep_b: SoRepresentation,
 
 def intertwiner_residual(w, rep_a: SoRepresentation, rep_b: SoRepresentation) -> float:
     """Worst max-abs of W·T_a − T_b·W over the generators; NaN anywhere gives NaN."""
-    return fold_max(0.0, [max_abs(w @ rep_a.t(a, b) - rep_b.t(a, b) @ w)
-                          for a, b in rep_a.pairs()])
+    return fold_max(0.0, max_abs(w @ rep_a.mats - rep_b.mats @ w))
 
 
 @dataclass(frozen=True)
@@ -267,10 +277,9 @@ def structure_survival(m: CliffordModule, tol: float = DEFAULT_TOL) -> dict:
     For odd n the full module is already irreducible and J survives as is.
     """
     rep = so_generators(m)
-    mats = [m.P, *rep.generators.values()]
-    others = np.arange(1, len(mats))
-    p_comm = fold_max(0.0, pair_residuals(mats, 0 * others, others, -1, None))
-    j_comm = fold_max(0.0, [m.J.commutation_residual(g, 1) for g in rep.generators.values()])
+    others = np.arange(1, len(rep.mats) + 1)
+    p_comm = fold_max(0.0, pair_residuals([m.P, *rep.mats], 0 * others, others, -1, None))
+    j_comm = fold_max(0.0, m.J.commutation_residual(rep.mats, 1))
     if m.n == 0:
         has_p = has_j = True
     elif m.n % 2 == 1:

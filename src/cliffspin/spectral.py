@@ -30,7 +30,6 @@ checked here holds under either choice.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -90,8 +89,8 @@ class PatiSalamTriple:
 
     ``pi2_plus`` and ``pi2_minus`` are the chirality projections π₂^± of the
     second factor, on C⁸; the left and right actions lift them to C⁴⊗C⁸.
-    ``quadratics1`` and ``quadratics2`` stack the quadratic monomials of the
-    two factors in ``so_generators`` order, each built once per triple.
+    ``quadratics1`` and ``quadratics2`` are the read-only stacks
+    ``so_generators(mod).mats`` of the two factors, each built once per triple.
     """
 
     variant: str
@@ -180,8 +179,8 @@ def build_pati_salam(variant: str = "hatted_second",
         pi2_plus=frozen(pi2p),
         pi2_minus=frozen(pi2m),
         sign_triple=measured,
-        quadratics1=frozen(list(so_generators(ca.mod1).generators.values())),
-        quadratics2=frozen(list(so_generators(ca.mod2).generators.values())),
+        quadratics1=so_generators(ca.mod1).mats,
+        quadratics2=so_generators(ca.mod2).mats,
     )
 
 
@@ -369,26 +368,24 @@ def spin10_action(triple: PatiSalamTriple, tol: float = DEFAULT_TOL) -> Report:
     of the worst ‖[l(g), M]‖ over g, one :func:`linalg.pair_residuals`
     call over the 10 × 24 pairs; it must stay well away from zero.
     """
-    ca = triple.action
-    combined = ca.generators
+    combined = triple.action.generators
     bracket_res = bracket_residual(combined)
-    n1 = ca.n1
-    keys = [*itertools.combinations(range(n1), 2),
-            *itertools.combinations(range(n1, n1 + ca.n2), 2)]
+    # rows of the mixed pairs a < n₁ ≤ b; the others hold T₁, then T₂
+    a, b = np.array(combined.pairs()).T
+    is_mixed = (a < triple.action.n1) & (b >= triple.action.n1)
+    within, mixed = np.flatnonzero(~is_mixed), np.flatnonzero(is_mixed)
     gens = triple.gauge_generators()
     gens = AlgebraElement(-gens.a1, gens.a2)
     resid = np.concatenate([
-        max_abs(np.stack([combined.t(a, b) for a, b in keys[block]])
-                - triple.derived_action(gens[block]))
-        for block in stack_blocks(len(keys), triple.dim)])
+        max_abs(combined.mats[within[block]] - triple.derived_action(gens[block]))
+        for block in stack_blocks(len(within), triple.dim)])
     k1 = len(triple.quadratics1)
     match1, match2 = fold_max(0.0, resid[:k1]), fold_max(0.0, resid[k1:])
 
     la = triple.left_action(triple.algebra_generators())
-    mixed = [g for (a, b), g in combined.generators.items() if a < n1 <= b]
     # the l(g) first: the detector stops at its first block, which is not phased
     i, j = np.divmod(np.arange(len(la) * len(mixed)), len(mixed))
-    commutators = pair_residuals([*la, *mixed], i, len(la) + j, -1, None)
+    commutators = pair_residuals([*la, *combined.mats], i, len(la) + mixed[j], -1, None)
     mixed_min = float(commutators.reshape(len(la), len(mixed)).max(axis=0).min())
 
     worst = fold_max(bracket_res, (match1, match2))

@@ -296,7 +296,8 @@ def loop_spin10_action(triple, tol=DEFAULT_TOL) -> Report:
     the mixed minimum over the ten algebra generators, one pair at a time."""
     ca = triple.action
     match1, match2, failure = loop_spin10_blocks(triple, tol=tol)
-    mixed = [g for (a, b), g in ca.generators.generators.items() if a < ca.n1 <= b]
+    mixed = [g for (a, b), g in zip(ca.generators.pairs(), ca.generators.mats)
+             if a < ca.n1 <= b]
     mixed_min = loop_mixed_min(mixed, triple.left_action(triple.algebra_generators()))
     worst = fold_max(bracket_residual(ca.generators), (match1, match2))
     return Report(name="spin10-extension",

@@ -89,8 +89,7 @@ def test_criterion_04_bracket_families_with_negative_control():
         ca = build_commuting(*pair)
         ok = ok and verify_bracket_table(ca, tol=1e-12).passed
         unflipped = np.concatenate([ca.mod1.eta, ca.mod2.eta])
-        wrong = SoRepresentation(eta=unflipped, dim=ca.generators.dim,
-                                 generators=ca.generators.generators)
+        wrong = SoRepresentation(eta=unflipped, mats=ca.generators.mats)
         ok = ok and bracket_residual(wrong) >= 0.5
     emit(4, "five bracket families pass; unflipped metric fails", ok)
 

@@ -459,8 +459,7 @@ class TestFaultInjection:
 
     def test_nan_flipped_brackets_fail_the_bracket_report(self):
         def nan_flipped(rep):
-            return dataclasses.replace(rep, generators={
-                key: np.full_like(g, np.nan) for key, g in rep.generators.items()})
+            return dataclasses.replace(rep, mats=np.full_like(rep.mats, np.nan))
 
         with mock.patch.object(liealg, "flipped_representation", nan_flipped):
             brackets, _ = cli.brackets_suite(2, 1e-10)

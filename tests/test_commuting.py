@@ -80,8 +80,7 @@ def test_bracket_table(pair):
 def test_wrong_metric_fails():
     ca = build_commuting((0, 3), (0, 1))
     wrong_eta = np.concatenate([ca.mod1.eta, ca.mod2.eta])
-    wrong = SoRepresentation(eta=wrong_eta, dim=ca.generators.dim,
-                             generators=ca.generators.generators)
+    wrong = SoRepresentation(eta=wrong_eta, mats=ca.generators.mats)
     assert bracket_residual(wrong) >= 0.5
 
 
@@ -205,7 +204,7 @@ class TestTensorProductElement:
         for pair in [((0, 3), (0, 1)), ((2, 0), (2, 0))]:
             ca = build_commuting(*pair)
             prod = tensor_product_element(ca)
-            for g in ca.generators.generators.values():
+            for g in ca.generators.mats:
                 assert max_abs(prod @ g - g @ prod) < 1e-12
 
     def test_odd_combined_signature_rejected(self):
@@ -293,7 +292,7 @@ class TestThreeActions:
         # of quadratics stays inside the span, so the same projection
         # machinery reports (essentially) zero defect
         ca = build_commuting((2, 0), (0, 3))
-        quads = list(ca.generators.generators.values())
+        quads = list(ca.generators.mats)
         span = [eye(ca.dim)] + quads
 
         def realvec(mat):
@@ -334,7 +333,7 @@ def reference_conjugated_generators(ca):
     v = kron((eye(ca.mod1.dim) + 1j * ca.mod1.chirality) / math.sqrt(2), id2)
     vh = v.conj().T
     worst = 0.0
-    for (a, b), g in ca.generators.generators.items():
+    for (a, b), g in zip(ca.generators.pairs(), ca.generators.mats):
         worst = max(worst, max_abs(v @ (0.5 * (ref[a] @ ref[b])) @ vh - g))
     return worst
 
@@ -345,7 +344,7 @@ def reference_restricted_generators(ca):
     doubled = [kron(flip, g) for g in ca.gamma1] + [kron(swap, g) for g in ca.gamma2]
     d = ca.dim
     worst = 0.0
-    for (a, b), g in ca.generators.generators.items():
+    for (a, b), g in zip(ca.generators.pairs(), ca.generators.mats):
         quad = 0.5 * (doubled[a] @ doubled[b])
         off_block = max(max_abs(quad[:d, d:]), max_abs(quad[d:, :d]))
         worst = max(worst, off_block, max_abs(quad[:d, :d] - g))
@@ -353,9 +352,7 @@ def reference_restricted_generators(ca):
 
 
 def reference_real_structure_commutation(ca, j):
-    return max((j.commutation_residual(g, 1)
-                for g in ca.generators.generators.values()),
-               default=0.0)
+    return max((j.commutation_residual(g, 1) for g in ca.generators.mats), default=0.0)
 
 
 def perturbed(ca, seed, size=1e-9):
@@ -376,20 +373,20 @@ def test_replaced_gammas_rebuild_the_generators(pair):
     ca = build_commuting(*pair)
     noisy = perturbed(ca, 5)
     fresh = combined_generators(noisy.gamma1, noisy.gamma2, ca.mod1.eta, ca.mod2.eta)
-    assert list(noisy.generators.generators) == list(fresh.generators) == ca.generators.pairs()
-    for key, g in fresh.generators.items():
-        assert noisy.generators.generators[key].tobytes() == g.tobytes()
-        assert not np.array_equal(g, ca.generators.generators[key])
+    assert noisy.generators.pairs() == fresh.pairs() == ca.generators.pairs()
+    assert noisy.generators.mats.tobytes() == fresh.mats.tobytes()
+    for g, stale in zip(fresh.mats, ca.generators.mats):
+        assert not np.array_equal(g, stale)
     assert np.array_equal(noisy.generators.eta, fresh.eta) and noisy.generators.dim == fresh.dim
 
 
 def test_combined_generators_negate_only_the_first_block():
     ca = build_commuting((2, 1), (0, 2))
     gammas = ca.gamma1 + ca.gamma2
-    for (a, b), g in ca.generators.generators.items():
+    assert not ca.generators.mats.flags.writeable
+    for (a, b), g in zip(ca.generators.pairs(), ca.generators.mats):
         sign = -1 if b < ca.n1 else 1
         assert np.array_equal(g, sign * 0.5 * (gammas[a] @ gammas[b]))
-        assert not g.flags.writeable
 
 
 SMALL_SIGNATURES = [(p, n - p) for n in range(5) for p in range(n + 1)]

@@ -34,7 +34,7 @@ from cliffspin.liealg import (
     weyl_pieces,
     weyl_projectors,
 )
-from cliffspin.linalg import commutator, eye, frozen, max_abs, null_space
+from cliffspin.linalg import commutator, eye, max_abs, null_space
 from dense_reference import loop_bracket_table
 
 S3 = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -61,16 +61,16 @@ def casimir_by_permutations(rep):
 def gamma_representation(pq):
     """Quadratic monomials straight from the gamma chain (no J solve)."""
     gammas = gamma_chain(pq)
-    gens = {(a, b): frozen(0.5 * (gammas[a] @ gammas[b]))
-            for a in range(len(gammas)) for b in range(a + 1, len(gammas))}
+    mats = [0.5 * (gammas[a] @ gammas[b])
+            for a, b in itertools.combinations(range(len(gammas)), 2)]
     eta = np.array([1] * pq[0] + [-1] * pq[1])
-    return SoRepresentation(eta=eta, dim=gammas[0].shape[0], generators=gens), gammas
+    return SoRepresentation(eta=eta, mats=mats), gammas
 
 
 def test_empty_generator_set():
     for pq in [(0, 0), (1, 0), (0, 1)]:
         rep = so_generators(build_irrep(pq))
-        assert rep.generators == {}
+        assert rep.mats.shape == (0, 1, 1) and rep.pairs() == []
         table = bracket_residual_table(rep)
         assert table.shape == (0, 0)
         assert np.array_equal(table, loop_bracket_table(rep))
@@ -99,9 +99,9 @@ def test_sign_flip_isomorphism(pq):
 
 def test_single_sign_flip_breaks_brackets():
     rep = so_generators(build_irrep((0, 3)))
-    gens = dict(rep.generators)
-    gens[(0, 1)] = frozen(-gens[(0, 1)])
-    broken = SoRepresentation(eta=rep.eta, dim=rep.dim, generators=gens)
+    mats = np.array(rep.mats)
+    mats[rep.pairs().index((0, 1))] *= -1
+    broken = SoRepresentation(eta=rep.eta, mats=mats)
     assert bracket_residual(broken) >= 0.5
 
 
@@ -137,12 +137,34 @@ def kernel_table(rep):
 def test_quadratic_monomials_are_the_ascending_half_products():
     m = build_irrep((1, 3))
     quads = quadratic_monomials(m.gammas)
-    assert list(quads) == [(a, b) for a in range(4) for b in range(a + 1, 4)]
-    for (a, b), t in quads.items():
+    rep = so_generators(m)
+    assert rep.pairs() == [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    assert quads.shape == (6, m.dim, m.dim)
+    for (a, b), t in zip(rep.pairs(), quads):
         assert np.array_equal(t, 0.5 * (m.gammas[a] @ m.gammas[b]))
-        assert not t.flags.writeable
-    assert so_generators(m).generators.keys() == quads.keys()
-    assert quadratic_monomials(m.gammas[:1]) == {}
+    assert np.array_equal(rep.mats, quads)
+    assert not rep.mats.flags.writeable
+    assert quadratic_monomials(m.gammas[:1]).shape == (0, m.dim, m.dim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 12).flatmap(
+    lambda n: st.tuples(st.integers(0, n), st.just(n), st.sampled_from((1, -1)))))
+def test_stack_rows_are_the_half_products_in_pair_order(pnb):
+    p, n, branch = pnb
+    m = build_irrep((p, n - p), branch)
+    rep = so_generators(m)
+    assert rep.pairs() == sorted(rep.pairs()) and len(rep.pairs()) == len(rep.mats)
+    for k, (a, b) in enumerate(rep.pairs()):
+        half = 0.5 * (m.gammas[a] @ m.gammas[b])
+        assert a < b
+        assert rep.mats[k].tobytes() == rep.t(a, b).tobytes() == half.tobytes()
+        assert rep.t(b, a).tobytes() == (-half).tobytes()
+    short, long = rep.mats[:-1], np.concatenate([rep.mats, eye(rep.dim)[None]])
+    for wrong in (short, long, rep.mats[:, :, :-1], rep.mats[..., 0]):
+        if wrong.shape != rep.mats.shape:
+            with pytest.raises(ValueError, match="expected a stack"):
+                SoRepresentation(eta=rep.eta, mats=wrong)
 
 
 class TestPhasedPermutationKernel:
@@ -158,8 +180,7 @@ class TestPhasedPermutationKernel:
     def test_negated_metric_bit_equal_to_dense(self, p, q, branch):
         rep = so_generators(build_irrep((p, q), branch))
         for r in (rep, flipped_representation(rep)):
-            wrong = SoRepresentation(eta=-np.asarray(r.eta), dim=r.dim,
-                                     generators=r.generators)
+            wrong = SoRepresentation(eta=-np.asarray(r.eta), mats=r.mats)
             table = kernel_table(wrong)
             assert np.array_equal(table, loop_bracket_table(wrong))
             if r.n >= 3:
@@ -185,9 +206,10 @@ class TestPhasedPermutationKernel:
         # T⁰¹ and T⁰² swapped: still phased permutations, but the structure
         # term now lands on other columns than the commutator
         rep = so_generators(build_irrep(pq))
-        gens = dict(rep.generators)
-        gens[(0, 1)], gens[(0, 2)] = gens[(0, 2)], gens[(0, 1)]
-        swapped = SoRepresentation(eta=rep.eta, dim=rep.dim, generators=gens)
+        k01, k02 = rep.pairs().index((0, 1)), rep.pairs().index((0, 2))
+        mats = np.array(rep.mats)
+        mats[[k01, k02]] = mats[[k02, k01]]
+        swapped = SoRepresentation(eta=rep.eta, mats=mats)
         table = kernel_table(swapped)
         assert np.array_equal(table, loop_bracket_table(swapped))
         assert table.max() >= 0.5
@@ -199,14 +221,11 @@ class TestPhasedPermutationKernel:
         # magnitudes keep every product and sum exact
         rng = np.random.default_rng(seed)
         n = 4
-        gens = {}
-        for a in range(n):
-            for b in range(a + 1, n):
-                g = np.zeros((dim, dim), dtype=complex)
-                g[np.arange(dim), rng.permutation(dim)] = (
-                    2.0 ** rng.integers(-3, 4, dim) * rng.choice([1, -1, 1j, -1j], dim))
-                gens[(a, b)] = frozen(g)
-        rep = SoRepresentation(eta=rng.choice([1, -1], n), dim=dim, generators=gens)
+        mats = np.zeros((n * (n - 1) // 2, dim, dim), dtype=complex)
+        for g in mats:
+            g[np.arange(dim), rng.permutation(dim)] = (
+                2.0 ** rng.integers(-3, 4, dim) * rng.choice([1, -1, 1j, -1j], dim))
+        rep = SoRepresentation(eta=rng.choice([1, -1], n), mats=mats)
         table = kernel_table(rep)
         assert np.array_equal(table, loop_bracket_table(rep))
         assert table.max() > 0.0
@@ -224,9 +243,8 @@ class TestPhasedPermutationKernel:
         m = build_irrep(pq)
         rng = np.random.default_rng(m.n)
         noisy = [g + 1e-3 * rng.standard_normal(g.shape) for g in m.gammas]
-        rep = SoRepresentation(eta=np.asarray(m.eta), dim=m.dim, generators={
-            (a, b): frozen(0.5 * (noisy[a] @ noisy[b]))
-            for a in range(m.n) for b in range(a + 1, m.n)})
+        rep = SoRepresentation(eta=np.asarray(m.eta), mats=[
+            0.5 * (noisy[a] @ noisy[b]) for a, b in itertools.combinations(range(m.n), 2)])
         table, dense = spied_table(rep)
         assert dense
         assert np.array_equal(table, loop_bracket_table(rep))
@@ -236,8 +254,7 @@ class TestPhasedPermutationKernel:
     def test_conjugated_generators_take_the_dense_loop(self, pq):
         rep = so_generators(build_irrep(pq))
         u = random_unitary(rep.dim, sum(pq))
-        conjugated = SoRepresentation(eta=rep.eta, dim=rep.dim, generators={
-            key: frozen(u @ g @ u.conj().T) for key, g in rep.generators.items()})
+        conjugated = SoRepresentation(eta=rep.eta, mats=[u @ g @ u.conj().T for g in rep.mats])
         table, dense = spied_table(conjugated)
         assert dense
         assert np.array_equal(table, loop_bracket_table(conjugated))
@@ -245,13 +262,12 @@ class TestPhasedPermutationKernel:
 
     def test_entry_off_the_permutation_support_takes_the_dense_loop(self):
         rep = so_generators(build_irrep((0, 4)))
-        gens = dict(rep.generators)
-        g = np.array(gens[(0, 1)])
+        mats = np.array(rep.mats)
+        g = mats[rep.pairs().index((0, 1))]
         row = 0
         off = next(c for c in range(rep.dim) if g[row, c] == 0)
         g[row, off] = 1e-300
-        gens[(0, 1)] = frozen(g)
-        tiny = SoRepresentation(eta=rep.eta, dim=rep.dim, generators=gens)
+        tiny = SoRepresentation(eta=rep.eta, mats=mats)
         table, dense = spied_table(tiny)
         assert dense
         assert np.array_equal(table, loop_bracket_table(tiny))
@@ -306,9 +322,9 @@ class TestCasimir:
         # random generators neither commute nor close: only the signed sum
         # over index orders is shared with the reference
         rng = np.random.default_rng(n)
-        gens = {(a, b): rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-                for a in range(n) for b in range(a + 1, n)}
-        rep = SoRepresentation(eta=np.ones(n, dtype=int), dim=3, generators=gens)
+        mats = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+                for _ in range(n * (n - 1) // 2)]
+        rep = SoRepresentation(eta=np.ones(n, dtype=int), mats=mats)
         reference = casimir_by_permutations(rep)
         assert max_abs(reference) > 1.0
         assert max_abs(casimir_element(rep) - reference) < 1e-12
@@ -344,7 +360,7 @@ class TestWeylSplit:
         plus, minus = weyl_projectors(m)
         assert abs(np.trace(plus) - 2) < 1e-12
         rep = so_generators(m)
-        for g in rep.generators.values():
+        for g in rep.mats:
             assert max_abs(commutator(g, plus)) < 1e-13
             assert max_abs(commutator(g, minus)) < 1e-13
 
@@ -353,6 +369,17 @@ class TestWeylSplit:
             weyl_projectors(build_irrep((0, 0)))
         with pytest.raises(ValueError):
             weyl_projectors(build_irrep((0, 3)))
+
+    @pytest.mark.parametrize("entry", [(0, 1), (0, 0), (2, 2)])
+    def test_a_non_finite_chirality_is_refused(self, entry):
+        # NaN > 1e-12 is False: a NaN at (0, 1) used to pass the diagonal
+        # guard and give two pieces with no intertwiner, so the sweep's
+        # half-spinors-inequivalent check passed on broken data
+        m = build_irrep((0, 4))
+        chir = np.array(m.chirality)
+        chir[entry] = np.nan
+        with pytest.raises(ValueError, match="not a finite diagonal"):
+            weyl_pieces(dataclasses.replace(m, chirality=chir))
 
     def test_pieces_satisfy_brackets(self):
         for pq in [(2, 0), (4, 0), (1, 1)]:
@@ -396,8 +423,7 @@ class TestIntertwiner:
     def test_conjugate_by_random_unitary_is_equivalent(self, pq):
         rep_a = so_generators(build_irrep(pq))
         v = random_unitary(rep_a.dim, 5)
-        gens = {key: frozen(v @ g @ v.conj().T) for key, g in rep_a.generators.items()}
-        rep_b = SoRepresentation(eta=rep_a.eta, dim=rep_a.dim, generators=gens)
+        rep_b = SoRepresentation(eta=rep_a.eta, mats=[v @ g @ v.conj().T for g in rep_a.mats])
         w = find_intertwiner(rep_a, rep_b)
         assert w is not None
         assert intertwiner_residual(w, rep_a, rep_b) < 1e-10
@@ -426,18 +452,17 @@ class TestIntertwiner:
 
     def test_generators_that_do_not_square_to_scalars_are_refused(self):
         rng = np.random.default_rng(3)
-        gens = {(a, b): frozen(rng.standard_normal((4, 4)))
-                for a in range(3) for b in range(a + 1, 3)}
-        rep = SoRepresentation(eta=np.ones(3, dtype=int), dim=4, generators=gens)
+        mats = [rng.standard_normal((4, 4)) for _ in range(3)]
+        rep = SoRepresentation(eta=np.ones(3, dtype=int), mats=mats)
         with pytest.raises(ValueError, match="not an involution"):
             find_intertwiner(rep, rep)
 
     def test_a_generator_outside_the_searched_maps_is_refused(self):
         # the 2T^0a agree, so their fixed space holds W = 1, which fails T^12
         rep_a = so_generators(build_irrep((0, 3)))
-        gens = dict(rep_a.generators)
-        gens[(1, 2)] = frozen(-gens[(1, 2)])
-        rep_b = SoRepresentation(eta=rep_a.eta, dim=rep_a.dim, generators=gens)
+        mats = np.array(rep_a.mats)
+        mats[rep_a.pairs().index((1, 2))] *= -1
+        rep_b = SoRepresentation(eta=rep_a.eta, mats=mats)
         with pytest.raises(ValueError, match="fails a generator"):
             find_intertwiner(rep_a, rep_b)
 
@@ -446,11 +471,9 @@ class TestIntertwiner:
         # a NaN in T^12 used to be dropped by the residual's max fold, so a
         # W came back with a residual of about 1e-16
         rep = so_generators(build_irrep(pq))
-        gens = dict(rep.generators)
-        bad_t = np.array(gens[(1, 2)])
-        bad_t[0, 0] = np.nan
-        gens[(1, 2)] = frozen(bad_t)
-        bad = SoRepresentation(eta=rep.eta, dim=rep.dim, generators=gens)
+        mats = np.array(rep.mats)
+        mats[rep.pairs().index((1, 2)), 0, 0] = np.nan
+        bad = SoRepresentation(eta=rep.eta, mats=mats)
         with pytest.raises(ValueError, match="fails a generator: residual nan"):
             find_intertwiner(rep, bad)
         assert math.isnan(intertwiner_residual(eye(rep.dim), rep, bad))

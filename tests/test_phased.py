@@ -198,9 +198,8 @@ def test_intertwiner_search_agrees_with_the_dense_path(p, q):
     # a unitary conjugate of the representation takes the dense path and is
     # found equivalent to it
     u = unitary(rep.dim)
-    conjugated = SoRepresentation(eta=rep.eta, dim=rep.dim, generators={
-        key: u @ g @ u.conj().T for key, g in rep.generators.items()})
-    assert not is_phased(list(conjugated.generators.values()), rep.dim)
+    conjugated = SoRepresentation(eta=rep.eta, mats=[u @ g @ u.conj().T for g in rep.mats])
+    assert not is_phased(conjugated.mats, rep.dim)
     w = find_intertwiner(rep, conjugated)
     assert w is not None and intertwiner_residual(w, rep, conjugated) < 1e-10
 

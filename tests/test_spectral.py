@@ -254,7 +254,7 @@ class TestGauge:
         for scale in (1.0, 0.25):
             u = loop_gauge_element(triple, rng, scale)
             ref = [expm(sum(ref_rng.uniform(-scale, scale) * t
-                            for t in so_generators(mod).generators.values()))
+                            for t in so_generators(mod).mats))
                    for mod in (triple.action.mod1, triple.action.mod2)]
             assert u.u1.tobytes() == ref[0].tobytes()
             assert u.u2.tobytes() == ref[1].tobytes()
@@ -361,7 +361,7 @@ def test_equivariance_of_the_two_real_structures():
     # hatted variant anticommutes with the 24 mixed ones instead
     plain, hatted = TRIPLES["plain"], TRIPLES["hatted_second"]
     n1 = plain.action.n1
-    for (a, b), g in plain.action.generators.generators.items():
+    for (a, b), g in zip(plain.action.generators.pairs(), plain.action.generators.mats):
         assert plain.J.commutation_residual(g, 1) < 1e-10
         mixed = a < n1 <= b
         assert hatted.J.commutation_residual(g, -1 if mixed else 1) < 1e-10
@@ -532,7 +532,8 @@ class TestStackedLoopsEqualTheReferences:
         # and on both paths
         for checked in (triple, perturbed_projections(triple, seed)):
             ca = checked.action
-            mixed = [g for (a, b), g in ca.generators.generators.items() if a < ca.n1 <= b]
+            mixed = [g for (a, b), g in zip(ca.generators.pairs(), ca.generators.mats)
+                     if a < ca.n1 <= b]
             reference = loop_mixed_min(mixed, checked.left_action(checked.algebra_generators()))
             assert reference > 0.01
             assert (reference == 0.5) == (checked is triple)
@@ -637,10 +638,11 @@ def identity_mixed_generator(triple):
     """The triple whose first mixed combined generator is the identity,
     which commutes with l(A)."""
     ca = triple.action
-    gens = dict(ca.generators.generators)
-    gens[next(key for key in gens if key[0] < ca.n1 <= key[1])] = eye(ca.dim)
+    pairs = ca.generators.pairs()
+    mats = np.array(ca.generators.mats)
+    mats[pairs.index(next(key for key in pairs if key[0] < ca.n1 <= key[1]))] = eye(ca.dim)
     action = copy.copy(ca)
-    object.__setattr__(action, "generators", dataclasses.replace(ca.generators, generators=gens))
+    object.__setattr__(action, "generators", dataclasses.replace(ca.generators, mats=mats))
     return dataclasses.replace(triple, action=action)
 
 
