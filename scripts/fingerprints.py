@@ -7,9 +7,11 @@ Run from the root of a source checkout; the package is imported from
 checkouts on the same machine shows whether a change keeps the output
 byte-identical.  One line per output, ``<sha256>  <exit code>  <label>``:
 
-* the JSON output of nine CLI invocations, run in-process: among them
-  ``pati-salam`` (every check is exact and draws nothing, so ``--seed``
-  would change nothing), ``three-actions``, ``commuting`` on (0,3) x (2,0),
+* the JSON output of ten CLI invocations, run in-process: among them
+  ``verify signs --max-n 10``, whose module checks at d = 32 run in
+  blocks of eight gammas, ``pati-salam`` (every check is exact and draws
+  nothing, so ``--seed`` would change nothing), ``three-actions``,
+  ``commuting`` on (0,3) x (2,0),
   whose odd first and even second factor send the suite through
   ``swap_factors`` before the even identification, and ``commuting`` on
   (0,8) x (0,8), at the product dimension limit D = 256, where the block
@@ -37,6 +39,7 @@ from workloads import SWEEP  # noqa: E402
 COMMANDS = (
     ["all"],
     ["verify", "signs", "--max-n", "8"],
+    ["verify", "signs", "--max-n", "10"],
     ["verify", "brackets", "--max-n", "8"],
     ["verify", "brackets", "--max-n", "10"],
     ["commuting", "--sig1", "4,0", "--sig2", "0,6"],

@@ -29,6 +29,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     AntilinearOp,
+    dagger,
     eye,
     fixed_spaces,
     fold_max,
@@ -38,6 +39,7 @@ from .linalg import (
     max_abs,
     pair_residuals,
     phase_normalize,
+    stack_blocks,
     unitarity_residual,
 )
 from .report import Report
@@ -237,7 +239,7 @@ def closed_form_real_structure(gammas, eps_prime: int, dim: int) -> AntilinearOp
         if sign != eps_prime:
             continue
         j = AntilinearOp(phase_normalize(product_of(factors, dim)).reshape(dim, dim))
-        if all(j.commutation_residual(g, eps_prime) < DEFAULT_TOL for g in gammas):
+        if _stacked_residual(lambda g: j.commutation_residual(g, eps_prime), gammas) < DEFAULT_TOL:
             return j
     raise ValueError(f"no closed-form real structure with eps' = {eps_prime}: "
                      "the gammas are not each purely real or purely imaginary")
@@ -266,10 +268,23 @@ def clifford_residual(gammas, eta) -> float:
     return fold_max(0.0, pair_residuals(mats, a, b, 1, terms))
 
 
+def _stacked_residual(residual, gammas) -> float:
+    """The worst of ``residual(stack)``, an array of one residual per
+    matrix, over a sequence of d×d gammas, one stacked call per block of
+    :func:`linalg.stack_blocks`; a NaN anywhere gives NaN, and no gammas
+    give 0.0."""
+    worst = 0.0
+    if len(gammas):
+        for block in stack_blocks(len(gammas), np.shape(gammas[0])[-1]):
+            worst = fold_max(worst, residual(np.array(gammas[block], dtype=complex)))
+    return worst
+
+
 def hermiticity_residual(m: CliffordModule) -> float:
     """Gammas must be Hermitian up to index p and anti-Hermitian after."""
-    return fold_max(0.0, [max_abs(g.conj().T - (1 if a < m.signature.p else -1) * g)
-                          for a, g in enumerate(m.gammas)])
+    p = m.signature.p
+    return fold_max(_stacked_residual(lambda g: max_abs(dagger(g) - g), m.gammas[:p]),
+                    _stacked_residual(lambda g: max_abs(dagger(g) + g), m.gammas[p:]))
 
 
 def measure_sign_triple(m: CliffordModule, tol: float = DEFAULT_TOL):
@@ -305,27 +320,28 @@ def measure_sign_triple(m: CliffordModule, tol: float = DEFAULT_TOL):
 
 
 def module_residuals(m: CliffordModule) -> dict:
-    """Defining-relation residuals of a constructed module."""
+    """Defining-relation residuals of a constructed module; each identity on
+    the gammas is one stacked call per block of :func:`linalg.stack_blocks`."""
+    eps, eps_prime, eps_dd = sign_triple(m.s)
     res = {
         "clifford": clifford_residual(m.gammas, m.eta),
-        "unitarity": fold_max(0.0, [unitarity_residual(g) for g in m.gammas]),
+        "unitarity": _stacked_residual(unitarity_residual, m.gammas),
         "hermiticity_split": hermiticity_residual(m),
         "product_square": max_abs(
             m.P @ m.P - (-1.0) ** (m.s * (m.s + 1) // 2) * eye(m.dim)),
         "chirality_square": max_abs(m.chirality @ m.chirality - eye(m.dim)),
         "chirality_hermitian": max_abs(m.chirality.conj().T - m.chirality),
         "j_unitarity": unitarity_residual(m.J.matrix),
+        "j_square": max_abs(m.J.square() - eps * eye(m.dim)),
+        "j_gamma": _stacked_residual(
+            lambda g: m.J.commutation_residual(g, eps_prime), m.gammas),
     }
-    eps, eps_prime, eps_dd = sign_triple(m.s)
-    res["j_square"] = max_abs(m.J.square() - eps * eye(m.dim))
-    res["j_gamma"] = fold_max(
-        0.0, [m.J.commutation_residual(g, eps_prime) for g in m.gammas])
     if eps_dd is not None:
         res["j_chirality"] = m.J.commutation_residual(m.chirality, eps_dd)
     if m.Jhat is not None:
         res["jhat_square"] = max_abs(m.Jhat.square() - eps_dd * eps * eye(m.dim))
-        res["jhat_gamma"] = fold_max(
-            0.0, [m.Jhat.commutation_residual(g, -1) for g in m.gammas])
+        res["jhat_gamma"] = _stacked_residual(
+            lambda g: m.Jhat.commutation_residual(g, -1), m.gammas)
         res["jhat_chirality"] = m.Jhat.commutation_residual(m.chirality, eps_dd)
     return res
 

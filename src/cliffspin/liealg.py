@@ -97,11 +97,12 @@ def bracket_residual_table(rep: SoRepresentation) -> np.ndarray:
 
     Rows and columns are both indexed by ``rep.pairs()``.  The table is one
     :func:`linalg.pair_residuals` call with sign −1 over all N² pairs of the
-    N generators and the right-hand sides of :func:`_structure_terms`: on
-    gathers in O(N²·d) when every generator is a phased permutation (the
-    Pauli-string picture of stabilizer simulation), by stacked d×d
-    commutators otherwise (perturbed, conjugated or fault-injected
-    generators), bit-identical either way.
+    N generators and the right-hand sides of :func:`_structure_terms`: in
+    O(N²) on the Pauli strings (c, x, z) of the generators when every one
+    is a string (the stabilizer picture; every module the package builds),
+    on gathers in O(N²·d) for other phased permutations, and by stacked d×d
+    commutators otherwise (perturbed or conjugated generators),
+    bit-identical whenever every product of entries is exact.
     """
     size = len(rep.mats)
     if size == 0:
@@ -125,14 +126,15 @@ def _structure_terms(rep: SoRepresentation):
     # T⁽ˣʸ⁾ = sign(y − x)·T[index[x, y]]
     orient = np.sign(np.arange(n)[None, :] - np.arange(n)[:, None])
     eta = np.asarray(rep.eta)
-    a, b = np.repeat(pairs[:, 0], size), np.repeat(pairs[:, 1], size)
-    c, d = np.tile(pairs[:, 0], size), np.tile(pairs[:, 1], size)
-    # [Tᵃᵇ, Tᶜᵈ] = ηᵇᶜTᵃᵈ − ηᵃᶜTᵇᵈ + ηᵇᵈTᶜᵃ − ηᵃᵈTᶜᵇ, first matching term
-    conds = [b == c, a == c, b == d, a == d]
-    x = np.select(conds, [a, b, c, c], 0)
-    y = np.select(conds, [d, d, a, b], 0)
-    coef = np.select(conds, [eta[b], -eta[a], eta[b], -eta[a]], 0) * orient[x, y]
-    return index[x, y], coef
+    # (a, b) of the row as a column against (c, d) of the column as a row
+    a, b, c, d = pairs[:, :1], pairs[:, 1:], pairs[:, 0], pairs[:, 1]
+    # [Tᵃᵇ, Tᶜᵈ] = ηᵇᶜTᵃᵈ − ηᵃᶜTᵇᵈ + ηᵇᵈTᶜᵃ − ηᵃᵈTᶜᵇ, first matching term:
+    # the terms are laid down last to first, so an earlier one overwrites
+    x = y = coef = 0
+    for cond, xs, ys, cs in ((a == d, c, b, -eta[a]), (b == d, c, a, eta[b]),
+                             (a == c, b, d, -eta[a]), (b == c, a, d, eta[b])):
+        x, y, coef = np.where(cond, xs, x), np.where(cond, ys, y), np.where(cond, cs, coef)
+    return index[x, y].ravel(), (coef * orient[x, y]).ravel()
 
 
 def bracket_residual(rep: SoRepresentation) -> float:
@@ -201,18 +203,19 @@ def weyl_pieces(m: CliffordModule):
     """The two half-spinor representations on the chirality eigenspaces: the
     rows and columns of each generator at the +1, then the −1, entries of
     the chirality operator, which the deterministic construction makes
-    diagonal with ±1 entries."""
+    diagonal with ±1 entries; raises ValueError for any other chirality
+    operator, so every row lands in one piece."""
     diag = np.diagonal(m.chirality)
     # a non-finite entry anywhere, the diagonal included, makes off NaN
     off = max_abs(m.chirality - np.diag(diag))
     if not off <= 1e-12:
         raise ValueError("chirality operator is not a finite diagonal matrix")
+    on = [np.abs(diag - sign) < 1e-9 for sign in (1, -1)]
+    if not (on[0] | on[1]).all():
+        raise ValueError("chirality operator has a diagonal entry other than ±1")
     rep = so_generators(m)
-    pieces = []
-    for sign in (1, -1):
-        rows = np.flatnonzero(np.abs(diag - sign) < 1e-9)
-        pieces.append(SoRepresentation(eta=rep.eta, mats=rep.mats[:, rows[:, None], rows]))
-    return tuple(pieces)
+    return tuple(SoRepresentation(eta=rep.eta, mats=rep.mats[:, rows[:, None], rows])
+                 for rows in map(np.flatnonzero, on))
 
 
 def find_intertwiner(rep_a: SoRepresentation, rep_b: SoRepresentation,

@@ -6,24 +6,30 @@ single overridable default tolerance.  The Kronecker convention is first
 factor major (row-major blocks) everywhere.  The module, like the whole
 package, needs numpy only: :func:`expm` is a numpy Padé exponential.
 
-The gammas of a Jordan–Wigner chain, and every product of them, are phased
-permutations (Pauli strings; Aaronson and Gottesman, quant-ph/0406196): one
-nonzero entry per row and per column.  :func:`phased_permutations` detects
-a stack of such matrices exactly and gives its ``PhasedForm`` (cols, vals),
-in which a product (:func:`phased_compose`) or an inverse
-(:func:`phased_inverse`) is an O(d) gather and a map X ↦ L·X·R an O(d²)
+The gammas of a Jordan–Wigner chain, and every product of them, are
+Pauli strings c·Z^z·X^x (Aaronson and Gottesman, quant-ph/0406196), and a
+chirality projector cuts such a string down to a partial phased
+permutation: at most one nonzero entry per row and per column.
+:func:`phased_permutations` detects a stack of partial phased permutations
+exactly and gives its ``PhasedForm`` (cols, vals), in which a product
+(:func:`phased_compose`) or an inverse (:func:`phased_inverse`, for a
+form without zero rows) is an O(d) gather and a map X ↦ L·X·R an O(d²)
 gather.  Callers hand plain matrices to the two checks built on it, and
 each check makes its one detector call itself:
 
 * :func:`pair_residuals`, every pairwise identity (the Clifford relations,
   the so(p,q) brackets and the commutators checked in ``commuting``,
-  ``spectral`` and ``liealg``);
+  ``spectral`` and ``liealg``), tries three exact forms in turn: Pauli
+  strings (c, x, z) read off the ``PhasedForm``, a few operations per
+  pair; the ``PhasedForm`` itself, O(d) gathers per pair; and, for
+  anything else, stacked d×d products;
 * :func:`fixed_spaces`, the X with Lᵢ·X = s·X·Rᵢ for every i and each sign
   s (the sign measurement and the intertwiner search), whose commutation
-  precondition is a pair-residual check too.
+  precondition is a pair-residual check too; it needs inverses, so a form
+  with a zero row takes its dense code.
 
-Only this module knows the ``PhasedForm``; input that is not a stack of
-phased permutations takes the dense code.
+Only this module knows the ``PhasedForm`` and the strings; input that is
+not a stack of partial phased permutations takes the dense code.
 """
 
 from __future__ import annotations
@@ -108,7 +114,7 @@ def max_abs(a):
         return np.abs(arr).max(axis=(-2, -1))
     if arr.size == 0:
         return 0.0
-    return float(np.max(np.abs(arr)))
+    return float(np.abs(arr).max())
 
 
 def fold_max(worst: float, values) -> float:
@@ -259,8 +265,9 @@ def null_space(a, rtol: float = NULL_RTOL) -> np.ndarray:
 
 
 class PhasedForm(NamedTuple):
-    """The phased-permutation form of a stack of N dim×dim matrices: row r of
-    matrix k holds vals[k, r] at column cols[k, r] and zeros elsewhere."""
+    """The partial phased-permutation form of a stack of N dim×dim matrices:
+    row r of matrix k holds vals[k, r] at column cols[k, r] and zeros
+    elsewhere; a zero row has vals[k, r] = 0 (and cols[k, r] = 0)."""
 
     cols: np.ndarray
     vals: np.ndarray
@@ -269,10 +276,10 @@ class PhasedForm(NamedTuple):
 def phased_permutations(mats, dim: int):
     """The ``PhasedForm`` (cols, vals), each of shape (N, dim), of a
     sequence of N dim×dim matrices (a list or a stack), or None unless every
-    matrix is exactly a phased permutation: one nonzero entry per row and
-    per column, tested with ``!= 0`` and no tolerance, and every entry
-    finite.  The matrices are stacked and tested in blocks of at most
-    ``STACK_BLOCK_ENTRIES`` entries, and nothing is sorted."""
+    matrix is exactly a partial phased permutation: at most one nonzero
+    entry per row and per column, tested with ``!= 0`` and no tolerance,
+    and every entry finite.  The matrices are stacked and tested in blocks
+    of at most ``STACK_BLOCK_ENTRIES`` entries, and nothing is sorted."""
     cols = np.zeros((len(mats), dim), dtype=np.intp)
     vals = np.zeros((len(mats), dim), dtype=complex)
     for block in stack_blocks(len(mats), dim):
@@ -282,13 +289,56 @@ def phased_permutations(mats, dim: int):
         nonzero = m != 0
         c = nonzero.argmax(axis=-1)
         v = m[_stack_index(c), np.arange(dim), c]
-        # as many nonzeros as rows, none of them missing from a row (so one
-        # per row), and none missing from a column (so one per column)
-        if not (np.count_nonzero(nonzero) == c.size and np.all(v != 0)
-                and nonzero.any(axis=-2).all() and np.isfinite(v).all()):
+        # v holds one nonzero of each row that has one; as many nonzeros as
+        # such rows (so at most one per row) and as many as the columns they
+        # hit (so at most one per column)
+        count = np.count_nonzero(nonzero)
+        if not (count == np.count_nonzero(v) == np.count_nonzero(nonzero.any(axis=-2))
+                and np.isfinite(v).all()):
             return None
         cols[block], vals[block] = c, v
     return PhasedForm(cols, vals)
+
+
+class _PauliStrings(NamedTuple):
+    """Matrix k of a stack of dim×dim matrices as coef[k]·Z^z[k]·X^x[k]:
+    row r holds coef[k]·(−1)^parity[z[k] & r] at column r ⊕ x[k], and
+    parity[w] is popcount(w) mod 2 for every w < dim."""
+
+    coef: np.ndarray
+    x: np.ndarray
+    z: np.ndarray
+    parity: np.ndarray
+
+
+def _parities(dim: int) -> np.ndarray:
+    """popcount(w) mod 2 for w < dim, as booleans: the top bit of w flips the
+    parity of w with that bit cleared."""
+    parity = np.zeros(dim, dtype=bool)
+    bit = 1
+    while bit < dim:
+        parity[bit:2 * bit] = ~parity[:min(bit, dim - bit)]
+        bit *= 2
+    return parity
+
+
+def _pauli_strings(form: PhasedForm):
+    """The ``_PauliStrings`` of a ``PhasedForm``, or None unless every matrix
+    is exactly a Pauli string: x = cols[0] with cols[r] = r ⊕ x for every
+    row r, bit j of z set where vals[2^j] = −vals[0], and
+    vals[r] = vals[0]·(−1)^popcount(z & r) for every r, compared with ==."""
+    cols, vals = form
+    dim = cols.shape[-1]
+    rows = np.arange(dim)
+    x, coef = cols[:, 0], vals[:, 0]
+    bits = 1 << np.arange((dim - 1).bit_length())
+    z = ((vals[:, bits] == -coef[:, None]) * bits).sum(axis=-1, dtype=np.intp)
+    parity = _parities(dim)
+    flip = parity[z[:, None] & rows]
+    if not (np.array_equal(cols, rows ^ x[:, None])
+            and np.array_equal(vals, np.where(flip, -coef[:, None], coef[:, None]))):
+        return None
+    return _PauliStrings(coef, x, z, parity)
 
 
 def _stack_index(cols) -> np.ndarray:
@@ -337,15 +387,21 @@ def pair_residuals(mats, i, j, sign: int, terms) -> np.ndarray:
     index into A and one coefficient per pair, and a pair whose c is 0 has
     no right-hand side.
 
-    One :func:`phased_permutations` call picks the path: gathers, O(d) per
-    pair in blocks of at most ``STACK_BLOCK_ENTRIES`` rows of AᵢAⱼ and
-    AⱼAᵢ, when every matrix is a phased permutation, and stacked products
-    in blocks of at most ``STACK_BLOCK_ENTRIES`` entries per matrix
-    otherwise.  The gathers form the entries of (AᵢAⱼ ± AⱼAᵢ) − c·A[k] in
-    the dense order, each product of two entries with the Aᵢ entry first,
-    so the two paths give bit-identical residuals when every product of
-    entries is exact (as in every module the package builds) and agree to
-    rounding otherwise.
+    One :func:`phased_permutations` call picks the cheapest exact form:
+
+    * Pauli strings, when the form reads as c·Z^z·X^x for every matrix: a
+      few operations per pair (:func:`_string_pair_residuals`);
+    * gathers, when every matrix is a partial phased permutation: O(d) per
+      pair in blocks of at most ``STACK_BLOCK_ENTRIES`` rows of AᵢAⱼ and
+      AⱼAᵢ (:func:`_phased_pair_residuals`);
+    * stacked products otherwise, in blocks of at most
+      ``STACK_BLOCK_ENTRIES`` entries per matrix.
+
+    The strings and the gathers form the entries of (AᵢAⱼ ± AⱼAᵢ) − c·A[k]
+    in the dense order, each product of two entries with the Aᵢ entry
+    first, so the strings and the gathers give bit-identical residuals, and
+    the dense path does too when every product of entries is exact (as in
+    every module the package builds); otherwise it agrees to rounding.
     """
     i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
     if not len(i):
@@ -353,7 +409,35 @@ def pair_residuals(mats, i, j, sign: int, terms) -> np.ndarray:
     form = phased_permutations(mats, np.shape(mats[0])[-1])
     if form is None:
         return _dense_pair_residuals(mats, i, j, sign, terms)
-    return _phased_pair_residuals(form, i, j, sign, terms)
+    strings = _pauli_strings(form)
+    if strings is None:
+        return _phased_pair_residuals(form, i, j, sign, terms)
+    return _string_pair_residuals(strings, i, j, sign, terms)
+
+
+def _string_pair_residuals(strings: _PauliStrings, i, j, sign: int, terms) -> np.ndarray:
+    """:func:`pair_residuals` on Pauli strings.  Row r of AᵢAⱼ is
+    p·(−1)^(xᵢ·zⱼ) and of AⱼAᵢ is p·(−1)^(xⱼ·zᵢ), with p = cᵢ·cⱼ, both
+    times (−1)^((zᵢ ⊕ zⱼ)·r) at column r ⊕ xᵢ ⊕ xⱼ; so AᵢAⱼ ± AⱼAᵢ is α
+    times the string S of (xᵢ ⊕ xⱼ, zᵢ ⊕ zⱼ), and with β = c·c_k the
+    residual against c·A[k] is |α − β| when A[k] has the string of S,
+    max(|α − β|, |α + β|) when it has the x of S and another z (the rows
+    where the two signs differ give α + β), and max(|α|, |β|) otherwise."""
+    coef, x, z, parity = strings
+    p = coef[i] * coef[j]
+    ab = np.where(parity[x[i] & z[j]], -p, p)
+    ba = np.where(parity[x[j] & z[i]] ^ (sign < 0), -p, p)
+    alpha = ab + ba
+    if terms is None:
+        return np.abs(alpha)
+    k, c = terms
+    beta = c * coef[k]
+    same_x = x[k] == x[i] ^ x[j]
+    same_z = z[k] == z[i] ^ z[j]
+    minus = np.abs(alpha - beta)
+    return np.where(same_x,
+                    np.where(same_z, minus, np.maximum(minus, np.abs(alpha + beta))),
+                    np.maximum(np.abs(alpha), np.abs(beta)))
 
 
 def _phased_pair_residuals(form: PhasedForm, i, j, sign: int, terms) -> np.ndarray:
@@ -497,10 +581,11 @@ def fixed_spaces(lefts, rights, dim: int, signs) -> list:
     system is formed.
 
     One :func:`phased_permutations` call on the stacked Lᵢ and Rᵢ picks the
-    path.  When every one is a phased permutation, the inverses, the
-    precondition and the projections are gathers and no d×d matrix of the
-    maps is formed; otherwise the inverses come from ``np.linalg.inv`` (a
-    NaN matrix where it refuses one) and the rest from d×d products.  The
+    path.  When every one is a phased permutation with no zero row, the
+    inverses, the precondition and the projections are gathers and no d×d
+    matrix of the maps is formed; otherwise (a zero row has no gathered
+    inverse) the inverses come from ``np.linalg.inv`` (a NaN matrix where
+    it refuses one) and the rest from d×d products.  The
     maps must be commuting involutions:
     the precondition (:func:`_check_commuting_involutions`) runs once for
     all signs and raises ValueError otherwise.  For each sign the projector
@@ -515,7 +600,7 @@ def fixed_spaces(lefts, rights, dim: int, signs) -> list:
         raise ValueError(f"{len(lefts)} left and {len(rights)} right matrices")
     count = len(lefts)
     form = phased_permutations(lefts + rights, dim)
-    if form is None:
+    if form is None or not form.vals.all():
         lefts = [_dense_inverse(left) for left in lefts]
         rights = [as_matrix(right) for right in rights]
     else:

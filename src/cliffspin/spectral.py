@@ -383,7 +383,6 @@ def spin10_action(triple: PatiSalamTriple, tol: float = DEFAULT_TOL) -> Report:
     match1, match2 = fold_max(0.0, resid[:k1]), fold_max(0.0, resid[k1:])
 
     la = triple.left_action(triple.algebra_generators())
-    # the l(g) first: the detector stops at its first block, which is not phased
     i, j = np.divmod(np.arange(len(la) * len(mixed)), len(mixed))
     commutators = pair_residuals([*la, *combined.mats], i, len(la) + mixed[j], -1, None)
     mixed_min = float(commutators.reshape(len(la), len(mixed)).max(axis=0).min())

@@ -381,6 +381,16 @@ class TestWeylSplit:
         with pytest.raises(ValueError, match="not a finite diagonal"):
             weyl_pieces(dataclasses.replace(m, chirality=chir))
 
+    @pytest.mark.parametrize("value", [0.5, 0.0, -1 + 1e-6, 1j])
+    def test_a_diagonal_entry_off_plus_or_minus_one_is_refused(self, value):
+        # 0.5 used to fall in neither piece: (0,4) split into pieces of
+        # dimension 1 and 2 instead of 2 and 2, without complaint
+        m = build_irrep((0, 4))
+        chir = np.array(m.chirality)
+        chir[0, 0] = value
+        with pytest.raises(ValueError, match="diagonal entry other than ±1"):
+            weyl_pieces(dataclasses.replace(m, chirality=chir))
+
     def test_pieces_satisfy_brackets(self):
         for pq in [(2, 0), (4, 0), (1, 1)]:
             for piece in weyl_pieces(build_irrep(pq)):

@@ -5,39 +5,46 @@ The gammas of the Jordan–Wigner chain and their quadratic monomials are
 phased permutations, so ``fixed_spaces`` (the sign measurement and the
 intertwiner search: inverses, involution check, commutation precondition
 and projections) and ``pair_residuals`` (Clifford residual, bracket table)
-run on gathers.  Each makes its one detector call itself; making the
-detector answer None sends the same input through the dense code, which
-must agree in every rank, verdict, error text and residual.  Faulted
-modules must give the same FAIL or the same error on both paths, no
-RuntimeWarning on either, and the pairwise checks of both paths must equal
-the per-pair loops of ``dense_reference``."""
+run on gathers, and ``pair_residuals`` reads Pauli strings off the
+gathered form where every matrix is one.  Each makes its one detector call
+itself; making the string reader answer None sends phased input through
+the gathers, and making the detector answer None sends the same input
+through the dense code, which must agree in every rank, verdict, error
+text and residual.  Faulted modules must give the same FAIL or the same
+error on every path, no RuntimeWarning on any, and the pairwise checks of
+every path must equal the per-pair loops of ``dense_reference``."""
 
 import contextlib
 import dataclasses
+import io
 import json
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cliffspin import cli, clifford, linalg
+from cliffspin import cli, clifford, commuting, liealg, linalg
 from cliffspin.clifford import (
     build_irrep,
     clifford_residual,
     measure_sign_triple,
     verify_module_signs,
 )
-from cliffspin.commuting import build_commuting
+from cliffspin.commuting import build_commuting, commutation_residual
 from cliffspin.liealg import (
     SoRepresentation,
     bracket_residual_table,
     find_intertwiner,
+    flipped_representation,
     intertwiner_residual,
     so_generators,
     weyl_pieces,
 )
 from cliffspin.linalg import (
+    DEFAULT_TOL,
     fixed_spaces,
     pair_residuals,
     phased_compose,
@@ -59,6 +66,11 @@ MODULES_10 = [(p, n - p, branch) for n in range(11) for p in range(n + 1)
 def dense_only():
     """The detector answers None, so only the dense code runs."""
     return mock.patch.object(linalg, "phased_permutations", return_value=None)
+
+
+def gathers_only():
+    """The string reader answers None, so phased input takes the gathers."""
+    return mock.patch.object(linalg, "_pauli_strings", return_value=None)
 
 
 def outcome(f, *args, **kwargs):
@@ -123,13 +135,20 @@ class TestDetector:
     @pytest.mark.parametrize("g", [
         [[1, 1], [0, 1]],          # two nonzeros in a row
         [[1, 0], [1, 0]],          # a column hit twice, one missing
-        [[0, 0], [0, 1]],          # a row without a nonzero
+        [[0, 0], [1, 1]],          # a zero row leaves no room for two in another
         [[np.nan, 0], [0, 1]],     # not finite
         [[np.inf, 0], [0, 1]],
         [[1, 1e-300], [0, 1]],     # no tolerance: a tiny entry counts
     ])
     def test_refuses_anything_else(self, g):
         assert phased_permutations([np.eye(2), g], 2) is None
+
+    def test_reads_partial_forms(self):
+        # at most one nonzero per row and per column: a zero row reads as
+        # value 0 at column 0, and the zero matrix is a form too
+        cols, vals = phased_permutations([[[0, 0], [0, 1]], np.zeros((2, 2))], 2)
+        assert cols.tolist() == [[0, 1], [0, 0]]
+        assert vals.tolist() == [[0, 1], [0, 0]]
 
     def test_refuses_the_wrong_size(self):
         assert phased_permutations([np.eye(3)], 2) is None
@@ -340,12 +359,13 @@ def test_faulted_sign_reports_fail_alike(fault):
 
 
 def pair_paths(f, *args):
-    """What f returns on the phased path and under :func:`dense_only`, as
-    float arrays."""
-    phased = f(*args)
-    with dense_only():
-        dense = f(*args)
-    return np.asarray(phased, dtype=float), np.asarray(dense, dtype=float)
+    """What f returns on the path ``pair_residuals`` picks, under
+    :func:`gathers_only` and under :func:`dense_only`, as float arrays."""
+    values = []
+    for context in (contextlib.nullcontext(), gathers_only(), dense_only()):
+        with context:
+            values.append(np.asarray(f(*args), dtype=float))
+    return values
 
 
 def assert_pairwise_checks_match_the_loops(gammas, eta, rep):
@@ -368,8 +388,19 @@ class TestPairResiduals:
 
     @pytest.mark.parametrize("p, q, branch", MODULES_10)
     def test_every_module_to_n_10(self, p, q, branch):
+        # the gammas with the identity and both generator stacks read as
+        # Pauli strings, and the flipped table matches its loop too
         m = build_irrep((p, q), branch)
-        assert_pairwise_checks_match_the_loops(list(m.gammas), m.eta, so_generators(m))
+        rep = so_generators(m)
+        assert_pairwise_checks_match_the_loops(list(m.gammas), m.eta, rep)
+        flipped = flipped_representation(rep)
+        reference = loop_bracket_table(flipped)
+        for table in pair_paths(bracket_residual_table, flipped):
+            assert np.array_equal(table, reference)
+        if m.n:
+            assert reads_as_strings([*m.gammas, np.eye(m.dim)])
+        if m.n > 1:
+            assert reads_as_strings(rep.mats) and reads_as_strings(flipped.mats)
 
     @pytest.mark.parametrize("sig1, sig2", cli.DEFAULT_PAIRS)
     def test_combined_generators_of_the_default_pairs(self, sig1, sig2):
@@ -434,6 +465,146 @@ class TestPairResiduals:
             assert np.array_equal(value, reference)
         for value in pair_paths(pair_residuals, mats, i[:0], j[:0], -1, None):
             assert value.shape == (0,)
+
+
+def reads_as_strings(mats) -> bool:
+    form = phased_permutations(mats, np.shape(mats[0])[-1])
+    return form is not None and linalg._pauli_strings(form) is not None
+
+
+def assert_bit_equal(values):
+    """Every array of ``values`` has the bits of the first."""
+    assert all(value.tobytes() == values[0].tobytes() for value in values[1:])
+
+
+#: the default pairs of ``cliffspin commuting`` and one with two odd
+#: factors of the same sign
+STRING_PAIRS = (*cli.DEFAULT_PAIRS, ((2, 3), (1, 2)))
+
+#: factors that fault one gamma and leave a Pauli string: an exact phase,
+#: a scale and a phase whose products round
+STRING_FAULTS = {"times-i": 1j, "scaled-1e-6": 1 + 1e-6, "phase-0.3": np.exp(0.3j)}
+
+
+class TestStringTier:
+    """Pauli strings, gathers and the dense code give the same residuals
+    (every module with n ≤ 10 is in ``TestPairResiduals``), and the reader
+    refuses every other phased permutation."""
+
+    @pytest.mark.parametrize("sig1, sig2", STRING_PAIRS)
+    def test_commuting_pairs(self, sig1, sig2):
+        ca = build_commuting(sig1, sig2)
+        gammas = [*ca.gamma1, *ca.gamma2]
+        eta = np.concatenate([ca.mod1.eta, ca.mod2.eta])
+        assert reads_as_strings(gammas) and reads_as_strings(ca.generators.mats)
+        assert_bit_equal(pair_paths(clifford_residual, gammas, eta))
+        assert_bit_equal(pair_paths(commutation_residual, ca))
+        assert_bit_equal(pair_paths(bracket_residual_table, ca.generators))
+
+    def test_reads_c_x_z_and_refuses_near_strings(self):
+        y = np.array([[0, -1j], [1j, 0]])  # −i·Z·X
+        coef, x, z, _ = linalg._pauli_strings(phased_permutations([y, np.eye(2)], 2))
+        assert coef.tolist() == [-1j, 1] and x.tolist() == [1, 0] and z.tolist() == [1, 0]
+        # a controlled Z has the columns of a string and values off its sign
+        # pattern; a cyclic shift has the values of one and columns that are
+        # no r ⊕ x; with 1 and X⊗1 both take the gathers, and a reader that
+        # took them for 1 and 1⊗X would miss [CZ, X⊗1] and C² ≠ 1
+        flip_high = np.kron(clifford.PAULI_1, np.eye(2))
+        i, j = np.divmod(np.arange(9), 3)
+        terms = np.zeros(9, dtype=np.intp), np.where(i == j, 2, 0)
+        for g in (np.diag([1, 1, 1, -1]), np.roll(np.eye(4), 1, axis=1)):
+            mats = [np.eye(4), g, flip_high]
+            assert is_phased(mats, 4) and not reads_as_strings(mats)
+            for sign in (1, -1):
+                reference = loop_pair_residuals(mats, i, j, sign, terms)
+                assert reference.max() == 2
+                for value in pair_paths(pair_residuals, mats, i, j, sign, terms):
+                    assert np.array_equal(value, reference)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_strings(self, seed):
+        # every c·Z^z·X^x on d = 8 with x in {0, 3} and z < 4, a set closed
+        # under products, with random c: A[k] falls on the string of AᵢAⱼ,
+        # on its x with another z, or off its x, all three often;
+        # power-of-two magnitudes keep every product and sum exact
+        rng = np.random.default_rng(seed)
+        rows = np.arange(8)
+        x, z = np.repeat([0, 3], 4), np.tile(np.arange(4), 2)
+        mats = []
+        for xk, zk in zip(x, z):
+            g = np.zeros((8, 8), dtype=complex)
+            signs = [(-1) ** bin(zk & r).count("1") for r in rows]
+            g[rows, rows ^ xk] = (2.0 ** rng.integers(-2, 3)
+                                  * rng.choice([1, -1, 1j, -1j]) * np.array(signs))
+            mats.append(g)
+        i, j, k = rng.integers(0, 8, (3, 200))
+        coef = rng.choice([0, 1, -1, 2, -0.5], 200)
+        assert reads_as_strings(mats)
+        on_x = (x[k] == x[i] ^ x[j]) & (coef != 0)
+        on_z = z[k] == z[i] ^ z[j]
+        assert (on_x & on_z).any() and (on_x & ~on_z).any() and (~on_x & (coef != 0)).any()
+        for sign in (1, -1):
+            for terms in (None, (k, coef)):
+                reference = loop_pair_residuals(mats, i, j, sign, terms)
+                for value in pair_paths(pair_residuals, mats, i, j, sign, terms):
+                    assert np.array_equal(value, reference)
+
+    @settings(max_examples=40, deadline=None)
+    @given(module=st.sampled_from([mod for mod in MODULES_10 if mod[0] + mod[1]]),
+           fault=st.sampled_from(sorted(STRING_FAULTS)), data=st.data())
+    def test_a_faulted_gamma_still_fails(self, module, fault, data):
+        p, q, branch = module
+        m = build_irrep((p, q), branch)
+        a = data.draw(st.integers(0, m.n - 1), label="gamma")
+        gammas = list(m.gammas)
+        gammas[a] = STRING_FAULTS[fault] * gammas[a]
+        rep = so_generators(dataclasses.replace(m, gammas=tuple(gammas)))
+        assert reads_as_strings(gammas) and (m.n < 2 or reads_as_strings(rep.mats))
+        for f, args in ((clifford_residual, (gammas, m.eta)), (bracket_residual_table, (rep,))):
+            strings, gathers, dense = pair_paths(f, *args)
+            assert strings.tobytes() == gathers.tobytes()
+            # the phase's products round, and the dense products may round
+            # them otherwise
+            if fault == "phase-0.3":
+                assert np.allclose(dense, strings, rtol=0, atol=1e-15)
+            else:
+                assert dense.tobytes() == strings.tobytes()
+        for value in pair_paths(clifford_residual, gammas, m.eta):
+            assert not value < DEFAULT_TOL
+
+    @NO_WARNING
+    @pytest.mark.parametrize("p, q", [(1, 0), (0, 3), (2, 2), (3, 6)])
+    def test_a_nan_gamma_is_refused_and_fails(self, p, q):
+        m = nan_entry(build_irrep((p, q)))
+        assert phased_permutations(m.gammas, m.dim) is None
+        for value in pair_paths(clifford_residual, m.gammas, m.eta):
+            assert np.isnan(value)
+
+    def test_all_takes_no_dense_pair_check(self):
+        # every pairwise check of ``cliffspin all`` takes an exact form, and
+        # every bracket table with a generator takes the strings
+        strings = call_counter(linalg._string_pair_residuals)
+        per_table = []
+
+        def spied(table):
+            def counted(rep):
+                before = strings.calls
+                out = table(rep)
+                per_table.append((len(rep.mats), strings.calls - before))
+                return out
+            return counted
+
+        with mock.patch.object(linalg, "_dense_pair_residuals",
+                               side_effect=AssertionError("dense pair check")), \
+                mock.patch.object(linalg, "_string_pair_residuals", strings), \
+                mock.patch.object(liealg, "bracket_residual_table",
+                                  spied(liealg.bracket_residual_table)), \
+                mock.patch.object(commuting, "bracket_residual_table",
+                                  spied(commuting.bracket_residual_table)), \
+                contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(["all"]) == 0
+        assert len(per_table) > 40
+        assert all(calls == (1 if size else 0) for size, calls in per_table)
 
 
 def call_counter(f):
@@ -501,6 +672,19 @@ class TestFootprint:
                 mock.patch.object(linalg, "_phased_pair_residuals",
                                   side_effect=AssertionError("gathered")):
             assert sign_spaces(conjugated, m.dim) == ranks == [1, 0]  # s = 3: ε′ = 1
+
+    def test_a_partial_form_takes_the_dense_path_of_fixed_spaces(self):
+        # a zero row has no gathered inverse: the detector admits the maps,
+        # but fixed_spaces hands them to np.linalg.inv, and the singular
+        # map fails the precondition as it does on the dense path
+        lefts, rights = [np.diag([1.0, 0.0])], [np.eye(2)]
+        assert not phased_permutations(lefts + rights, 2).vals.all()
+        with mock.patch.object(linalg, "_phased_involutions",
+                               side_effect=AssertionError("gathered")), \
+                mock.patch.object(linalg, "_phased_pair_residuals",
+                                  side_effect=AssertionError("gathered")):
+            phased, dense = both_paths(fixed_spaces, lefts, rights, 2, (1,))
+        assert phased == dense == ("raised", "fixed_space: map 0 is not an involution")
 
     def test_phased_maps_are_not_detected_again(self):
         # one detector call and one precondition for both signs
