@@ -7,9 +7,11 @@ Run from the root of a source checkout; the package is imported from
 checkouts on the same machine shows whether a change keeps the output
 byte-identical.  One line per output, ``<sha256>  <exit code>  <label>``:
 
-* the JSON output of ten CLI invocations, run in-process: among them
+* the JSON output of eleven CLI invocations, run in-process: among them
   ``verify signs --max-n 10``, whose module checks at d = 32 run in
-  blocks of eight gammas, ``pati-salam`` (every check is exact and draws
+  blocks of eight gammas, ``verify signs --max-n 12``, whose sign
+  measurements at d = 64 check their precondition on Pauli strings,
+  ``pati-salam`` (every check is exact and draws
   nothing, so ``--seed`` would change nothing), ``three-actions``,
   ``commuting`` on (0,3) x (2,0),
   whose odd first and even second factor send the suite through
@@ -40,6 +42,7 @@ COMMANDS = (
     ["all"],
     ["verify", "signs", "--max-n", "8"],
     ["verify", "signs", "--max-n", "10"],
+    ["verify", "signs", "--max-n", "12"],
     ["verify", "brackets", "--max-n", "8"],
     ["verify", "brackets", "--max-n", "10"],
     ["commuting", "--sig1", "4,0", "--sig2", "0,6"],

@@ -11,11 +11,10 @@ Pauli strings c·Z^z·X^x (Aaronson and Gottesman, quant-ph/0406196), and a
 chirality projector cuts such a string down to a partial phased
 permutation: at most one nonzero entry per row and per column.
 :func:`phased_permutations` detects a stack of partial phased permutations
-exactly and gives its ``PhasedForm`` (cols, vals), in which a product
-(:func:`phased_compose`) or an inverse (:func:`phased_inverse`, for a
-form without zero rows) is an O(d) gather and a map X ↦ L·X·R an O(d²)
-gather.  Callers hand plain matrices to the two checks built on it, and
-each check makes its one detector call itself:
+exactly and gives its ``PhasedForm`` (cols, vals), in which a product of
+two matrices is an O(d) gather and a map X ↦ L·X·R an O(d²) gather.
+Callers hand plain matrices to the two checks built on it, and each check
+makes its one detector call itself:
 
 * :func:`pair_residuals`, every pairwise identity (the Clifford relations,
   the so(p,q) brackets and the commutators checked in ``commuting``,
@@ -24,12 +23,15 @@ each check makes its one detector call itself:
   pair; the ``PhasedForm`` itself, O(d) gathers per pair; and, for
   anything else, stacked d×d products;
 * :func:`fixed_spaces`, the X with Lᵢ·X = s·X·Rᵢ for every i and each sign
-  s (the sign measurement and the intertwiner search), whose commutation
-  precondition is a pair-residual check too; it needs inverses, so a form
-  with a zero row takes its dense code.
+  s (the sign measurement and the intertwiner search), whose precondition
+  (squares and commutations of the maps as given) is two pair-residual
+  calls on its one detector answer, and which inverts each Lᵢ by its
+  measured square.
 
-Only this module knows the ``PhasedForm`` and the strings; input that is
-not a stack of partial phased permutations takes the dense code.
+:func:`_form_pair_residuals` is the one place that picks a pair tier from
+the detector's answer.  Only this module knows the ``PhasedForm`` and the
+strings; input that is not a stack of partial phased permutations takes
+the dense code.
 """
 
 from __future__ import annotations
@@ -346,15 +348,6 @@ def _stack_index(cols) -> np.ndarray:
     return np.arange(len(cols))[:, None]
 
 
-def phased_compose(a, b):
-    """The form of A·B for phased-permutation forms ``a`` and ``b`` of two
-    stacks of N matrices: row r of A·B is vals_a[r] times row cols_a[r] of
-    B."""
-    (cols_a, vals_a), (cols_b, vals_b) = a, b
-    k = _stack_index(cols_a)
-    return PhasedForm(cols_b[k, cols_a], vals_a * vals_b[k, cols_a])
-
-
 def _phased_rows(cols) -> np.ndarray:
     """The inverse permutations of phased-permutation columns: the row
     rows[c] of each matrix that holds column c, by one scatter."""
@@ -363,31 +356,24 @@ def _phased_rows(cols) -> np.ndarray:
     return rows
 
 
-def phased_inverse(a):
-    """The form of A⁻¹ for a phased-permutation form ``a``: A maps the unit
-    vector of column cols[r] to vals[r] times that of row r."""
-    cols, vals = a
-    rows = _phased_rows(cols)
-    return PhasedForm(rows, 1 / vals[_stack_index(rows), rows])
-
-
-def _phased_distance(a, b) -> np.ndarray:
-    """max-abs of A − B for each matrix of two phased-permutation forms: a
-    row whose columns agree gives |va − vb|, any other max(|va|, |vb|)."""
-    (cols_a, vals_a), (cols_b, vals_b) = a, b
-    gap = np.where(cols_a == cols_b, np.abs(vals_a - vals_b),
-                   np.maximum(np.abs(vals_a), np.abs(vals_b)))
-    return gap.max(axis=-1)
-
-
 def pair_residuals(mats, i, j, sign: int, terms) -> np.ndarray:
     """max-abs of Aᵢ·Aⱼ + sign·Aⱼ·Aᵢ − c·A[k] for each pair p = (i[p], j[p])
     of the d×d matrices A (a list or a stack), as an array over the pairs;
     ``terms`` is None (no right-hand side) or the index arrays (k, c), one
     index into A and one coefficient per pair, and a pair whose c is 0 has
-    no right-hand side.
+    no right-hand side.  One :func:`phased_permutations` call, and
+    :func:`_form_pair_residuals` on its answer."""
+    i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
+    if not len(i):
+        return np.zeros(0)
+    form = phased_permutations(mats, np.shape(mats[0])[-1])
+    return _form_pair_residuals(form, mats, i, j, sign, terms)
 
-    One :func:`phased_permutations` call picks the cheapest exact form:
+
+def _form_pair_residuals(form, mats, i, j, sign: int, terms) -> np.ndarray:
+    """:func:`pair_residuals` of ``mats`` with ``form`` their
+    :func:`phased_permutations` answer; ``mats`` is read only when
+    ``form`` is None.  The one place that picks the cheapest exact tier:
 
     * Pauli strings, when the form reads as c·Z^z·X^x for every matrix: a
       few operations per pair (:func:`_string_pair_residuals`);
@@ -403,10 +389,6 @@ def pair_residuals(mats, i, j, sign: int, terms) -> np.ndarray:
     the dense path does too when every product of entries is exact (as in
     every module the package builds); otherwise it agrees to rounding.
     """
-    i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
-    if not len(i):
-        return np.zeros(0)
-    form = phased_permutations(mats, np.shape(mats[0])[-1])
     if form is None:
         return _dense_pair_residuals(mats, i, j, sign, terms)
     strings = _pauli_strings(form)
@@ -496,68 +478,42 @@ def _first_failure(bad) -> int:
     return int(np.argmax(bad)) if bad.any() else len(bad)
 
 
-def _phased_involutions(lefts: PhasedForm, rights: PhasedForm, dim: int) -> np.ndarray:
-    """Which maps fail L² = c·1, R² = c⁻¹·1, read off the gathered squares:
-    each entry of a product of phased permutations is one product of two
-    entries, so the residuals are those of the dense squares."""
-    lsq, rsq = phased_compose(lefts, lefts), phased_compose(rights, rights)
-    diag = np.arange(dim)
-    c = np.where(lsq[0] == diag, lsq[1], 0).sum(axis=-1) / dim
-    scale = np.where(c == 0, 1, c)[:, None]
-    resid = np.maximum(_phased_distance(lsq, (diag, scale)),
-                       _phased_distance(rsq, (diag, 1 / scale)))
-    return (c == 0) | ~(resid <= DEFAULT_TOL)
-
-
-def _dense_involutions(lefts, rights, dim: int) -> np.ndarray:
-    """Which maps fail L² = c·1, R² = c⁻¹·1, by stacked d×d squares over
-    blocks of at most ``STACK_BLOCK_ENTRIES`` entries.  A NaN entry
-    fails its map without a RuntimeWarning."""
-    ident = eye(dim)
-    bad = [np.zeros(0, dtype=bool)]
-    for block in stack_blocks(len(lefts), dim):
-        left, right = np.stack(lefts[block]), np.stack(rights[block])
-        lsq, rsq = left @ left, right @ right
-        c = np.trace(lsq, axis1=1, axis2=2) / dim
-        scale = np.where(c == 0, 1, c)[:, None, None]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            resid = np.maximum(np.abs(lsq - scale * ident).max(axis=(1, 2)),
-                               np.abs(rsq - ident / scale).max(axis=(1, 2)))
-        bad.append((c == 0) | ~(resid <= DEFAULT_TOL))
-    return np.concatenate(bad)
-
-
-def _check_commuting_involutions(lefts, rights, dim: int) -> None:
-    """The precondition of :func:`fixed_spaces` on the maps X ↦ Lᵢ·X·Rᵢ
-    (Lᵢ inverted already): every map is an involution (L² = c·1,
-    R² = c⁻¹·1) and every two commute (LᵢLⱼ = σLⱼLᵢ, RⱼRᵢ = σRᵢRⱼ, one
-    σ ∈ {±1}), each to ``DEFAULT_TOL``.
+def _check_commuting_involutions(form, mats, squares) -> None:
+    """The precondition of :func:`fixed_spaces` on the maps as given: with
+    ``mats`` the Lᵢ, then the Rᵢ, then the identity, ``form`` their
+    :func:`phased_permutations` answer and ``squares`` the measured
+    cᵢ = (Lᵢ²)[0, 0], every map squares to a scalar, Lᵢ² = cᵢ·1 = Rᵢ² with
+    cᵢ ≠ 0, and every two commute, LᵢLⱼ = σLⱼLᵢ and RⱼRᵢ = σRᵢRⱼ for one
+    σ ∈ {±1}, each pair residual to ``DEFAULT_TOL``.
 
     Raises ValueError for the first failure in the order map i, then its
-    pairs (j, i) with j < i ascending.  The involutions are read off
-    gathered squares of two ``PhasedForm`` stacks and off stacked d×d
-    squares of two lists; the commutations are pair residuals with sign
-    −σ, first for σ = −1 on every pair and then for σ = +1 on the pairs
-    left.  A sign on any Lᵢ changes neither, so one check serves every
-    sign.
+    pairs (j, i) with j < i ascending.  Two :func:`_form_pair_residuals`
+    calls check it all: one with sign +1 on the squares, the pairs (a, a)
+    against 2cᵢ times the identity, and on the σ = −1 pairs; one with sign
+    −1 on the pairs left.  A sign on any Lᵢ changes neither, so one check
+    serves every sign.
     """
-    if isinstance(lefts, PhasedForm):
-        involutions, pairs = _phased_involutions, _phased_pair_residuals
-    else:
-        involutions, pairs = _dense_involutions, _dense_pair_residuals
-    bad_maps = involutions(lefts, rights, dim)
-    first_bad_map = _first_failure(bad_maps)
-    i, j = np.nonzero(np.tri(first_bad_map, k=-1, dtype=bool))
-    commutes = np.zeros(len(i), dtype=bool)
-    for sigma in (-1, 1):
-        todo = np.flatnonzero(~commutes)
-        commutes[todo] = np.maximum(
-            pairs(lefts, i[todo], j[todo], -sigma, None),
-            pairs(rights, j[todo], i[todo], -sigma, None)) <= DEFAULT_TOL
-    k = _first_failure(~commutes)
+    count = len(squares)
+    i, j = np.nonzero(np.tri(count, k=-1, dtype=bool))
+    maps = np.arange(2 * count)
+    # the squares, then the Lᵢ pairs (i, j), then the Rᵢ pairs (j, i)
+    a = np.concatenate([maps, i, count + j])
+    b = np.concatenate([maps, j, count + i])
+    coef = np.zeros(len(a), dtype=complex)
+    coef[:count] = coef[count:2 * count] = 2 * squares
+    resid = _form_pair_residuals(form, mats, a, b, 1, (np.full(len(a), 2 * count), coef))
+    squared = np.maximum(*resid[maps].reshape(2, count)) <= DEFAULT_TOL
+    first_bad_map = _first_failure((squares == 0) | ~squared)
+    commutes = np.maximum(*resid[2 * count:].reshape(2, -1)) <= DEFAULT_TOL
+    todo = np.flatnonzero(~commutes & (i < first_bad_map))
+    if len(todo):
+        pairs = 2 * count + np.concatenate([todo, len(i) + todo])
+        commutes[todo] = np.maximum(*_form_pair_residuals(
+            form, mats, a[pairs], b[pairs], -1, None).reshape(2, -1)) <= DEFAULT_TOL
+    k = _first_failure(~commutes & (i < first_bad_map))
     if k < len(i):
         raise ValueError(f"fixed_space: maps {j[k]} and {i[k]} do not commute")
-    if first_bad_map < len(bad_maps):
+    if first_bad_map < count:
         raise ValueError(f"fixed_space: map {first_bad_map} is not an involution")
 
 
@@ -580,64 +536,54 @@ def fixed_spaces(lefts, rights, dim: int, signs) -> list:
     iterables of dim×dim matrices, each read once, and no dim²-unknown
     system is formed.
 
-    One :func:`phased_permutations` call on the stacked Lᵢ and Rᵢ picks the
-    path.  When every one is a phased permutation with no zero row, the
-    inverses, the precondition and the projections are gathers and no d×d
-    matrix of the maps is formed; otherwise (a zero row has no gathered
-    inverse) the inverses come from ``np.linalg.inv`` (a NaN matrix where
-    it refuses one) and the rest from d×d products.  The
-    maps must be commuting involutions:
-    the precondition (:func:`_check_commuting_involutions`) runs once for
-    all signs and raises ValueError otherwise.  For each sign the projector
-    Πᵢ(1 + Mᵢ)/2 is applied to ``FIXED_SPACE_PROBES`` random probes (stdlib
-    MT19937, seed 0; a randomized range finder, arXiv:0909.4061) and the
-    images are ranked against the probe norm, so an empty space gives no
-    column and a space of ``FIXED_SPACE_PROBES`` dimensions or more gives
-    that many.
+    The maps must be commuting involutions, stated on the matrices as
+    given: Lᵢ² = cᵢ·1 = Rᵢ² with cᵢ ≠ 0, and LᵢLⱼ = σLⱼLᵢ, RⱼRᵢ = σRᵢRⱼ.
+    Each cᵢ is measured as (Lᵢ²)[0, 0], row 0 of Lᵢ times its column 0,
+    and Lᵢ⁻¹ = Lᵢ/cᵢ.  One :func:`phased_permutations` call on the stacked
+    Lᵢ, Rᵢ and the identity serves the precondition
+    (:func:`_check_commuting_involutions`, run once for all signs; it
+    raises ValueError on failure) and the projections: when every matrix
+    is a phased permutation the dense copies are dropped and the
+    projections are gathers, otherwise d×d products.  A partial phased
+    permutation squares to no cᵢ·1, so it fails the precondition.  For
+    each sign the projector Πᵢ(1 + Mᵢ)/2 is applied to
+    ``FIXED_SPACE_PROBES`` random probes (stdlib MT19937, seed 0; a
+    randomized range finder, arXiv:0909.4061) and the images are ranked
+    against the probe norm, so an empty space gives no column and a space
+    of ``FIXED_SPACE_PROBES`` dimensions or more gives that many.
     """
-    lefts, rights = list(lefts), list(rights)
-    if len(lefts) != len(rights):
-        raise ValueError(f"{len(lefts)} left and {len(rights)} right matrices")
+    lefts = [as_matrix(left) for left in lefts]
     count = len(lefts)
-    form = phased_permutations(lefts + rights, dim)
-    if form is None or not form.vals.all():
-        lefts = [_dense_inverse(left) for left in lefts]
-        rights = [as_matrix(right) for right in rights]
+    mats = [*lefts, *map(as_matrix, rights), eye(dim)]
+    if len(mats) != 2 * count + 1:
+        raise ValueError(f"{count} left and {len(mats) - count - 1} right matrices")
+    squares = np.array([left[0] @ left[:, 0] for left in lefts], dtype=complex)
+    form = phased_permutations(mats, dim)
+    if form is not None:
+        lefts = mats = None  # the form holds every entry
+    _check_commuting_involutions(form, mats, squares)
+    probes = _probes(dim)
+    return [_project(form, mats, squares, sign, probes) for sign in signs]
+
+
+def _project(form, mats, squares, sign: int, probes) -> np.ndarray:
+    """The basis of :func:`fixed_spaces` for one sign, from the images of
+    the probes under the projectors X ↦ (X + s·Lᵢ⁻¹·X·Rᵢ)/2, with
+    Lᵢ⁻¹ = Lᵢ/cᵢ: one gather each on the ``form`` when there is one, two
+    products each on ``mats`` otherwise."""
+    count, dim = len(squares), probes.shape[-1]
+    images = probes
+    if form is None:
+        for left, right, square in zip(mats, mats[count:], squares):
+            images = 0.5 * (images + (sign / square * left) @ images @ right)
     else:
         cols, vals = form
-        lefts = phased_inverse(PhasedForm(cols[:count], vals[:count]))
-        rights = PhasedForm(cols[count:], vals[count:])
-    _check_commuting_involutions(lefts, rights, dim)
-    probes = _probes(dim)
-    return [_project(lefts, rights, sign, probes) for sign in signs]
-
-
-def _dense_inverse(left) -> np.ndarray:
-    """``np.linalg.inv``, or NaN where it raises: the precondition names the map."""
-    try:
-        return np.linalg.inv(as_matrix(left))
-    except np.linalg.LinAlgError:
-        return np.full(np.shape(left), np.nan, dtype=complex)
-
-
-def _project(lefts, rights, sign: int, probes) -> np.ndarray:
-    """The basis of :func:`fixed_spaces` for one sign, from the images of
-    the probes under the projectors X ↦ (X + s·Lᵢ·X·Rᵢ)/2 (Lᵢ inverted
-    already): one gather each on two ``PhasedForm`` stacks, two products
-    each on two lists."""
-    dim = probes.shape[-1]
-    images = probes
-    if isinstance(lefts, PhasedForm):
-        (lc, lv), (rc, rv) = lefts, rights
-        lv = sign * lv
+        lc, lv = cols[:count], sign / squares[:, None] * vals[:count]
         # (X·R)[:, c] = X[:, r]·R[r, c] for the one row r = rows[c] of column c
-        rows = _phased_rows(rc)
-        rv = rv[_stack_index(rows), rows]
-        for k in range(len(lc)):
+        rows = _phased_rows(cols[count:2 * count])
+        rv = vals[count:2 * count][_stack_index(rows), rows]
+        for k in range(count):
             images = 0.5 * (images + lv[k, :, None] * rv[k] * images[:, lc[k, :, None], rows[k]])
-    else:
-        for left, right in zip(lefts, rights):
-            images = 0.5 * (images + (sign * left) @ images @ right)
     u, s, _ = np.linalg.svd(images.reshape(FIXED_SPACE_PROBES, dim * dim).T,
                             full_matrices=False)
     return u[:, :int(np.sum(s > NULL_RTOL * np.linalg.norm(probes)))]

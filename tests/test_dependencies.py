@@ -3,7 +3,8 @@ package imports it anywhere, and a warm ``cliffspin all`` pass keeps to one
 core.  SciPy is a test dependency only, the reference of the matrix
 exponential's tests.  The package draws nothing, so no command loads
 ``numpy.random``.  Only ``linalg`` names the phased-permutation form, so
-the choice between gathers and dense code is made in one module."""
+the choice between gathers and dense code is made in one module, and only
+one function there names the pair-residual kernels of the three tiers."""
 
 import ast
 import io
@@ -174,6 +175,60 @@ def test_the_phased_guard_sees_every_name():
               "    return phased_inverse(cols)\n"
               "phased = unphased_count = 0\n")
     assert phased_names(source, "m.py") == ["m.py:1", "m.py:4", "m.py:6", "m.py:7", "m.py:9"]
+
+
+#: the pair-residual kernels of the three tiers, and the one function that
+#: picks among them
+PAIR_TIERS = ("_string_pair_residuals", "_phased_pair_residuals", "_dense_pair_residuals")
+PAIR_DISPATCH = "_form_pair_residuals"
+
+
+def pair_tier_names(source: str, filename: str) -> list:
+    """``file:line`` of every name in the code (not in strings or comments)
+    that is one of ``PAIR_TIERS``, outside the top-level function
+    ``PAIR_DISPATCH``; the name after a ``def`` does not count."""
+    found, scope, previous, top_def = [], None, None, False
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type != tokenize.NAME:
+            continue
+        if token.start[1] == 0:
+            # a top-level statement ends the function before it
+            scope, top_def = None, token.string == "def"
+        if previous == "def" and top_def:
+            scope, top_def = token.string, False
+        elif token.string in PAIR_TIERS and previous != "def" and scope != PAIR_DISPATCH:
+            found.append(f"{filename}:{token.start[0]}")
+        previous = token.string
+    return found
+
+
+def test_one_function_picks_a_pair_tier():
+    # pair_residuals and the precondition of fixed_spaces both hand their
+    # detector answer to the one dispatch
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += pair_tier_names(path.read_text(encoding="utf-8"),
+                                 str(path.relative_to(ROOT)))
+    assert not found, "pair tier picked outside the dispatch: " + ", ".join(found)
+    linalg = (PACKAGE / "linalg.py").read_text(encoding="utf-8")
+    assert all(f"def {name}(" in linalg for name in (PAIR_DISPATCH, *PAIR_TIERS))
+
+
+def test_the_pair_tier_guard_sees_every_name():
+    source = ("from .linalg import _dense_pair_residuals\n"
+              "def _form_pair_residuals(form, mats):\n"
+              "    \"\"\"_string_pair_residuals in a docstring is prose\"\"\"\n"
+              "    def _phased_pair_residuals():\n"
+              "        return _string_pair_residuals\n"
+              "    return _dense_pair_residuals(mats)\n"
+              "def _string_pair_residuals(strings):\n"
+              "    # _phased_pair_residuals in a comment is prose\n"
+              "    return linalg._phased_pair_residuals(strings)\n"
+              "_dense_pair_residuals = None\n"
+              "class Kernels:\n"
+              "    def _form_pair_residuals(self):\n"
+              "        return _string_pair_residuals\n")
+    assert pair_tier_names(source, "m.py") == ["m.py:1", "m.py:9", "m.py:10", "m.py:13"]
 
 
 def test_no_command_loads_scipy():

@@ -3,14 +3,14 @@ stands in for.
 
 The gammas of the Jordan–Wigner chain and their quadratic monomials are
 phased permutations, so ``fixed_spaces`` (the sign measurement and the
-intertwiner search: inverses, involution check, commutation precondition
-and projections) and ``pair_residuals`` (Clifford residual, bracket table)
-run on gathers, and ``pair_residuals`` reads Pauli strings off the
-gathered form where every matrix is one.  Each makes its one detector call
-itself; making the string reader answer None sends phased input through
-the gathers, and making the detector answer None sends the same input
-through the dense code, which must agree in every rank, verdict, error
-text and residual.  Faulted modules must give the same FAIL or the same
+intertwiner search: precondition and projections) and ``pair_residuals``
+(Clifford residual, bracket table) run on gathers, and every pair check,
+the precondition of ``fixed_spaces`` among them, reads Pauli strings off
+the gathered form where every matrix is one.  Each makes its one detector
+call itself; making the string reader answer None sends phased input
+through the gathers, and making the detector answer None sends the same
+input through the dense code, which must agree in every rank, verdict,
+error text and residual.  Faulted modules must give the same FAIL or the same
 error on every path, no RuntimeWarning on any, and the pairwise checks of
 every path must equal the per-pair loops of ``dense_reference``."""
 
@@ -46,9 +46,9 @@ from cliffspin.liealg import (
 from cliffspin.linalg import (
     DEFAULT_TOL,
     fixed_spaces,
+    max_abs,
+    null_space,
     pair_residuals,
-    phased_compose,
-    phased_inverse,
     phased_permutations,
 )
 from dense_reference import (
@@ -81,11 +81,25 @@ def outcome(f, *args, **kwargs):
         return "raised", str(exc)
 
 
-def both_paths(f, *args, **kwargs):
-    phased = outcome(f, *args, **kwargs)
-    with dense_only():
-        dense = outcome(f, *args, **kwargs)
-    return phased, dense
+def paths():
+    """The path the detector picks, the gathers and the dense code."""
+    return contextlib.nullcontext(), gathers_only(), dense_only()
+
+
+def every_path(f, *args, **kwargs):
+    """The ``outcome`` of f on each of :func:`paths`."""
+    outcomes = []
+    for context in paths():
+        with context:
+            outcomes.append(outcome(f, *args, **kwargs))
+    return tuple(outcomes)
+
+
+def same_on_every_path(f, *args, **kwargs):
+    """The ``outcome`` of f, the same (by ==) on each of :func:`paths`."""
+    first, *rest = every_path(f, *args, **kwargs)
+    assert all(other == first for other in rest)
+    return first
 
 
 def same_float(a: float, b: float) -> bool:
@@ -165,37 +179,16 @@ class TestDetector:
         mats[-1] = mats[-1] + 1e-6 * np.eye(64)
         assert phased_permutations(mats, 64) is None
 
-    @pytest.mark.parametrize("pq", [(0, 3), (2, 3), (4, 4)])
-    def test_compose_and_inverse_match_the_dense_products(self, pq):
-        gammas = np.stack(build_irrep(pq).gammas)
-        dim = gammas.shape[-1]
-        form = phased_permutations(gammas, dim)
-        rolled = phased_permutations(np.roll(gammas, 1, axis=0), dim)
-
-        def dense(f):
-            out = np.zeros((len(f[0]), dim, dim), dtype=complex)
-            out[np.arange(len(f[0]))[:, None], np.arange(dim), f[0]] = f[1]
-            return out
-
-        assert np.array_equal(dense(phased_compose(form, rolled)),
-                              gammas @ np.roll(gammas, 1, axis=0))
-        assert np.array_equal(dense(phased_inverse(form)), np.linalg.inv(gammas))
-
 
 @pytest.mark.parametrize("p, q, branch", MODULES_10)
 def test_sign_measurement_agrees_with_the_dense_path(p, q, branch):
     m = build_irrep((p, q), branch)
     assert is_phased([*m.gammas, *np.conj(m.gammas)], m.dim)
-    phased, dense = both_paths(sign_spaces, m.gammas, m.dim)
-    assert phased == dense
-    assert sorted(phased[1]) == ([1, 1] if m.n % 2 == 0 else [0, 1])
-    phased = sign_outcome(m)
-    with dense_only():
-        dense = sign_outcome(m)
-    assert phased == dense
-    assert phased[1] == tuple(clifford.sign_triple(m.s))
-    phased, dense = both_paths(clifford_residual, m.gammas, m.eta)
-    assert phased[1] == dense[1] == 0.0
+    kind, ranks = same_on_every_path(sign_spaces, m.gammas, m.dim)
+    assert kind == "returned" and sorted(ranks) == ([1, 1] if m.n % 2 == 0 else [0, 1])
+    _, (kind, triple, _) = same_on_every_path(sign_outcome, m)
+    assert kind == "returned" and triple == tuple(clifford.sign_triple(m.s))
+    assert same_on_every_path(clifford_residual, m.gammas, m.eta) == ("returned", 0.0)
 
 
 @pytest.mark.parametrize("p, q", [(p, n - p) for n in range(2, 11, 2) for p in range(n + 1)])
@@ -203,17 +196,14 @@ def test_intertwiner_search_agrees_with_the_dense_path(p, q):
     m = build_irrep((p, q))
     rep = so_generators(m)
     plus, minus = weyl_pieces(m)
-    phased, dense = both_paths(find_intertwiner, plus, minus)
-    assert phased == dense == ("returned", None)
-    phased, dense = both_paths(find_intertwiner, rep, rep)
-    assert phased[0] == dense[0] == "returned"
-    assert phased[1] is not None and dense[1] is not None
-    assert intertwiner_residual(phased[1], rep, rep) < 1e-10
-    # both paths rank the same fixed space of the 2T⁰ᵃ maps: the span of
+    assert same_on_every_path(find_intertwiner, plus, minus) == ("returned", None)
+    for kind, w in every_path(find_intertwiner, rep, rep):
+        assert kind == "returned" and w is not None
+        assert intertwiner_residual(w, rep, rep) < 1e-10
+    # every path ranks the same fixed space of the 2T⁰ᵃ maps: the span of
     # the identity and the chirality, one scalar on each Weyl piece
     assert is_phased([2 * rep.t(0, a) for a in range(1, rep.n)], rep.dim)
-    phased, dense = both_paths(intertwiner_space, rep)
-    assert phased == dense == ("returned", 2)
+    assert same_on_every_path(intertwiner_space, rep) == ("returned", 2)
     # a unitary conjugate of the representation takes the dense path and is
     # found equivalent to it
     u = unitary(rep.dim)
@@ -239,15 +229,53 @@ def test_first_failure_is_named_alike_on_both_paths(seed):
         else:
             lefts[k] = 0.5 * diag[k]
     assert is_phased(lefts + rights, dim)
-    phased, dense = both_paths(fixed_spaces, lefts, rights, dim, (1, -1))
-    assert phased[0] == dense[0]
-    assert verdict(phased) == verdict(dense) == loop_precondition_failure(lefts, rights, dim)
+    expected = loop_precondition_failure(lefts, rights, dim)
+    assert all(verdict(result) == expected for result in every_path(
+        fixed_spaces, lefts, rights, dim, (1, -1)))
 
 
 def verdict(result):
     """The ValueError text of an ``outcome``, or None when it returned."""
     kind, value = result
     return value if kind == "raised" else None
+
+
+#: Pauli strings whose squares cᵢ are not ±1, so that Lᵢ⁻¹ = Lᵢ/cᵢ is no
+#: ±Lᵢ: every module gamma has cᵢ = ±1 and would not see a wrong scale
+S1, S3 = clifford.PAULI_1, clifford.PAULI_3
+NON_UNIT_SQUARES = [
+    ([2 * S1, S3], [2 * S1, S3]),
+    ([(1 + 1j) * S1, 2j * S3], [(1 + 1j) * S1, 2j * S3]),
+    ([np.kron(2 * S1, S3), np.kron(S3, 0.5j * S1), 3 * np.kron(S1, S1)],) * 2,
+]
+
+
+@pytest.mark.parametrize("lefts, rights", NON_UNIT_SQUARES)
+def test_non_unit_squares_match_the_null_space_on_every_path(lefts, rights):
+    # the X with Lᵢ·X = s·X·Rᵢ, row-major: (Lᵢ ⊗ 1 − s·1 ⊗ Rᵢᵀ)·vec(X) = 0
+    dim = len(lefts[0])
+    ident = np.eye(dim)
+    assert reads_as_strings([*lefts, *rights, ident])
+    for sign in (1, -1):
+        dense = null_space(np.vstack([np.kron(left, ident) - sign * np.kron(ident, right.T)
+                                      for left, right in zip(lefts, rights)]))
+        for kind, (basis,) in every_path(fixed_spaces, lefts, rights, dim, (sign,)):
+            assert kind == "returned" and basis.shape == dense.shape
+            assert max_abs(basis @ basis.conj().T - dense @ dense.conj().T) < 1e-12
+
+
+@pytest.mark.parametrize("lefts, rights", [
+    ([2 * S1, S3], [S1, S3]),            # R₀² = 1, not c₀ = 4
+    ([S3, 2 * S1], [S3, 2j * S1]),       # R₁² = −4, not c₁ = 4
+    ([2 * S1, 2 * S3], [2 * S1, 2 * S1]),
+    ([2j * S3, 0.5 * S1], [2j * S3, 0.5 * S1]),
+])
+def test_non_unit_squares_are_named_as_the_loop_names_them(lefts, rights):
+    # the loop inverts with np.linalg.inv and checks L⁻², the package
+    # checks the squares of the maps as given: one verdict
+    expected = loop_precondition_failure(lefts, rights, 2)
+    assert all(verdict(result) == expected
+               for result in every_path(fixed_spaces, lefts, rights, 2, (1, -1)))
 
 
 def nan_entry(m):
@@ -292,50 +320,42 @@ def test_faults_give_the_same_verdict_on_both_paths(fault, pq):
     m = make(build_irrep(pq))
     # a fault that leaves no phased permutation reaches the dense fallback
     assert (phased_permutations(m.gammas, m.dim) is not None) == still_phased
-    phased, dense = both_paths(sign_spaces, m.gammas, m.dim)
-    assert phased == dense
-    phased = sign_outcome(m)
-    with dense_only():
-        dense = sign_outcome(m)
-    assert phased == dense
-    phased, dense = both_paths(clifford_residual, m.gammas, m.eta)
-    assert same_float(phased[1], dense[1])
-    assert not phased[1] < 1e-10
+    same_on_every_path(sign_spaces, m.gammas, m.dim)
+    same_on_every_path(sign_outcome, m)
+    residuals = [value for _, value in every_path(clifford_residual, m.gammas, m.eta)]
+    assert all(same_float(value, residuals[0]) for value in residuals)
+    assert not residuals[0] < 1e-10
 
 
 @NO_WARNING
 @pytest.mark.parametrize("p, q, branch", [(p, q, b) for p, q, b in MODULES_10 if p and q])
 def test_every_faulted_module_to_n_10_agrees_on_both_paths(p, q, branch):
-    # every fault of every module with both metric signs: the same ranks or
-    # error texts of the sign measurement's fixed spaces, the same measured
-    # triple or error, and for even n the same intertwiner verdict
+    # every fault of every module with both metric signs: on the strings,
+    # the gathers and the dense code, the same ranks or error texts of the
+    # sign measurement's fixed spaces, the same measured triple or error,
+    # and for even n the same intertwiner verdict
     for make, _ in FAULTS.values():
         m = make(build_irrep((p, q), branch))
-        phased, dense = both_paths(sign_spaces, m.gammas, m.dim)
-        assert phased == dense
-        phased = sign_outcome(m)
-        with dense_only():
-            dense = sign_outcome(m)
-        assert phased == dense
+        same_on_every_path(sign_spaces, m.gammas, m.dim)
+        same_on_every_path(sign_outcome, m)
         if m.n % 2 == 0:
             rep = so_generators(m)
-            phased, dense = both_paths(find_intertwiner, rep, rep)
-            assert verdict(phased) == verdict(dense)
-            assert (phased[1] is None) == (dense[1] is None)
+            found = every_path(find_intertwiner, rep, rep)
+            assert len({(verdict(result), result[1] is None) for result in found}) == 1
 
 
 @NO_WARNING
 @pytest.mark.parametrize("p, q, branch", [(p, q, b) for p, q, b in MODULES_10 if p and q])
 def test_a_nan_row_names_its_map_on_both_paths(p, q, branch):
-    # a NaN row of γ₁ can make np.linalg.inv call the matrix singular; the
-    # dense path then inverts it to NaN, and the precondition names map 1
+    # a NaN row of γ₁ makes its measured square NaN, and the precondition
+    # names map 1 on every path, without a RuntimeWarning
     m = build_irrep((p, q), branch)
     g = np.array(m.gammas[1])
     g[0, :] = np.nan
     m = dataclasses.replace(m, gammas=(m.gammas[0], g, *m.gammas[2:]))
     expected = ("raised", "fixed_space: map 1 is not an involution")
-    assert both_paths(sign_spaces, m.gammas, m.dim) == (expected, expected)
-    assert both_paths(measure_sign_triple, m) == (expected, expected)
+    assert every_path(sign_spaces, m.gammas, m.dim) == (expected,) * 3
+    assert every_path(measure_sign_triple, m) == (expected,) * 3
 
 
 @NO_WARNING
@@ -348,13 +368,14 @@ def test_faulted_sign_reports_fail_alike(fault):
         m = real_build(sig, branch)
         return make(m) if m.signature.p and m.signature.q else m
 
-    reports = []
-    for context in (contextlib.nullcontext(), dense_only()):
+    texts = []
+    for context in paths():
         with context, mock.patch.object(clifford, "build_irrep", faulted):
-            reports.append(verify_module_signs(4).to_dict())
-    assert json.dumps(reports[0]) == json.dumps(reports[1])
-    assert not reports[0]["passed"]
-    failed = {(d["p"], d["q"]) for d in reports[0]["details"] if not d["passed"]}
+            texts.append(json.dumps(verify_module_signs(4).to_dict()))
+    assert texts[1:] == texts[:1] * 2
+    report = json.loads(texts[0])
+    assert not report["passed"]
+    failed = {(d["p"], d["q"]) for d in report["details"] if not d["passed"]}
     assert failed == {(p, n - p) for n in range(2, 5) for p in range(1, n)}
 
 
@@ -362,7 +383,7 @@ def pair_paths(f, *args):
     """What f returns on the path ``pair_residuals`` picks, under
     :func:`gathers_only` and under :func:`dense_only`, as float arrays."""
     values = []
-    for context in (contextlib.nullcontext(), gathers_only(), dense_only()):
+    for context in paths():
         with context:
             values.append(np.asarray(f(*args), dtype=float))
     return values
@@ -370,7 +391,7 @@ def pair_paths(f, *args):
 
 def assert_pairwise_checks_match_the_loops(gammas, eta, rep):
     """clifford_residual, the bracket table and the precondition verdict of
-    the sign maps, on both paths, equal the per-pair loops bit for bit."""
+    the sign maps, on every path, equal the per-pair loops bit for bit."""
     reference = loop_clifford_residual(gammas, eta)
     for value in pair_paths(clifford_residual, gammas, eta):
         assert same_float(float(value), reference)
@@ -378,8 +399,9 @@ def assert_pairwise_checks_match_the_loops(gammas, eta, rep):
     for table in pair_paths(bracket_residual_table, rep):
         assert np.array_equal(table, reference, equal_nan=True)
     dim, conj = rep.dim, np.conj(gammas)
-    phased, dense = both_paths(fixed_spaces, gammas, conj, dim, (1, -1))
-    assert verdict(phased) == verdict(dense) == loop_precondition_failure(gammas, conj, dim)
+    expected = loop_precondition_failure(gammas, conj, dim)
+    assert all(verdict(result) == expected for result in every_path(
+        fixed_spaces, gammas, conj, dim, (1, -1)))
 
 
 class TestPairResiduals:
@@ -667,24 +689,18 @@ class TestFootprint:
         conjugated = [u @ g @ u.conj().T for g in m.gammas]
         assert not is_phased(conjugated, m.dim)
         ranks = sign_spaces(m.gammas, m.dim)
-        with mock.patch.object(linalg, "_phased_involutions",
-                               side_effect=AssertionError("gathered")), \
-                mock.patch.object(linalg, "_phased_pair_residuals",
-                                  side_effect=AssertionError("gathered")):
+        with mock.patch.object(linalg, "_phased_pair_residuals",
+                               side_effect=AssertionError("gathered")):
             assert sign_spaces(conjugated, m.dim) == ranks == [1, 0]  # s = 3: ε′ = 1
 
-    def test_a_partial_form_takes_the_dense_path_of_fixed_spaces(self):
-        # a zero row has no gathered inverse: the detector admits the maps,
-        # but fixed_spaces hands them to np.linalg.inv, and the singular
-        # map fails the precondition as it does on the dense path
+    def test_a_partial_form_fails_the_precondition_on_every_path(self):
+        # the detector admits a zero row, but a partial form squares to no
+        # c·1, so the map fails the precondition before any projection
         lefts, rights = [np.diag([1.0, 0.0])], [np.eye(2)]
         assert not phased_permutations(lefts + rights, 2).vals.all()
-        with mock.patch.object(linalg, "_phased_involutions",
-                               side_effect=AssertionError("gathered")), \
-                mock.patch.object(linalg, "_phased_pair_residuals",
-                                  side_effect=AssertionError("gathered")):
-            phased, dense = both_paths(fixed_spaces, lefts, rights, 2, (1,))
-        assert phased == dense == ("raised", "fixed_space: map 0 is not an involution")
+        expected = ("raised", "fixed_space: map 0 is not an involution")
+        assert every_path(fixed_spaces, lefts, rights, 2, (1,)) == (expected,) * 3
+        assert loop_precondition_failure(lefts, rights, 2) == expected[1]
 
     def test_phased_maps_are_not_detected_again(self):
         # one detector call and one precondition for both signs
