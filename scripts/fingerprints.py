@@ -7,7 +7,7 @@ Run from the root of a source checkout; the package is imported from
 checkouts on the same machine shows whether a change keeps the output
 byte-identical.  One line per output, ``<sha256>  <exit code>  <label>``:
 
-* the JSON output of eleven CLI invocations, run in-process: among them
+* the JSON output of twelve CLI invocations, run in-process: among them
   ``verify signs --max-n 10``, whose module checks at d = 32 run in
   blocks of eight gammas, ``verify signs --max-n 12``, whose sign
   measurements at d = 64 check their precondition on Pauli strings,
@@ -15,10 +15,12 @@ byte-identical.  One line per output, ``<sha256>  <exit code>  <label>``:
   nothing, so ``--seed`` would change nothing), ``three-actions``,
   ``commuting`` on (0,3) x (2,0),
   whose odd first and even second factor send the suite through
-  ``swap_factors`` before the even identification, and ``commuting`` on
+  ``swap_factors`` before the even identification, ``commuting`` on
   (0,8) x (0,8), at the product dimension limit D = 256, where the block
-  sizes of the stacked checks matter (about 1.5 s and 310 MB); these pin
-  paths that ``all`` does not take;
+  sizes of the stacked checks matter (about 1.5 s and 310 MB), and
+  ``commuting`` on (0,9) x (0,8), which takes ``swap_factors`` at that
+  limit (about 2 s and 500 MB); these pin paths that ``all`` does not
+  take;
 * one hash over ``module_to_json`` of every module in the benchmark's
   ``signature_sweep`` list (``bench/workloads.SWEEP``), in list order.
 """
@@ -48,6 +50,7 @@ COMMANDS = (
     ["commuting", "--sig1", "4,0", "--sig2", "0,6"],
     ["commuting", "--sig1", "0,3", "--sig2", "2,0"],
     ["commuting", "--sig1", "0,8", "--sig2", "0,8"],
+    ["commuting", "--sig1", "0,9", "--sig2", "0,8"],
     ["pati-salam"],
     ["three-actions", "--sig1", "0,3", "--sig2", "0,3", "--sig3", "0,3"],
 )

@@ -121,17 +121,23 @@ def as_signature(sig) -> Signature:
 class CliffordModule:
     """An irreducible unitary Clifford module and its structure maps.
 
-    Fields: the generating gamma matrices, their ordered product P, the
+    Fields: the gammas as one read-only complex (n, d, d) stack, frozen in
+    place from any sequence or stack, their ordered product P, the
     chirality operator, the real structure J and (even s only) Ĵ = J∘P.
     """
 
     signature: Signature
     branch: int
-    gammas: tuple
+    gammas: np.ndarray
     P: np.ndarray
     chirality: np.ndarray
     J: AntilinearOp
     Jhat: Optional[AntilinearOp]
+
+    def __post_init__(self):
+        gammas = np.asarray(self.gammas, dtype=complex)
+        gammas.setflags(write=False)
+        object.__setattr__(self, "gammas", gammas.reshape(len(gammas), self.dim, self.dim))
 
     @property
     def dim(self) -> int:
@@ -150,8 +156,8 @@ class CliffordModule:
         return self.signature.metric
 
 
-def gamma_chain(sig, branch: int = 1) -> list:
-    """Deterministic gamma matrices for the signature.
+def gamma_chain(sig, branch: int = 1) -> np.ndarray:
+    """Deterministic gamma matrices for the signature, as one stack.
 
     The Hermitian chain on m = ⌊n/2⌋ qubit factors is
 
@@ -173,7 +179,7 @@ def gamma_chain(sig, branch: int = 1) -> list:
         gs.append(kron(kron(pre, PAULI_2), post))
     if n % 2 == 1:
         gs.append(branch * kron_all([PAULI_3] * m))
-    return [g if a < sig.p else 1j * g for a, g in enumerate(gs)]
+    return np.reshape([g if a < sig.p else 1j * g for a, g in enumerate(gs)], (n, 2 ** m, 2 ** m))
 
 
 def product_of(gammas, dim: int | None = None) -> np.ndarray:
@@ -212,7 +218,7 @@ def build_irrep(sig, branch: int = 1) -> CliffordModule:
     return CliffordModule(
         signature=sig,
         branch=branch,
-        gammas=tuple(frozen(g) for g in gammas),
+        gammas=gammas,
         P=frozen(prod),
         chirality=frozen(chir),
         J=j,
@@ -224,15 +230,14 @@ def closed_form_real_structure(gammas, eps_prime: int, dim: int) -> AntilinearOp
     """J with K·conj(γᵃ) = ε′γᵃK, by charge conjugation (Van Proeyen,
     *Tools for supersymmetry*, hep-th/9910030).
 
-    For gammas that are each purely real or purely imaginary, K is the
-    ordered product of the k real ones (ε′ = (−1)^(k−1)) or of the l
-    imaginary ones (ε′ = (−1)^l); the empty product is the identity.  The
+    For gammas (a stack or sequence) each purely real or purely imaginary,
+    K is the ordered product of the k real ones (ε′ = (−1)^(k−1)) or of the
+    l imaginary ones (ε′ = (−1)^l); the empty product is the identity.  The
     candidate with the wanted ε′ is phase-normalized so that its first
     nonzero entry (row-major) is +1; with entries in {0, ±1, ±i} it is
     exactly unitary, so no SVD or polar step is needed.  Raises ValueError
     when no candidate satisfies the relation on every gamma.
     """
-    gammas = [np.asarray(g, dtype=complex) for g in gammas]
     real = [g for g in gammas if not g.imag.any()]
     imag = [g for g in gammas if not g.real.any()]
     for factors, sign in ((real, (-1) ** (len(real) - 1)), (imag, (-1) ** len(imag))):
@@ -270,13 +275,13 @@ def clifford_residual(gammas, eta) -> float:
 
 def _stacked_residual(residual, gammas) -> float:
     """The worst of ``residual(stack)``, an array of one residual per
-    matrix, over a sequence of d×d gammas, one stacked call per block of
-    :func:`linalg.stack_blocks`; a NaN anywhere gives NaN, and no gammas
-    give 0.0."""
+    matrix, over an (n, d, d) stack of gammas, one call on a view of each
+    block of :func:`linalg.stack_blocks`; a NaN anywhere gives NaN, and no
+    gammas give 0.0."""
     worst = 0.0
     if len(gammas):
         for block in stack_blocks(len(gammas), np.shape(gammas[0])[-1]):
-            worst = fold_max(worst, residual(np.array(gammas[block], dtype=complex)))
+            worst = fold_max(worst, residual(gammas[block]))
     return worst
 
 

@@ -14,10 +14,10 @@ combined indexing is
 
 extended antisymmetrically: the quadratic monomials of the concatenated
 family Γ₁ then Γ₂ with the first block negated.  Every
-:class:`CommutingAction` carries them as ``ca.generators``, a
-:class:`liealg.SoRepresentation` whose read-only stack ``mats`` is built
-once from its gammas; the checks here slice that stack.  Factor order is
-significant; swapping the factors lands the flip on the other signature.
+:class:`CommutingAction` holds Γ₁, Γ₂ and their monomials ``ca.generators``
+(a :class:`liealg.SoRepresentation` built once from them) as read-only
+stacks, which the checks here slice.  Factor order is significant;
+swapping the factors lands the flip on the other signature.
 The five bracket families T₁·T₁, T₂·T₂, T₁·U, U·T₂ and U·U are index
 blocks of the one bracket table of these combined generators.
 
@@ -56,13 +56,13 @@ from .linalg import (
     commutator,
     eye,
     fold_max,
-    frozen,
     kron,
     kron_all,
     linear_combination,
     max_abs,
     pair_residuals,
     stack_blocks,
+    stacked_kron,
     tensor_antilinear,
 )
 from .liealg import SoRepresentation, bracket_residual_table, quadratic_monomials
@@ -101,16 +101,20 @@ def combined_generators(gamma1, gamma2, eta1, eta2) -> SoRepresentation:
 
 @dataclass(frozen=True)
 class CommutingAction:
-    """Two commuting gamma families acting on a tensor-product space, with
-    the combined generators they form, built from the gammas."""
+    """Two commuting gamma families, read-only stacks made as a module makes
+    its gammas, on a tensor-product space, with the generators they form."""
 
     mod1: CliffordModule
     mod2: CliffordModule
-    gamma1: tuple
-    gamma2: tuple
+    gamma1: np.ndarray
+    gamma2: np.ndarray
     generators: SoRepresentation = field(init=False)
 
     def __post_init__(self):
+        for name in ("gamma1", "gamma2"):
+            gammas = np.asarray(getattr(self, name), dtype=complex)
+            gammas.setflags(write=False)
+            object.__setattr__(self, name, gammas.reshape(len(gammas), self.dim, self.dim))
         object.__setattr__(self, "generators", combined_generators(
             self.gamma1, self.gamma2, self.mod1.eta, self.mod2.eta))
 
@@ -137,12 +141,13 @@ def build_commuting(sig1, sig2, branch1: int = 1, branch2: int = 1) -> Commuting
     raises ValueError first when the product dimension is too large."""
     sig1, sig2 = as_signature(sig1), as_signature(sig2)
     check_product_dim((sig1, sig2))
-    mod1 = build_irrep(sig1, branch1)
-    mod2 = build_irrep(sig2, branch2)
-    id1, id2 = eye(mod1.dim), eye(mod2.dim)
-    gamma1 = tuple(frozen(kron(g, id2)) for g in mod1.gammas)
-    gamma2 = tuple(frozen(kron(id1, g)) for g in mod2.gammas)
-    return CommutingAction(mod1=mod1, mod2=mod2, gamma1=gamma1, gamma2=gamma2)
+    return _lift(build_irrep(sig1, branch1), build_irrep(sig2, branch2))
+
+
+def _lift(mod1: CliffordModule, mod2: CliffordModule) -> CommutingAction:
+    """The action of γ₁⊗1 and 1⊗γ₂, one :func:`linalg.stacked_kron` per factor."""
+    return CommutingAction(mod1, mod2, stacked_kron(mod1.gammas, eye(mod2.dim)),
+                           stacked_kron(eye(mod1.dim), mod2.gammas))
 
 
 def commutation_residual(ca: CommutingAction) -> float:
@@ -213,8 +218,7 @@ def equivalence_even(ca: CommutingAction, tol: float = DEFAULT_TOL) -> Report:
         raise ValueError("the unitary-conjugation path requires even n1; "
                          "swap the factors or use the odd-odd path")
     id2 = eye(ca.mod2.dim)
-    chir1 = kron(ca.mod1.chirality, id2)
-    ref = [1j * g for g in ca.gamma1] + [chir1 @ g for g in ca.gamma2]
+    ref = [*(1j * ca.gamma1), *(kron(ca.mod1.chirality, id2) @ ca.gamma2)]
     ref_eta = combined_metric(ca.mod1.eta, ca.mod2.eta)
     cliff_res = clifford_residual(ref, ref_eta)
 
@@ -259,7 +263,7 @@ def equivalence_odd_odd(ca: CommutingAction, tol: float = DEFAULT_TOL) -> Report
         raise ValueError("the doubled-module path requires both factors odd")
     flip = np.array([[0, 1], [-1, 0]], dtype=complex)
     swap = np.array([[0, 1], [1, 0]], dtype=complex)
-    doubled = [kron(flip, g) for g in ca.gamma1] + [kron(swap, g) for g in ca.gamma2]
+    doubled = [*stacked_kron(flip, ca.gamma1), *stacked_kron(swap, ca.gamma2)]
     ref_eta = combined_metric(ca.mod1.eta, ca.mod2.eta)
     cliff_res = clifford_residual(doubled, ref_eta)
 
@@ -376,8 +380,8 @@ def three_action_closure_defect(sig_a, sig_b, sig_c) -> float:
     check_product_dim(sigs)
     mods = [build_irrep(sig) for sig in sigs]
     ids = [eye(m.dim) for m in mods]
-    lifted = [kron_all([*ids[:f], g, *ids[f + 1:]])
-              for f, m in enumerate(mods) for g in m.gammas]
+    lifted = np.concatenate([kron_all([*ids[:f], m.gammas, *ids[f + 1:]])
+                             for f, m in enumerate(mods)])
     quads = quadratic_monomials(lifted)
     # within-family pairs first, family by family, then the cross-family
     # pairs by family pair, each group in ascending (a, b) order
@@ -408,11 +412,8 @@ def three_action_closure_defect(sig_a, sig_b, sig_c) -> float:
 
 
 def swap_factors(ca: CommutingAction) -> CommutingAction:
-    """The same data with the two factors exchanged (metric flip moves)."""
-    return build_commuting(
-        (ca.mod2.signature.p, ca.mod2.signature.q),
-        (ca.mod1.signature.p, ca.mod1.signature.q),
-        ca.mod2.branch, ca.mod1.branch)
+    """The same data with the factors exchanged (metric flip moves); no module is built."""
+    return _lift(ca.mod2, ca.mod1)
 
 
 __all__ = [

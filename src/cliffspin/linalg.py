@@ -158,10 +158,10 @@ def kron(a, b) -> np.ndarray:
 
 
 def kron_all(mats) -> np.ndarray:
-    """Kronecker chain of a (possibly empty) sequence; empty gives [[1]]."""
+    """Left-to-right :func:`stacked_kron` chain of matrices or stacks; empty gives [[1]]."""
     out = eye(1)
     for m in mats:
-        out = kron(out, m)
+        out = stacked_kron(out, m)
     return out
 
 
@@ -484,7 +484,7 @@ def _check_commuting_involutions(form, mats, squares) -> None:
     :func:`phased_permutations` answer and ``squares`` the measured
     cᵢ = (Lᵢ²)[0, 0], every map squares to a scalar, Lᵢ² = cᵢ·1 = Rᵢ² with
     cᵢ ≠ 0, and every two commute, LᵢLⱼ = σLⱼLᵢ and RⱼRᵢ = σRᵢRⱼ for one
-    σ ∈ {±1}, each pair residual to ``DEFAULT_TOL``.
+    σ ∈ {±1}, each pair residual to ``DEFAULT_TOL``, times min(1, |cᵢ|) for a square.
 
     Raises ValueError for the first failure in the order map i, then its
     pairs (j, i) with j < i ascending.  Two :func:`_form_pair_residuals`
@@ -502,7 +502,7 @@ def _check_commuting_involutions(form, mats, squares) -> None:
     coef = np.zeros(len(a), dtype=complex)
     coef[:count] = coef[count:2 * count] = 2 * squares
     resid = _form_pair_residuals(form, mats, a, b, 1, (np.full(len(a), 2 * count), coef))
-    squared = np.maximum(*resid[maps].reshape(2, count)) <= DEFAULT_TOL
+    squared = np.maximum(*resid[maps].reshape(2, count)) <= DEFAULT_TOL * np.minimum(1, abs(squares))
     first_bad_map = _first_failure((squares == 0) | ~squared)
     commutes = np.maximum(*resid[2 * count:].reshape(2, -1)) <= DEFAULT_TOL
     todo = np.flatnonzero(~commutes & (i < first_bad_map))

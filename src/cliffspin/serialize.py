@@ -49,7 +49,7 @@ def module_from_dict(doc: dict) -> CliffordModule:
     return CliffordModule(
         signature=sig,
         branch=int(doc["branch"]),
-        gammas=tuple(frozen(matrix_from_lists(g)) for g in doc["gammas"]),
+        gammas=[matrix_from_lists(g) for g in doc["gammas"]],
         P=frozen(matrix_from_lists(doc["P"])),
         chirality=frozen(matrix_from_lists(doc["chirality"])),
         J=AntilinearOp(matrix_from_lists(doc["J_matrix"])),

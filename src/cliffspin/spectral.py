@@ -315,8 +315,7 @@ def higgs_transform(triple: PatiSalamTriple, tol: float = DEFAULT_TOL) -> Report
     * ``norm_change``: M + Mᵀ = 0, so that e^M is orthogonal.
     """
     gens = triple.gauge_generators()
-    gammas = np.asarray(triple.action.mod1.gammas)
-    lifted = np.asarray(triple.action.gamma1)
+    gammas, lifted = triple.action.mod1.gammas, triple.action.gamma1
     moved = commutator(gens.a1[:, None], gammas)
     m = np.trace(moved[:, :, None] @ gammas, axis1=-2, axis2=-1) / triple.dim1
     covariance = 0.0

@@ -79,6 +79,8 @@ class TestExport:
         back = module_from_dict(module_to_dict(m))
         assert back.branch == -1
         assert np.array_equal(back.gammas[2], m.gammas[2])
+        assert back.gammas.shape == (3, 2, 2) and not back.gammas.flags.writeable
+        assert module_from_dict(module_to_dict(build_irrep((0, 0)))).gammas.shape == (0, 1, 1)
 
 
 class TestCliContract:

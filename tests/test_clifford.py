@@ -46,13 +46,49 @@ S3 = np.array([[1, 0], [0, -1]], dtype=complex)
 ALL_SIGNATURES_5 = [(p, n - p) for n in range(6) for p in range(n + 1)]
 
 
+def is_read_only_stack(gammas, n: int, dim: int) -> bool:
+    """Whether ``gammas`` is a read-only complex (n, dim, dim) array."""
+    return (isinstance(gammas, np.ndarray) and gammas.dtype == complex
+            and gammas.shape == (n, dim, dim) and not gammas.flags.writeable)
+
+
 def test_trivial_module():
     m = build_irrep((0, 0))
-    assert m.dim == 1 and m.gammas == ()
+    assert m.dim == 1 and is_read_only_stack(m.gammas, 0, 1)
     assert np.array_equal(m.P, eye(1))
     assert np.array_equal(m.chirality, eye(1))
     assert max_abs(m.J.matrix - eye(1)) < 1e-14
     assert m.Jhat is not None  # s = 0
+
+
+@pytest.mark.parametrize("pq", [(0, 0), (1, 0), (2, 1), (3, 3)])
+def test_gammas_are_one_read_only_stack(pq):
+    # built, replaced by a tuple, a list or an empty sequence, or read back
+    # from JSON, the gammas are one read-only complex (n, d, d) stack
+    m = build_irrep(pq)
+    assert is_read_only_stack(m.gammas, m.n, m.dim)
+    for given in (tuple(m.gammas), list(m.gammas), tuple(m.gammas.real)):
+        assert is_read_only_stack(dataclasses.replace(m, gammas=given).gammas, m.n, m.dim)
+    assert is_read_only_stack(dataclasses.replace(m, gammas=()).gammas, 0, m.dim)
+    back = module_from_dict(json.loads(module_to_json(m)))
+    assert is_read_only_stack(back.gammas, m.n, m.dim)
+    assert back.gammas.tobytes() == m.gammas.tobytes()
+
+
+def test_a_complex_stack_is_held_without_a_copy():
+    m = build_irrep((2, 3))
+    assert np.shares_memory(dataclasses.replace(m, gammas=m.gammas).gammas, m.gammas)
+    stack = m.gammas.copy()
+    assert np.shares_memory(dataclasses.replace(m, gammas=stack).gammas, stack)
+    assert not stack.flags.writeable  # made read-only in place
+
+
+def test_stacked_residuals_read_views_of_the_gammas():
+    m = build_irrep((3, 6))
+    blocks = []
+    clifford._stacked_residual(lambda g: blocks.append(g) or max_abs(g), m.gammas)
+    assert sum(map(len, blocks)) == m.n
+    assert all(np.shares_memory(g, m.gammas) for g in blocks)
 
 
 @pytest.mark.parametrize("branch", [1, -1])

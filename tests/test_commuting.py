@@ -137,6 +137,44 @@ def test_factor_swap():
     assert verify_bracket_table(swapped, tol=1e-12).passed
 
 
+@pytest.mark.parametrize("sig1, sig2", [((0, 3), (2, 0)), ((0, 7), (3, 0))])
+def test_swap_lifts_the_held_modules_again(sig1, sig2):
+    # no module is built again, and the swap equals the action built in
+    # the other order bit for bit
+    ca = build_commuting(sig1, sig2, -1, 1)
+    counted = mock.Mock(wraps=commuting.build_irrep)
+    with mock.patch.object(commuting, "build_irrep", counted):
+        swapped = swap_factors(ca)
+    assert counted.call_count == 0
+    assert swapped.mod1 is ca.mod2 and swapped.mod2 is ca.mod1
+    built = build_commuting(sig2, sig1, 1, -1)
+    for name in ("gamma1", "gamma2"):
+        assert getattr(swapped, name).tobytes() == getattr(built, name).tobytes()
+    assert swapped.generators.mats.tobytes() == built.generators.mats.tobytes()
+
+
+def test_each_factor_is_lifted_by_one_stacked_kron():
+    lift = mock.Mock(wraps=linalg.stacked_kron)
+    with mock.patch.object(commuting, "kron", side_effect=AssertionError("kron")), \
+            mock.patch.object(commuting, "stacked_kron", lift):
+        ca = build_commuting((2, 1), (0, 4))
+    assert lift.call_count == 2
+    for gammas, n in ((ca.gamma1, 3), (ca.gamma2, 4)):
+        assert gammas.shape == (n, ca.dim, ca.dim) and gammas.dtype == complex
+        assert not gammas.flags.writeable
+
+
+def test_lifted_gammas_given_as_sequences_are_held_as_stacks():
+    ca = build_commuting((2, 1), (0, 2))
+    replaced = dataclasses.replace(ca, gamma1=tuple(ca.gamma1), gamma2=list(ca.gamma2.real))
+    for gammas, n in ((replaced.gamma1, 3), (replaced.gamma2, 2)):
+        assert gammas.shape == (n, ca.dim, ca.dim) and gammas.dtype == complex
+        assert not gammas.flags.writeable
+    assert np.array_equal(replaced.gamma1, ca.gamma1)
+    assert np.shares_memory(dataclasses.replace(ca, mod1=ca.mod1).gamma1, ca.gamma1)
+    assert build_commuting((0, 0), (0, 3)).gamma1.shape == (0, 2, 2)
+
+
 class TestEvenIdentification:
     def test_small_pair(self):
         report = equivalence_even(build_commuting((2, 0), (0, 1)), tol=1e-12)
@@ -382,7 +420,7 @@ def test_replaced_gammas_rebuild_the_generators(pair):
 
 def test_combined_generators_negate_only_the_first_block():
     ca = build_commuting((2, 1), (0, 2))
-    gammas = ca.gamma1 + ca.gamma2
+    gammas = np.concatenate((ca.gamma1, ca.gamma2))
     assert not ca.generators.mats.flags.writeable
     for (a, b), g in zip(ca.generators.pairs(), ca.generators.mats):
         sign = -1 if b < ca.n1 else 1

@@ -695,12 +695,15 @@ class TestFootprint:
 
     def test_a_partial_form_fails_the_precondition_on_every_path(self):
         # the detector admits a zero row, but a partial form squares to no
-        # c·1, so the map fails the precondition before any projection
-        lefts, rights = [np.diag([1.0, 0.0])], [np.eye(2)]
-        assert not phased_permutations(lefts + rights, 2).vals.all()
+        # c·1, so the map fails the precondition before any projection;
+        # L² = R² = diag(1e-12, 0) is within an absolute 1e-12 of 1e-12·1,
+        # so only the tolerance scaled by |c| = 1e-12 refuses the tiny map
         expected = ("raised", "fixed_space: map 0 is not an involution")
-        assert every_path(fixed_spaces, lefts, rights, 2, (1,)) == (expected,) * 3
-        assert loop_precondition_failure(lefts, rights, 2) == expected[1]
+        tiny = np.diag([1e-6, 0.0])
+        for lefts, rights in (([np.diag([1.0, 0.0])], [np.eye(2)]), ([tiny], [tiny])):
+            assert not phased_permutations(lefts + rights, 2).vals.all()
+            assert every_path(fixed_spaces, lefts, rights, 2, (1,)) == (expected,) * 3
+            assert loop_precondition_failure(lefts, rights, 2) == expected[1]
 
     def test_phased_maps_are_not_detected_again(self):
         # one detector call and one precondition for both signs
