@@ -1,5 +1,10 @@
 """Command-line front end: verification suites and module export.
 
+It parses arguments, lists the checks of each command and renders their
+reports; the layer that measures a check builds its report: ``clifford``
+for ``verify signs``, ``liealg`` for ``verify brackets``, ``commuting``
+for ``commuting`` and ``three-actions``, ``spectral`` for ``pati-salam``.
+
 Exit codes: 0 when every check passes, 1 when some check fails, 2 for
 usage or I/O errors.  Identical invocations produce byte-identical output.
 Every check is exact on generators and draws nothing; ``pati-salam`` and
@@ -14,8 +19,8 @@ import math
 import sys
 
 from . import clifford, commuting, liealg, spectral
-from .linalg import DEFAULT_TOL, fold_max, max_abs
-from .report import Report
+from .commuting import three_actions_report
+from .linalg import DEFAULT_TOL
 from .serialize import module_to_json
 
 #: fixed signature pairs exercised by the bundled commuting suites
@@ -49,127 +54,27 @@ def signs_suite(max_n: int, tol: float) -> list:
 
 
 def brackets_suite(max_n: int, tol: float) -> list:
-    if max_n < 1:
-        raise ValueError("max_n must be at least 1")
-    clifford.check_module_dim(max_n)
-    worst = flip_worst = 0.0
-    details = []
-    for n in range(max_n + 1):
-        for p in range(n + 1):
-            m = clifford.build_irrep((p, n - p))
-            rep = liealg.so_generators(m)
-            res = liealg.bracket_residual(rep)
-            flip = liealg.bracket_residual(liealg.flipped_representation(rep))
-            worst = fold_max(worst, res)
-            flip_worst = fold_max(flip_worst, flip)
-            details.append({"p": p, "q": n - p, "bracket": res, "sign_flip": flip})
-    overall = fold_max(worst, flip_worst)
-    brackets = Report(
-        name=f"so-brackets(max_n={max_n})",
-        passed=overall < tol,
-        max_residual=overall,
-        tolerance=tol,
-        details=details,
-    )
-    return [brackets, casimir_report(max_n)]
-
-
-def casimir_report(max_n: int) -> Report:
-    """The Casimir identity at (0,2), (4,0), (0,6) and at (0,n) for every
-    even n from 8 up to ``max_n``."""
-    details = []
-    worst = 0.0
-    for sig in ((0, 2), (4, 0), (0, 6)) + tuple((0, n) for n in range(8, max_n + 1, 2)):
-        m = clifford.build_irrep(sig)
-        res = max_abs(liealg.casimir_element(liealg.so_generators(m)) - m.P)
-        worst = fold_max(worst, res)
-        details.append({"p": sig[0], "q": sig[1], "residual": res})
-    return Report(
-        name="casimir-product",
-        passed=worst < 1e-10,
-        max_residual=worst,
-        tolerance=1e-10,
-        details=details,
-    )
+    return [liealg.verify_brackets(max_n, tol), liealg.verify_casimir(max_n)]
 
 
 def commuting_suite(sig1, sig2, branch1: int, branch2: int, tol: float) -> list:
     ca = commuting.build_commuting(sig1, sig2, branch1, branch2)
-    label = f"({sig1[0]},{sig1[1]})x({sig2[0]},{sig2[1]})"
-    reports = [commuting.verify_bracket_table(ca, tol)]
-    if ca.n1 % 2 == 0:
-        reports.append(commuting.equivalence_even(ca, tol))
-    elif ca.n2 % 2 == 0:
-        swapped = commuting.swap_factors(ca)
-        reports.append(commuting.equivalence_even(swapped, tol))
-    else:
-        reports.append(commuting.equivalence_odd_odd(ca, tol))
-
-    recipe = commuting.real_structure_recipe(ca)
-    j = commuting.tensor_real_structure(ca)
-    if j is None:
-        reports.append(Report(
-            name=f"tensor-real-structure{label}",
-            passed=recipe is None,
-            max_residual=0.0,
-            tolerance=tol,
-            details=[{"formula": None,
-                      "note": "no antilinear structure for this case"}],
-        ))
-    else:
-        resid = commuting.real_structure_commutation(ca, j)
-        reports.append(Report(
-            name=f"tensor-real-structure{label}",
-            passed=resid < tol,
-            max_residual=resid,
-            tolerance=tol,
-            details=[{"formula": recipe, "commutation": resid}],
-        ))
-    return reports
-
-
-def three_actions_report(sigs, min_defect: float = 0.1) -> Report:
-    defect = commuting.three_action_closure_defect(*sigs)
-    label = "x".join(f"({p},{q})" for p, q in sigs)
-    return Report(
-        name=f"three-action-defect{label}",
-        passed=defect > min_defect,
-        max_residual=defect,
-        tolerance=min_defect,
-        details=[{"defect": defect, "min_defect": min_defect,
-                  "note": "pass requires the defect to EXCEED the threshold"}],
-    )
+    return [commuting.verify_bracket_table(ca, tol), commuting.verify_equivalence(ca, tol),
+            commuting.verify_tensor_real_structure(ca, tol)]
 
 
 def pati_salam_suite(tol: float) -> list:
-    expected_rows = {"plain": 2, "hatted_second": 6}
     ca = commuting.build_commuting((4, 0), (0, 6))
     triples = {}
     reports = []
     for variant in spectral.VARIANTS:
         triple = triples[variant] = spectral.build_pati_salam(variant, action=ca)
         dirac = triple.dirac_operator([1.0, 0.0, 0.0, 0.0])
-        measured, s = spectral.ko_dimension(triple, dirac)
-        reports.append(Report(
-            name=f"ko-signs({variant})",
-            passed=s == expected_rows[variant],
-            max_residual=0.0,
-            tolerance=tol,
-            details=[{"eps": measured.eps, "eps_prime": measured.eps_prime,
-                      "eps_double_prime": measured.eps_double_prime,
-                      "table_row": s, "default": variant == "hatted_second"}],
-        ))
-        exch = spectral.chirality_exchange_residual(triple)
-        reports.append(Report(
-            name=f"chirality-exchange({variant})",
-            passed=exch < tol,
-            max_residual=exch,
-            tolerance=tol,
-            details=[],
-        ))
-        reports.append(spectral.check_order_conditions(triple, dirac, tol))
-        reports.append(spectral.verify_gauge_action(triple, tol))
-        reports.append(spectral.higgs_transform(triple, tol))
+        reports += [spectral.verify_ko_signs(triple, dirac, tol),
+                    spectral.verify_chirality_exchange(triple, tol),
+                    spectral.check_order_conditions(triple, dirac, tol),
+                    spectral.verify_gauge_action(triple, tol),
+                    spectral.higgs_transform(triple, tol)]
     reports.append(spectral.spin10_action(triples["hatted_second"], tol))
     return reports
 
@@ -283,13 +188,10 @@ def run(argv=None) -> int:
         elif args.command == "pati-salam":
             reports = pati_salam_suite(args.tol)
         elif args.command == "all":
-            reports = []
-            reports += signs_suite(6, args.tol)
-            reports += brackets_suite(5, args.tol)
+            reports = signs_suite(6, args.tol) + brackets_suite(5, args.tol)
             for sig1, sig2 in DEFAULT_PAIRS:
                 reports += commuting_suite(sig1, sig2, 1, 1, args.tol)
-            for sigs in DEFAULT_TRIPLES:
-                reports.append(three_actions_report(sigs))
+            reports += [three_actions_report(sigs) for sigs in DEFAULT_TRIPLES]
             reports += pati_salam_suite(args.tol)
         else:
             parser.error(f"unknown command {args.command!r}")

@@ -85,6 +85,14 @@ def check_module_dim(n: int) -> None:
         raise ValueError(f"module dimension 2^{n // 2} (n = {n}) is above the limit {MAX_MODULE_DIM}")
 
 
+def check_max_n(max_n: int) -> None:
+    """Refuse a sweep over every p + q ≤ ``max_n`` when max_n < 1 and, before
+    any module is built, when its largest module is above ``MAX_MODULE_DIM``."""
+    if max_n < 1:
+        raise ValueError("max_n must be at least 1")
+    check_module_dim(max_n)
+
+
 @dataclass(frozen=True)
 class Signature:
     """Signature (p, q): p generators square to +1, q to −1."""
@@ -358,12 +366,9 @@ def verify_module_signs(max_n: int, tol: float = DEFAULT_TOL):
     details carry the per-signature measured and expected rows; failures
     are reported, never raised (perturbed gammas give a failed row).  A row
     whose measurement raised carries the ValueError text under ``error``.
-    Raises ValueError when max_n < 1 and, before any module is built, when
-    the largest module is above ``MAX_MODULE_DIM``.
+    Raises ValueError as :func:`check_max_n` does.
     """
-    if max_n < 1:
-        raise ValueError("max_n must be at least 1")
-    check_module_dim(max_n)
+    check_max_n(max_n)
     details = []
     worst = 0.0
     all_ok = True
@@ -391,10 +396,5 @@ def verify_module_signs(max_n: int, tol: float = DEFAULT_TOL):
                     "passed": ok,
                     **failure,
                 })
-    return Report(
-        name=f"sign-table(max_n={max_n})",
-        passed=all_ok,
-        max_residual=worst,
-        tolerance=tol,
-        details=details,
-    )
+    return Report(name=f"sign-table(max_n={max_n})", passed=all_ok, max_residual=worst,
+                  tolerance=tol, details=details)

@@ -25,7 +25,10 @@ The resulting representation is a full (Dirac) spinor representation when
 either factor has even generator count, and a single half-spinor (Weyl)
 representation when both are odd.  Both identifications are implemented as
 explicit checks: a unitary conjugation for the even case, and a doubled
-Clifford module restricted to an eigenspace for the odd-odd case.
+Clifford module restricted to an eigenspace for the odd-odd case.  The
+reports of ``cliffspin commuting`` (:func:`verify_bracket_table`,
+:func:`verify_equivalence`, :func:`verify_tensor_real_structure`) and of
+``cliffspin three-actions`` (:func:`three_actions_report`) are built here.
 
 The gamma commutation residual is one :func:`linalg.pair_residuals` call.
 The other per-generator checks run their matrices as stacks of at most
@@ -295,19 +298,27 @@ def equivalence_odd_odd(ca: CommutingAction, tol: float = DEFAULT_TOL) -> Report
     )
 
 
+def verify_equivalence(ca: CommutingAction, tol: float = DEFAULT_TOL) -> Report:
+    """The identification that applies to the pair: :func:`equivalence_even`
+    when n₁ is even, on the :func:`swap_factors` pair when only n₂ is, and
+    :func:`equivalence_odd_odd` when both are odd."""
+    if ca.n1 % 2 == 0:
+        return equivalence_even(ca, tol)
+    if ca.n2 % 2 == 0:
+        return equivalence_even(swap_factors(ca), tol)
+    return equivalence_odd_odd(ca, tol)
+
+
 def tensor_product_element(ca: CommutingAction) -> np.ndarray:
     """Product element of the combined representation.
 
-    Even-even: (−1)^{n₁/2}·P₁⊗P₂; odd-odd: (−1)^{(n₁−1)/2}·P₁⊗P₂.  Not
-    defined when the combined signature parameter is odd.
+    Even-even: (−1)^{n₁/2}·P₁⊗P₂; odd-odd: (−1)^{(n₁−1)/2}·P₁⊗P₂, so
+    (−1)^⌊n₁/2⌋·P₁⊗P₂ in both.  Not defined when the combined signature
+    parameter is odd.
     """
     if ca.s % 2 != 0:
         raise ValueError("no product element for odd combined signature parameter")
-    if ca.n1 % 2 == 0:
-        sign = (-1.0) ** (ca.n1 // 2)
-    else:
-        sign = (-1.0) ** ((ca.n1 - 1) // 2)
-    return sign * kron(ca.mod1.P, ca.mod2.P)
+    return (-1.0) ** (ca.n1 // 2) * kron(ca.mod1.P, ca.mod2.P)
 
 
 def real_structure_recipe(ca: CommutingAction) -> Optional[str]:
@@ -332,14 +343,16 @@ def real_structure_recipe(ca: CommutingAction) -> Optional[str]:
 
 def tensor_real_structure(ca: CommutingAction) -> Optional[AntilinearOp]:
     """Antilinear structure map of the combined representation, if any."""
-    recipe = real_structure_recipe(ca)
+    return _recipe_structure(ca, real_structure_recipe(ca))
+
+
+def _recipe_structure(ca: CommutingAction, recipe: Optional[str]) -> Optional[AntilinearOp]:
+    """The tensor map that ``recipe`` of :func:`real_structure_recipe` names."""
     if recipe is None:
         return None
-    if recipe == "J1xJ2":
-        return tensor_antilinear(ca.mod1.J, ca.mod2.J)
-    if recipe == "Jhat1xJ2":
-        return tensor_antilinear(hatted_real_structure(ca.mod1), ca.mod2.J)
-    return tensor_antilinear(ca.mod1.J, hatted_real_structure(ca.mod2))
+    j1 = hatted_real_structure(ca.mod1) if recipe == "Jhat1xJ2" else ca.mod1.J
+    j2 = hatted_real_structure(ca.mod2) if recipe == "J1xJhat2" else ca.mod2.J
+    return tensor_antilinear(j1, j2)
 
 
 def tensor_hatted_real_structure(ca: CommutingAction) -> AntilinearOp:
@@ -359,6 +372,20 @@ def real_structure_commutation(ca: CommutingAction, j: AntilinearOp) -> float:
     for block in stack_blocks(len(gens), ca.dim):
         worst = fold_max(worst, j.commutation_residual(gens[block], 1))
     return worst
+
+
+def verify_tensor_real_structure(ca: CommutingAction, tol: float = DEFAULT_TOL) -> Report:
+    """The map of :func:`tensor_real_structure` must commute with every
+    combined generator; a pair with no recipe passes with residual 0."""
+    recipe = real_structure_recipe(ca)
+    if recipe is None:
+        resid, detail = 0.0, {"formula": None, "note": "no antilinear structure for this case"}
+    else:
+        resid = real_structure_commutation(ca, _recipe_structure(ca, recipe))
+        detail = {"formula": recipe, "commutation": resid}
+    return Report(name=f"tensor-real-structure{_pair_label(ca)}",
+                  passed=recipe is None or resid < tol, max_residual=resid,
+                  tolerance=tol, details=[detail])
 
 
 def three_action_closure_defect(sig_a, sig_b, sig_c) -> float:
@@ -411,6 +438,17 @@ def three_action_closure_defect(sig_a, sig_b, sig_c) -> float:
     return defect
 
 
+def three_actions_report(sigs, min_defect: float = 0.1) -> Report:
+    """:func:`three_action_closure_defect` of three signatures, which passes
+    only when it exceeds ``min_defect``."""
+    defect = three_action_closure_defect(*sigs)
+    label = "x".join(f"({p},{q})" for p, q in sigs)
+    return Report(name=f"three-action-defect{label}", passed=defect > min_defect,
+                  max_residual=defect, tolerance=min_defect,
+                  details=[{"defect": defect, "min_defect": min_defect,
+                            "note": "pass requires the defect to EXCEED the threshold"}])
+
+
 def swap_factors(ca: CommutingAction) -> CommutingAction:
     """The same data with the factors exchanged (metric flip moves); no module is built."""
     return _lift(ca.mod2, ca.mod1)
@@ -426,11 +464,14 @@ __all__ = [
     "verify_bracket_table",
     "equivalence_even",
     "equivalence_odd_odd",
+    "verify_equivalence",
     "tensor_product_element",
     "real_structure_recipe",
     "tensor_real_structure",
     "tensor_hatted_real_structure",
     "real_structure_commutation",
+    "verify_tensor_real_structure",
     "three_action_closure_defect",
+    "three_actions_report",
     "swap_factors",
 ]

@@ -9,7 +9,9 @@ for the module's diagonal metric η, held by :class:`SoRepresentation` as one
 read-only stack (n(n−1)/2, d, d) in ascending (a, b) order.  This module
 provides the bracket checker, the Levi-Civita Casimir that reproduces the
 gamma product, the chirality (Weyl) split, and intertwiner search for
-equivalence testing.
+equivalence testing.  It builds the two reports of ``cliffspin verify
+brackets``: :func:`verify_brackets` (``so-brackets``) and
+:func:`verify_casimir` (``casimir-product``).
 
 Indices are 0-based throughout.
 """
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import clifford
 from .clifford import CliffordModule, sign_triple
 from .linalg import (
     DEFAULT_TOL,
@@ -32,6 +35,7 @@ from .linalg import (
     pair_residuals,
     phase_normalize,
 )
+from .report import Report
 
 
 @dataclass(frozen=True)
@@ -188,6 +192,38 @@ def casimir_element(rep: SoRepresentation) -> np.ndarray:
         # the closure refers to itself, a cycle that would keep the memo of
         # 2^(n-1) matrices alive until the cyclic collector ran
         del contract
+
+
+def verify_brackets(max_n: int, tol: float = DEFAULT_TOL) -> Report:
+    """The structure relation of the monomials and of their flip for every
+    p + q ≤ max_n; raises ValueError as :func:`clifford.check_max_n` does."""
+    clifford.check_max_n(max_n)
+    worst = 0.0
+    details = []
+    for n in range(max_n + 1):
+        for p in range(n + 1):
+            rep = so_generators(clifford.build_irrep((p, n - p)))
+            res = bracket_residual(rep)
+            flip = bracket_residual(flipped_representation(rep))
+            worst = fold_max(worst, (res, flip))
+            details.append({"p": p, "q": n - p, "bracket": res, "sign_flip": flip})
+    return Report(name=f"so-brackets(max_n={max_n})", passed=worst < tol,
+                  max_residual=worst, tolerance=tol, details=details)
+
+
+def verify_casimir(max_n: int) -> Report:
+    """The Casimir identity, :func:`casimir_element` equal to the product
+    element within 1e-10, at (0,2), (4,0), (0,6) and at (0,n) for every even
+    n from 8 up to ``max_n``."""
+    details = []
+    worst = 0.0
+    for sig in ((0, 2), (4, 0), (0, 6)) + tuple((0, n) for n in range(8, max_n + 1, 2)):
+        m = clifford.build_irrep(sig)
+        res = max_abs(casimir_element(so_generators(m)) - m.P)
+        worst = fold_max(worst, res)
+        details.append({"p": sig[0], "q": sig[1], "residual": res})
+    return Report(name="casimir-product", passed=worst < 1e-10, max_residual=worst,
+                  tolerance=1e-10, details=details)
 
 
 def weyl_projectors(m: CliffordModule):

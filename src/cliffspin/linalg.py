@@ -630,7 +630,7 @@ class AntilinearOp:
 
     def __post_init__(self):
         k = as_matrix(self.matrix)
-        if unitarity_residual(k) > 1e-8:
+        if not unitarity_residual(k) <= 1e-8:  # so a NaN residual is refused too
             raise ValueError("AntilinearOp: matrix part is not unitary")
         object.__setattr__(self, "matrix", frozen(k))
 

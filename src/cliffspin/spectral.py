@@ -25,7 +25,8 @@ Two real-structure variants are implemented, differing in the second
 factor: ``plain`` (J₁⊗J₂, measured signs (−1, +1, −1), the s = 2 row of
 the sign table) and ``hatted_second`` (J₁⊗Ĵ₂, measured signs (+1, +1, −1),
 the s = 6 row).  The hatted variant is the default.  Every other identity
-checked here holds under either choice.
+checked here holds under either choice.  Every report of ``cliffspin
+pati-salam`` is built here, from :func:`verify_ko_signs` to :func:`spin10_action`.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ from .linalg import (
 )
 from .report import Report
 
-VARIANTS = ("plain", "hatted_second")
+#: each real-structure variant, with the sign-table row its KO signs match
+VARIANTS = {"plain": 2, "hatted_second": 6}
 
 
 @dataclass(frozen=True)
@@ -159,15 +161,13 @@ def build_pati_salam(variant: str = "hatted_second",
                      action: Optional[CommutingAction] = None) -> PatiSalamTriple:
     """Assemble the triple on C⁴⊗C⁸ for the chosen real-structure variant."""
     if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
+        raise ValueError(f"variant must be one of {tuple(VARIANTS)}")
     ca = action if action is not None else build_commuting((4, 0), (0, 6))
     if (ca.mod1.signature.p, ca.mod1.signature.q) != (4, 0) or \
             (ca.mod2.signature.p, ca.mod2.signature.q) != (0, 6):
         raise ValueError("the triple is built over the (4,0) x (0,6) action")
-    if variant == "plain":
-        j = tensor_antilinear(ca.mod1.J, ca.mod2.J)
-    else:
-        j = tensor_antilinear(ca.mod1.J, hatted_real_structure(ca.mod2))
+    j = tensor_antilinear(ca.mod1.J, ca.mod2.J if variant == "plain"
+                          else hatted_real_structure(ca.mod2))
     chir = kron(ca.mod1.chirality, ca.mod2.chirality)
     pi2p, pi2m = weyl_projectors(ca.mod2)
     measured, _ = measure_ko_signs(j, chir, ca.gamma1[0])
@@ -191,6 +191,13 @@ def chirality_exchange_residual(triple: PatiSalamTriple) -> float:
     id1 = eye(triple.dim1)
     return max_abs(k @ np.conj(kron(id1, triple.pi2_plus))
                    - kron(id1, triple.pi2_minus) @ k)
+
+
+def verify_chirality_exchange(triple: PatiSalamTriple, tol: float = DEFAULT_TOL) -> Report:
+    """:func:`chirality_exchange_residual` must vanish."""
+    exch = chirality_exchange_residual(triple)
+    return Report(name=f"chirality-exchange({triple.variant})", passed=exch < tol,
+                  max_residual=exch, tolerance=tol, details=[])
 
 
 def check_order_conditions(triple: PatiSalamTriple, dirac: DiracData,
@@ -259,6 +266,18 @@ def ko_dimension(triple: PatiSalamTriple, dirac: DiracData,
                  tol: float = DEFAULT_TOL):
     """Sign triple and matched table row of the triple with the given D."""
     return measure_ko_signs(triple.J, triple.chirality, dirac.matrix, tol)
+
+
+def verify_ko_signs(triple: PatiSalamTriple, dirac: DiracData,
+                    tol: float = DEFAULT_TOL) -> Report:
+    """The :func:`ko_dimension` row, measured at ``DEFAULT_TOL``, must be the
+    row ``VARIANTS`` gives the triple's variant; ``tol`` is only reported."""
+    measured, s = ko_dimension(triple, dirac)
+    return Report(name=f"ko-signs({triple.variant})", passed=s == VARIANTS[triple.variant],
+                  max_residual=0.0, tolerance=tol,
+                  details=[{"eps": measured.eps, "eps_prime": measured.eps_prime,
+                            "eps_double_prime": measured.eps_double_prime,
+                            "table_row": s, "default": triple.variant == "hatted_second"}])
 
 
 def verify_gauge_action(triple: PatiSalamTriple, tol: float = DEFAULT_TOL) -> Report:

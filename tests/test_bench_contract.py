@@ -1,17 +1,43 @@
 """The benchmark's contract with the package: every function that
 ``bench/tracer.py`` wraps exists under its name, and every workload of
 ``bench/workloads.py`` passes at its smoke size, untraced and traced, with
-the same result.  A renamed wrapped function or a dropped CLI flag that a
-workload passes fails here, not only in a benchmark run.  No host time is
-asserted."""
+the same result, and makes the same wrapped calls on a second traced pass.
+A renamed wrapped function, a dropped CLI flag that a workload passes or a
+cache that outlives a pass fails here, not only in a benchmark run.  No host
+time is asserted."""
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+
+#: two traced smoke passes of one workload, the tracer reset before each as
+#: the traced run does; argv: the source directory, the bench directory and
+#: the workload.  A fresh interpreter, so that no earlier pass has filled a
+#: cache that outlives a pass
+COUNT_CHILD = """\
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+import tracer, workloads
+one_pass = workloads.WORKLOADS[sys.argv[3]](1, smoke=True)
+spans = tracer.Tracer()
+counts = []
+for _ in range(2):
+    with spans.installed(memory=False):
+        spans.reset()
+        one_pass()
+    counts.append({"calls": {f"{layer}.{name}": count
+                             for (layer, name), count in spans.calls.items()},
+                   "cells": spans.cells})
+print(json.dumps(counts))
+"""
 
 
 def load_bench(name: str):
@@ -43,3 +69,15 @@ def test_smoke_pass_is_clean_untraced_and_traced(workload):
     assert traced_result == result
     assert traced.calls[("cli", "run") if workload == "suite_all"
                         else ("clifford", "build_irrep")] > 0
+
+
+@pytest.mark.parametrize("workload", list(workloads.WORKLOADS))
+def test_traced_call_counts_repeat_between_passes(workload):
+    # the traced run fails a pass whose exact counts differ from the first
+    # pass's, as they do under a cache kept across passes
+    done = subprocess.run([sys.executable, "-c", COUNT_CHILD, str(ROOT / "src"), str(BENCH),
+                           workload], capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    first, second = json.loads(done.stdout)
+    assert sum(first["calls"].values()) > 0
+    assert second == first

@@ -4,7 +4,8 @@ core.  SciPy is a test dependency only, the reference of the matrix
 exponential's tests.  The package draws nothing, so no command loads
 ``numpy.random``.  Only ``linalg`` names the phased-permutation form, so
 the choice between gathers and dense code is made in one module, and only
-one function there names the pair-residual kernels of the three tiers."""
+one function there names the pair-residual kernels of the three tiers.  The
+CLI builds no report and takes only ``DEFAULT_TOL`` from ``linalg``."""
 
 import ast
 import io
@@ -229,6 +230,60 @@ def test_the_pair_tier_guard_sees_every_name():
               "    def _form_pair_residuals(self):\n"
               "        return _string_pair_residuals\n")
     assert pair_tier_names(source, "m.py") == ["m.py:1", "m.py:9", "m.py:10", "m.py:13"]
+
+
+def cli_builder_names(source: str, filename: str) -> list:
+    """``file:line`` of every name in the code (not in strings or comments)
+    that is ``Report``, or that the code takes from ``linalg`` other than
+    ``DEFAULT_TOL``: a name or alias of a ``from …linalg import``, or
+    ``linalg`` itself anywhere else."""
+    found, line = [], []
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type in (tokenize.NAME, tokenize.OP):
+            line.append(token)
+        if token.type not in (tokenize.NEWLINE, tokenize.ENDMARKER):
+            continue
+        words = [t.string for t in line]
+        from_linalg = (words[:1] == ["from"] and "import" in words
+                       and words[words.index("import") - 1] == "linalg")
+        for t in line:
+            if t.type != tokenize.NAME:
+                continue
+            if from_linalg:
+                taken = (words.index("import") < line.index(t)
+                         and t.string not in ("DEFAULT_TOL", "as"))
+            else:
+                taken = t.string == "linalg"
+            if t.string == "Report" or taken:
+                found.append(f"{filename}:{t.start[0]}")
+        line = []
+    return found
+
+
+def test_the_cli_builds_no_report():
+    # each report is built in the layer that measures it; the CLI parses,
+    # lists the checks of each command and renders
+    cli = PACKAGE / "cli.py"
+    found = cli_builder_names(cli.read_text(encoding="utf-8"), str(cli.relative_to(ROOT)))
+    assert not found, "report built or linalg used in the CLI: " + ", ".join(found)
+
+
+def test_the_cli_guard_sees_every_name():
+    source = ("from .linalg import DEFAULT_TOL, fold_max\n"
+              "from .linalg import (\n"
+              "    DEFAULT_TOL,\n"
+              "    max_abs as m,\n"
+              ")\n"
+              "from .report import Report\n"
+              "from . import linalg\n"
+              "import cliffspin.linalg\n"
+              "# Report and linalg.max_abs in a comment are prose\n"
+              "def f(tol=DEFAULT_TOL):\n"
+              "    \"\"\"returns a Report\"\"\"\n"
+              "    return report.Report(linalg.max_abs(tol), three_actions_report)\n"
+              "from .commuting import three_actions_report\n")
+    assert cli_builder_names(source, "m.py") == [
+        "m.py:1", "m.py:4", "m.py:4", "m.py:6", "m.py:7", "m.py:8", "m.py:12", "m.py:12"]
 
 
 def test_no_command_loads_scipy():

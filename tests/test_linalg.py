@@ -452,17 +452,24 @@ class TestAntilinearOp:
         assert max_abs(big.matrix - kron(S2, S1)) == 0.0
 
     def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError):
-            AntilinearOp(2 * eye(2))
+        # a NaN unitarity residual compares False with the bound both ways
+        nan_entry = np.array(S2, dtype=complex)
+        nan_entry[1, 0] = np.nan
+        for k in (2 * eye(2), nan_entry):
+            with pytest.raises(ValueError, match="not unitary"):
+                AntilinearOp(k)
 
     def test_square_sign_is_none_when_neither_sign_fits(self):
         # it used to raise, so a NaN real structure made the CLI exit with 2
         assert AntilinearOp(S2).square_sign() == -1
         assert AntilinearOp(eye(2)).square_sign() == 1
         assert AntilinearOp(np.array([[0, 1], [1j, 0]])).square_sign() is None
+        # the constructor refuses a NaN matrix, so the NaN goes in after it
         k = np.array(S2, dtype=complex)
         k[0, 1] = np.nan
-        assert AntilinearOp(k).square_sign() is None
+        j = AntilinearOp(S2)
+        object.__setattr__(j, "matrix", k)
+        assert j.square_sign() is None
 
 
 def antilinear_basis_oracle(gammas, sign):
