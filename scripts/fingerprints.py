@@ -7,20 +7,20 @@ Run from the root of a source checkout; the package is imported from
 checkouts on the same machine shows whether a change keeps the output
 byte-identical.  One line per output, ``<sha256>  <exit code>  <label>``:
 
-* the JSON output of twelve CLI invocations, run in-process: among them
+* the JSON output of thirteen CLI invocations, run in-process: among them
   ``verify signs --max-n 10``, whose module checks at d = 32 run in
   blocks of eight gammas, ``verify signs --max-n 12``, whose sign
   measurements at d = 64 check their precondition on Pauli strings,
   ``pati-salam`` (every check is exact and draws
   nothing, so ``--seed`` would change nothing), ``three-actions``,
-  ``commuting`` on (0,3) x (2,0),
-  whose odd first and even second factor send the suite through
-  ``swap_factors`` before the even identification, ``commuting`` on
-  (0,8) x (0,8), at the product dimension limit D = 256, where the block
-  sizes of the stacked checks matter (about 1.5 s and 310 MB), and
-  ``commuting`` on (0,9) x (0,8), which takes ``swap_factors`` at that
-  limit (about 2 s and 500 MB); these pin paths that ``all`` does not
-  take;
+  ``commuting`` on (0,3) x (2,0), whose odd first and even second factor
+  send the even identification through the second factor's chirality,
+  and ``commuting`` at the product dimension limit D = 256, where the
+  block sizes of the stacked checks matter: (0,8) x (0,8) (about 1.2 s
+  and 190 MB), (0,9) x (0,8), the second-factor identification there
+  (about 1.3 s and 205 MB), and (0,9) x (0,9), the odd-odd identification,
+  whose doubled module at 2D = 512 is compared one matrix per block
+  (about 2.4 s and 290 MB); these pin paths that ``all`` does not take;
 * one hash over ``module_to_json`` of every module in the benchmark's
   ``signature_sweep`` list (``bench/workloads.SWEEP``), in list order.
 """
@@ -51,6 +51,7 @@ COMMANDS = (
     ["commuting", "--sig1", "0,3", "--sig2", "2,0"],
     ["commuting", "--sig1", "0,8", "--sig2", "0,8"],
     ["commuting", "--sig1", "0,9", "--sig2", "0,8"],
+    ["commuting", "--sig1", "0,9", "--sig2", "0,9"],
     ["pati-salam"],
     ["three-actions", "--sig1", "0,3", "--sig2", "0,3", "--sig3", "0,3"],
 )

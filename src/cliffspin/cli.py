@@ -54,7 +54,7 @@ def signs_suite(max_n: int, tol: float) -> list:
 
 
 def brackets_suite(max_n: int, tol: float) -> list:
-    return [liealg.verify_brackets(max_n, tol), liealg.verify_casimir(max_n)]
+    return [liealg.verify_brackets(max_n, tol), liealg.verify_casimir(max_n, tol)]
 
 
 def commuting_suite(sig1, sig2, branch1: int, branch2: int, tol: float) -> list:

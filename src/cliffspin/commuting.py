@@ -23,9 +23,10 @@ blocks of the one bracket table of these combined generators.
 
 The resulting representation is a full (Dirac) spinor representation when
 either factor has even generator count, and a single half-spinor (Weyl)
-representation when both are odd.  Both identifications are implemented as
-explicit checks: a unitary conjugation for the even case, and a doubled
-Clifford module restricted to an eigenspace for the odd-odd case.  The
+representation when both are odd.  Both identifications check the pair as
+given, block by block: a unitary conjugation through an even factor's
+chirality, and a doubled Clifford module restricted to an eigenspace for
+the odd-odd case.  The
 reports of ``cliffspin commuting`` (:func:`verify_bracket_table`,
 :func:`verify_equivalence`, :func:`verify_tensor_real_structure`) and of
 ``cliffspin three-actions`` (:func:`three_actions_report`) are built here.
@@ -64,6 +65,7 @@ from .linalg import (
     linear_combination,
     max_abs,
     pair_residuals,
+    stack_at,
     stack_blocks,
     stacked_kron,
     tensor_antilinear,
@@ -72,8 +74,9 @@ from .liealg import SoRepresentation, bracket_residual_table, quadratic_monomial
 from .report import Report
 
 #: largest product dimension D of :func:`build_commuting` and
-#: :func:`three_action_closure_defect`: a pair peaks at 310 MB at D = 256, and
-#: three actions need 0.64 GB for their quadratics alone at D = 512
+#: :func:`three_action_closure_defect`: a pair peaks at 190 MB ((0,8)x(0,8)),
+#: 205 MB ((0,9)x(0,8)) and 290 MB ((0,9)x(0,9)) at D = 256, and three
+#: actions need 0.64 GB for their quadratics alone at D = 512
 MAX_PRODUCT_DIM = 256
 
 
@@ -144,11 +147,7 @@ def build_commuting(sig1, sig2, branch1: int = 1, branch2: int = 1) -> Commuting
     raises ValueError first when the product dimension is too large."""
     sig1, sig2 = as_signature(sig1), as_signature(sig2)
     check_product_dim((sig1, sig2))
-    return _lift(build_irrep(sig1, branch1), build_irrep(sig2, branch2))
-
-
-def _lift(mod1: CliffordModule, mod2: CliffordModule) -> CommutingAction:
-    """The action of γ₁⊗1 and 1⊗γ₂, one :func:`linalg.stacked_kron` per factor."""
+    mod1, mod2 = build_irrep(sig1, branch1), build_irrep(sig2, branch2)
     return CommutingAction(mod1, mod2, stacked_kron(mod1.gammas, eye(mod2.dim)),
                            stacked_kron(eye(mod1.dim), mod2.gammas))
 
@@ -208,31 +207,40 @@ def _pair_label(ca: CommutingAction) -> str:
             f"({ca.mod2.signature.p},{ca.mod2.signature.q})")
 
 
+def _reference_monomials(ref, dim: int):
+    """(slice, stack) per :func:`linalg.stack_blocks` block of dim×dim
+    matrices: that slice of ``quadratic_monomials(ref)``, bit for bit, which
+    is never held whole."""
+    a, b = np.triu_indices(len(ref), 1)
+    for block in stack_blocks(len(a), dim):
+        yield block, 0.5 * (stack_at(ref, a[block]) @ stack_at(ref, b[block]))
+
+
 def equivalence_even(ca: CommutingAction, tol: float = DEFAULT_TOL) -> Report:
     """Identify the combined generators with a full spinor representation.
 
-    Requires n₁ even.  The reference module uses the gammas iγ₁ᵃ⊗1 and
-    γ̄₁⊗γ₂^β (γ̄₁ the first factor's chirality); conjugating its quadratic
-    monomials by V = exp(iπγ̄₁/4)⊗1 = (1+iγ̄₁)/√2⊗1 must reproduce the
-    combined generators exactly, and V must leave the tensor product
-    element unchanged.
+    The reference module of metric (−η₁)⊕η₂ has the gammas iγ₁ᵃ⊗1 and
+    γ̄₁⊗γ₂^β when n₁ is even, else iγ₁ᵃ⊗γ̄₂ and 1⊗γ₂^β (γ̄ a chirality);
+    conjugating its quadratic monomials by V = (1+iγ̄₁)/√2⊗1, else
+    1⊗(1−iγ̄₂)/√2, must reproduce the combined generators exactly, and V
+    must leave the tensor product element unchanged.
     """
-    if ca.n1 % 2 != 0:
-        raise ValueError("the unitary-conjugation path requires even n1; "
-                         "swap the factors or use the odd-odd path")
-    id2 = eye(ca.mod2.dim)
-    ref = [*(1j * ca.gamma1), *(kron(ca.mod1.chirality, id2) @ ca.gamma2)]
-    ref_eta = combined_metric(ca.mod1.eta, ca.mod2.eta)
-    cliff_res = clifford_residual(ref, ref_eta)
+    if ca.n1 % 2 == 0:
+        chir = kron(ca.mod1.chirality, eye(ca.mod2.dim))
+        ref, turn = [*(1j * ca.gamma1), *(chir @ ca.gamma2)], 1j
+    elif ca.n2 % 2 == 0:
+        chir = kron(eye(ca.mod1.dim), ca.mod2.chirality)
+        ref, turn = [*(1j * ca.gamma1 @ chir), *ca.gamma2], -1j
+    else:
+        raise ValueError("the unitary-conjugation path requires an even factor")
+    cliff_res = clifford_residual(ref, combined_metric(ca.mod1.eta, ca.mod2.eta))
 
-    v = kron((eye(ca.mod1.dim) + 1j * ca.mod1.chirality) / math.sqrt(2), id2)
+    v = (eye(ca.dim) + turn * chir) / math.sqrt(2)
     vh = v.conj().T
-    # the reference monomials come in the (a, b) order of the combined ones
-    ref_quads = quadratic_monomials(ref)
     gens = ca.generators.mats
     worst = 0.0
-    for block in stack_blocks(len(gens), ca.dim):
-        worst = fold_max(worst, max_abs(v @ ref_quads[block] @ vh - gens[block]))
+    for block, quads in _reference_monomials(ref, ca.dim):
+        worst = fold_max(worst, max_abs(v @ quads @ vh - gens[block]))
     p_res = 0.0
     if (ca.n1 + ca.n2) % 2 == 0:
         prod = tensor_product_element(ca)
@@ -271,11 +279,9 @@ def equivalence_odd_odd(ca: CommutingAction, tol: float = DEFAULT_TOL) -> Report
     cliff_res = clifford_residual(doubled, ref_eta)
 
     d = ca.dim
-    doubled_quads = quadratic_monomials(doubled)
     gens = ca.generators.mats
     worst = 0.0
-    for block in stack_blocks(len(gens), 2 * d):
-        quad = doubled_quads[block]
+    for block, quad in _reference_monomials(doubled, 2 * d):
         worst = fold_max(worst, [max_abs(quad[:, :d, d:]), max_abs(quad[:, d:, :d]),
                                  max_abs(quad[:, :d, :d] - gens[block])])
 
@@ -299,14 +305,11 @@ def equivalence_odd_odd(ca: CommutingAction, tol: float = DEFAULT_TOL) -> Report
 
 
 def verify_equivalence(ca: CommutingAction, tol: float = DEFAULT_TOL) -> Report:
-    """The identification that applies to the pair: :func:`equivalence_even`
-    when n₁ is even, on the :func:`swap_factors` pair when only n₂ is, and
-    :func:`equivalence_odd_odd` when both are odd."""
-    if ca.n1 % 2 == 0:
-        return equivalence_even(ca, tol)
-    if ca.n2 % 2 == 0:
-        return equivalence_even(swap_factors(ca), tol)
-    return equivalence_odd_odd(ca, tol)
+    """The identification that applies to the pair: :func:`equivalence_odd_odd`
+    when both factors are odd, :func:`equivalence_even` otherwise."""
+    if ca.n1 % 2 and ca.n2 % 2:
+        return equivalence_odd_odd(ca, tol)
+    return equivalence_even(ca, tol)
 
 
 def tensor_product_element(ca: CommutingAction) -> np.ndarray:
@@ -449,11 +452,6 @@ def three_actions_report(sigs, min_defect: float = 0.1) -> Report:
                             "note": "pass requires the defect to EXCEED the threshold"}])
 
 
-def swap_factors(ca: CommutingAction) -> CommutingAction:
-    """The same data with the factors exchanged (metric flip moves); no module is built."""
-    return _lift(ca.mod2, ca.mod1)
-
-
 __all__ = [
     "CommutingAction",
     "build_commuting",
@@ -473,5 +471,4 @@ __all__ = [
     "verify_tensor_real_structure",
     "three_action_closure_defect",
     "three_actions_report",
-    "swap_factors",
 ]

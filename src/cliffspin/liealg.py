@@ -211,10 +211,10 @@ def verify_brackets(max_n: int, tol: float = DEFAULT_TOL) -> Report:
                   max_residual=worst, tolerance=tol, details=details)
 
 
-def verify_casimir(max_n: int) -> Report:
+def verify_casimir(max_n: int, tol: float = DEFAULT_TOL) -> Report:
     """The Casimir identity, :func:`casimir_element` equal to the product
-    element within 1e-10, at (0,2), (4,0), (0,6) and at (0,n) for every even
-    n from 8 up to ``max_n``."""
+    element within ``tol``, at (0,2), (4,0), (0,6) and at (0,n) for every
+    even n from 8 up to ``max_n``."""
     details = []
     worst = 0.0
     for sig in ((0, 2), (4, 0), (0, 6)) + tuple((0, n) for n in range(8, max_n + 1, 2)):
@@ -222,8 +222,8 @@ def verify_casimir(max_n: int) -> Report:
         res = max_abs(casimir_element(so_generators(m)) - m.P)
         worst = fold_max(worst, res)
         details.append({"p": sig[0], "q": sig[1], "residual": res})
-    return Report(name="casimir-product", passed=worst < 1e-10, max_residual=worst,
-                  tolerance=1e-10, details=details)
+    return Report(name="casimir-product", passed=worst < tol, max_residual=worst,
+                  tolerance=tol, details=details)
 
 
 def weyl_projectors(m: CliffordModule):

@@ -270,9 +270,9 @@ def ko_dimension(triple: PatiSalamTriple, dirac: DiracData,
 
 def verify_ko_signs(triple: PatiSalamTriple, dirac: DiracData,
                     tol: float = DEFAULT_TOL) -> Report:
-    """The :func:`ko_dimension` row, measured at ``DEFAULT_TOL``, must be the
-    row ``VARIANTS`` gives the triple's variant; ``tol`` is only reported."""
-    measured, s = ko_dimension(triple, dirac)
+    """The :func:`ko_dimension` row, measured at ``tol``, must be the row
+    ``VARIANTS`` gives the triple's variant."""
+    measured, s = ko_dimension(triple, dirac, tol)
     return Report(name=f"ko-signs({triple.variant})", passed=s == VARIANTS[triple.variant],
                   max_residual=0.0, tolerance=tol,
                   details=[{"eps": measured.eps, "eps_prime": measured.eps_prime,

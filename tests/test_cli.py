@@ -551,3 +551,32 @@ class TestFaultInjection:
         for name in failed:
             assert math.isnan(rows[name]["max_residual"])
         assert math.isnan(rows["spin10-extension"]["details"][0]["mixed_generator_min_commutator"])
+
+
+class TestToleranceReachesEveryMeasurement:
+    """``--tol`` sets the verdict of every report, the measured ones too."""
+
+    @pytest.mark.parametrize("tol, passed", [([], False), (["--tol", "1e-8"], True)])
+    def test_ko_signs_are_measured_at_the_given_tolerance(self, capsys, tol, passed):
+        # J·conj(J) = (1 + 1e-9)²·ε misses ε by 2e-9: no sign at 1e-10
+        real = spectral.build_pati_salam
+
+        def scaled_j(*args, **kwargs):
+            triple = real(*args, **kwargs)
+            return dataclasses.replace(triple, J=AntilinearOp(triple.J.matrix * (1 + 1e-9)))
+
+        with mock.patch.object(spectral, "build_pati_salam", scaled_j):
+            run(["pati-salam", "--format", "json", *tol])
+        rows = {c["check"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        for variant in spectral.VARIANTS:
+            assert rows[f"ko-signs({variant})"]["passed"] is passed
+
+    def test_casimir_is_held_to_the_given_tolerance(self, capsys):
+        # the (0,10) Casimir misses P by 1.1e-16
+        code, out = run_capture(capsys, ["verify", "brackets", "--max-n", "10",
+                                         "--tol", "1e-16", "--format", "json"])
+        assert code == 1
+        rows = {c["check"]: c for c in json.loads(out)["checks"]}
+        casimir = rows["casimir-product"]
+        assert casimir["passed"] is False and casimir["tolerance"] == 1e-16
+        assert casimir["max_residual"] == max(d["residual"] for d in casimir["details"]) > 1e-16

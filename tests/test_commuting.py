@@ -4,6 +4,7 @@ maps, and non-closure for three families."""
 
 import dataclasses
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -22,14 +23,19 @@ from cliffspin.commuting import (
     equivalence_odd_odd,
     real_structure_commutation,
     real_structure_recipe,
-    swap_factors,
     tensor_hatted_real_structure,
     tensor_product_element,
     tensor_real_structure,
     three_action_closure_defect,
     verify_bracket_table,
+    verify_equivalence,
 )
-from cliffspin.liealg import SoRepresentation, bracket_residual, bracket_residual_table
+from cliffspin.liealg import (
+    SoRepresentation,
+    bracket_residual,
+    bracket_residual_table,
+    quadratic_monomials,
+)
 from cliffspin.linalg import commutator, expm, eye, kron, max_abs
 
 
@@ -131,26 +137,11 @@ def test_nan_gammas_fail_the_bracket_table():
 
 
 def test_factor_swap():
-    ca = build_commuting((0, 3), (0, 1))
-    swapped = swap_factors(ca)
+    # the factors of test_combined_metric_examples' first pair exchanged:
+    # the metric flip lands on the other signature
+    swapped = build_commuting((0, 1), (0, 3))
     assert list(swapped.generators.eta) == [1, -1, -1, -1]
     assert verify_bracket_table(swapped, tol=1e-12).passed
-
-
-@pytest.mark.parametrize("sig1, sig2", [((0, 3), (2, 0)), ((0, 7), (3, 0))])
-def test_swap_lifts_the_held_modules_again(sig1, sig2):
-    # no module is built again, and the swap equals the action built in
-    # the other order bit for bit
-    ca = build_commuting(sig1, sig2, -1, 1)
-    counted = mock.Mock(wraps=commuting.build_irrep)
-    with mock.patch.object(commuting, "build_irrep", counted):
-        swapped = swap_factors(ca)
-    assert counted.call_count == 0
-    assert swapped.mod1 is ca.mod2 and swapped.mod2 is ca.mod1
-    built = build_commuting(sig2, sig1, 1, -1)
-    for name in ("gamma1", "gamma2"):
-        assert getattr(swapped, name).tobytes() == getattr(built, name).tobytes()
-    assert swapped.generators.mats.tobytes() == built.generators.mats.tobytes()
 
 
 def test_each_factor_is_lifted_by_one_stacked_kron():
@@ -175,6 +166,9 @@ def test_lifted_gammas_given_as_sequences_are_held_as_stacks():
     assert build_commuting((0, 0), (0, 3)).gamma1.shape == (0, 2, 2)
 
 
+SMALL_SIGNATURES = [(p, n - p) for n in range(5) for p in range(n + 1)]
+
+
 class TestEvenIdentification:
     def test_small_pair(self):
         report = equivalence_even(build_commuting((2, 0), (0, 1)), tol=1e-12)
@@ -188,9 +182,34 @@ class TestEvenIdentification:
         report = equivalence_even(build_commuting((2, 0), (0, 0)), tol=1e-12)
         assert report.passed
 
-    def test_odd_first_factor_rejected(self):
-        with pytest.raises(ValueError):
+    def test_odd_odd_pair_rejected(self):
+        with pytest.raises(ValueError, match="requires an even factor"):
             equivalence_even(build_commuting((0, 3), (0, 1)))
+
+    @pytest.mark.parametrize("pair", [
+        (sig1, sig2) for sig1 in SMALL_SIGNATURES if sum(sig1) % 2
+        for sig2 in SMALL_SIGNATURES if sum(sig2) % 2 == 0])
+    @pytest.mark.parametrize("branch1", [1, -1])
+    def test_even_second_factor_under_the_pairs_own_label(self, pair, branch1):
+        # the pair as given, never the swapped one: the label keeps its order
+        (p1, q1), (p2, q2) = pair
+        report = verify_equivalence(build_commuting(*pair, branch1, 1), tol=1e-12)
+        assert report.passed, report.details
+        assert report.name == f"even-equivalence({p1},{q1})x({p2},{q2})"
+
+    def test_faults_of_the_even_second_factor_fail(self):
+        ca = build_commuting((0, 3), (2, 0))
+        times_i = np.array(ca.gamma2)
+        times_i[1] *= 1j
+        flat = dataclasses.replace(ca.mod2, chirality=eye(ca.mod2.dim))
+        for broken in (dataclasses.replace(ca, gamma2=times_i),
+                       dataclasses.replace(ca, mod2=flat)):
+            report = equivalence_even(broken)
+            assert not report.passed and report.max_residual >= 0.5
+        # −γ̄₂ grades the second factor as well, and it flips both the
+        # reference gammas and V, so the identification still holds
+        negated = dataclasses.replace(ca.mod2, chirality=-ca.mod2.chirality)
+        assert equivalence_even(dataclasses.replace(ca, mod2=negated), tol=1e-12).passed
 
     def test_closed_form_rotation_matches_expm(self):
         # V = (1 + i*chirality)/sqrt(2) on the first factor equals the
@@ -200,6 +219,20 @@ class TestEvenIdentification:
         closed = kron((eye(2) + 1j * chir) / np.sqrt(2), eye(ca.mod2.dim))
         via_expm = kron(expm(1j * np.pi * chir / 4), eye(ca.mod2.dim))
         assert max_abs(closed - via_expm) < 1e-13
+
+
+@pytest.mark.parametrize("pair", [((0, 7), (0, 7)), ((0, 7), (0, 6)), ((0, 6), (0, 6))])
+def test_identification_holds_less_than_the_generator_stack(pair):
+    # the reference monomials are formed block by block: the peak of the
+    # whole check stays below the one stack the action already holds
+    ca = build_commuting(*pair)
+    tracemalloc.start()
+    try:
+        assert verify_equivalence(ca).passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < ca.generators.mats.nbytes
 
 
 class TestOddOddIdentification:
@@ -365,10 +398,15 @@ def reference_commutation_residual(ca):
 
 
 def reference_conjugated_generators(ca):
-    id2 = eye(ca.mod2.dim)
-    chir1 = kron(ca.mod1.chirality, id2)
-    ref = [1j * g for g in ca.gamma1] + [chir1 @ g for g in ca.gamma2]
-    v = kron((eye(ca.mod1.dim) + 1j * ca.mod1.chirality) / math.sqrt(2), id2)
+    id1, id2 = eye(ca.mod1.dim), eye(ca.mod2.dim)
+    if ca.n1 % 2 == 0:
+        chir1 = kron(ca.mod1.chirality, id2)
+        ref = [1j * g for g in ca.gamma1] + [chir1 @ g for g in ca.gamma2]
+        v = kron((id1 + 1j * ca.mod1.chirality) / math.sqrt(2), id2)
+    else:
+        chir2 = kron(id1, ca.mod2.chirality)
+        ref = [1j * g @ chir2 for g in ca.gamma1] + list(ca.gamma2)
+        v = kron(id1, (id2 - 1j * ca.mod2.chirality) / math.sqrt(2))
     vh = v.conj().T
     worst = 0.0
     for (a, b), g in zip(ca.generators.pairs(), ca.generators.mats):
@@ -427,26 +465,21 @@ def test_combined_generators_negate_only_the_first_block():
         assert np.array_equal(g, sign * 0.5 * (gammas[a] @ gammas[b]))
 
 
-SMALL_SIGNATURES = [(p, n - p) for n in range(5) for p in range(n + 1)]
-
-
 @pytest.mark.parametrize("pair", list(DEFAULT_PAIRS) + [
     (sig1, sig2) for sig1 in SMALL_SIGNATURES for sig2 in SMALL_SIGNATURES])
 def test_stacked_generator_checks_equal_the_loops(pair):
     exact = build_commuting(*pair)
-    if exact.n1 % 2 and exact.n2 % 2 == 0:
-        exact = swap_factors(exact)  # the even path, as the commuting suite takes it
     noisy = perturbed(exact, sum(pair[0]) * 16 + sum(pair[1]))
     for ca in (exact, noisy):
         assert commutation_residual(ca) == reference_commutation_residual(ca)
         with mock.patch.object(linalg, "phased_permutations", return_value=None):
             assert commutation_residual(ca) == reference_commutation_residual(ca)
-        if ca.n1 % 2 == 0:
-            assert equivalence_even(ca).details[1] == {
-                "item": "conjugated-generators", "residual": reference_conjugated_generators(ca)}
-        else:
+        if ca.n1 % 2 and ca.n2 % 2:
             assert equivalence_odd_odd(ca).details[1] == {
                 "item": "restricted-generators", "residual": reference_restricted_generators(ca)}
+        else:
+            assert equivalence_even(ca).details[1] == {
+                "item": "conjugated-generators", "residual": reference_conjugated_generators(ca)}
         j = tensor_real_structure(ca)
         if j is not None:
             assert (real_structure_commutation(ca, j)
@@ -454,6 +487,18 @@ def test_stacked_generator_checks_equal_the_loops(pair):
     if exact.dim > 1 and exact.n1 and exact.n2:
         # the noise makes the compared residuals nonzero
         assert commutation_residual(noisy) > 0.0
+
+
+@pytest.mark.parametrize("n, dim", [(0, 1), (1, 2), (5, 4), (6, 32), (4, 128)])
+def test_reference_monomial_blocks_equal_the_whole_stack(n, dim):
+    # the blocks tile the (a, b) order of quadratic_monomials bit for bit
+    rng = np.random.default_rng(n * dim)
+    ref = list(rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim)))
+    whole = quadratic_monomials(ref)
+    blocks = list(commuting._reference_monomials(ref, dim))
+    assert [block for block, _ in blocks] == linalg.stack_blocks(len(whole), dim)
+    if blocks:
+        assert np.concatenate([quads for _, quads in blocks]).tobytes() == whole.tobytes()
 
 
 class TestNanResiduals:
