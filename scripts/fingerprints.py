@@ -7,7 +7,7 @@ Run from the root of a source checkout; the package is imported from
 checkouts on the same machine shows whether a change keeps the output
 byte-identical.  One line per output, ``<sha256>  <exit code>  <label>``:
 
-* the JSON output of thirteen CLI invocations, run in-process: among them
+* the JSON output of fifteen CLI invocations, run in-process: among them
   ``verify signs --max-n 10``, whose module checks at d = 32 run in
   blocks of eight gammas, ``verify signs --max-n 12``, whose sign
   measurements at d = 64 check their precondition on Pauli strings,
@@ -15,8 +15,11 @@ byte-identical.  One line per output, ``<sha256>  <exit code>  <label>``:
   nothing, so ``--seed`` would change nothing), ``three-actions``,
   ``commuting`` on (0,3) x (2,0), whose odd first and even second factor
   send the even identification through the second factor's chirality,
-  and ``commuting`` at the product dimension limit D = 256, where the
-  block sizes of the stacked checks matter: (0,8) x (0,8) (about 1.2 s
+  ``commuting`` on (2,0) x (0,1) and on (0,1) x (2,0), the two pairs
+  whose tensor real structure takes the even factor's Ĵ (recipes
+  ``Jhat1xJ2`` and ``J1xJhat2``), and ``commuting`` at the product
+  dimension limit D = 256, where the block sizes of the stacked checks
+  matter: (0,8) x (0,8) (about 1.2 s
   and 190 MB), (0,9) x (0,8), the second-factor identification there
   (about 1.3 s and 205 MB), and (0,9) x (0,9), the odd-odd identification,
   whose doubled module at 2D = 512 is compared one matrix per block
@@ -49,6 +52,8 @@ COMMANDS = (
     ["verify", "brackets", "--max-n", "10"],
     ["commuting", "--sig1", "4,0", "--sig2", "0,6"],
     ["commuting", "--sig1", "0,3", "--sig2", "2,0"],
+    ["commuting", "--sig1", "2,0", "--sig2", "0,1"],
+    ["commuting", "--sig1", "0,1", "--sig2", "2,0"],
     ["commuting", "--sig1", "0,8", "--sig2", "0,8"],
     ["commuting", "--sig1", "0,9", "--sig2", "0,8"],
     ["commuting", "--sig1", "0,9", "--sig2", "0,9"],

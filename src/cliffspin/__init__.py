@@ -7,7 +7,6 @@ from .clifford import (
     SignTriple,
     Signature,
     build_irrep,
-    hatted_real_structure,
     measure_sign_triple,
     sign_triple,
     verify_module_signs,

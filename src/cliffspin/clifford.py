@@ -132,6 +132,8 @@ class CliffordModule:
     Fields: the gammas as one read-only complex (n, d, d) stack, frozen in
     place from any sequence or stack, their ordered product P, the
     chirality operator, the real structure J and (even s only) Ĵ = J∘P.
+    :func:`build_irrep` forms Ĵ once; every consumer reads this field, so
+    ``Jhat`` is None exactly when s, and so n, is odd.
     """
 
     signature: Signature
@@ -256,13 +258,6 @@ def closed_form_real_structure(gammas, eps_prime: int, dim: int) -> AntilinearOp
             return j
     raise ValueError(f"no closed-form real structure with eps' = {eps_prime}: "
                      "the gammas are not each purely real or purely imaginary")
-
-
-def hatted_real_structure(m: CliffordModule) -> AntilinearOp:
-    """Ĵ = J∘P, the second real structure; defined for even s only."""
-    if m.s % 2 != 0:
-        raise ValueError("the hatted real structure exists only for even s")
-    return m.J.after_linear(m.P)
 
 
 def clifford_residual(gammas, eta) -> float:

@@ -52,10 +52,10 @@ from .clifford import (
     build_irrep,
     check_module_dim,
     clifford_residual,
-    hatted_real_structure,
 )
 from .linalg import (
     DEFAULT_TOL,
+    STACK_BLOCK_ENTRIES,
     AntilinearOp,
     commutator,
     eye,
@@ -233,7 +233,7 @@ def equivalence_even(ca: CommutingAction, tol: float = DEFAULT_TOL) -> Report:
         ref, turn = [*(1j * ca.gamma1 @ chir), *ca.gamma2], -1j
     else:
         raise ValueError("the unitary-conjugation path requires an even factor")
-    cliff_res = clifford_residual(ref, combined_metric(ca.mod1.eta, ca.mod2.eta))
+    cliff_res = clifford_residual(ref, ca.generators.eta)
 
     v = (eye(ca.dim) + turn * chir) / math.sqrt(2)
     vh = v.conj().T
@@ -275,8 +275,7 @@ def equivalence_odd_odd(ca: CommutingAction, tol: float = DEFAULT_TOL) -> Report
     flip = np.array([[0, 1], [-1, 0]], dtype=complex)
     swap = np.array([[0, 1], [1, 0]], dtype=complex)
     doubled = [*stacked_kron(flip, ca.gamma1), *stacked_kron(swap, ca.gamma2)]
-    ref_eta = combined_metric(ca.mod1.eta, ca.mod2.eta)
-    cliff_res = clifford_residual(doubled, ref_eta)
+    cliff_res = clifford_residual(doubled, ca.generators.eta)
 
     d = ca.dim
     gens = ca.generators.mats
@@ -350,22 +349,23 @@ def tensor_real_structure(ca: CommutingAction) -> Optional[AntilinearOp]:
 
 
 def _recipe_structure(ca: CommutingAction, recipe: Optional[str]) -> Optional[AntilinearOp]:
-    """The tensor map that ``recipe`` of :func:`real_structure_recipe` names."""
+    """The tensor map that ``recipe`` of :func:`real_structure_recipe` names,
+    from each factor's stored J or Ĵ; a recipe hats only an even factor,
+    whose module holds Ĵ."""
     if recipe is None:
         return None
-    j1 = hatted_real_structure(ca.mod1) if recipe == "Jhat1xJ2" else ca.mod1.J
-    j2 = hatted_real_structure(ca.mod2) if recipe == "J1xJhat2" else ca.mod2.J
+    j1 = ca.mod1.Jhat if recipe == "Jhat1xJ2" else ca.mod1.J
+    j2 = ca.mod2.Jhat if recipe == "J1xJhat2" else ca.mod2.J
     return tensor_antilinear(j1, j2)
 
 
 def tensor_hatted_real_structure(ca: CommutingAction) -> AntilinearOp:
-    """Even-even only: the hatted map (−1)^{n₁/2}·Ĵ₁⊗Ĵ₂, equal to J∘P."""
+    """Even-even only: the hatted map (−1)^{n₁/2}·Ĵ₁⊗Ĵ₂ of the two stored
+    Ĵ, equal to J∘P."""
     if ca.n1 % 2 != 0 or ca.n2 % 2 != 0:
         raise ValueError("the hatted tensor structure requires both factors even")
     sign = (-1.0) ** (ca.n1 // 2)
-    k = sign * kron(hatted_real_structure(ca.mod1).matrix,
-                    hatted_real_structure(ca.mod2).matrix)
-    return AntilinearOp(k)
+    return AntilinearOp(sign * kron(ca.mod1.Jhat.matrix, ca.mod2.Jhat.matrix))
 
 
 def real_structure_commutation(ca: CommutingAction, j: AntilinearOp) -> float:
@@ -400,8 +400,12 @@ def three_action_closure_defect(sig_a, sig_b, sig_c) -> float:
     onto the real span of the identity and the quadratics, and the largest
     max-abs projection residual is returned; a NaN anywhere makes it NaN.
     A strictly positive defect shows the quadratics do not span a Lie
-    algebra.  Raises ValueError,
-    before any module is built, when the product dimension is above
+    algebra.  The pairs i < j run in blocks: each forms its commutators as
+    a stack, projects them by one stacked product with the pseudo-inverse
+    and rebuilds them by one :func:`linalg.linear_combination`, whose
+    (B, K, D, D) temporary holds at most ``STACK_BLOCK_ENTRIES`` entries
+    (K = 1 + the number of quadratics).  Raises ValueError, before any
+    module is built, when the product dimension is above
     ``MAX_PRODUCT_DIM``.
     """
     sigs = [as_signature(s) for s in (sig_a, sig_b, sig_c)]
@@ -423,21 +427,21 @@ def three_action_closure_defect(sig_a, sig_b, sig_c) -> float:
     quadratics = np.take(quads, order, axis=0, out=span[1:])
     del quads  # the unordered copy: the span holds every monomial
 
-    def realvec(mat):
-        flat = np.asarray(mat, dtype=complex).ravel()
-        return np.concatenate([flat.real, flat.imag])
-
-    basis = np.column_stack([realvec(m) for m in span])
+    # each matrix as one real row: the real parts of its entries, then the imaginary
+    flat = span.reshape(len(span), -1)
+    basis = np.concatenate([flat.real, flat.imag], axis=1).T
     # a non-finite span has no least-squares projector: the defect is NaN
     pinv = (np.linalg.pinv(basis) if np.isfinite(basis).all()
             else np.full(basis.T.shape, np.nan))
+    i, j = np.triu_indices(len(quadratics), 1)
+    step = max(1, STACK_BLOCK_ENTRIES // span.size)
     defect = 0.0
-    for i in range(len(quadratics)):
-        for j in range(i + 1, len(quadratics)):
-            comm = commutator(quadratics[i], quadratics[j])
-            coeff = pinv @ realvec(comm)
-            recon = linear_combination(coeff, span)
-            defect = fold_max(defect, max_abs(comm - recon))
+    for lo in range(0, len(i), step):
+        comm = commutator(quadratics[i[lo:lo + step]], quadratics[j[lo:lo + step]])
+        flat = comm.reshape(len(comm), -1)
+        coeff = pinv @ np.concatenate([flat.real, flat.imag], axis=1)[..., None]
+        recon = linear_combination(coeff[..., 0], span)
+        defect = fold_max(defect, max_abs(comm - recon))
     return defect
 
 

@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .clifford import SignTriple, hatted_real_structure, sign_triple
+from .clifford import SignTriple, sign_triple
 from .commuting import CommutingAction, build_commuting
 from .liealg import bracket_residual, so_generators, weyl_projectors
 from .linalg import (
@@ -93,6 +93,8 @@ class PatiSalamTriple:
     second factor, on C⁸; the left and right actions lift them to C⁴⊗C⁸.
     ``quadratics1`` and ``quadratics2`` are the read-only stacks
     ``so_generators(mod).mats`` of the two factors, each built once per triple.
+    The triple holds no KO signs: :func:`ko_dimension` measures them with a
+    given Dirac operator, and :func:`verify_ko_signs` reports them.
     """
 
     variant: str
@@ -101,7 +103,6 @@ class PatiSalamTriple:
     chirality: np.ndarray
     pi2_plus: np.ndarray
     pi2_minus: np.ndarray
-    sign_triple: SignTriple
     quadratics1: np.ndarray
     quadratics2: np.ndarray
 
@@ -166,11 +167,9 @@ def build_pati_salam(variant: str = "hatted_second",
     if (ca.mod1.signature.p, ca.mod1.signature.q) != (4, 0) or \
             (ca.mod2.signature.p, ca.mod2.signature.q) != (0, 6):
         raise ValueError("the triple is built over the (4,0) x (0,6) action")
-    j = tensor_antilinear(ca.mod1.J, ca.mod2.J if variant == "plain"
-                          else hatted_real_structure(ca.mod2))
+    j = tensor_antilinear(ca.mod1.J, ca.mod2.J if variant == "plain" else ca.mod2.Jhat)
     chir = kron(ca.mod1.chirality, ca.mod2.chirality)
     pi2p, pi2m = weyl_projectors(ca.mod2)
-    measured, _ = measure_ko_signs(j, chir, ca.gamma1[0])
     return PatiSalamTriple(
         variant=variant,
         action=ca,
@@ -178,7 +177,6 @@ def build_pati_salam(variant: str = "hatted_second",
         chirality=frozen(chir),
         pi2_plus=frozen(pi2p),
         pi2_minus=frozen(pi2m),
-        sign_triple=measured,
         quadratics1=so_generators(ca.mod1).mats,
         quadratics2=so_generators(ca.mod2).mats,
     )
@@ -237,20 +235,21 @@ def check_order_conditions(triple: PatiSalamTriple, dirac: DiracData,
     )
 
 
-def measure_ko_signs(j: AntilinearOp, chirality, d_matrix, tol: float = DEFAULT_TOL):
-    """Measure (ε, ε′, ε″) from J², J vs D and J vs chirality; match the table.
+def ko_dimension(triple: PatiSalamTriple, dirac: DiracData,
+                 tol: float = DEFAULT_TOL):
+    """Measure the KO signs (ε, ε′, ε″) of the triple's J with the given D,
+    from J², J vs D and J vs the chirality, and match them to the table.
 
     ε′ is reported as None when D vanishes (indeterminate).  The match is
     taken over the even rows of the sign table, which are distinguished by
     (ε, ε″) alone; a determinate ε′ must agree as well.  Returns the
-    measured triple and the matching s, or None when nothing matches.
+    measured :class:`clifford.SignTriple` and the matching s, or None when
+    nothing matches.
     """
+    j = triple.J
     eps = j.square_sign(tol)
-    if max_abs(d_matrix) < tol:
-        eps_prime = None
-    else:
-        eps_prime = j.commutation_sign(d_matrix, tol)
-    eps_dd = j.commutation_sign(chirality, tol)
+    eps_prime = None if max_abs(dirac.matrix) < tol else j.commutation_sign(dirac.matrix, tol)
+    eps_dd = j.commutation_sign(triple.chirality, tol)
     measured = SignTriple(eps, eps_prime, eps_dd)
     for s in (0, 2, 4, 6):
         row = sign_triple(s)
@@ -260,12 +259,6 @@ def measure_ko_signs(j: AntilinearOp, chirality, d_matrix, tol: float = DEFAULT_
             continue
         return measured, s
     return measured, None
-
-
-def ko_dimension(triple: PatiSalamTriple, dirac: DiracData,
-                 tol: float = DEFAULT_TOL):
-    """Sign triple and matched table row of the triple with the given D."""
-    return measure_ko_signs(triple.J, triple.chirality, dirac.matrix, tol)
 
 
 def verify_ko_signs(triple: PatiSalamTriple, dirac: DiracData,

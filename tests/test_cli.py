@@ -453,7 +453,13 @@ class TestFaultInjection:
         assert report["passed"] is False
 
     def test_plain_structure_for_the_hatted_variant_fails_its_ko_signs(self, capsys):
-        with mock.patch.object(spectral, "hatted_real_structure", lambda m: m.J):
+        real = commuting.build_irrep
+
+        def plain_jhat(*args, **kwargs):
+            m = real(*args, **kwargs)
+            return dataclasses.replace(m, Jhat=m.J)
+
+        with mock.patch.object(commuting, "build_irrep", plain_jhat):
             code = run(["pati-salam", "--format", "json"])
         captured = capsys.readouterr()
         assert code == 1

@@ -20,7 +20,6 @@ from cliffspin.clifford import (
     build_irrep,
     chirality_phase,
     closed_form_real_structure,
-    hatted_real_structure,
     measure_sign_triple,
     module_residuals,
     product_of,
@@ -146,8 +145,7 @@ def test_hatted_structure_cases():
     assert m.Jhat.square_sign() == 1
     m = build_irrep((0, 6))
     assert m.Jhat.square_sign() == -1  # eps''*eps = (-1)(+1)
-    with pytest.raises(ValueError):
-        hatted_real_structure(build_irrep((0, 1)))
+    assert build_irrep((0, 1)).Jhat is None
 
 
 @pytest.mark.parametrize("pq", ALL_SIGNATURES_5)

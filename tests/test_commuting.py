@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from cliffspin import commuting, linalg
-from cliffspin.cli import DEFAULT_PAIRS
-from cliffspin.clifford import build_irrep, hatted_real_structure
+from cliffspin.cli import DEFAULT_PAIRS, DEFAULT_TRIPLES
+from cliffspin.clifford import build_irrep
 from cliffspin.commuting import (
     bracket_family_residuals,
     build_commuting,
@@ -29,6 +29,7 @@ from cliffspin.commuting import (
     three_action_closure_defect,
     verify_bracket_table,
     verify_equivalence,
+    verify_tensor_real_structure,
 )
 from cliffspin.liealg import (
     SoRepresentation,
@@ -36,7 +37,16 @@ from cliffspin.liealg import (
     bracket_residual_table,
     quadratic_monomials,
 )
-from cliffspin.linalg import commutator, expm, eye, kron, max_abs
+from cliffspin.linalg import (
+    commutator,
+    expm,
+    eye,
+    fold_max,
+    kron,
+    kron_all,
+    linear_combination,
+    max_abs,
+)
 
 
 def test_scalar_pair():
@@ -319,10 +329,23 @@ class TestTensorRealStructure:
         j = tensor_real_structure(ca)
         jhat = j.after_linear(tensor_product_element(ca))
         sign = (-1.0) ** (ca.n1 // 2)
-        direct = sign * kron(hatted_real_structure(ca.mod1).matrix,
-                             hatted_real_structure(ca.mod2).matrix)
+        direct = sign * kron(ca.mod1.Jhat.matrix, ca.mod2.Jhat.matrix)
         assert max_abs(jhat.matrix - direct) < 1e-10
         assert max_abs(tensor_hatted_real_structure(ca).matrix - direct) < 1e-12
+
+    @pytest.mark.parametrize("sig1,sig2,recipe", [((2, 0), (0, 1), "Jhat1xJ2"),
+                                                  ((0, 1), (2, 0), "J1xJhat2")])
+    def test_a_hatted_recipe_reads_the_stored_jhat(self, sig1, sig2, recipe):
+        # the even factor's module holds Ĵ; with J stored in its place the
+        # hatted recipe must fail, not quietly re-derive J∘P
+        ca = build_commuting(sig1, sig2)
+        name = "mod1" if ca.n1 % 2 == 0 else "mod2"
+        even = getattr(ca, name)
+        wrong = dataclasses.replace(ca, **{name: dataclasses.replace(even, Jhat=even.J)})
+        assert verify_tensor_real_structure(ca).passed
+        report = verify_tensor_real_structure(wrong)
+        assert report.details[0]["formula"] == recipe
+        assert not report.passed and report.max_residual == 1.0
 
 
 def test_oversized_pair_refused_before_any_module(monkeypatch):
@@ -431,6 +454,37 @@ def reference_real_structure_commutation(ca, j):
     return max((j.commutation_residual(g, 1) for g in ca.generators.mats), default=0.0)
 
 
+def reference_three_action_defect(sigs):
+    """The per-pair loop that the blocked projection replaced: one
+    pseudo-inverse product and one reconstruction per commutator."""
+    mods = [commuting.build_irrep(sig) for sig in sigs]
+    ids = [eye(m.dim) for m in mods]
+    lifted = np.concatenate([kron_all([*ids[:f], m.gammas, *ids[f + 1:]])
+                             for f, m in enumerate(mods)])
+    quads = quadratic_monomials(lifted)
+    family = np.repeat(np.arange(3), [m.n for m in mods])
+    a, b = np.triu_indices(len(family), 1)
+    order = np.lexsort((family[b], family[a], family[a] != family[b]))
+    span = np.concatenate([eye(quads.shape[-1])[None], quads[order]])
+    quadratics = span[1:]
+
+    def realvec(mat):
+        flat = np.asarray(mat, dtype=complex).ravel()
+        return np.concatenate([flat.real, flat.imag])
+
+    basis = np.column_stack([realvec(m) for m in span])
+    pinv = (np.linalg.pinv(basis) if np.isfinite(basis).all()
+            else np.full(basis.T.shape, np.nan))
+    defect = 0.0
+    for i in range(len(quadratics)):
+        for j in range(i + 1, len(quadratics)):
+            comm = commutator(quadratics[i], quadratics[j])
+            coeff = pinv @ realvec(comm)
+            recon = linear_combination(coeff, span)
+            defect = fold_max(defect, max_abs(comm - recon))
+    return defect
+
+
 def perturbed(ca, seed, size=1e-9):
     """The action with every lifted gamma moved by noise of the given size,
     so that the residuals are not all exactly zero."""
@@ -499,6 +553,28 @@ def test_reference_monomial_blocks_equal_the_whole_stack(n, dim):
     assert [block for block, _ in blocks] == linalg.stack_blocks(len(whole), dim)
     if blocks:
         assert np.concatenate([quads for _, quads in blocks]).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("sigs", [*DEFAULT_TRIPLES, ((0, 3), (0, 3), (0, 3)),
+                                  ((2, 0), (0, 3), (0, 2)), ((0, 4), (0, 4), (0, 4))])
+def test_blocked_three_action_defect_equals_the_loop(sigs):
+    # the last triple acts on D = 64, where a block holds one pair
+    assert three_action_closure_defect(*sigs) == reference_three_action_defect(sigs)
+
+
+def test_a_nan_gamma_gives_both_three_action_loops_a_nan_defect():
+    real = commuting.build_irrep
+
+    def nan_first(sig, branch=1):
+        m = real(sig, branch)
+        g = np.array(m.gammas)
+        g[0, 0, 0] = np.nan
+        return dataclasses.replace(m, gammas=g)
+
+    sigs = ((0, 3), (0, 3), (0, 1))
+    with mock.patch.object(commuting, "build_irrep", nan_first):
+        assert math.isnan(three_action_closure_defect(*sigs))
+        assert math.isnan(reference_three_action_defect(sigs))
 
 
 class TestNanResiduals:

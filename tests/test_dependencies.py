@@ -232,6 +232,56 @@ def test_the_pair_tier_guard_sees_every_name():
     assert pair_tier_names(source, "m.py") == ["m.py:1", "m.py:9", "m.py:10", "m.py:13"]
 
 
+def after_linear_names(source: str, filename: str) -> list:
+    """``file:line:scope`` of every name ``after_linear`` in the code (not in
+    strings or comments), a call or a reference, where scope is the
+    top-level function around it, or ``-`` outside any; the name after a
+    ``def`` does not count."""
+    found, scope, previous, top_def = [], None, None, False
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type != tokenize.NAME:
+            continue
+        if token.start[1] == 0:
+            scope, top_def = None, token.string == "def"
+        if previous == "def" and top_def:
+            scope, top_def = token.string, False
+        elif token.string == "after_linear" and previous != "def":
+            found.append(f"{filename}:{token.start[0]}:{scope or '-'}")
+        previous = token.string
+    return found
+
+
+def test_only_build_irrep_forms_jhat():
+    # Ĵ = J∘P is formed once, when the module is built; every consumer reads
+    # the module's Jhat
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += after_linear_names(path.read_text(encoding="utf-8"),
+                                    str(path.relative_to(ROOT)))
+    places = [(entry.split(":")[0], entry.split(":")[2]) for entry in found]
+    assert places == [("src/cliffspin/clifford.py", "build_irrep")], \
+        "after_linear outside build_irrep: " + ", ".join(found)
+
+
+def test_the_after_linear_guard_sees_every_name():
+    source = ("from .linalg import AntilinearOp\n"
+              "def build_irrep(sig):\n"
+              "    \"\"\"j.after_linear(prod) in a docstring is prose\"\"\"\n"
+              "    jhat = j.after_linear(prod)\n"
+              "    def helper(p):\n"
+              "        return j.after_linear(p)\n"
+              "    return jhat\n"
+              "# m.J.after_linear(m.P) in a comment is prose\n"
+              "def hatted(m):\n"
+              "    return m.J.after_linear(m.P)\n"
+              "class AntilinearOp:\n"
+              "    def after_linear(self, m):\n"
+              "        return self\n"
+              "formed = AntilinearOp.after_linear\n")
+    assert after_linear_names(source, "m.py") == [
+        "m.py:4:build_irrep", "m.py:6:build_irrep", "m.py:10:hatted", "m.py:14:-"]
+
+
 def cli_builder_names(source: str, filename: str) -> list:
     """``file:line`` of every name in the code (not in strings or comments)
     that is ``Report``, or that the code takes from ``linalg`` other than

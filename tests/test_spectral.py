@@ -39,6 +39,7 @@ from cliffspin.spectral import (
     ko_dimension,
     spin10_action,
     verify_gauge_action,
+    verify_ko_signs,
 )
 from dense_reference import (
     GaugeElement,
@@ -64,11 +65,6 @@ def triple(request):
     return TRIPLES[request.param]
 
 
-def test_variant_sign_rows():
-    assert tuple(TRIPLES["plain"].sign_triple) == (-1, 1, -1)
-    assert tuple(TRIPLES["hatted_second"].sign_triple) == (1, 1, -1)
-
-
 def test_ko_rows(triple):
     dirac = triple.dirac_operator([1.0, 0.0, 0.0, 0.0])
     measured, s = ko_dimension(triple, dirac)
@@ -76,6 +72,19 @@ def test_ko_rows(triple):
         assert s == 2 and tuple(measured) == (-1, 1, -1)
     else:
         assert s == 6 and tuple(measured) == (1, 1, -1)
+
+
+def test_the_hatted_variant_reads_the_stored_jhat():
+    # the second factor's module holds Ĵ; with J stored in its place the
+    # hatted triple is the plain one, whose KO signs are the s = 2 row
+    from cliffspin.commuting import build_commuting
+
+    ca = build_commuting((4, 0), (0, 6))
+    wrong = dataclasses.replace(ca, mod2=dataclasses.replace(ca.mod2, Jhat=ca.mod2.J))
+    triple = build_pati_salam("hatted_second", action=wrong)
+    report = verify_ko_signs(triple, triple.dirac_operator([1.0, 0.0, 0.0, 0.0]))
+    assert not report.passed
+    assert report.details[0]["table_row"] == 2
 
 
 def test_ko_indeterminate_without_dirac(triple):
