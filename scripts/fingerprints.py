@@ -19,11 +19,10 @@ byte-identical.  One line per output, ``<sha256>  <exit code>  <label>``:
   whose tensor real structure takes the even factor's Ĵ (recipes
   ``Jhat1xJ2`` and ``J1xJhat2``), and ``commuting`` at the product
   dimension limit D = 256, where the block sizes of the stacked checks
-  matter: (0,8) x (0,8) (about 1.2 s
-  and 190 MB), (0,9) x (0,8), the second-factor identification there
-  (about 1.3 s and 205 MB), and (0,9) x (0,9), the odd-odd identification,
-  whose doubled module at 2D = 512 is compared one matrix per block
-  (about 2.4 s and 290 MB); these pin paths that ``all`` does not take;
+  matter: (0,8) x (0,8) (about 1.0 s and 188 MB), (0,9) x (0,8), the
+  second-factor identification there (about 1.1 s and 206 MB), and
+  (0,9) x (0,9), the odd-odd identification through Cl(n−1) (about 1.1 s
+  and 224 MB); these pin paths that ``all`` does not take;
 * one hash over ``module_to_json`` of every module in the benchmark's
   ``signature_sweep`` list (``bench/workloads.SWEEP``), in list order.
 """

@@ -23,18 +23,23 @@ blocks of the one bracket table of these combined generators.
 
 The resulting representation is a full (Dirac) spinor representation when
 either factor has even generator count, and a single half-spinor (Weyl)
-representation when both are odd.  Both identifications check the pair as
-given, block by block: a unitary conjugation through an even factor's
-chirality, and a doubled Clifford module restricted to an eigenspace for
-the odd-odd case.  The
-reports of ``cliffspin commuting`` (:func:`verify_bracket_table`,
-:func:`verify_equivalence`, :func:`verify_tensor_real_structure`) and of
-``cliffspin three-actions`` (:func:`three_actions_report`) are built here.
+representation when both are odd.  Both identifications name, on the pair
+as given, one Clifford family W on its own space whose commutators are the
+combined generators, and check W's anticommutators and [W_A, W_B] = c·T^{AB}
+by :func:`linalg.pair_residuals`.  For the full spinor W is n gammas of
+(−η₁)⊕η₂ made from Γ₁, Γ₂ and an even factor's chirality.  For the
+half-spinor W is the n − 1 generators 2T^{A,n−1}, gammas of Cl(n−1), whose
+irreducible module has the pair's dimension 2^{(n−2)/2} (Lawson and
+Michelsohn, *Spin Geometry*, ch. I).  The reports of ``cliffspin
+commuting`` (:func:`verify_bracket_table`, :func:`verify_equivalence`,
+:func:`verify_tensor_real_structure`) and of ``cliffspin three-actions``
+(:func:`three_actions_report`) are built here.
 
-The gamma commutation residual is one :func:`linalg.pair_residuals` call.
-The other per-generator checks run their matrices as stacks of at most
+The gamma commutation residual and both identifications are
+:func:`linalg.pair_residuals` calls.  The tensor real structure's
+commutation runs the generators as stacks of at most
 ``linalg.STACK_BLOCK_ENTRIES`` entries per matrix; every stacked product is
-bit-identical to the one-matrix product, so the residuals equal those of a
+bit-identical to the one-matrix product, so the residual equals that of a
 loop over generators.
 """
 
@@ -52,6 +57,7 @@ from .clifford import (
     build_irrep,
     check_module_dim,
     clifford_residual,
+    product_of,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -65,7 +71,6 @@ from .linalg import (
     linear_combination,
     max_abs,
     pair_residuals,
-    stack_at,
     stack_blocks,
     stacked_kron,
     tensor_antilinear,
@@ -74,9 +79,10 @@ from .liealg import SoRepresentation, bracket_residual_table, quadratic_monomial
 from .report import Report
 
 #: largest product dimension D of :func:`build_commuting` and
-#: :func:`three_action_closure_defect`: a pair peaks at 190 MB ((0,8)x(0,8)),
-#: 205 MB ((0,9)x(0,8)) and 290 MB ((0,9)x(0,9)) at D = 256, and three
-#: actions need 0.64 GB for their quadratics alone at D = 512
+#: :func:`three_action_closure_defect`: ``cliffspin commuting`` peaks at
+#: 188 MB ((0,8)x(0,8)), 206 MB ((0,9)x(0,8)) and 224 MB ((0,9)x(0,9)) at
+#: D = 256, and three actions need 0.64 GB for their quadratics alone at
+#: D = 512
 MAX_PRODUCT_DIM = 256
 
 
@@ -207,100 +213,82 @@ def _pair_label(ca: CommutingAction) -> str:
             f"({ca.mod2.signature.p},{ca.mod2.signature.q})")
 
 
-def _reference_monomials(ref, dim: int):
-    """(slice, stack) per :func:`linalg.stack_blocks` block of dim×dim
-    matrices: that slice of ``quadratic_monomials(ref)``, bit for bit, which
-    is never held whole."""
-    a, b = np.triu_indices(len(ref), 1)
-    for block in stack_blocks(len(a), dim):
-        yield block, 0.5 * (stack_at(ref, a[block]) @ stack_at(ref, b[block]))
+def _identification_report(ca: CommutingAction, name: str, family, metric, coef,
+                            extra: list, tol: float) -> Report:
+    """Report that ``family`` W, on the pair's own space, is a Clifford family
+    of ``metric`` whose commutators are the combined generators:
+    ``reference-clifford-relations`` holds W's anticommutators, and
+    ``generator-monomials`` the worst of [W_A, W_B] − coef·T^{AB} over every
+    pair A < B of W, one :func:`linalg.pair_residuals` call over W then the
+    generators; ``extra`` items follow."""
+    gens = ca.generators
+    a, b = np.triu_indices(len(family), 1)
+    terms = len(family) + gens.row(a, b), np.full(len(a), coef)
+    monomials = fold_max(0.0, pair_residuals([*family, *gens.mats], a, b, -1, terms))
+    details = [{"item": "reference-clifford-relations",
+                "residual": clifford_residual(family, metric)},
+               {"item": "generator-monomials", "residual": monomials}, *extra]
+    overall = fold_max(0.0, [d["residual"] for d in details])
+    return Report(name=f"{name}{_pair_label(ca)}", passed=overall < tol,
+                  max_residual=overall, tolerance=tol, details=details)
 
 
 def equivalence_even(ca: CommutingAction, tol: float = DEFAULT_TOL) -> Report:
     """Identify the combined generators with a full spinor representation.
 
-    The reference module of metric (−η₁)⊕η₂ has the gammas iγ₁ᵃ⊗1 and
-    γ̄₁⊗γ₂^β when n₁ is even, else iγ₁ᵃ⊗γ̄₂ and 1⊗γ₂^β (γ̄ a chirality);
-    conjugating its quadratic monomials by V = (1+iγ̄₁)/√2⊗1, else
-    1⊗(1−iγ̄₂)/√2, must reproduce the combined generators exactly, and V
-    must leave the tensor product element unchanged.
+    With χ an even factor's lifted chirality (χ₁⊗1 when n₁ is even, else
+    1⊗χ₂), the n gammas
+
+        W = (−χΓ₁ᵃ, χΓ₂^β)   or   W = (iΓ₁ᵃχ, −iχΓ₂^β)
+
+    anticommute with metric (−η₁)⊕η₂ on the pair's own space, of dimension
+    2^⌊n/2⌋, so they form the irreducible module there, and
+    [W_A, W_B] = 4·T^{AB}: the combined generators are its quadratic
+    monomials.  When n is even the ordered product of W must equal
+    :func:`tensor_product_element`; an odd n has no product element and no
+    such item.
     """
     if ca.n1 % 2 == 0:
         chir = kron(ca.mod1.chirality, eye(ca.mod2.dim))
-        ref, turn = [*(1j * ca.gamma1), *(chir @ ca.gamma2)], 1j
+        family = [*(-chir @ ca.gamma1), *(chir @ ca.gamma2)]
     elif ca.n2 % 2 == 0:
         chir = kron(eye(ca.mod1.dim), ca.mod2.chirality)
-        ref, turn = [*(1j * ca.gamma1 @ chir), *ca.gamma2], -1j
+        family = [*(ca.gamma1 @ (1j * chir)), *((-1j * chir) @ ca.gamma2)]
     else:
-        raise ValueError("the unitary-conjugation path requires an even factor")
-    cliff_res = clifford_residual(ref, ca.generators.eta)
-
-    v = (eye(ca.dim) + turn * chir) / math.sqrt(2)
-    vh = v.conj().T
-    gens = ca.generators.mats
-    worst = 0.0
-    for block, quads in _reference_monomials(ref, ca.dim):
-        worst = fold_max(worst, max_abs(v @ quads @ vh - gens[block]))
-    p_res = 0.0
-    if (ca.n1 + ca.n2) % 2 == 0:
-        prod = tensor_product_element(ca)
-        p_res = max_abs(v @ prod @ vh - prod)
-    overall = fold_max(worst, (p_res, cliff_res))
-    return Report(
-        name=f"even-equivalence{_pair_label(ca)}",
-        passed=overall < tol,
-        max_residual=overall,
-        tolerance=tol,
-        details=[
-            {"item": "reference-clifford-relations", "residual": cliff_res},
-            {"item": "conjugated-generators", "residual": worst},
-            {"item": "product-element-invariance", "residual": p_res},
-        ],
-    )
+        raise ValueError("the full-spinor identification requires an even factor")
+    extra = []
+    if len(family) % 2 == 0:
+        extra.append({"item": "product-element", "residual": max_abs(
+            product_of(family, ca.dim) - tensor_product_element(ca))})
+    return _identification_report(ca, "even-equivalence", family, ca.generators.eta,
+                                  4, extra, tol)
 
 
 def equivalence_odd_odd(ca: CommutingAction, tol: float = DEFAULT_TOL) -> Report:
     """Identify the odd-odd tensor representation as one half-spinor piece.
 
-    A doubled Clifford module on C²⊗(the tensor space) uses the gammas
-
-        [[0, γ₁ᵃ], [−γ₁ᵃ, 0]]⊗1   and   [[0, 1], [1, 0]]⊗γ₂^α,
-
-    whose quadratic monomials commute with t = diag(1, −1)⊗1.  The upper
-    block (t = +1) must reproduce the combined generators, and the tensor
+    With l = n − 1, the n − 1 generators W_A = 2T^{A,l} must anticommute
+    with metric −η_A·η_l: they are gammas of Cl(n−1), the even subalgebra
+    of Cl(n), and n − 1 is odd, so a module of dimension 2^{(n−2)/2}, the
+    pair's D, is irreducible (Lawson and Michelsohn, *Spin Geometry*,
+    ch. I).  Then [W_A, W_B] = −4η_l·T^{AB} for A < B < l makes those
+    generators the quadratic monomials of W, and T^{A,l} = ½W_A are its
+    gammas: so(n) acts through Cl(n−1) on one half-spinor.  The tensor
     product element must be a unit scalar, pinning which half occurs.
     """
     if ca.n1 % 2 == 0 or ca.n2 % 2 == 0:
-        raise ValueError("the doubled-module path requires both factors odd")
-    flip = np.array([[0, 1], [-1, 0]], dtype=complex)
-    swap = np.array([[0, 1], [1, 0]], dtype=complex)
-    doubled = [*stacked_kron(flip, ca.gamma1), *stacked_kron(swap, ca.gamma2)]
-    cliff_res = clifford_residual(doubled, ca.generators.eta)
-
-    d = ca.dim
-    gens = ca.generators.mats
-    worst = 0.0
-    for block, quad in _reference_monomials(doubled, 2 * d):
-        worst = fold_max(worst, [max_abs(quad[:, :d, d:]), max_abs(quad[:, d:, :d]),
-                                 max_abs(quad[:, :d, :d] - gens[block])])
-
+        raise ValueError("the half-spinor identification requires both factors odd")
+    gens, eta = ca.generators, ca.generators.eta
+    last = len(eta) - 1
+    family = 2 * gens.mats[gens.row(np.arange(last), last)]
     prod = tensor_product_element(ca)
     scalar = complex(prod[0, 0])
-    scalar_res = max_abs(prod - scalar * eye(d))
+    scalar_res = max_abs(prod - scalar * eye(ca.dim))
     unit_res = abs(abs(scalar) - 1.0)
-    overall = fold_max(worst, (cliff_res, scalar_res, unit_res))
-    return Report(
-        name=f"odd-odd-equivalence{_pair_label(ca)}",
-        passed=overall < tol,
-        max_residual=overall,
-        tolerance=tol,
-        details=[
-            {"item": "doubled-clifford-relations", "residual": cliff_res},
-            {"item": "restricted-generators", "residual": worst},
-            {"item": "product-scalar", "re": scalar.real, "im": scalar.imag,
-             "residual": fold_max(scalar_res, unit_res)},
-        ],
-    )
+    extra = [{"item": "product-scalar", "re": scalar.real, "im": scalar.imag,
+              "residual": fold_max(scalar_res, unit_res)}]
+    return _identification_report(ca, "odd-odd-equivalence", family,
+                                  -eta[:last] * eta[last], -4 * eta[last], extra, tol)
 
 
 def verify_equivalence(ca: CommutingAction, tol: float = DEFAULT_TOL) -> Report:

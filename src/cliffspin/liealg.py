@@ -69,12 +69,15 @@ class SoRepresentation:
     def pairs(self):
         return list(itertools.combinations(range(self.n), 2))
 
+    def row(self, a, b):
+        """Index into ``mats`` of Tᵃᵇ for a < b (integers or index arrays):
+        the rows of the pairs (c, ·), c < a, come first."""
+        return a * (2 * self.n - a - 1) // 2 + b - a - 1
+
     def t(self, a: int, b: int) -> np.ndarray:
         if a == b:
             return np.zeros((self.dim, self.dim), dtype=complex)
-        lo, hi = sorted((a, b))
-        # the rows of the pairs (c, ·), c < lo, come first
-        row = self.mats[lo * (2 * self.n - lo - 1) // 2 + hi - lo - 1]
+        row = self.mats[self.row(*sorted((a, b)))]
         return row if a < b else -row
 
 

@@ -3,12 +3,16 @@ signs, the even and odd-odd spinor identifications, the tensor structure
 maps, and non-closure for three families."""
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
+from dense_reference import loop_clifford_residual
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffspin import commuting, linalg
 from cliffspin.cli import DEFAULT_PAIRS, DEFAULT_TRIPLES
@@ -38,6 +42,7 @@ from cliffspin.liealg import (
     quadratic_monomials,
 )
 from cliffspin.linalg import (
+    DEFAULT_TOL,
     commutator,
     expm,
     eye,
@@ -216,10 +221,28 @@ class TestEvenIdentification:
                        dataclasses.replace(ca, mod2=flat)):
             report = equivalence_even(broken)
             assert not report.passed and report.max_residual >= 0.5
-        # −γ̄₂ grades the second factor as well, and it flips both the
-        # reference gammas and V, so the identification still holds
+        # −γ̄₂ grades the second factor as well: it negates every W, which
+        # leaves their anticommutators and commutators, so the
+        # identification still holds
         negated = dataclasses.replace(ca.mod2, chirality=-ca.mod2.chirality)
         assert equivalence_even(dataclasses.replace(ca, mod2=negated), tol=1e-12).passed
+
+    @pytest.mark.parametrize("pair, items", [
+        (((2, 0), (0, 2)), 3), (((0, 3), (0, 1)), 3),
+        (((2, 0), (0, 1)), 2), (((0, 3), (2, 0)), 2), (((0, 0), (0, 3)), 2)])
+    def test_only_an_even_sum_carries_a_product_element(self, pair, items):
+        report = verify_equivalence(build_commuting(*pair))
+        names = ["reference-clifford-relations", "generator-monomials",
+                 "product-scalar" if report.name.startswith("odd") else "product-element"]
+        assert [d["item"] for d in report.details] == names[:items]
+
+    def test_a_wrong_product_element_fails(self):
+        # the product of the family must equal P₁⊗P₂ itself; the sign of a
+        # stored P is not a convention that the identification may drop
+        ca = build_commuting((2, 0), (0, 2))
+        negated = dataclasses.replace(ca.mod1, P=-ca.mod1.P)
+        report = equivalence_even(dataclasses.replace(ca, mod1=negated))
+        assert not report.passed and report.details[2]["residual"] == 2.0
 
     def test_closed_form_rotation_matches_expm(self):
         # V = (1 + i*chirality)/sqrt(2) on the first factor equals the
@@ -233,8 +256,8 @@ class TestEvenIdentification:
 
 @pytest.mark.parametrize("pair", [((0, 7), (0, 7)), ((0, 7), (0, 6)), ((0, 6), (0, 6))])
 def test_identification_holds_less_than_the_generator_stack(pair):
-    # the reference monomials are formed block by block: the peak of the
-    # whole check stays below the one stack the action already holds
+    # the identification forms no monomial stack of its own: the peak of
+    # the whole check stays below the one stack the action already holds
     ca = build_commuting(*pair)
     tracemalloc.start()
     try:
@@ -421,6 +444,10 @@ def reference_commutation_residual(ca):
 
 
 def reference_conjugated_generators(ca):
+    """The even identification as it was: the reference gammas iγ₁ᵃ⊗1 and
+    γ̄₁⊗γ₂^β (n₁ even), else iγ₁ᵃ⊗γ̄₂ and 1⊗γ₂^β, and the worst distance of
+    their quadratic monomials, conjugated by V, from the combined
+    generators."""
     id1, id2 = eye(ca.mod1.dim), eye(ca.mod2.dim)
     if ca.n1 % 2 == 0:
         chir1 = kron(ca.mod1.chirality, id2)
@@ -433,11 +460,14 @@ def reference_conjugated_generators(ca):
     vh = v.conj().T
     worst = 0.0
     for (a, b), g in zip(ca.generators.pairs(), ca.generators.mats):
-        worst = max(worst, max_abs(v @ (0.5 * (ref[a] @ ref[b])) @ vh - g))
-    return worst
+        worst = fold_max(worst, max_abs(v @ (0.5 * (ref[a] @ ref[b])) @ vh - g))
+    return ref, worst
 
 
 def reference_restricted_generators(ca):
+    """The odd-odd identification as it was: the doubled gammas and the
+    worst distance of the upper block of their quadratic monomials from the
+    combined generators, with the off-diagonal blocks that must vanish."""
     flip = np.array([[0, 1], [-1, 0]], dtype=complex)
     swap = np.array([[0, 1], [1, 0]], dtype=complex)
     doubled = [kron(flip, g) for g in ca.gamma1] + [kron(swap, g) for g in ca.gamma2]
@@ -445,8 +475,39 @@ def reference_restricted_generators(ca):
     worst = 0.0
     for (a, b), g in zip(ca.generators.pairs(), ca.generators.mats):
         quad = 0.5 * (doubled[a] @ doubled[b])
-        off_block = max(max_abs(quad[:d, d:]), max_abs(quad[d:, :d]))
-        worst = max(worst, off_block, max_abs(quad[:d, :d] - g))
+        worst = fold_max(worst, [max_abs(quad[:d, d:]), max_abs(quad[d:, :d]),
+                                 max_abs(quad[:d, :d] - g)])
+    return doubled, worst
+
+
+def reference_identification_passes(ca):
+    """Verdict of the dense detour the pair's identification replaced: the
+    reference gammas' Clifford relations and the conjugated (even) or
+    restricted (odd-odd) monomials."""
+    odd_odd = ca.n1 % 2 and ca.n2 % 2
+    gammas, worst = (reference_restricted_generators if odd_odd
+                     else reference_conjugated_generators)(ca)
+    return fold_max(worst, loop_clifford_residual(gammas, ca.generators.eta)) < DEFAULT_TOL
+
+
+def reference_generator_monomials(ca):
+    """[W_A, W_B] − c·T^{AB} over the pairs A < B of the identification's
+    family W, one pair at a time with W formed one matrix at a time."""
+    if ca.n1 % 2 == 0:
+        chir = kron(ca.mod1.chirality, eye(ca.mod2.dim))
+        family, coef = [-chir @ g for g in ca.gamma1] + [chir @ g for g in ca.gamma2], 4
+    elif ca.n2 % 2 == 0:
+        chir = kron(eye(ca.mod1.dim), ca.mod2.chirality)
+        family = [g @ (1j * chir) for g in ca.gamma1] + [-1j * chir @ g for g in ca.gamma2]
+        coef = 4
+    else:
+        last = ca.n1 + ca.n2 - 1
+        family = [2 * ca.generators.t(a, last) for a in range(last)]
+        coef = -4 * ca.generators.eta[last]
+    worst = 0.0
+    for a, b in itertools.combinations(range(len(family)), 2):
+        comm = family[a] @ family[b] - family[b] @ family[a]
+        worst = fold_max(worst, max_abs(comm - coef * ca.generators.t(a, b)))
     return worst
 
 
@@ -528,12 +589,11 @@ def test_stacked_generator_checks_equal_the_loops(pair):
         assert commutation_residual(ca) == reference_commutation_residual(ca)
         with mock.patch.object(linalg, "phased_permutations", return_value=None):
             assert commutation_residual(ca) == reference_commutation_residual(ca)
-        if ca.n1 % 2 and ca.n2 % 2:
-            assert equivalence_odd_odd(ca).details[1] == {
-                "item": "restricted-generators", "residual": reference_restricted_generators(ca)}
-        else:
-            assert equivalence_even(ca).details[1] == {
-                "item": "conjugated-generators", "residual": reference_conjugated_generators(ca)}
+        monomials = {"item": "generator-monomials",
+                     "residual": reference_generator_monomials(ca)}
+        assert verify_equivalence(ca).details[1] == monomials
+        with mock.patch.object(linalg, "phased_permutations", return_value=None):
+            assert verify_equivalence(ca).details[1] == monomials
         j = tensor_real_structure(ca)
         if j is not None:
             assert (real_structure_commutation(ca, j)
@@ -543,16 +603,57 @@ def test_stacked_generator_checks_equal_the_loops(pair):
         assert commutation_residual(noisy) > 0.0
 
 
-@pytest.mark.parametrize("n, dim", [(0, 1), (1, 2), (5, 4), (6, 32), (4, 128)])
-def test_reference_monomial_blocks_equal_the_whole_stack(n, dim):
-    # the blocks tile the (a, b) order of quadratic_monomials bit for bit
-    rng = np.random.default_rng(n * dim)
-    ref = list(rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim)))
-    whole = quadratic_monomials(ref)
-    blocks = list(commuting._reference_monomials(ref, dim))
-    assert [block for block, _ in blocks] == linalg.stack_blocks(len(whole), dim)
-    if blocks:
-        assert np.concatenate([quads for _, quads in blocks]).tobytes() == whole.tobytes()
+def named_faults(ca):
+    """(name, faulted action) for each named fault that applies to the pair."""
+    for name in ("gamma1", "gamma2"):
+        gammas = getattr(ca, name)
+        if len(gammas):
+            yield f"{name}[0] times i", dataclasses.replace(
+                ca, **{name: [1j * gammas[0], *gammas[1:]]})
+            yield f"{name}[-1] times 1 + 1e-6", dataclasses.replace(
+                ca, **{name: [*gammas[:-1], (1 + 1e-6) * gammas[-1]]})
+    if ca.n2:
+        nan = np.array(ca.gamma2)
+        nan[0, 0, 0] = np.nan
+        yield "a NaN entry", dataclasses.replace(ca, gamma2=nan)
+    if ca.n1 and ca.n2:
+        yield "gamma2[0] left-multiplied by gamma1[0]", dataclasses.replace(
+            ca, gamma2=[ca.gamma1[0] @ ca.gamma2[0], *ca.gamma2[1:]])
+    if ca.n1 % 2 == 0:
+        chir = kron(ca.mod1.chirality, eye(ca.mod2.dim))
+        yield "the anticommuting family chirality times gamma2", dataclasses.replace(
+            ca, gamma2=chir @ ca.gamma2)
+
+
+@pytest.mark.parametrize("pair", [
+    (sig1, sig2) for sig1 in SMALL_SIGNATURES for sig2 in SMALL_SIGNATURES])
+def test_identifications_give_the_dense_detours_verdict(pair):
+    ca = build_commuting(*pair)
+    assert verify_equivalence(ca).passed and reference_identification_passes(ca)
+    for name, broken in named_faults(ca):
+        assert verify_equivalence(broken).passed == reference_identification_passes(broken), name
+
+
+def signature_of(n):
+    """(p, q, branch) with p + q = n."""
+    return st.tuples(st.integers(0, n), st.sampled_from((1, -1))).map(
+        lambda pb: (pb[0], n - pb[0], pb[1]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 9).flatmap(
+    lambda n1: st.tuples(signature_of(n1), st.integers(1, 10 - n1).flatmap(signature_of))),
+    st.booleans(), st.integers(0, 9))
+def test_every_pair_is_identified_exactly_and_a_gamma_times_i_fails(pair, first, index):
+    (p1, q1, b1), (p2, q2, b2) = pair
+    ca = build_commuting((p1, q1), (p2, q2), b1, b2)
+    report = verify_equivalence(ca)
+    assert report.passed and report.max_residual == 0.0
+    assert all(d["residual"] == 0.0 for d in report.details)
+    name = "gamma1" if first else "gamma2"
+    gammas = np.array(getattr(ca, name))
+    gammas[index % len(gammas)] *= 1j
+    assert not verify_equivalence(dataclasses.replace(ca, **{name: gammas})).passed
 
 
 @pytest.mark.parametrize("sigs", [*DEFAULT_TRIPLES, ((0, 3), (0, 3), (0, 3)),
@@ -589,8 +690,8 @@ class TestNanResiduals:
         assert not report.passed
         assert math.isnan(report.max_residual)
         items = {d["item"]: d for d in report.details}
-        assert math.isnan(items["doubled-clifford-relations"]["residual"])
-        assert math.isnan(items["restricted-generators"]["residual"])
+        assert math.isnan(items["reference-clifford-relations"]["residual"])
+        assert math.isnan(items["generator-monomials"]["residual"])
 
     def test_even_equivalence_product_element(self):
         ca = build_commuting((2, 0), (0, 2))
@@ -599,6 +700,8 @@ class TestNanResiduals:
         report = equivalence_even(broken)
         assert not report.passed
         assert math.isnan(report.max_residual)
+        items = {d["item"]: d for d in report.details}
+        assert math.isnan(items["product-element"]["residual"])
 
     def test_real_structure_commutation(self):
         ca = build_commuting((0, 2), (0, 2))
